@@ -3,7 +3,7 @@
 Closed-form Klein-zone scattering for every transmitted-wave convention,
 impenetrable-barrier and nonrelativistic limits, wall forces, boundary
 condition classification, grid sampling/CSV export, and an independent
-adaptive-ODE scattering oracle that cross-checks the closed forms.
+Magnus-propagator scattering oracle that cross-checks the closed forms.
 """
 
 __version__ = "0.1.0"

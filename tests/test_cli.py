@@ -1,9 +1,14 @@
 """CLI surface: commands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diracstep
 from diracstep.cli import main
 from diracstep.gridio import read_csv
 
@@ -250,3 +255,17 @@ def test_verify_exit_codes_and_summary(capsys, tmp_path):
     assert summary["trials"] == 50
     assert summary["failures"] == []
     assert summary["max_error"] < 1e-12
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(diracstep.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, diracstep.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "False"

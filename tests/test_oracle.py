@@ -1,4 +1,6 @@
-"""ODE oracle against the closed forms."""
+"""ODE oracle against the closed forms and Sauter's exact tanh-step R."""
+
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from diracstep import (
     match,
     sharp_limit_study,
 )
+from diracstep import oracle
 from diracstep.verify import draw_oracle_setup
 
 GOLDEN = PhysicalSetup(1.0, 4.0, 2.0)
@@ -142,3 +145,89 @@ def test_oracle_rejects_unsupported_inputs():
     evan = PhysicalSetup(1.0, 2.5, 2.0)
     with pytest.raises(ValueError):
         integrate_scattering(evan, SmoothStep(2.5, 1e-3), Convention.TRADITIONAL)
+
+
+def _log_abs_sinh(x):
+    x = abs(x)
+    if x < 1.0:
+        return math.log(math.sinh(x))
+    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
+
+
+def _sauter_R(setup, width, conv):
+    """Exact R of the tanh step (F. Sauter, Z. Phys. 73 (1932) 547).
+
+    Klein zone, main: f(V0+k+kb) f(V0-k-kb) / [f(V0+k-kb) f(V0-k+kb)] with
+    f(z) = sinh(pi w z / 4).  Traditional, in the Klein zone and in the
+    transmission regime: the same expression with kb -> -kb, which is 1/R.
+    """
+    kin = kinematics(setup)
+    v0, k = setup.step_height, kin.k
+    kb = kin.kbar_or_kappa if conv is Convention.MAIN else -kin.kbar_or_kappa
+    c = math.pi * width / 4.0
+    log_r = (
+        _log_abs_sinh(c * (v0 + k + kb))
+        + _log_abs_sinh(c * (v0 - k - kb))
+        - _log_abs_sinh(c * (v0 + k - kb))
+        - _log_abs_sinh(c * (v0 - k + kb))
+    )
+    return math.exp(log_r)
+
+
+def _edge_setups(energy, delta):
+    """Setups delta above the Klein edge and delta below the lower edge,
+    with every convention the oracle admits there."""
+    klein = PhysicalSetup(1.0, energy + 1.0 + delta, energy)
+    lower = PhysicalSetup(1.0, energy - 1.0 - delta, energy)
+    return [
+        (klein, Convention.MAIN),
+        (klein, Convention.TRADITIONAL),
+        (lower, Convention.TRADITIONAL),
+    ]
+
+
+DELTAS = [10.0**-d for d in range(1, 7)]
+
+
+@pytest.mark.parametrize("width", [1e-3, 0.3, 1.0, 2.0])
+def test_exact_sauter_reflection_at_both_edges(width):
+    for delta in DELTAS:
+        for setup, conv in _edge_setups(1.2, delta):
+            res = integrate_scattering(
+                setup, SmoothStep(setup.step_height, width), conv
+            )
+            exact = _sauter_R(setup, width, conv)
+            err = abs(res.R_num - exact) / max(1.0, exact)
+            label = f"w={width} delta={delta} V0={setup.step_height} {conv.value}"
+            assert err <= 1e-9, label
+            assert err <= 10.0 * res.integration_error_estimate + 1e-13, label
+
+
+@pytest.mark.parametrize("width", [1e-3, 0.3, 1.0, 2.0])
+def test_cell_count_bounded_toward_the_edges(width):
+    # E - mc2 = 2 is large against delta = 0.1, so the lower-edge step is
+    # nearly as high at delta = 1e-1 as at 1e-6.
+    for (near, conv), (far, _) in zip(_edge_setups(3.0, 1e-6), _edge_setups(3.0, 1e-1)):
+        n_near = integrate_scattering(
+            near, SmoothStep(near.step_height, width), conv
+        ).n_steps
+        n_far = integrate_scattering(far, SmoothStep(far.step_height, width), conv).n_steps
+        assert n_near <= n_far, f"w={width} {conv.value} V0={near.step_height}"
+
+
+def test_cell_count_and_result_independent_of_domain():
+    step = SmoothStep(4.0, 0.3)
+    default = integrate_scattering(GOLDEN, step, Convention.MAIN)
+    for half_width in (20.0, 1e3, 1e6):
+        res = integrate_scattering(
+            GOLDEN, step, Convention.MAIN, domain_half_width=half_width
+        )
+        assert res.n_steps == default.n_steps
+        assert res.r_num == default.r_num
+        assert res.t_num == default.t_num
+
+
+def test_cell_cap_raises_when_estimate_above_tol(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_CELLS", 32)
+    with pytest.raises(RuntimeError, match="Richardson"):
+        integrate_scattering(GOLDEN, SmoothStep(4.0, 1.0), Convention.MAIN)
