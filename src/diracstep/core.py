@@ -68,13 +68,15 @@ class PhysicalSetup:
             raise ValueError(f"mass_energy must be >= 0, got {self.mass_energy}")
         if not (self.step_height > 0.0 and math.isfinite(self.step_height)):
             raise ValueError(f"step_height must be > 0, got {self.step_height}")
+        if not math.isfinite(self.energy):
+            raise ValueError(f"energy must be finite, got {self.energy}")
         if not (self.energy > self.mass_energy):
             raise ValueError(
                 "energy must exceed mass_energy for a propagating incident wave "
                 f"(E={self.energy}, mc2={self.mass_energy})"
             )
-        if not (self.hbar_c > 0.0):
-            raise ValueError(f"hbar_c must be > 0, got {self.hbar_c}")
+        if not (self.hbar_c > 0.0 and math.isfinite(self.hbar_c)):
+            raise ValueError(f"hbar_c must be finite and > 0, got {self.hbar_c}")
 
 
 def classify_regime(setup: PhysicalSetup) -> Regime:

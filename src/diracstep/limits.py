@@ -26,7 +26,7 @@ from .core import PhysicalSetup, kinematics
 from .forces import external_force_mean
 from .matching import Convention, match
 from .observables import coefficients
-from .spinor import Spinor
+from .spinor import Spinor, complex_product
 
 __all__ = [
     "LimitKind",
@@ -93,6 +93,31 @@ class LimitSolution:
         if self.kind is LimitKind.NONREL_MAIN:
             return Spinor(0.0, 0.0)
         return Spinor(2.0, 0.0)
+
+    def left_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Array counterpart of ``left_value_at``, equal to it bit for bit
+        with the components as complex."""
+        theta = self.wave_number * xs
+        if self.kind is LimitKind.IMPENETRABLE_MAIN:
+            return (
+                complex_product(2j, np.sin(theta)),
+                (2.0 * self.a * np.cos(theta)).astype(complex),
+            )
+        if self.kind is LimitKind.IMPENETRABLE_NEGATIVE:
+            return (
+                (2.0 * np.cos(theta)).astype(complex),
+                complex_product(2j * self.a, np.sin(theta)),
+            )
+        zeros = np.zeros(len(xs), dtype=complex)
+        if self.kind is LimitKind.NONREL_MAIN:
+            return complex_product(2j, np.sin(theta)), zeros
+        return (2.0 * np.cos(theta)).astype(complex), zeros
+
+    def right_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Array counterpart of ``right_value_at``: the constant branch."""
+        value = self.right_value_at(0.0)
+        return (np.full(len(xs), complex(value.upper)),
+                np.full(len(xs), complex(value.lower)))
 
     def nr_derivative_at_origin(self) -> complex:
         """d/dx of the nonrelativistic wavefunction at the wall (NR kinds)."""

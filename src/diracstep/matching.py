@@ -78,6 +78,19 @@ class ScatteringSolution:
     def setup(self):
         return self.kinematics.setup
 
+    def left_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Incident + reflected branch at every position: the array
+        counterpart of ``evaluate`` for x < 0, bit for bit, and the
+        left-branch value at x = 0."""
+        in_upper, in_lower = self.incident.values_at(xs)
+        re_upper, re_lower = self.reflected.values_at(xs)
+        return in_upper + re_upper, in_lower + re_lower
+
+    def right_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Transmitted branch at every position: the array counterpart of
+        ``evaluate`` for x >= 0, bit for bit."""
+        return self.transmitted.values_at(xs)
+
 
 def _transmitted_basis(kin: Kinematics, conv: Convention) -> tuple[Spinor, complex]:
     """Unit-coefficient transmitted amplitude and its wave number.
@@ -124,24 +137,24 @@ def match(kin: Kinematics, conv: Convention) -> ScatteringSolution:
 
         [1, a] + r·[1, −a] = t·u_conv
 
-    is solved with the transmitted column normalized to unit max-norm, so
-    the matrix stays well conditioned even when |b| diverges near the
-    impenetrable-barrier point (the normalization is undone on t).
+    is solved in closed form with the transmitted column scaled to unit
+    max-norm, (û, l̂) = u_conv / max|u_conv|, so the amplitudes stay finite
+    even when |b| diverges near the impenetrable-barrier point:
+
+        det = û·a + l̂,   t·max|u_conv| = 2a / det,   r = (û·a − l̂) / det.
     """
     u_t, q_t = _transmitted_basis(kin, conv)
     scale = max(abs(u_t.upper), abs(u_t.lower))
-    mat = np.array(
-        [[u_t.upper / scale, -1.0], [u_t.lower / scale, kin.a]], dtype=complex
-    )
-    rhs = np.array([1.0, kin.a], dtype=complex)
-    try:
-        t_scaled, r = (complex(z) for z in np.linalg.solve(mat, rhs))
-    except np.linalg.LinAlgError as exc:
+    u_hat, l_hat = u_t.upper / scale, u_t.lower / scale
+    det = u_hat * kin.a + l_hat
+    if det == 0:
         # Possible only at degenerate corners (e.g. the TRADITIONAL wave for
         # a massless particle, where it is parallel to the reflected wave).
         raise ValueError(
             f"continuity system singular for {conv.value!r} at this setup"
-        ) from exc
+        )
+    t_scaled = complex(2.0 * kin.a / det)
+    r = complex((u_hat * kin.a - l_hat) / det)
     t = t_scaled / scale
     incident = PlaneWaveState(Spinor(1.0, kin.a), kin.k, Side.LEFT)
     reflected = PlaneWaveState(Spinor(r, -r * kin.a), -kin.k, Side.LEFT)
@@ -154,8 +167,8 @@ def match(kin: Kinematics, conv: Convention) -> ScatteringSolution:
         incident=incident,
         reflected=reflected,
         transmitted=transmitted,
-        r=complex(r),
-        t=complex(t),
+        r=r,
+        t=t,
     )
 
 

@@ -79,6 +79,30 @@ class PlaneWaveState:
         phase = cmath.exp(1j * self.wave_number * x)
         return self.amplitude.scaled(phase)
 
+    def values_at(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Array counterpart of ``value_at``: the upper and lower components
+        at every position, equal to ``value_at`` bit for bit."""
+        phase = np.exp(complex_product(1j * self.wave_number, xs))
+        return (
+            complex_product(phase, self.amplitude.upper),
+            complex_product(phase, self.amplitude.lower),
+        )
+
+
+def complex_product(z, w) -> np.ndarray:
+    """Element-wise z·w, rounded exactly as CPython rounds a complex product.
+
+    Either factor may be a Python number or a real or complex array; a real
+    factor counts as having imaginary part +0.0, as in CPython.  numpy's
+    own complex multiply may fuse or reorder the four real products and
+    then differs in the last bit, so the array evaluators form products
+    here to stay bit-identical to their scalar counterparts.
+    """
+    out = np.empty(np.broadcast(z, w).shape, dtype=complex)
+    out.real = z.real * w.real - z.imag * w.imag
+    out.imag = z.real * w.imag + z.imag * w.real
+    return out
+
 
 def density(s: Spinor) -> float:
     """Probability density |upper|² + |lower|²."""

@@ -269,3 +269,38 @@ def test_cli_import_does_not_load_scipy():
         check=True, timeout=60,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_scatter_infinite_energy_exit_2(capsys):
+    code, _, err = run(capsys, "scatter", "--energy", "inf", "--step-height", "4")
+    assert code == 2
+    assert err == "error: energy must be finite, got inf\n"
+
+
+def test_scatter_massless_traditional_klein_is_singular_exit_2(capsys):
+    code, _, err = run(
+        capsys, "scatter", "--mass", "0", "--energy", "1", "--step-height", "3",
+        "--convention", "traditional",
+    )
+    assert code == 2
+    assert "continuity system singular for 'traditional'" in err
+
+
+@pytest.mark.parametrize("x_range,cause", [
+    (("-5", "inf"), "x_min and x_max must be finite"),
+    (("nan", "5"), "x_min and x_max must be finite"),
+    (("-" + str(int(1e308)), str(int(1e308))), "x_max - x_min overflows"),
+])
+@pytest.mark.parametrize("target", [
+    ("--limit", "impenetrable"),
+    ("--step-height", "4"),
+])
+def test_wavefunction_rejects_unusable_range_exit_2(capsys, tmp_path, x_range, cause, target):
+    out_file = tmp_path / "w.csv"
+    code, _, err = run(
+        capsys, "wavefunction", "--energy", "2", *target, "--range", *x_range,
+        "--points", "4", "--out", str(out_file),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and cause in err
+    assert not out_file.exists()

@@ -157,3 +157,14 @@ def test_hbar_c_scales_wave_numbers_only():
     assert math.isclose(
         scaled.kbar_or_kappa, natural.kbar_or_kappa / 197.3269804, rel_tol=1e-14
     )
+
+
+@pytest.mark.parametrize("field,kwargs", [
+    ("energy", {"energy": math.inf}),
+    ("energy", {"energy": math.nan}),
+    ("hbar_c", {"energy": 2.0, "hbar_c": math.inf}),
+    ("hbar_c", {"energy": 2.0, "hbar_c": math.nan}),
+])
+def test_setup_rejects_non_finite_energy_and_hbar_c(field, kwargs):
+    with pytest.raises(ValueError, match=field):
+        PhysicalSetup(mass_energy=1.0, step_height=4.0, **kwargs)

@@ -182,3 +182,11 @@ def test_transmission_regime_standard_result():
     assert obs.R == pytest.approx(((a - b) / (a + b)) ** 2, rel=1e-13)
     assert obs.T == pytest.approx(4.0 * a * b / (a + b) ** 2, rel=1e-13)
     assert 0.0 < obs.T < 1.0 and obs.j0 > 0.0
+
+
+def test_singular_continuity_system_raises():
+    # Massless Klein zone: the traditional wave [1, b] with b = -1 is parallel
+    # to the reflected wave [1, -a], a = 1, so det = û·a + l̂ vanishes.
+    kin = kinematics(PhysicalSetup(0.0, 3.0, 1.0))
+    with pytest.raises(ValueError, match="singular for 'traditional'"):
+        match(kin, Convention.TRADITIONAL)
