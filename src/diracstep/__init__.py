@@ -33,6 +33,7 @@ from .limits import (
     ScanResult,
     ScanRow,
     convergence_scan,
+    edge_limit,
     impenetrable_limit,
     infinite_potential_limit,
     nonrelativistic_limit,
@@ -98,6 +99,7 @@ __all__ = [
     "current",
     "density",
     "density_current_at_origin",
+    "edge_limit",
     "evaluate",
     "external_force_mean",
     "impenetrable_limit",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -24,27 +23,23 @@ from .core import EdgePointError, PhysicalSetup, Regime, classify_regime, kinema
 from .forces import ForceReport, boundary_force_mean, external_force_mean
 from .gridio import sample, write_csv
 from .limits import (
-    LimitKind,
+    edge_limit,
     impenetrable_limit,
     infinite_potential_limit,
     nonrelativistic_limit,
 )
 from .matching import Convention, match, physical_convention
 from .observables import coefficients
+from .spinor import current, density
 from .verify import SUITES, run_suite
 
-_CONVENTIONS = {
-    "auto": None,
-    "main": Convention.MAIN,
-    "lower": Convention.LOWER_COMPONENT,
-    "traditional": Convention.TRADITIONAL,
-    "negative": Convention.NEGATIVE_ENERGY,
-}
+_CONVENTION_CHOICES = sorted(["auto", *(conv.value for conv in Convention)])
+_INF = float("inf")
 
-_NONREL_KINDS = {
-    Convention.MAIN: LimitKind.NONREL_MAIN,
-    Convention.NEGATIVE_ENERGY: LimitKind.NONREL_NEGATIVE,
-}
+
+def _convention(name: str) -> Convention | None:
+    """The --convention choice; None for "auto"."""
+    return None if name == "auto" else Convention(name)
 
 
 def _fmt(value, precision: int) -> str:
@@ -74,112 +69,57 @@ def scatter_record(setup: PhysicalSetup, conv: Convention | None) -> dict:
 
     ``conv=None`` selects the physically transmitting convention for the
     regime (main below/at the Klein zone, traditional for an ordinary
-    sub-threshold step).
+    sub-threshold step and at the lower edge).
     """
     regime = classify_regime(setup)
-    if regime is Regime.EDGE_POINT:
-        return _edge_point_record(setup, conv)
-    if regime is Regime.EDGE_LOWER:
-        return _edge_lower_record(setup, conv)
-    if conv is None:
-        conv = physical_convention(regime)
-    kin = kinematics(setup)
-    sol = match(kin, conv)
-    obs = coefficients(sol)
+    if regime in (Regime.EDGE_POINT, Regime.EDGE_LOWER):
+        sol = edge_limit(setup, conv)
+        psi0 = sol.spinor_at(0.0)
+        fields = {
+            "a": sol.a,
+            "b": -_INF if regime is Regime.EDGE_POINT else 0.0,
+            "k": sol.wave_number,
+            "kbar_or_kappa": 0.0,
+            "R": sol.R_limit,
+            "T": sol.T_limit,
+            "rho0": density(psi0),
+            "j0": current(psi0),
+            "v_t": sol.v_t_limit,
+            "force": sol.force,
+        }
+    else:
+        kin = kinematics(setup)
+        sol = match(kin, conv or physical_convention(regime))
+        obs = coefficients(sol)
+        fields = {
+            "a": kin.a,
+            "b": kin.b,
+            "k": kin.k,
+            "kbar_or_kappa": kin.kbar_or_kappa,
+            "R": obs.R,
+            "T": obs.T,
+            "rho0": obs.rho0,
+            "j0": obs.j0,
+            "v_t": obs.v_t,
+            "force": external_force_mean(sol),
+        }
     record = {
         "mass_energy": setup.mass_energy,
         "step_height": setup.step_height,
         "energy": setup.energy,
         "regime": regime.value,
-        "convention": conv.value,
-        "a": kin.a,
-        "b": kin.b,
-        "k": kin.k,
-        "kbar_or_kappa": kin.kbar_or_kappa,
+        "convention": sol.convention.value,
         "r": sol.r,
         "t": sol.t,
-        "R": obs.R,
-        "T": obs.T,
-        "rho0": obs.rho0,
-        "j0": obs.j0,
-        "v_t": obs.v_t,
-        "force": external_force_mean(sol),
+        **fields,
         "boundary": classify_boundary(sol).classification.value,
     }
-    if conv is Convention.TRADITIONAL and regime is Regime.KLEIN_ZONE:
+    if sol.convention is Convention.TRADITIONAL and regime is Regime.KLEIN_ZONE:
         record["warning"] = (
             "traditional transmitted wave: R exceeds 1 "
             "(historical Klein-paradox bookkeeping)"
         )
     return record
-
-
-def _edge_point_record(setup: PhysicalSetup, conv: Convention | None) -> dict:
-    conv = conv or Convention.MAIN
-    limit_conv = (
-        Convention.MAIN if conv is Convention.TRADITIONAL else conv
-    )  # the traditional wave collapses onto the main one at the wall
-    limit = impenetrable_limit(setup.energy, setup.mass_energy, limit_conv)
-    negative = limit.kind is LimitKind.IMPENETRABLE_NEGATIVE
-    psi0 = limit.spinor_at(0.0)
-    if conv is Convention.LOWER_COMPONENT:
-        r, t = -1.0, 2.0 * limit.a
-    elif negative:
-        r, t = 1.0, 0.0
-    else:
-        r, t = -1.0, 0.0
-    return {
-        "mass_energy": setup.mass_energy,
-        "step_height": setup.step_height,
-        "energy": setup.energy,
-        "regime": Regime.EDGE_POINT.value,
-        "convention": conv.value,
-        "a": limit.a,
-        "b": -math.inf,
-        "k": limit.wave_number,
-        "kbar_or_kappa": 0.0,
-        "r": r,
-        "t": t,
-        "R": limit.R_limit,
-        "T": limit.T_limit,
-        "rho0": abs(psi0.upper) ** 2 + abs(psi0.lower) ** 2,
-        "j0": 0.0,
-        "v_t": limit.v_t_limit,
-        "force": limit.force,
-        "boundary": classify_boundary(limit).classification.value,
-    }
-
-
-def _edge_lower_record(setup: PhysicalSetup, conv: Convention | None) -> dict:
-    conv = conv or Convention.TRADITIONAL
-    if conv in (Convention.LOWER_COMPONENT, Convention.NEGATIVE_ENERGY):
-        raise ValueError(
-            f"{conv.value!r} parameterization is degenerate at the lower edge"
-        )
-    m, e = setup.mass_energy, setup.energy
-    a = math.sqrt((e - m) / (e + m)) if m > 0 else 1.0
-    # b -> 0 threshold: the transmitted wave freezes into the constant
-    # spinor [2, 0]; reflection is total and the wall force is -4(E - mc2).
-    return {
-        "mass_energy": m,
-        "step_height": setup.step_height,
-        "energy": e,
-        "regime": Regime.EDGE_LOWER.value,
-        "convention": conv.value,
-        "a": a,
-        "b": 0.0,
-        "k": math.sqrt((e - m) * (e + m)) / setup.hbar_c,
-        "kbar_or_kappa": 0.0,
-        "r": 1.0,
-        "t": 2.0,
-        "R": 1.0,
-        "T": 0.0,
-        "rho0": 4.0,
-        "j0": 0.0,
-        "v_t": 0.0,
-        "force": -4.0 * (e - m),
-        "boundary": "DirichletLower",
-    }
 
 
 _SCATTER_FIELDS = (
@@ -190,7 +130,7 @@ _SCATTER_FIELDS = (
 
 def _cmd_scatter(args) -> int:
     setup = PhysicalSetup(args.mass, args.step_height, args.energy)
-    record = scatter_record(setup, _CONVENTIONS[args.convention])
+    record = scatter_record(setup, _convention(args.convention))
     _echo_params(
         "scatter",
         {
@@ -223,8 +163,17 @@ def _csv_cell(value) -> str:
 def _cmd_sweep(args) -> int:
     if args.points < 2:
         raise ValueError("sweep needs at least 2 points")
+    if not (abs(args.start) < _INF and abs(args.stop) < _INF):
+        raise ValueError(
+            f"sweep range must be finite, got [{args.start}, {args.stop}]"
+        )
     if not args.start < args.stop:
         raise ValueError("empty sweep range: --from must be below --to")
+    if args.stop - args.start == _INF:
+        raise ValueError(
+            f"sweep range [{args.start}, {args.stop}] too wide: "
+            "--to - --from overflows"
+        )
     if args.vary == "step-height" and args.energy is None:
         raise ValueError("varying the step height needs a fixed --energy")
     if args.vary == "energy" and args.step_height is None:
@@ -233,7 +182,7 @@ def _cmd_sweep(args) -> int:
         args.start + i * (args.stop - args.start) / (args.points - 1)
         for i in range(args.points)
     ]
-    conv = _CONVENTIONS[args.convention]
+    conv = _convention(args.convention)
     rows = []
     previous_regime = None
     for value in values:
@@ -284,7 +233,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    conv = _CONVENTIONS[args.convention] or Convention.MAIN
+    conv = _convention(args.convention) or Convention.MAIN
     precision = args.precision
     if args.which == "infinite":
         limit = infinite_potential_limit(args.energy, args.mass)
@@ -297,13 +246,7 @@ def _cmd_limit(args) -> int:
         )
         return 0
     if args.which == "nonrel":
-        kind = _NONREL_KINDS.get(conv)
-        if kind is None:
-            raise ValueError(
-                "nonrelativistic limits exist for the main and negative "
-                "conventions"
-            )
-        limit = nonrelativistic_limit(args.energy, args.mass, kind)
+        limit = nonrelativistic_limit(args.energy, args.mass, conv)
         report = classify_boundary(limit)
         _echo_params("limit", {"which": "nonrel", "mass_energy": args.mass,
                                "kinetic_energy": args.energy,
@@ -356,30 +299,18 @@ def _cmd_limit(args) -> int:
 
 def _cmd_wavefunction(args) -> int:
     x_min, x_max = args.range
+    conv = _convention(args.convention)
     if args.limit is not None:
-        if args.limit == "impenetrable":
-            solution = impenetrable_limit(
-                args.energy, args.mass,
-                _CONVENTIONS[args.convention] or Convention.MAIN,
-            )
-        else:  # nonrel
-            conv = _CONVENTIONS[args.convention] or Convention.MAIN
-            kind = _NONREL_KINDS.get(conv)
-            if kind is None:
-                raise ValueError(
-                    "nonrelativistic limits exist for the main and negative "
-                    "conventions"
-                )
-            solution = nonrelativistic_limit(args.energy, args.mass, kind)
+        limit = (impenetrable_limit if args.limit == "impenetrable"
+                 else nonrelativistic_limit)
+        solution = limit(args.energy, args.mass, conv or Convention.MAIN)
         resolved = {"limit": args.limit, "mass_energy": args.mass,
                     "energy": args.energy}
     else:
         if args.step_height is None:
             raise ValueError("provide either --step-height or --limit")
         setup = PhysicalSetup(args.mass, args.step_height, args.energy)
-        conv = _CONVENTIONS[args.convention] or physical_convention(
-            classify_regime(setup)
-        )
+        conv = conv or physical_convention(classify_regime(setup))
         solution = match(kinematics(setup), conv)
         resolved = {"mass_energy": args.mass, "step_height": args.step_height,
                     "energy": args.energy, "convention": conv.value}
@@ -435,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="incident energy E (units of mc2 when --mass=1)")
     physics.add_argument("--mass", type=float, default=1.0,
                          help="rest energy mc2 (0 selects the massless formulas)")
-    physics.add_argument("--convention", choices=sorted(_CONVENTIONS),
+    physics.add_argument("--convention", choices=_CONVENTION_CHOICES,
                          default="auto", help="transmitted-wave convention")
 
     parser = argparse.ArgumentParser(
@@ -463,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-height", type=float, default=None,
                    help="fixed step height when varying the energy")
     p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--convention", choices=sorted(_CONVENTIONS), default="auto")
+    p.add_argument("--convention", choices=_CONVENTION_CHOICES, default="auto")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

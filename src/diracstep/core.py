@@ -5,8 +5,7 @@ and hits the electrostatic step V(x) = V₀ Θ(x).  Everything downstream is
 controlled by three energies (mc², V₀, E) and the derived wave numbers and
 spinor amplitude ratios computed here.
 
-Natural units: ħ = c = 1 unless an explicit ``hbar_c`` scale is supplied,
-in which case wave numbers carry units of energy/ħc.
+Natural units: ħ = c = 1, so wave numbers carry units of energy.
 """
 
 from __future__ import annotations
@@ -54,14 +53,13 @@ class Regime(Enum):
 class PhysicalSetup:
     """Full problem statement: rest energy mc², step height V₀, energy E.
 
-    All three are energies in one common (arbitrary) unit.  ``hbar_c``
-    fixes the length unit; leave it at 1.0 for natural units.
+    All three are energies in one common (arbitrary) unit; lengths are
+    in its inverse (ħ = c = 1).
     """
 
     mass_energy: float
     step_height: float
     energy: float
-    hbar_c: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.mass_energy >= 0.0 and math.isfinite(self.mass_energy)):
@@ -75,8 +73,6 @@ class PhysicalSetup:
                 "energy must exceed mass_energy for a propagating incident wave "
                 f"(E={self.energy}, mc2={self.mass_energy})"
             )
-        if not (self.hbar_c > 0.0 and math.isfinite(self.hbar_c)):
-            raise ValueError(f"hbar_c must be finite and > 0, got {self.hbar_c}")
 
 
 def classify_regime(setup: PhysicalSetup) -> Regime:
@@ -104,12 +100,12 @@ def classify_regime(setup: PhysicalSetup) -> Regime:
 class Kinematics:
     """Wave numbers and spinor amplitude ratios derived from a setup.
 
-    k               incident wave number, k = √(E² − (mc²)²) / ħc > 0
+    k               incident wave number, k = √(E² − (mc²)²) > 0
     kbar_or_kappa   transmitted wave number k̄ (KLEIN_ZONE / TRANSMISSION)
                     or evanescent decay constant κ (EVANESCENT), ≥ 0
     a               incident lower/upper spinor ratio,
                     a = √((E − mc²)/(E + mc²)) ∈ (0, 1]; a = 1 for mc² = 0
-    b               transmitted spinor ratio ħc·k̄ / (E − V₀ + mc²):
+    b               transmitted spinor ratio k̄ / (E − V₀ + mc²):
                     real < 0 in KLEIN_ZONE, real > 0 in TRANSMISSION,
                     pure imaginary (from k̄ → −iκ) in EVANESCENT
     b_prime         1 / b
@@ -147,17 +143,14 @@ def kinematics(setup: PhysicalSetup) -> Kinematics:
     m, e = setup.mass_energy, setup.energy
     d = e - setup.step_height
     # (E−m)(E+m) instead of E²−m²: keeps full precision for E close to mc².
-    k = math.sqrt((e - m) * (e + m)) / setup.hbar_c
+    k = math.sqrt((e - m) * (e + m))
     a = math.sqrt((e - m) / (e + m)) if m > 0.0 else 1.0
-    # Ratios (a, b) are formed from the natural-unit wave numbers so they do
-    # not pick up rounding from the hbar_c scaling of k itself.
     if regime is Regime.EVANESCENT:
-        q_natural = math.sqrt((m - d) * (m + d))
-        b: complex = -1j * q_natural / (d + m)
+        transmitted = math.sqrt((m - d) * (m + d))
+        b: complex = -1j * transmitted / (d + m)
     else:
-        q_natural = math.sqrt((d - m) * (d + m))
-        b = q_natural / (d + m)
-    transmitted = q_natural / setup.hbar_c
+        transmitted = math.sqrt((d - m) * (d + m))
+        b = transmitted / (d + m)
     b_prime = 1.0 / b
     b_dprime = -b_prime
     return Kinematics(

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .limits import LimitKind, LimitSolution
+from .limits import LimitSolution
 from .matching import ScatteringSolution
 
 __all__ = ["GridSample", "sample", "write_csv", "read_csv"]
@@ -33,13 +33,6 @@ __all__ = ["GridSample", "sample", "write_csv", "read_csv"]
 CSV_HEADER = "x,phi_re,phi_im,chi_re,chi_im,rho,j"
 # One %-format per row; "%.17g" gives the same bytes as f"{v:.17g}".
 _ROW = ",".join(["%.17g"] * 7)
-
-_LIMIT_CONVENTION = {
-    LimitKind.IMPENETRABLE_MAIN: "main",
-    LimitKind.IMPENETRABLE_NEGATIVE: "negative",
-    LimitKind.NONREL_MAIN: "main",
-    LimitKind.NONREL_NEGATIVE: "negative",
-}
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,7 @@ def _metadata(solution) -> dict:
             "mass_energy": solution.mass_energy,
             "step_height": None,
             "energy": solution.energy,
-            "convention": _LIMIT_CONVENTION[solution.kind],
+            "convention": solution.convention.value,
             "regime": solution.kind.value,
             "generator_version": __version__,
         }

@@ -17,12 +17,12 @@ values, so boundary conditions can be evaluated without integration error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .core import PhysicalSetup, kinematics
+from .core import PhysicalSetup, Regime, classify_regime, kinematics
 from .forces import external_force_mean
 from .matching import Convention, match
 from .observables import coefficients
@@ -35,6 +35,7 @@ __all__ = [
     "ScanRow",
     "ScanResult",
     "impenetrable_limit",
+    "edge_limit",
     "nonrelativistic_limit",
     "infinite_potential_limit",
     "convergence_scan",
@@ -46,64 +47,62 @@ class LimitKind(Enum):
     IMPENETRABLE_NEGATIVE = "impenetrable-negative"
     NONREL_MAIN = "nonrel-main"
     NONREL_NEGATIVE = "nonrel-negative"
+    EDGE_LOWER = "edge-lower"
 
 
-_NR_KINDS = (LimitKind.NONREL_MAIN, LimitKind.NONREL_NEGATIVE)
+_NR_CONVENTIONS = {
+    LimitKind.NONREL_MAIN: Convention.MAIN,
+    LimitKind.NONREL_NEGATIVE: Convention.NEGATIVE_ENERGY,
+}
 
 
 @dataclass(frozen=True)
 class LimitSolution:
     """Closed-form eigenstate at a limit point.
 
-    ``energy`` is the total relativistic energy E for the impenetrable
+    ``energy`` is the total relativistic energy E for the relativistic
     kinds and the nonrelativistic kinetic energy for the NONREL kinds;
     ``wave_number`` is k (resp. the nonrelativistic wave number) and ``a``
-    the spinor-ratio (resp. its small-a limit value).  ``force`` is the
-    limiting mean of the external step force.
+    the spinor-ratio (resp. its small-a limit value).  ``r`` and ``t`` are
+    the reflection and transmission amplitudes in the parameterization of
+    ``convention``, and ``force`` is the limiting mean of the external step
+    force.  Every kind reflects totally: R = 1, T = 0, v_t = 0.
     """
 
     kind: LimitKind
+    convention: Convention
     energy: float
     mass_energy: float
     wave_number: float
     a: float
-    R_limit: float
-    T_limit: float
-    v_t_limit: float
+    r: complex
+    t: complex
     force: float
+    R_limit: float = 1.0
+    T_limit: float = 0.0
+    v_t_limit: float = 0.0
 
     def spinor_at(self, x: float) -> Spinor:
         return self.left_value_at(x) if x < 0.0 else self.right_value_at(x)
 
     def left_value_at(self, x: float) -> Spinor:
         """Oscillatory branch (valid for x <= 0, including the wall itself)."""
-        k = self.wave_number
-        if self.kind is LimitKind.IMPENETRABLE_MAIN:
-            return Spinor(2j * math.sin(k * x), 2.0 * self.a * math.cos(k * x))
-        if self.kind is LimitKind.IMPENETRABLE_NEGATIVE:
-            return Spinor(2.0 * math.cos(k * x), 2j * self.a * math.sin(k * x))
-        if self.kind is LimitKind.NONREL_MAIN:
-            return Spinor(2j * math.sin(k * x), 0.0)
-        return Spinor(2.0 * math.cos(k * x), 0.0)
+        return _single(self.left_values(np.array([x])))
 
     def right_value_at(self, x: float) -> Spinor:
         """Constant branch beyond the wall (valid for x >= 0)."""
-        if self.kind is LimitKind.IMPENETRABLE_MAIN:
-            return Spinor(0.0, 2.0 * self.a)
-        if self.kind is LimitKind.NONREL_MAIN:
-            return Spinor(0.0, 0.0)
-        return Spinor(2.0, 0.0)
+        return _single(self.right_values(np.array([x])))
 
     def left_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Array counterpart of ``left_value_at``, equal to it bit for bit
-        with the components as complex."""
+        """Upper and lower components of the oscillatory branch at every
+        position, as complex arrays."""
         theta = self.wave_number * xs
         if self.kind is LimitKind.IMPENETRABLE_MAIN:
             return (
                 complex_product(2j, np.sin(theta)),
                 (2.0 * self.a * np.cos(theta)).astype(complex),
             )
-        if self.kind is LimitKind.IMPENETRABLE_NEGATIVE:
+        if self.kind in (LimitKind.IMPENETRABLE_NEGATIVE, LimitKind.EDGE_LOWER):
             return (
                 (2.0 * np.cos(theta)).astype(complex),
                 complex_product(2j * self.a, np.sin(theta)),
@@ -114,10 +113,16 @@ class LimitSolution:
         return (2.0 * np.cos(theta)).astype(complex), zeros
 
     def right_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Array counterpart of ``right_value_at``: the constant branch."""
-        value = self.right_value_at(0.0)
-        return (np.full(len(xs), complex(value.upper)),
-                np.full(len(xs), complex(value.lower)))
+        """Upper and lower components of the constant branch at every
+        position, as complex arrays."""
+        if self.kind is LimitKind.IMPENETRABLE_MAIN:
+            value = (0.0, 2.0 * self.a)
+        elif self.kind is LimitKind.NONREL_MAIN:
+            value = (0.0, 0.0)
+        else:
+            value = (2.0, 0.0)
+        return (np.full(len(xs), complex(value[0])),
+                np.full(len(xs), complex(value[1])))
 
     def nr_derivative_at_origin(self) -> complex:
         """d/dx of the nonrelativistic wavefunction at the wall (NR kinds)."""
@@ -128,6 +133,29 @@ class LimitSolution:
         raise ValueError(f"{self.kind.value} is not a nonrelativistic limit")
 
 
+def _single(values: tuple[np.ndarray, np.ndarray]) -> Spinor:
+    upper, lower = values
+    return Spinor(complex(upper[0]), complex(lower[0]))
+
+
+def _check_finite(energy: float, mass_energy: float) -> None:
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy}")
+    if not (mass_energy >= 0.0 and math.isfinite(mass_energy)):
+        raise ValueError(f"mass_energy must be finite and >= 0, got {mass_energy}")
+
+
+def _k_and_a(energy: float, mass_energy: float) -> tuple[float, float]:
+    """Incident wave number and spinor ratio, as ``kinematics`` forms them."""
+    k = math.sqrt((energy - mass_energy) * (energy + mass_energy))
+    a = (
+        math.sqrt((energy - mass_energy) / (energy + mass_energy))
+        if mass_energy > 0.0
+        else 1.0
+    )
+    return k, a
+
+
 def impenetrable_limit(
     energy: float, mass_energy: float, conv: Convention = Convention.MAIN
 ) -> LimitSolution:
@@ -135,70 +163,96 @@ def impenetrable_limit(
 
     For the MAIN / LOWER_COMPONENT conventions the wall enforces a
     Dirichlet condition on the upper component, leaving the density at the
-    wall at 4a² and the mean wall force at −4(E − mc²).  For the
-    NEGATIVE_ENERGY convention the lower component vanishes instead and
-    the external force limit is −4(E + mc²), which disagrees with the
-    boundary quantum force of the same state.
+    wall at 4a² and the mean wall force at −4(E − mc²); the state is
+    reported in the main parameterization, r = −1 and t = 0.  For the
+    NEGATIVE_ENERGY convention the lower component vanishes instead
+    (r = +1, t = 0) and the external force limit is −4(E + mc²), which
+    disagrees with the boundary quantum force of the same state.
     """
     if energy <= mass_energy:
         raise ValueError("impenetrable limit needs E > mc2")
-    k = math.sqrt((energy - mass_energy) * (energy + mass_energy))
-    a = (
-        math.sqrt((energy - mass_energy) / (energy + mass_energy))
-        if mass_energy > 0.0
-        else 1.0
-    )
+    _check_finite(energy, mass_energy)
+    k, a = _k_and_a(energy, mass_energy)
     if conv in (Convention.MAIN, Convention.LOWER_COMPONENT):
-        kind = LimitKind.IMPENETRABLE_MAIN
+        kind, conv, r = LimitKind.IMPENETRABLE_MAIN, Convention.MAIN, -1.0
         force = -4.0 * (energy - mass_energy)
     elif conv is Convention.NEGATIVE_ENERGY:
-        kind = LimitKind.IMPENETRABLE_NEGATIVE
+        kind, r = LimitKind.IMPENETRABLE_NEGATIVE, 1.0
         force = -4.0 * (energy + mass_energy)
     else:
         raise ValueError("impenetrable limit defined for the main, lower and "
                          "negative-energy conventions only")
-    return LimitSolution(
-        kind=kind,
-        energy=energy,
-        mass_energy=mass_energy,
-        wave_number=k,
-        a=a,
-        R_limit=1.0,
-        T_limit=0.0,
-        v_t_limit=0.0,
-        force=force,
-    )
+    return LimitSolution(kind, conv, energy, mass_energy, k, a, r, 0.0, force)
+
+
+def edge_limit(
+    setup: PhysicalSetup, conv: Convention | None = None
+) -> LimitSolution:
+    """Exact state of a setup on a regime edge V₀ = E ± mc².
+
+    At the edge point V₀ = E + mc² this is the impenetrable limit, with r
+    and t in the requested parameterization: t = 2a under LOWER_COMPONENT,
+    where the transmitted spinor [b″, 1] → [0, 1] stays finite; the
+    TRADITIONAL wave collapses onto the MAIN one at the wall.  ``conv=None``
+    reports MAIN.
+
+    At the lower edge V₀ = E − mc² the transmitted wave freezes into the
+    constant spinor [2, 0] (b → 0, r = 1, t = 2): the state is the
+    IMPENETRABLE_NEGATIVE function, with the wall force −4(E − mc²).  Only
+    the MAIN and TRADITIONAL parameterizations stay finite there;
+    ``conv=None`` reports TRADITIONAL.
+    """
+    energy, mass_energy = setup.energy, setup.mass_energy
+    regime = classify_regime(setup)
+    if regime is Regime.EDGE_POINT:
+        conv = conv or Convention.MAIN
+        limit = impenetrable_limit(
+            energy, mass_energy,
+            Convention.MAIN if conv is Convention.TRADITIONAL else conv,
+        )
+        t = 2.0 * limit.a if conv is Convention.LOWER_COMPONENT else limit.t
+        return replace(limit, convention=conv, t=t)
+    if regime is not Regime.EDGE_LOWER:
+        raise ValueError(f"{regime.value} is not a regime edge")
+    conv = conv or Convention.TRADITIONAL
+    if conv in (Convention.LOWER_COMPONENT, Convention.NEGATIVE_ENERGY):
+        raise ValueError(
+            f"{conv.value!r} parameterization is degenerate at the lower edge"
+        )
+    k, a = _k_and_a(energy, mass_energy)
+    return LimitSolution(LimitKind.EDGE_LOWER, conv, energy, mass_energy, k, a,
+                         1.0, 2.0, -4.0 * (energy - mass_energy))
 
 
 def nonrelativistic_limit(
-    energy_nr: float, mass_energy: float, kind: LimitKind
+    energy_nr: float, mass_energy: float, kind: LimitKind | Convention
 ) -> LimitSolution:
     """Nonrelativistic reduction of an impenetrable-barrier eigenstate.
 
     ``energy_nr`` is the kinetic energy; validity requires it to be small
-    against mc².  NONREL_MAIN is the hard-wall Dirichlet state
-    2i·sin(k x) with vanishing lower component; NONREL_NEGATIVE is the
-    Neumann state 2·cos(k x), constant beyond the wall.
+    against mc².  ``kind`` is a NONREL kind or the convention it comes
+    from: NONREL_MAIN (MAIN) is the hard-wall Dirichlet state 2i·sin(k x)
+    with vanishing lower component; NONREL_NEGATIVE (NEGATIVE_ENERGY) is
+    the Neumann state 2·cos(k x), constant beyond the wall.
     """
-    if kind not in _NR_KINDS:
-        raise ValueError(f"kind must be a nonrelativistic LimitKind, got {kind}")
+    conv = _NR_CONVENTIONS.get(kind, kind)
+    if conv is Convention.MAIN:
+        kind, r = LimitKind.NONREL_MAIN, -1.0
+    elif conv is Convention.NEGATIVE_ENERGY:
+        kind, r = LimitKind.NONREL_NEGATIVE, 1.0
+    else:
+        raise ValueError(
+            "nonrelativistic limits exist for the main and negative conventions"
+        )
     if mass_energy <= 0.0:
         raise ValueError("nonrelativistic limit needs mc2 > 0")
     if energy_nr <= 0.0:
         raise ValueError("nonrelativistic kinetic energy must be > 0")
+    _check_finite(energy_nr, mass_energy)
     k_nr = math.sqrt(2.0 * mass_energy * energy_nr)
     a_limit = math.sqrt(energy_nr / (2.0 * mass_energy))
-    return LimitSolution(
-        kind=kind,
-        energy=energy_nr,
-        mass_energy=mass_energy,
-        wave_number=k_nr,
-        a=a_limit,
-        R_limit=1.0,
-        T_limit=0.0,
-        v_t_limit=0.0,
-        force=-4.0 * energy_nr,
-    )
+    return LimitSolution(kind, conv, energy_nr, mass_energy, k_nr, a_limit, r, 0.0,
+                         -4.0 * energy_nr)
 
 
 @dataclass(frozen=True)
@@ -214,11 +268,8 @@ class InfiniteStepLimit:
 def infinite_potential_limit(energy: float, mass_energy: float) -> InfiniteStepLimit:
     if energy <= mass_energy:
         raise ValueError("infinite-step limit needs E > mc2")
-    a = (
-        math.sqrt((energy - mass_energy) / (energy + mass_energy))
-        if mass_energy > 0.0
-        else 1.0
-    )
+    _check_finite(energy, mass_energy)
+    _, a = _k_and_a(energy, mass_energy)
     return InfiniteStepLimit(
         a=a,
         b_limit=-1.0,

@@ -7,7 +7,7 @@ The sharp step is regularized to the smooth profile
 which converges to the step pointwise as the transition width w → 0, and
 the stationary Dirac equation is solved as the first-order system
 
-    ψ′(x) = A(x) ψ(x),   A(x) = (i/ħc) σₓ (E − V(x) − mc² σ_z),
+    ψ′(x) = A(x) ψ(x),   A(x) = i σₓ (E − V(x) − mc² σ_z),
 
 from right to left, starting from a *pure transmitted wave*.  That makes
 the transmitted-wave convention an explicit boundary condition: imposing
@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Kinematics, PhysicalSetup, Regime, kinematics
-from .matching import Convention, match
+from .core import PhysicalSetup, Regime, kinematics
+from .matching import Convention, _transmitted_basis, match
 from .observables import coefficients
 
 __all__ = ["SmoothStep", "OracleResult", "integrate_scattering", "sharp_limit_study"]
@@ -99,29 +99,10 @@ class OracleResult:
     n_steps: int
 
 
-def _transmitted_start(kin: Kinematics, conv: Convention) -> tuple[np.ndarray, complex]:
-    """Unit transmitted amplitude and its wave number for the right boundary."""
-    if kin.regime is Regime.EVANESCENT:
-        if conv is not Convention.MAIN:
-            raise ValueError(
-                "evanescent regime: only the decaying (main) transmitted wave "
-                "is admissible"
-            )
-        q_t = 1j * kin.kbar_or_kappa
-        amp = np.array([1.0, -kin.b], dtype=complex)
-    elif conv is Convention.MAIN:
-        q_t = complex(-kin.kbar_or_kappa)
-        amp = np.array([1.0, -kin.b], dtype=complex)
-    else:
-        q_t = complex(kin.kbar_or_kappa)
-        amp = np.array([1.0, kin.b], dtype=complex)
-    return amp, q_t
-
-
 def _magnus_cells(setup: PhysicalSetup, step: SmoothStep, n: int) -> np.ndarray:
     """Propagators of n equal cells from x = 10w to −10w, in the order they act.
 
-    With A = i[[0, p], [q, 0]], p = (E − V + mc²)/ħc and q = (E − V − mc²)/ħc,
+    With A = i[[0, p], [q, 0]], p = E − V + mc² and q = E − V − mc²,
     the commutator is [A₂, A₁] = (p₁q₂ − p₂q₁) σ_z, so every Ω has the form
     [[γ, iα], [iβ, −γ]] with α, β, γ real and s² = γ² − αβ.  Each
     propagator therefore has the form [[a, ib], [ic, d]] with a, b, c, d
@@ -130,14 +111,13 @@ def _magnus_cells(setup: PhysicalSetup, step: SmoothStep, n: int) -> np.ndarray:
     half = _FLAT_BEYOND * step.width
     h = -2.0 * half / n
     starts = half + h * np.arange(n)
-    e, m, hc = setup.energy, setup.mass_energy, setup.hbar_c
-    u1 = (e - step.profile(starts + _GAUSS[0] * h)) / hc
-    u2 = (e - step.profile(starts + _GAUSS[1] * h)) / hc
-    mu = m / hc
-    alpha = 0.5 * h * (u1 + u2 + 2.0 * mu)
-    beta = 0.5 * h * (u1 + u2 - 2.0 * mu)
-    # p₁q₂ − p₂q₁ = 2(m/ħc)(u₂ − u₁)
-    gamma = (math.sqrt(3.0) / 12.0) * h * h * 2.0 * mu * (u2 - u1)
+    e, m = setup.energy, setup.mass_energy
+    u1 = e - step.profile(starts + _GAUSS[0] * h)
+    u2 = e - step.profile(starts + _GAUSS[1] * h)
+    alpha = 0.5 * h * (u1 + u2 + 2.0 * m)
+    beta = 0.5 * h * (u1 + u2 - 2.0 * m)
+    # p₁q₂ − p₂q₁ = 2m(u₂ − u₁)
+    gamma = (math.sqrt(3.0) / 12.0) * h * h * 2.0 * m * (u2 - u1)
     s2 = gamma * gamma - alpha * beta
     s = np.sqrt(s2.astype(complex))
     # 1 + s²/6 equals sinh(s)/s to double precision for |s²| < 1e-8.
@@ -220,7 +200,8 @@ def integrate_scattering(
             f"domain half width {domain_half_width} below required {min_half_width}"
         )
 
-    amp, q_t = _transmitted_start(kin, conv)
+    u_t, q_t = _transmitted_basis(kin, conv)
+    amp = np.array([u_t.upper, u_t.lower], dtype=complex)
     a = kin.a
     # rows: incident and reflected amplitudes of the free waves at x = −10w
     to_waves = np.array([[a, 1.0], [a, -1.0]]) / (2.0 * a)

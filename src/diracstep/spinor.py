@@ -2,7 +2,7 @@
 
 The 1D Dirac Hamiltonian used throughout is
 
-    H = −iħc σₓ d/dx + mc² σ_z + V(x),
+    H = −i σₓ d/dx + mc² σ_z + V(x)   (ħ = c = 1),
 
 i.e. the representation with α = σₓ and β = σ_z.  The upper spinor
 component is the large component, the lower the small one.  States are
@@ -118,20 +118,19 @@ def apply_hamiltonian(
     pw: PlaneWaveState,
     potential_value: float,
     mass_energy: float,
-    hbar_c: float = 1.0,
 ) -> Spinor:
     """Amplitude of H ψ for a plane wave under a constant potential.
 
     On  amplitude · e^{iqx}  the derivative acts analytically (d/dx → iq),
-    so H reduces to the matrix  ħc·q·σₓ + mc²·σ_z + V·1  on the amplitude.
+    so H reduces to the matrix  q·σₓ + mc²·σ_z + V·1  on the amplitude.
     The result shares the plane wave's e^{iqx} factor; comparing it with
     eigenvalue · amplitude certifies stationary solutions exactly.
     """
     q = pw.wave_number
     phi, chi = pw.amplitude.upper, pw.amplitude.lower
     return Spinor(
-        hbar_c * q * chi + (mass_energy + potential_value) * phi,
-        hbar_c * q * phi + (potential_value - mass_energy) * chi,
+        q * chi + (mass_energy + potential_value) * phi,
+        q * phi + (potential_value - mass_energy) * chi,
     )
 
 

@@ -304,3 +304,54 @@ def test_wavefunction_rejects_unusable_range_exit_2(capsys, tmp_path, x_range, c
     assert code == 2
     assert err.startswith("error: ") and cause in err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (("--which", "impenetrable", "--energy", "2", "--mass", "nan"),
+     "mass_energy must be finite and >= 0, got nan"),
+    (("--which", "impenetrable", "--energy", "inf"), "energy must be finite, got inf"),
+    (("--which", "impenetrable", "--energy", "2", "--mass", "-1"),
+     "mass_energy must be finite and >= 0, got -1.0"),
+    (("--which", "nonrel", "--energy", "inf"), "energy must be finite, got inf"),
+    (("--which", "nonrel", "--energy", "0.01", "--mass", "inf"),
+     "mass_energy must be finite and >= 0, got inf"),
+    (("--which", "infinite", "--energy", "2", "--mass", "nan"),
+     "mass_energy must be finite and >= 0, got nan"),
+    (("--which", "infinite", "--energy", "nan"), "energy must be finite, got nan"),
+], ids=["impenetrable-mass-nan", "impenetrable-energy-inf", "impenetrable-mass-negative",
+        "nonrel-energy-inf", "nonrel-mass-inf", "infinite-mass-nan", "infinite-energy-nan"])
+def test_limit_refuses_non_finite_inputs_exit_2(capsys, argv, cause):
+    code, out, err = run(capsys, "limit", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {cause}\n"
+
+
+@pytest.mark.parametrize("limit", ["impenetrable", "nonrel"])
+def test_wavefunction_limit_refuses_infinite_energy_exit_2(capsys, tmp_path, limit):
+    out_file = tmp_path / "w.csv"
+    code, _, err = run(
+        capsys, "wavefunction", "--limit", limit, "--energy", "inf",
+        "--out", str(out_file),
+    )
+    assert code == 2
+    assert err == "error: energy must be finite, got inf\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("start,stop,cause", [
+    ("2", "inf", "sweep range must be finite, got [2.0, inf]"),
+    ("-inf", "3", "sweep range must be finite, got [-inf, 3.0]"),
+    ("nan", "3", "sweep range must be finite, got [nan, 3.0]"),
+    ("-1e308", "1e308", "sweep range [-1e+308, 1e+308] too wide: --to - --from overflows"),
+], ids=["to-inf", "from-minus-inf", "from-nan", "overflow"])
+def test_sweep_refuses_unusable_range_exit_2(capsys, tmp_path, start, stop, cause):
+    out_file = tmp_path / "s.csv"
+    code, out, err = run(
+        capsys, "sweep", "--vary", "energy", f"--from={start}", f"--to={stop}",
+        "--points", "3", "--step-height", "1", "--out", str(out_file),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {cause}\n"
+    assert not out_file.exists()

@@ -27,8 +27,6 @@ def test_setup_rejects_bad_parameters():
         PhysicalSetup(mass_energy=-1.0, step_height=1.0, energy=2.0)
     with pytest.raises(ValueError):
         PhysicalSetup(mass_energy=1.0, step_height=0.0, energy=2.0)
-    with pytest.raises(ValueError):
-        PhysicalSetup(mass_energy=1.0, step_height=1.0, energy=2.0, hbar_c=0.0)
 
 
 @pytest.mark.parametrize(
@@ -148,22 +146,9 @@ def test_energy_scale_invariance(scale, e, u):
     assert scaled.kbar_or_kappa == pytest.approx(base.kbar_or_kappa * scale, rel=1e-12)
 
 
-def test_hbar_c_scales_wave_numbers_only():
-    natural = kinematics(PhysicalSetup(1.0, 4.0, 2.0))
-    scaled = kinematics(PhysicalSetup(1.0, 4.0, 2.0, hbar_c=197.3269804))
-    assert scaled.a == natural.a
-    assert scaled.b == natural.b
-    assert scaled.k == pytest.approx(natural.k / 197.3269804, rel=1e-14)
-    assert math.isclose(
-        scaled.kbar_or_kappa, natural.kbar_or_kappa / 197.3269804, rel_tol=1e-14
-    )
-
-
 @pytest.mark.parametrize("field,kwargs", [
     ("energy", {"energy": math.inf}),
     ("energy", {"energy": math.nan}),
-    ("hbar_c", {"energy": 2.0, "hbar_c": math.inf}),
-    ("hbar_c", {"energy": 2.0, "hbar_c": math.nan}),
 ])
 def test_setup_rejects_non_finite_energy_and_hbar_c(field, kwargs):
     with pytest.raises(ValueError, match=field):

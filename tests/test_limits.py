@@ -5,6 +5,7 @@ import math
 import pytest
 
 from diracstep import (
+    BoundaryCondition,
     Convention,
     LimitKind,
     PhysicalSetup,
@@ -12,12 +13,16 @@ from diracstep import (
     Side,
     Spinor,
     apply_hamiltonian,
+    classify_boundary,
     convergence_scan,
     current,
+    density,
+    edge_limit,
     impenetrable_limit,
     infinite_potential_limit,
     kinematics,
     nonrelativistic_limit,
+    sample,
 )
 
 
@@ -168,3 +173,119 @@ def test_convergence_scan_validates_offsets():
         convergence_scan(2.0, 1.0, Convention.MAIN, [0.0])
     with pytest.raises(ValueError):
         convergence_scan(2.0, 1.0, Convention.MAIN, [-1.5])
+
+
+EDGE_POINT = PhysicalSetup(1.0, 3.0, 2.0)
+EDGE_LOWER = PhysicalSetup(1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("conv,kind,r,t", [
+    (None, LimitKind.IMPENETRABLE_MAIN, -1.0, 0.0),
+    (Convention.MAIN, LimitKind.IMPENETRABLE_MAIN, -1.0, 0.0),
+    (Convention.LOWER_COMPONENT, LimitKind.IMPENETRABLE_MAIN, -1.0, 2.0 / math.sqrt(3.0)),
+    (Convention.TRADITIONAL, LimitKind.IMPENETRABLE_MAIN, -1.0, 0.0),
+    (Convention.NEGATIVE_ENERGY, LimitKind.IMPENETRABLE_NEGATIVE, 1.0, 0.0),
+])
+def test_edge_point_amplitudes_per_parameterization(conv, kind, r, t):
+    limit = edge_limit(EDGE_POINT, conv)
+    assert limit.kind is kind
+    assert limit.convention is (conv or Convention.MAIN)
+    assert limit.r == r
+    assert limit.t == pytest.approx(t, abs=1e-15)
+    reference = impenetrable_limit(
+        2.0, 1.0, Convention.NEGATIVE_ENERGY if kind is LimitKind.IMPENETRABLE_NEGATIVE
+        else Convention.MAIN,
+    )
+    assert (limit.wave_number, limit.a, limit.force) == (
+        reference.wave_number, reference.a, reference.force)
+
+
+@pytest.mark.parametrize("conv", [None, Convention.MAIN, Convention.TRADITIONAL])
+def test_lower_edge_state(conv):
+    """r = 1, t = 2: the IMPENETRABLE_NEGATIVE function with force -4(E - mc2)."""
+    limit = edge_limit(EDGE_LOWER, conv)
+    assert limit.kind is LimitKind.EDGE_LOWER
+    assert limit.convention is (conv or Convention.TRADITIONAL)
+    assert (limit.r, limit.t) == (1.0, 2.0)
+    assert (limit.R_limit, limit.T_limit, limit.v_t_limit) == (1.0, 0.0, 0.0)
+    assert limit.force == -4.0 * (2.0 - 1.0)
+    assert limit.force == -EDGE_LOWER.step_height * density(limit.spinor_at(0.0))
+    negative = impenetrable_limit(2.0, 1.0, Convention.NEGATIVE_ENERGY)
+    for x in (-3.0, -0.4, 0.0, 2.0):
+        assert limit.spinor_at(x) == negative.spinor_at(x)
+    report = classify_boundary(limit)
+    assert report.classification is BoundaryCondition.DIRICHLET_LOWER
+    assert report.impenetrable
+    grid = sample(limit, -2.0, 1.0, 7)
+    assert grid.metadata["regime"] == "edge-lower"
+    assert grid.metadata["convention"] == limit.convention.value
+    assert all(j == 0.0 for j in grid.j)
+
+
+def test_lower_edge_state_is_an_eigenstate_at_e():
+    """Beyond the wall E - V0 = mc2, where the constant [2, 0] is exact."""
+    e, m = 2.0, 1.0
+    limit = edge_limit(PhysicalSetup(m, e - m, e))
+    k, a = limit.wave_number, limit.a
+    _assert_eigen(Spinor(1.0, a), k, 0.0, m, e)
+    _assert_eigen(Spinor(1.0, -a), -k, 0.0, m, e)
+    _assert_eigen(Spinor(2.0, 0.0), 0.0, e - m, m, e)
+
+
+@pytest.mark.parametrize("conv", [Convention.LOWER_COMPONENT, Convention.NEGATIVE_ENERGY])
+def test_lower_edge_refuses_degenerate_parameterizations(conv):
+    with pytest.raises(ValueError, match="degenerate at the lower edge"):
+        edge_limit(EDGE_LOWER, conv)
+
+
+def test_edge_limit_refuses_open_regimes():
+    with pytest.raises(ValueError, match="KleinZone is not a regime edge"):
+        edge_limit(PhysicalSetup(1.0, 4.0, 2.0))
+
+
+def test_massless_edge_point():
+    limit = edge_limit(PhysicalSetup(0.0, 1.0, 1.0), Convention.LOWER_COMPONENT)
+    assert (limit.wave_number, limit.a, limit.r, limit.t) == (1.0, 1.0, -1.0, 2.0)
+    assert limit.force == -4.0
+
+
+@pytest.mark.parametrize("conv,kind", [
+    (Convention.MAIN, LimitKind.NONREL_MAIN),
+    (Convention.NEGATIVE_ENERGY, LimitKind.NONREL_NEGATIVE),
+])
+def test_nonrelativistic_limit_accepts_the_convention(conv, kind):
+    by_conv = nonrelativistic_limit(0.01, 1.0, conv)
+    assert by_conv == nonrelativistic_limit(0.01, 1.0, kind)
+    assert (by_conv.kind, by_conv.convention) == (kind, conv)
+
+
+@pytest.mark.parametrize("conv", [Convention.LOWER_COMPONENT, Convention.TRADITIONAL])
+def test_nonrelativistic_limit_refuses_other_conventions(conv):
+    with pytest.raises(ValueError, match="main and negative conventions"):
+        nonrelativistic_limit(0.01, 1.0, conv)
+
+
+@pytest.mark.parametrize("energy,mass_energy,cause", [
+    (math.inf, 1.0, "energy must be finite, got inf"),
+    (math.nan, 1.0, "energy must be finite, got nan"),
+    (2.0, math.nan, "mass_energy must be finite and >= 0, got nan"),
+    (2.0, -1.0, "mass_energy must be finite and >= 0, got -1.0"),
+], ids=["energy-inf", "energy-nan", "mass-nan", "mass-negative"])
+@pytest.mark.parametrize("build", [
+    lambda e, m: impenetrable_limit(e, m, Convention.MAIN),
+    lambda e, m: infinite_potential_limit(e, m),
+], ids=["impenetrable", "infinite"])
+def test_relativistic_limits_refuse_non_finite_inputs(build, energy, mass_energy, cause):
+    with pytest.raises(ValueError, match=cause):
+        build(energy, mass_energy)
+
+
+@pytest.mark.parametrize("energy_nr,mass_energy,cause", [
+    (math.inf, 1.0, "energy must be finite, got inf"),
+    (math.nan, 1.0, "energy must be finite, got nan"),
+    (0.01, math.inf, "mass_energy must be finite and >= 0, got inf"),
+    (0.01, math.nan, "mass_energy must be finite and >= 0, got nan"),
+], ids=["energy-inf", "energy-nan", "mass-inf", "mass-nan"])
+def test_nonrelativistic_limit_refuses_non_finite_inputs(energy_nr, mass_energy, cause):
+    with pytest.raises(ValueError, match=cause):
+        nonrelativistic_limit(energy_nr, mass_energy, LimitKind.NONREL_MAIN)
