@@ -128,7 +128,8 @@ def kinematics(setup: PhysicalSetup) -> Kinematics:
 
     Raises EdgePointError exactly on the regime boundaries (k̄ = 0), where
     the scattering amplitudes degenerate and the closed-form limits of the
-    ``limits`` module apply instead.
+    ``limits`` module apply instead, and also where k̄ or κ rounds to 0 just
+    inside an open regime.  Raises ValueError when k² or k̄² overflows.
 
     In the EVANESCENT regime the transmitted wave number continues to
     k̄ → −iκ, the unique choice that decays for x → +∞; ``b`` then becomes
@@ -140,16 +141,30 @@ def kinematics(setup: PhysicalSetup) -> Kinematics:
             f"kinematics degenerate at {regime.value} (V0={setup.step_height}); "
             "use the limits module"
         )
-    m, e = setup.mass_energy, setup.energy
-    d = e - setup.step_height
+    m, e, v0 = setup.mass_energy, setup.energy, setup.step_height
+    d = e - v0
     # (E−m)(E+m) instead of E²−m²: keeps full precision for E close to mc².
-    k = math.sqrt((e - m) * (e + m))
+    k2 = (e - m) * (e + m)
+    if k2 == math.inf:
+        raise ValueError(f"(E - mc2)(E + mc2) overflows (E={e}, mc2={m})")
+    k = math.sqrt(k2)
     a = math.sqrt((e - m) / (e + m)) if m > 0.0 else 1.0
+    # k̄² in the open regimes, −κ² in the evanescent band.
+    kbar2 = (d - m) * (d + m)
+    if kbar2 == math.inf:
+        raise ValueError(
+            f"(E - V0 - mc2)(E - V0 + mc2) overflows (E={e}, V0={v0}, mc2={m})"
+        )
+    if kbar2 == 0.0:
+        edge = "E - mc2" if d > 0.0 else "E + mc2"
+        raise EdgePointError(
+            f"transmitted wave number rounds to 0 in {regime.value}: "
+            f"V0={v0} is within rounding of the regime edge {edge} (E={e}, mc2={m})"
+        )
+    transmitted = math.sqrt(abs(kbar2))
     if regime is Regime.EVANESCENT:
-        transmitted = math.sqrt((m - d) * (m + d))
         b: complex = -1j * transmitted / (d + m)
     else:
-        transmitted = math.sqrt((d - m) * (d + m))
         b = transmitted / (d + m)
     b_prime = 1.0 / b
     b_dprime = -b_prime

@@ -17,17 +17,20 @@ boundary-condition choice and not a property of the equation.
 
 Beyond |x| = 10w the profile equals 0 or V₀ to within V₀·e⁻⁴⁰, below double
 precision, so there the solution *is* the free plane wave and only the
-transition region [−10w, 10w] is integrated.  It is cut into n equal cells,
-each propagated by the fourth-order Magnus step with two Gauss points
+transition region [−10w, 10w] is integrated.  It is cut into n cells with
+nodes x = 10w·sinh(c·u)/sinh(c), u uniform from 1 to −1: fine near x = 0,
+where V varies, and coarse in the flat tails, where a cell is exact.  Each
+cell is propagated by the fourth-order Magnus step with two Gauss points
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151):
 
     Ω = (h/2)(A₁ + A₂) + (√3 h²/12)[A₂, A₁],
     exp Ω = cosh s · I + (sinh s / s) · Ω,   s² = −det Ω,
 
-which holds because Ω is traceless.  n doubles until the change between the
-n- and 2n-cell results, a Richardson estimate of the error, meets the
-tolerance, so the cost depends on w times the wave numbers and on the
-tolerance but not on the distance to a regime edge.
+which holds because Ω is traceless.  n starts from a power of two sized
+from w·(V₀ + E + mc²) and the tolerance, and doubles until the change
+between the n- and 2n-cell results, a Richardson estimate of the error,
+meets the tolerance.  The cost therefore depends on w times the wave
+numbers and on the tolerance but not on the distance to a regime edge.
 
 The oracle never touches the closed-form amplitudes; agreement between its
 (R, T) and the matcher's is a genuine two-route check.  Smoothing biases
@@ -57,7 +60,10 @@ __all__ = ["SmoothStep", "OracleResult", "integrate_scattering", "sharp_limit_st
 _ORACLE_CONVENTIONS = (Convention.MAIN, Convention.TRADITIONAL)
 # The transition region is [−10w, 10w]: 1 − tanh(20) ≈ 8.5e-18.
 _FLAT_BEYOND = 10.0
-_FIRST_CELLS = 8
+# c of the cell nodes: cells near x = 0 are c / sinh(c) ≈ 0.3 times as wide
+# as uniform cells, those at ±10w c / tanh(c) ≈ 3 times.
+_GRADING = 3.0
+_MIN_CELLS = 8
 _MAX_CELLS = 2**16
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
@@ -100,67 +106,58 @@ class OracleResult:
 
 
 def _magnus_cells(setup: PhysicalSetup, step: SmoothStep, n: int) -> np.ndarray:
-    """Propagators of n equal cells from x = 10w to −10w, in the order they act.
+    """Propagators of n graded cells from x = 10w to −10w, in the order they act.
 
     With A = i[[0, p], [q, 0]], p = E − V + mc² and q = E − V − mc²,
     the commutator is [A₂, A₁] = (p₁q₂ − p₂q₁) σ_z, so every Ω has the form
     [[γ, iα], [iβ, −γ]] with α, β, γ real and s² = γ² − αβ.  Each
-    propagator therefore has the form [[a, ib], [ic, d]] with a, b, c, d
-    real, and is stored as the column (a, b, c, d) of a (4, n) array.
+    propagator is then [[a, ib], [ic, d]] = S·[[a, −b], [c, d]]·S⁻¹ with
+    a, b, c, d real and S = diag(1, i); the real matrices are returned as
+    an (n, 2, 2) array, and their products are the real forms of products.
     """
-    half = _FLAT_BEYOND * step.width
-    h = -2.0 * half / n
-    starts = half + h * np.arange(n)
-    e, m = setup.energy, setup.mass_energy
-    u1 = e - step.profile(starts + _GAUSS[0] * h)
-    u2 = e - step.profile(starts + _GAUSS[1] * h)
+    # n is a power of two, so u runs exactly from 1 to −1.
+    u = 1.0 - (2.0 / n) * np.arange(n + 1)
+    nodes = (_FLAT_BEYOND * step.width / math.sinh(_GRADING)) * np.sinh(_GRADING * u)
+    h = nodes[1:] - nodes[:-1]
+    # E − V at the two Gauss points of every cell, as rows.
+    u1, u2 = setup.energy - step.profile(nodes[:-1] + np.multiply.outer(_GAUSS, h))
+    m = setup.mass_energy
     alpha = 0.5 * h * (u1 + u2 + 2.0 * m)
     beta = 0.5 * h * (u1 + u2 - 2.0 * m)
     # p₁q₂ − p₂q₁ = 2m(u₂ − u₁)
-    gamma = (math.sqrt(3.0) / 12.0) * h * h * 2.0 * m * (u2 - u1)
+    gamma = (math.sqrt(3.0) / 6.0 * m) * h * h * (u2 - u1)
     s2 = gamma * gamma - alpha * beta
-    s = np.sqrt(s2.astype(complex))
-    # 1 + s²/6 equals sinh(s)/s to double precision for |s²| < 1e-8.
-    small = np.abs(s2) < 1e-8
-    s_safe = np.where(small, 1.0, s)
-    # sinh(s)/s and cosh(s) are real: s is real or purely imaginary.
-    sinhc = np.where(small, 1.0 + s2 / 6.0, (np.sinh(s_safe) / s_safe).real)
-    cosh = np.cosh(s).real
-    return np.array(
-        [cosh + sinhc * gamma, sinhc * alpha, sinhc * beta, cosh - sinhc * gamma]
+    # s is real for s² > 0 and imaginary for s² < 0, so cosh s and sinh(s)/s
+    # are cosh and sinh(r)/r, or cos and sin(r)/r, of r = |s|.
+    r = np.sqrt(np.abs(s2))
+    grow = s2 > 0.0
+    cosh = np.cosh(r, out=np.cos(r), where=grow)
+    sinhc = np.divide(
+        np.sinh(r, out=np.sin(r), where=grow), r, out=np.ones(n), where=r > 0.0
     )
-
-
-def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """Products ``later @ earlier`` of propagators stored as (a, b, c, d)."""
-    a1, b1, c1, d1 = later
-    a2, b2, c2, d2 = earlier
     return np.array(
-        [a1 * a2 - b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, d1 * d2 - c1 * b2]
-    )
+        [[cosh + sinhc * gamma, -sinhc * alpha], [sinhc * beta, cosh - sinhc * gamma]]
+    ).transpose(2, 0, 1)
 
 
-def _apply(props: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """[[a, ib], [ic, d]] · ψ for one propagator or a (4, n) stack of them."""
-    a, b, c, d = props
-    return np.array([a * psi[0] + 1j * b * psi[1], 1j * c * psi[0] + d * psi[1]])
+def _chain(cells: np.ndarray) -> list[np.ndarray]:
+    """Pairwise products of a power-of-two count of cells, later cells on the
+    left, level by level: the last level holds the product of all of them."""
+    levels = [cells]
+    while len(cells) > 1:
+        cells = cells[1::2] @ cells[0::2]
+        levels.append(cells)
+    return levels
 
 
-def _chain(cells: np.ndarray) -> np.ndarray:
-    """Product of a power-of-two count of cells, later cells on the left,
-    by pairwise tree reduction."""
-    while cells.shape[1] > 1:
-        cells = _compose(cells[:, 1::2], cells[:, 0::2])
-    return cells[:, 0]
-
-
-def _prefix_chain(cells: np.ndarray) -> np.ndarray:
-    """All prefix products M_i ··· M_1, by a log-depth (Hillis-Steele) scan."""
-    prefix = cells.copy()
-    span = 1
-    while span < prefix.shape[1]:
-        prefix[:, span:] = _compose(prefix[:, span:], prefix[:, :-span])
-        span *= 2
+def _prefix_chain(levels: list[np.ndarray]) -> np.ndarray:
+    """All prefix products M_i ··· M_1 from the levels of ``_chain``, by a
+    down-sweep that takes one product per level."""
+    prefix = levels[-1]
+    for level in reversed(levels[:-1]):
+        parent, prefix = prefix, level.copy()
+        prefix[1::2] = parent
+        prefix[2::2] = level[2::2] @ parent[:-1]
     return prefix
 
 
@@ -168,7 +165,6 @@ def integrate_scattering(
     setup: PhysicalSetup,
     step: SmoothStep,
     conv: Convention = Convention.MAIN,
-    domain_half_width: float | None = None,
     tol: float = 1e-10,
 ) -> OracleResult:
     """Integrate the smoothed-step problem and extract r, t, R, T.
@@ -176,12 +172,9 @@ def integrate_scattering(
     A pure transmitted wave of the chosen convention is imposed at
     x = +10w and propagated by Magnus cells to x = −10w, doubling the cell
     count until the Richardson estimate is at most ``tol``; the arrival
-    value is decomposed onto the incident and reflected free waves.  Out to
-    x = ±L the solution is a sum of free plane waves, so extending the
-    domain would only shift the phase reference, and r and t are referred
-    to x = 0: L does not change the result.  It is still checked to be at
-    least 10·max(1/k, 1/k̄, w), its default.  Raises RuntimeError if the
-    estimate stays above ``tol`` at the internal cell cap.
+    value is decomposed onto the incident and reflected free waves, and r
+    and t are referred to x = 0.  Raises RuntimeError if the estimate stays
+    above ``tol`` at the internal cell cap.
     """
     if conv not in _ORACLE_CONVENTIONS:
         raise ValueError(
@@ -194,31 +187,37 @@ def integrate_scattering(
     if abs(step.height - setup.step_height) > 1e-12 * setup.step_height:
         raise ValueError("smooth step height differs from the setup's step height")
     kin = kinematics(setup)
-    min_half_width = 10.0 * max(1.0 / kin.k, 1.0 / kin.kbar_or_kappa, step.width)
-    if domain_half_width is not None and domain_half_width < min_half_width:
-        raise ValueError(
-            f"domain half width {domain_half_width} below required {min_half_width}"
-        )
 
     u_t, q_t = _transmitted_basis(kin, conv)
     amp = np.array([u_t.upper, u_t.lower], dtype=complex)
+    # S⁻¹ψ of the start, with its real and imaginary parts as the columns.
+    start = np.array([[amp[0].real, amp[0].imag], [amp[1].imag, -amp[1].real]])
     a = kin.a
     # rows: incident and reflected amplitudes of the free waves at x = −10w
     to_waves = np.array([[a, 1.0], [a, -1.0]]) / (2.0 * a)
 
-    def waves(cells: np.ndarray) -> np.ndarray:
-        arrival = _apply(_chain(cells), amp)
+    def solve(n: int) -> tuple[list[np.ndarray], np.ndarray]:
+        cells = _magnus_cells(setup, step, n)
+        # The first cell carries the start, so every product is a state.
+        cells[0] = cells[0] @ start
+        levels = _chain(cells)
+        (x00, x01), (x10, x11) = levels[-1][0]
+        arrival = np.array([complex(x00, x01), complex(-x11, x10)])
         coeffs = to_waves @ arrival
         if abs(coeffs[0]) < 1e-8 * math.hypot(abs(arrival[0]), abs(arrival[1])):
             raise RuntimeError("decomposition ill-conditioned: no incident content")
-        return coeffs
+        return levels, coeffs
 
-    n = _FIRST_CELLS
-    coarse = waves(_magnus_cells(setup, step, n))
+    # First pass: a power of two fitted to a quarter of the count the
+    # tolerance needs, which grows with w times the largest wave number and,
+    # for a fourth-order method, like tol^(−1/4).
+    reach = step.width * (step.height + setup.energy + setup.mass_energy)
+    guess = 130.0 * reach**0.6 * (tol / 1e-10) ** -0.25
+    n = min(max(_MIN_CELLS, 2 ** math.floor(math.log2(guess))), _MAX_CELLS // 2)
+    _, coarse = solve(n)
     while True:
         n *= 2
-        cells = _magnus_cells(setup, step, n)
-        fine = waves(cells)
+        levels, fine = solve(n)
         richardson = float(np.max(np.abs(fine - coarse)) / (15.0 * abs(fine[0])))
         if richardson <= tol:
             break
@@ -232,9 +231,10 @@ def integrate_scattering(
 
     # Current conservation at every cell boundary, normalized by the local
     # density so exponentially growing evanescent solutions stay comparable.
-    phi, chi = _apply(_prefix_chain(cells), amp)
-    j_path = 2.0 * np.real(np.conj(phi) * chi)
-    rho_path = np.abs(phi) ** 2 + np.abs(chi) ** 2
+    # For ψ = S·(X[:, 0] + i X[:, 1]) the current 2 Re(φ̄χ) is −2 det X.
+    x = _prefix_chain(levels)
+    j_path = -2.0 * (x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0])
+    rho_path = np.sum(x * x, axis=(1, 2))
     j_ref = 2.0 * (amp[0].conjugate() * amp[1]).real
     conservation = float(
         np.max(np.abs(j_path - j_ref) / np.maximum(abs(j_ref), rho_path))
@@ -246,10 +246,8 @@ def integrate_scattering(
     t_num = cmath.exp(-1j * (q_t + kin.k) * half - cmath.log(coeff_in))
     R_num = abs(coeff_refl / coeff_in) ** 2
     j_in = 2.0 * a * abs(coeff_in) ** 2
-    if kin.regime is Regime.EVANESCENT:
-        T_num = 0.0
-        closure = 0.0
-    else:
+    T_num = closure = 0.0
+    if kin.regime is not Regime.EVANESCENT:
         T_num = float(j_ref / j_in)
         closure = abs(R_num + T_num - 1.0)
     return OracleResult(

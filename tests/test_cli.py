@@ -355,3 +355,36 @@ def test_sweep_refuses_unusable_range_exit_2(capsys, tmp_path, start, stop, caus
     assert out == ""
     assert err == f"error: {cause}\n"
     assert not out_file.exists()
+
+
+def test_sweep_to_one_ulp_inside_transmission_exit_2(capsys, tmp_path):
+    """The last row, V₀ = 0.9999999999999999 at E = 2, is inside the
+    transmission regime, but E − V₀ rounds to mc²."""
+    out_file = tmp_path / "s.csv"
+    code, out, err = run(
+        capsys, "sweep", "--vary", "step-height", "--from", "0.1", "--to", "1",
+        "--points", "10", "--energy", "2", "--out", str(out_file),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: transmitted wave number rounds to 0 in Transmission: "
+        "V0=0.9999999999999999 is within rounding of the regime edge E - mc2 "
+        "(E=2.0, mc2=1.0)\n"
+    )
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (("--energy", "2", "--step-height", "1e300"),
+     "(E - V0 - mc2)(E - V0 + mc2) overflows (E=2.0, V0=1e+300, mc2=1.0)"),
+    (("--energy", "1e200", "--step-height", "1"),
+     "(E - mc2)(E + mc2) overflows (E=1e+200, mc2=1.0)"),
+    (("--energy", "2", "--step-height", "1e300", "--mass", "0"),
+     "(E - V0 - mc2)(E - V0 + mc2) overflows (E=2.0, V0=1e+300, mc2=0.0)"),
+], ids=["step-height-1e300", "energy-1e200", "massless-step-height-1e300"])
+def test_scatter_refuses_overflowing_magnitudes_exit_2(capsys, argv, cause):
+    code, out, err = run(capsys, "scatter", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {cause}\n"

@@ -153,3 +153,27 @@ def test_energy_scale_invariance(scale, e, u):
 def test_setup_rejects_non_finite_energy_and_hbar_c(field, kwargs):
     with pytest.raises(ValueError, match=field):
         PhysicalSetup(mass_energy=1.0, step_height=4.0, **kwargs)
+
+
+@pytest.mark.parametrize("e,v0,regime,edge", [
+    (2.0, 0.9999999999999999, Regime.TRANSMISSION, "E - mc2"),
+    (1.2, 0.2, Regime.EVANESCENT, "E - mc2"),
+], ids=["transmission", "evanescent"])
+def test_kinematics_refuses_wave_number_rounded_to_zero(e, v0, regime, edge):
+    """One ulp inside an open regime, E − V₀ can round to mc², so that k̄ or κ
+    is exactly 0; that is refused as an edge point, not divided by."""
+    setup = PhysicalSetup(1.0, v0, e)
+    assert classify_regime(setup) is regime
+    with pytest.raises(EdgePointError, match=f"within rounding of the regime edge {edge}"):
+        kinematics(setup)
+
+
+@pytest.mark.parametrize("e,v0,quantity", [
+    (2.0, 1e300, "(E - V0 - mc2)(E - V0 + mc2) overflows"),
+    (1e200, 1.0, "(E - mc2)(E + mc2) overflows"),
+    (1e200, 3e200, "(E - mc2)(E + mc2) overflows"),
+])
+def test_kinematics_refuses_overflowing_magnitudes(e, v0, quantity):
+    with pytest.raises(ValueError) as info:
+        kinematics(PhysicalSetup(1.0, v0, e))
+    assert quantity in str(info.value)

@@ -8,6 +8,7 @@ import pytest
 from diracstep import (
     Convention,
     PhysicalSetup,
+    Regime,
     SmoothStep,
     coefficients,
     integrate_scattering,
@@ -138,10 +139,6 @@ def test_oracle_rejects_unsupported_inputs():
         integrate_scattering(GOLDEN, SmoothStep(4.0, 1e-3), Convention.MAIN, tol=1e-3)
     with pytest.raises(ValueError):
         integrate_scattering(GOLDEN, SmoothStep(3.9, 1e-3), Convention.MAIN)
-    with pytest.raises(ValueError):
-        integrate_scattering(
-            GOLDEN, SmoothStep(4.0, 1e-3), Convention.MAIN, domain_half_width=1.0
-        )
     evan = PhysicalSetup(1.0, 2.5, 2.0)
     with pytest.raises(ValueError):
         integrate_scattering(evan, SmoothStep(2.5, 1e-3), Convention.TRADITIONAL)
@@ -215,19 +212,74 @@ def test_cell_count_bounded_toward_the_edges(width):
         assert n_near <= n_far, f"w={width} {conv.value} V0={near.step_height}"
 
 
-def test_cell_count_and_result_independent_of_domain():
-    step = SmoothStep(4.0, 0.3)
-    default = integrate_scattering(GOLDEN, step, Convention.MAIN)
-    for half_width in (20.0, 1e3, 1e6):
-        res = integrate_scattering(
-            GOLDEN, step, Convention.MAIN, domain_half_width=half_width
-        )
-        assert res.n_steps == default.n_steps
-        assert res.r_num == default.r_num
-        assert res.t_num == default.t_num
-
-
 def test_cell_cap_raises_when_estimate_above_tol(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_CELLS", 32)
     with pytest.raises(RuntimeError, match="Richardson"):
         integrate_scattering(GOLDEN, SmoothStep(4.0, 1.0), Convention.MAIN)
+
+
+# Wide steps across the regimes: Klein zone under both conventions, the
+# transmission regime under ``traditional`` and the evanescent band.
+WIDE_SETUPS = [
+    (PhysicalSetup(1.0, 4.0, 2.0), Convention.MAIN),
+    (PhysicalSetup(1.0, 4.0, 2.0), Convention.TRADITIONAL),
+    (PhysicalSetup(1.0, 20.0, 1.5), Convention.MAIN),
+    (PhysicalSetup(1.0, 20.0, 5.0), Convention.TRADITIONAL),
+    (PhysicalSetup(1.0, 8.0, 5.0), Convention.MAIN),
+    (PhysicalSetup(1.0, 2.0, 5.0), Convention.TRADITIONAL),
+    (PhysicalSetup(1.0, 0.5, 2.0), Convention.TRADITIONAL),
+    (PhysicalSetup(1.0, 0.3, 1.5), Convention.TRADITIONAL),
+    (PhysicalSetup(1.0, 2.5, 2.0), Convention.MAIN),
+    (PhysicalSetup(1.0, 5.5, 5.0), Convention.MAIN),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-10, 1e-6])
+@pytest.mark.parametrize("width", [0.1, 0.5, 1.0, 2.0])
+def test_exact_sauter_reflection_on_wide_steps(width, tol):
+    """The graded cells and the sized first pass keep the exact R at every
+    tolerance; evanescent setups reflect totally."""
+    for setup, conv in WIDE_SETUPS:
+        res = integrate_scattering(
+            setup, SmoothStep(setup.step_height, width), conv, tol=tol
+        )
+        if kinematics(setup).regime is Regime.EVANESCENT:
+            exact = 1.0
+            assert res.T_num == 0.0
+        else:
+            exact = _sauter_R(setup, width, conv)
+        err = abs(res.R_num - exact) / max(1.0, exact)
+        label = f"w={width} tol={tol} E={setup.energy} V0={setup.step_height} {conv.value}"
+        # The estimate is of the amplitudes and R squares them, so at the
+        # loosest tolerance R may miss by a few times tol.
+        assert err <= max(1e-9, 10.0 * tol), label
+        assert err <= 10.0 * res.integration_error_estimate + 1e-13, label
+
+
+def test_golden_wide_step_cell_count():
+    res = integrate_scattering(GOLDEN, SmoothStep(4.0, 1.0), Convention.MAIN)
+    assert res.n_steps <= 2048
+
+
+@pytest.mark.parametrize("compensated", [False, True])
+def test_conservation_check_catches_a_broken_cell(monkeypatch, compensated):
+    """A cell scaled by 1 + 1e-6 breaks current conservation after it.  With
+    the next cell scaled back, the product over all cells is intact and only
+    the check at every cell boundary can see the defect."""
+    step = SmoothStep(4.0, 0.3)
+    clean = integrate_scattering(GOLDEN, step, Convention.MAIN)
+    assert clean.integration_error_estimate < 1e-9
+    build = oracle._magnus_cells
+
+    def broken(setup, step, n):
+        cells = build(setup, step, n)
+        cells[n // 2] *= 1.0 + 1e-6
+        if compensated:
+            cells[n // 2 + 1] /= 1.0 + 1e-6
+        return cells
+
+    monkeypatch.setattr(oracle, "_magnus_cells", broken)
+    res = integrate_scattering(GOLDEN, step, Convention.MAIN)
+    assert res.integration_error_estimate > 1e-7
+    if compensated:
+        assert res.R_num == pytest.approx(clean.R_num, abs=1e-12)
