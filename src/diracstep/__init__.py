@@ -19,13 +19,12 @@ from .core import (
 )
 from .forces import (
     ForceReport,
-    boundary_force_mean,
     external_force_mean,
     momentum_flux_bracket,
     nr_boundary_force_dirichlet,
     nr_boundary_force_neumann,
 )
-from .gridio import GridSample, read_csv, sample, write_csv
+from .gridio import GridSample, sample, write_csv
 from .limits import (
     InfiniteStepLimit,
     LimitKind,
@@ -40,6 +39,7 @@ from .limits import (
 )
 from .matching import (
     Convention,
+    PlaneWaveSolution,
     ScatteringSolution,
     evaluate,
     match,
@@ -53,8 +53,6 @@ from .observables import (
 )
 from .oracle import OracleResult, SmoothStep, integrate_scattering, sharp_limit_study
 from .spinor import (
-    ALPHA,
-    BETA,
     PlaneWaveState,
     Side,
     Spinor,
@@ -66,8 +64,6 @@ from .spinor import (
 
 __all__ = [
     "__version__",
-    "ALPHA",
-    "BETA",
     "BoundaryCondition",
     "BoundaryReport",
     "Convention",
@@ -81,6 +77,7 @@ __all__ = [
     "ObservableSet",
     "OracleResult",
     "PhysicalSetup",
+    "PlaneWaveSolution",
     "PlaneWaveState",
     "Regime",
     "ScanResult",
@@ -90,7 +87,6 @@ __all__ = [
     "SmoothStep",
     "Spinor",
     "apply_hamiltonian",
-    "boundary_force_mean",
     "charge_conjugate",
     "classify_boundary",
     "classify_regime",
@@ -112,7 +108,6 @@ __all__ = [
     "nr_boundary_force_dirichlet",
     "nr_boundary_force_neumann",
     "physical_convention",
-    "read_csv",
     "sample",
     "sharp_limit_study",
     "transmitted_velocity",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .limits import LimitKind, LimitSolution
-from .matching import ScatteringSolution, evaluate
+from .matching import PlaneWaveSolution, evaluate
 from .spinor import Spinor, current, density
 
 __all__ = ["BoundaryCondition", "BoundaryReport", "classify_boundary"]
@@ -48,7 +48,7 @@ class BoundaryReport:
     both_components_zero: bool = False
 
 
-def _solution_scale(sol: ScatteringSolution) -> float:
+def _solution_scale(sol: PlaneWaveSolution) -> float:
     amps = (
         sol.incident.amplitude,
         sol.reflected.amplitude,
@@ -58,25 +58,21 @@ def _solution_scale(sol: ScatteringSolution) -> float:
 
 
 def classify_boundary(
-    obj: ScatteringSolution | LimitSolution, tolerance: float = 1e-10
+    sol: PlaneWaveSolution, tolerance: float = 1e-10
 ) -> BoundaryReport:
     """Classify the boundary condition satisfied at the origin.
 
     ``tolerance`` is relative to the solution's amplitude scale, so the
     classifier serves both exact closed-form limits (zero residuals) and
-    numerically produced solutions (small ones).
+    numerically produced solutions (small ones).  The nonrelativistic limit
+    kinds are classified on their Schroedinger wavefunction instead.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be > 0")
-    if isinstance(obj, LimitSolution):
-        psi0 = obj.spinor_at(0.0)
-        if obj.kind in (LimitKind.NONREL_MAIN, LimitKind.NONREL_NEGATIVE):
-            return _classify_nonrelativistic(obj, psi0, tolerance)
-        scale = 2.0 * max(1.0, obj.a)
-    else:
-        psi0 = evaluate(obj, 0.0)
-        scale = _solution_scale(obj)
-    return _classify_relativistic(psi0, scale, tolerance)
+    psi0 = evaluate(sol, 0.0)
+    if getattr(sol, "kind", None) in (LimitKind.NONREL_MAIN, LimitKind.NONREL_NEGATIVE):
+        return _classify_nonrelativistic(sol, psi0, tolerance)
+    return _classify_relativistic(psi0, _solution_scale(sol), tolerance)
 
 
 def _classify_relativistic(

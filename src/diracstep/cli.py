@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .boundary import classify_boundary
 from .core import EdgePointError, PhysicalSetup, Regime, classify_regime, kinematics
-from .forces import ForceReport, boundary_force_mean, external_force_mean
+from .forces import ForceReport, external_force_mean, momentum_flux_bracket
 from .gridio import sample, write_csv
 from .limits import (
     edge_limit,
@@ -30,7 +30,6 @@ from .limits import (
 )
 from .matching import Convention, match, physical_convention
 from .observables import coefficients
-from .spinor import current, density
 from .verify import SUITES, run_suite
 
 _CONVENTION_CHOICES = sorted(["auto", *(conv.value for conv in Convention)])
@@ -67,6 +66,9 @@ def _print_table(rows: list[tuple[str, object]], precision: int) -> None:
 def scatter_record(setup: PhysicalSetup, conv: Convention | None) -> dict:
     """Full observable record for one setup; edge rows come from the limits.
 
+    Edge rows keep their limit's closed-form force −4(E ∓ mc²), whose last
+    bits −V₀ρ(0) would change.
+
     ``conv=None`` selects the physically transmitting convention for the
     regime (main below/at the Klein zone, traditional for an ordinary
     sub-threshold step and at the lower edge).
@@ -74,35 +76,13 @@ def scatter_record(setup: PhysicalSetup, conv: Convention | None) -> dict:
     regime = classify_regime(setup)
     if regime in (Regime.EDGE_POINT, Regime.EDGE_LOWER):
         sol = edge_limit(setup, conv)
-        psi0 = sol.spinor_at(0.0)
-        fields = {
-            "a": sol.a,
-            "b": -_INF if regime is Regime.EDGE_POINT else 0.0,
-            "k": sol.wave_number,
-            "kbar_or_kappa": 0.0,
-            "R": sol.R_limit,
-            "T": sol.T_limit,
-            "rho0": density(psi0),
-            "j0": current(psi0),
-            "v_t": sol.v_t_limit,
-            "force": sol.force,
-        }
+        b = -_INF if regime is Regime.EDGE_POINT else 0.0
+        a, k, kbar_or_kappa, force = sol.a, sol.wave_number, 0.0, sol.force
     else:
         kin = kinematics(setup)
         sol = match(kin, conv or physical_convention(regime))
-        obs = coefficients(sol)
-        fields = {
-            "a": kin.a,
-            "b": kin.b,
-            "k": kin.k,
-            "kbar_or_kappa": kin.kbar_or_kappa,
-            "R": obs.R,
-            "T": obs.T,
-            "rho0": obs.rho0,
-            "j0": obs.j0,
-            "v_t": obs.v_t,
-            "force": external_force_mean(sol),
-        }
+        a, b, k, kbar_or_kappa = kin.a, kin.b, kin.k, kin.kbar_or_kappa
+        force = external_force_mean(sol)
     record = {
         "mass_energy": setup.mass_energy,
         "step_height": setup.step_height,
@@ -111,7 +91,12 @@ def scatter_record(setup: PhysicalSetup, conv: Convention | None) -> dict:
         "convention": sol.convention.value,
         "r": sol.r,
         "t": sol.t,
-        **fields,
+        "a": a,
+        "b": b,
+        "k": k,
+        "kbar_or_kappa": kbar_or_kappa,
+        **vars(coefficients(sol)),  # R, T, rho0, j0, v_t
+        "force": force,
         "boundary": classify_boundary(sol).classification.value,
     }
     if sol.convention is Convention.TRADITIONAL and regime is Regime.KLEIN_ZONE:
@@ -268,7 +253,7 @@ def _cmd_limit(args) -> int:
     psi0 = limit.spinor_at(0.0)
     forces = ForceReport(
         external_mean=limit.force,
-        boundary_mean=boundary_force_mean(psi0, args.energy, args.mass),
+        boundary_mean=momentum_flux_bracket(psi0, args.energy, args.mass),
         nr_boundary_mean=-4.0 * (args.energy - args.mass),
     )
     report = classify_boundary(limit)
@@ -423,10 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Refuse unusable counts before any command writes output."""
+    if args.precision < 0:
+        raise ValueError(f"--precision must be >= 0, got {args.precision}")
+    if getattr(args, "trials", None) is not None and args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except (ValueError, EdgePointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

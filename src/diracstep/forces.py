@@ -24,7 +24,6 @@ from .spinor import Spinor
 __all__ = [
     "ForceReport",
     "external_force_mean",
-    "boundary_force_mean",
     "momentum_flux_bracket",
     "nr_boundary_force_dirichlet",
     "nr_boundary_force_neumann",
@@ -65,19 +64,15 @@ def external_force_mean(sol: ScatteringSolution) -> float:
 def momentum_flux_bracket(psi: Spinor, energy: float, mass_energy: float) -> float:
     """Stationary-state flux bracket −E ρ + mc² (|upper|² − |lower|²).
 
-    For the impenetrable-wall eigenstates this bracket is constant in x, so
-    its boundary value equals its value (or cell average) anywhere on the
-    half line; that is what makes d⟨p⟩/dt vanish for a stationary state.
+    At the wall, psi = ψ(0), it is the mean boundary quantum force of the
+    stationary state.  For the impenetrable-wall eigenstates the bracket is
+    constant in x, so its boundary value equals its value (or cell average)
+    anywhere on the half line; that is what makes d⟨p⟩/dt vanish for a
+    stationary state.
     """
     up2 = abs(psi.upper) ** 2
     lo2 = abs(psi.lower) ** 2
     return -energy * (up2 + lo2) + mass_energy * (up2 - lo2)
-
-
-def boundary_force_mean(psi0: Spinor, energy: float, mass_energy: float) -> float:
-    """Mean boundary quantum force for a stationary state with value psi0 at
-    the wall (x = 0)."""
-    return momentum_flux_bracket(psi0, energy, mass_energy)
 
 
 def nr_boundary_force_dirichlet(psi_nr_deriv0: complex, mass_energy: float) -> float:

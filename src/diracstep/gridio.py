@@ -1,11 +1,12 @@
 """Spatial sampling of solutions and deterministic CSV export.
 
 ``sample`` evaluates the whole grid on numpy arrays in one pass, through
-the ``left_values`` / ``right_values`` evaluators that scattering and limit
-solutions share.  Each equals its scalar counterpart (``evaluate``,
-``left_value_at`` / ``right_value_at``) bit for bit, so a sample holds
-exactly the values a per-point loop would give.  ``write_csv`` formats
-each row with a single %-format.
+the ``left_values`` / ``right_values`` evaluators of
+``matching.PlaneWaveSolution``, the one state type of matched and limit
+solutions.  Each equals its scalar counterpart (``left_value_at`` /
+``right_value_at``) bit for bit, so a sample holds exactly the values a
+per-point loop would give.  ``write_csv`` formats each row with a single
+%-format.
 
 Output contract: a CSV with header ``x,phi_re,phi_im,chi_re,chi_im,rho,j``
 (17 significant digits, '\\n' line endings, byte-identical for identical
@@ -26,9 +27,9 @@ import numpy as np
 
 from . import __version__
 from .limits import LimitSolution
-from .matching import ScatteringSolution
+from .matching import PlaneWaveSolution
 
-__all__ = ["GridSample", "sample", "write_csv", "read_csv"]
+__all__ = ["GridSample", "sample", "write_csv"]
 
 CSV_HEADER = "x,phi_re,phi_im,chi_re,chi_im,rho,j"
 # One %-format per row; "%.17g" gives the same bytes as f"{v:.17g}".
@@ -55,27 +56,17 @@ class GridSample:
 
 def _metadata(solution) -> dict:
     if isinstance(solution, LimitSolution):
-        return {
-            "mass_energy": solution.mass_energy,
-            "step_height": None,
-            "energy": solution.energy,
-            "convention": solution.convention.value,
-            "regime": solution.kind.value,
-            "generator_version": __version__,
-        }
-    setup = solution.setup
-    return {
-        "mass_energy": setup.mass_energy,
-        "step_height": setup.step_height,
-        "energy": setup.energy,
-        "convention": solution.convention.value,
-        "regime": solution.kinematics.regime.value,
-        "generator_version": __version__,
-    }
+        values = (solution.mass_energy, None, solution.energy, solution.kind.value)
+    else:
+        setup = solution.setup
+        values = (setup.mass_energy, setup.step_height, setup.energy,
+                  solution.kinematics.regime.value)
+    return dict(zip(("mass_energy", "step_height", "energy", "regime"), values),
+                convention=solution.convention.value, generator_version=__version__)
 
 
 def sample(
-    solution: ScatteringSolution | LimitSolution,
+    solution: PlaneWaveSolution,
     x_min: float,
     x_max: float,
     n_points: int,
@@ -153,17 +144,3 @@ def write_csv(gs: GridSample, path: str | Path) -> None:
         )
     except OSError as exc:
         raise OSError(f"cannot write sample to {path}: {exc}") from exc
-
-
-def read_csv(path: str | Path) -> dict[str, list[float]]:
-    """Parse a sample CSV back into per-column float lists."""
-    text = Path(path).read_text()
-    lines = [line for line in text.split("\n") if line]
-    header = lines[0].split(",")
-    if header != CSV_HEADER.split(","):
-        raise ValueError(f"unexpected header in {path}: {lines[0]!r}")
-    columns: dict[str, list[float]] = {name: [] for name in header}
-    for line in lines[1:]:
-        for name, cell in zip(header, line.split(",")):
-            columns[name].append(float(cell))
-    return columns

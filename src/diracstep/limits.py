@@ -12,6 +12,10 @@ Covered limits:
 
 Limits are provided as exact closed forms, not numerically approached
 values, so boundary conditions can be evaluated without integration error.
+Each limit eigenstate is plane-wave data, a ``matching.PlaneWaveSolution``:
+the reflection r = ±1 of the incident [1, a]·e^{ikx} and one constant
+spinor beyond the wall.  It is sampled, classified and tabulated through
+the same evaluators and observables as a matched state.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ import numpy as np
 
 from .core import PhysicalSetup, Regime, classify_regime, kinematics
 from .forces import external_force_mean
-from .matching import Convention, match
+from .matching import Convention, PlaneWaveSolution, match
 from .observables import coefficients
-from .spinor import Spinor, complex_product
+from .spinor import PlaneWaveState, Side, Spinor
 
 __all__ = [
     "LimitKind",
@@ -57,8 +61,8 @@ _NR_CONVENTIONS = {
 
 
 @dataclass(frozen=True)
-class LimitSolution:
-    """Closed-form eigenstate at a limit point.
+class LimitSolution(PlaneWaveSolution):
+    """Closed-form eigenstate at a limit point, stored as plane-wave data.
 
     ``energy`` is the total relativistic energy E for the relativistic
     kinds and the nonrelativistic kinetic energy for the NONREL kinds;
@@ -70,59 +74,17 @@ class LimitSolution:
     """
 
     kind: LimitKind
-    convention: Convention
     energy: float
     mass_energy: float
-    wave_number: float
     a: float
-    r: complex
-    t: complex
     force: float
     R_limit: float = 1.0
     T_limit: float = 0.0
     v_t_limit: float = 0.0
 
-    def spinor_at(self, x: float) -> Spinor:
-        return self.left_value_at(x) if x < 0.0 else self.right_value_at(x)
-
-    def left_value_at(self, x: float) -> Spinor:
-        """Oscillatory branch (valid for x <= 0, including the wall itself)."""
-        return _single(self.left_values(np.array([x])))
-
-    def right_value_at(self, x: float) -> Spinor:
-        """Constant branch beyond the wall (valid for x >= 0)."""
-        return _single(self.right_values(np.array([x])))
-
-    def left_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Upper and lower components of the oscillatory branch at every
-        position, as complex arrays."""
-        theta = self.wave_number * xs
-        if self.kind is LimitKind.IMPENETRABLE_MAIN:
-            return (
-                complex_product(2j, np.sin(theta)),
-                (2.0 * self.a * np.cos(theta)).astype(complex),
-            )
-        if self.kind in (LimitKind.IMPENETRABLE_NEGATIVE, LimitKind.EDGE_LOWER):
-            return (
-                (2.0 * np.cos(theta)).astype(complex),
-                complex_product(2j * self.a, np.sin(theta)),
-            )
-        zeros = np.zeros(len(xs), dtype=complex)
-        if self.kind is LimitKind.NONREL_MAIN:
-            return complex_product(2j, np.sin(theta)), zeros
-        return (2.0 * np.cos(theta)).astype(complex), zeros
-
-    def right_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Upper and lower components of the constant branch at every
-        position, as complex arrays."""
-        if self.kind is LimitKind.IMPENETRABLE_MAIN:
-            value = (0.0, 2.0 * self.a)
-        elif self.kind is LimitKind.NONREL_MAIN:
-            value = (0.0, 0.0)
-        else:
-            value = (2.0, 0.0)
-        return (np.full(len(xs), complex(value[0])),
-                np.full(len(xs), complex(value[1])))
+    @property
+    def wave_number(self) -> float:
+        return self.incident.wave_number
 
     def nr_derivative_at_origin(self) -> complex:
         """d/dx of the nonrelativistic wavefunction at the wall (NR kinds)."""
@@ -133,9 +95,20 @@ class LimitSolution:
         raise ValueError(f"{self.kind.value} is not a nonrelativistic limit")
 
 
-def _single(values: tuple[np.ndarray, np.ndarray]) -> Spinor:
-    upper, lower = values
-    return Spinor(complex(upper[0]), complex(lower[0]))
+def _limit(kind, conv, energy, mass_energy, k, a, r, t, force) -> LimitSolution:
+    """The limit eigenstate as data: the reflection r = ±1 of [1, a]·e^{ikx}
+    (with a → 0 for the NONREL kinds) and one constant spinor beyond the
+    wall, [0, 2a] for IMPENETRABLE_MAIN, [0, 0] for NONREL_MAIN and [2, 0]
+    for the kinds whose lower component vanishes at the wall."""
+    wall = {
+        LimitKind.IMPENETRABLE_MAIN: Spinor(0.0, 2.0 * a),
+        LimitKind.NONREL_MAIN: Spinor(0.0, 0.0),
+    }.get(kind, Spinor(2.0, 0.0))
+    return LimitSolution.reflecting(
+        k, 0.0 if kind in _NR_CONVENTIONS else a, r,
+        PlaneWaveState(wall, 0.0, Side.RIGHT), conv, t,
+        kind=kind, energy=energy, mass_energy=mass_energy, a=a, force=force,
+    )
 
 
 def _check_finite(energy: float, mass_energy: float) -> None:
@@ -182,7 +155,7 @@ def impenetrable_limit(
     else:
         raise ValueError("impenetrable limit defined for the main, lower and "
                          "negative-energy conventions only")
-    return LimitSolution(kind, conv, energy, mass_energy, k, a, r, 0.0, force)
+    return _limit(kind, conv, energy, mass_energy, k, a, r, 0.0, force)
 
 
 def edge_limit(
@@ -220,8 +193,8 @@ def edge_limit(
             f"{conv.value!r} parameterization is degenerate at the lower edge"
         )
     k, a = _k_and_a(energy, mass_energy)
-    return LimitSolution(LimitKind.EDGE_LOWER, conv, energy, mass_energy, k, a,
-                         1.0, 2.0, -4.0 * (energy - mass_energy))
+    return _limit(LimitKind.EDGE_LOWER, conv, energy, mass_energy, k, a, 1.0, 2.0,
+                  -4.0 * (energy - mass_energy))
 
 
 def nonrelativistic_limit(
@@ -251,8 +224,8 @@ def nonrelativistic_limit(
     _check_finite(energy_nr, mass_energy)
     k_nr = math.sqrt(2.0 * mass_energy * energy_nr)
     a_limit = math.sqrt(energy_nr / (2.0 * mass_energy))
-    return LimitSolution(kind, conv, energy_nr, mass_energy, k_nr, a_limit, r, 0.0,
-                         -4.0 * energy_nr)
+    return _limit(kind, conv, energy_nr, mass_energy, k_nr, a_limit, r, 0.0,
+                  -4.0 * energy_nr)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ system
 
 for (r, t) regardless of the choice, so all conventions share one code
 path and the per-convention closed forms become checks, not sources.
+
+Matched states and the closed-form ``limits`` share one state type,
+:class:`PlaneWaveSolution`, which owns the only evaluators, scalar and
+array; ``evaluate`` is a view of its ``spinor_at``.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .spinor import PlaneWaveState, Side, Spinor
 
 __all__ = [
     "Convention",
+    "PlaneWaveSolution",
     "ScatteringSolution",
     "match",
     "evaluate",
@@ -62,34 +67,58 @@ class Convention(Enum):
 
 
 @dataclass(frozen=True)
-class ScatteringSolution:
-    """Matched piecewise solution: incident + reflected on the left, one
-    transmitted wave on the right, continuous at x = 0."""
+class PlaneWaveSolution:
+    """Incident + reflected plane waves for x < 0, one transmitted wave for
+    x >= 0, with amplitudes r and t in the parameterization of
+    ``convention``: every matched and limit state.  Each array evaluator
+    equals its scalar counterpart bit for bit."""
 
-    kinematics: Kinematics
-    convention: Convention
     incident: PlaneWaveState
     reflected: PlaneWaveState
     transmitted: PlaneWaveState
+    convention: Convention
     r: complex
     t: complex
 
-    @property
-    def setup(self):
-        return self.kinematics.setup
+    @classmethod
+    def reflecting(cls, k, a, r, transmitted, convention, t, /, **data):
+        """State with incident [1, a]·e^{ikx} and reflected r·[1, −a]·e^{−ikx}."""
+        incident = PlaneWaveState(Spinor(1.0, a), k, Side.LEFT)
+        reflected = PlaneWaveState(Spinor(r, -r * a), -k, Side.LEFT)
+        return cls(incident, reflected, transmitted, convention, r, t, **data)
+
+    def spinor_at(self, x: float) -> Spinor:
+        """Piecewise value: left branch for x < 0, right branch for x >= 0."""
+        return self.left_value_at(x) if x < 0.0 else self.right_value_at(x)
+
+    def left_value_at(self, x: float) -> Spinor:
+        """Incident + reflected branch, also at x = 0 itself."""
+        inc = self.incident.value_at(x)
+        ref = self.reflected.value_at(x)
+        return Spinor(inc.upper + ref.upper, inc.lower + ref.lower)
+
+    def right_value_at(self, x: float) -> Spinor:
+        return self.transmitted.value_at(x)
 
     def left_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Incident + reflected branch at every position: the array
-        counterpart of ``evaluate`` for x < 0, bit for bit, and the
-        left-branch value at x = 0."""
+        """``left_value_at`` at every position, as complex arrays."""
         in_upper, in_lower = self.incident.values_at(xs)
         re_upper, re_lower = self.reflected.values_at(xs)
         return in_upper + re_upper, in_lower + re_lower
 
     def right_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Transmitted branch at every position: the array counterpart of
-        ``evaluate`` for x >= 0, bit for bit."""
         return self.transmitted.values_at(xs)
+
+
+@dataclass(frozen=True)
+class ScatteringSolution(PlaneWaveSolution):
+    """Matched solution of a setup, continuous at x = 0."""
+
+    kinematics: Kinematics
+
+    @property
+    def setup(self):
+        return self.kinematics.setup
 
 
 def _transmitted_basis(kin: Kinematics, conv: Convention) -> tuple[Spinor, complex]:
@@ -156,30 +185,14 @@ def match(kin: Kinematics, conv: Convention) -> ScatteringSolution:
     t_scaled = complex(2.0 * kin.a / det)
     r = complex((u_hat * kin.a - l_hat) / det)
     t = t_scaled / scale
-    incident = PlaneWaveState(Spinor(1.0, kin.a), kin.k, Side.LEFT)
-    reflected = PlaneWaveState(Spinor(r, -r * kin.a), -kin.k, Side.LEFT)
     transmitted = PlaneWaveState(
         Spinor(t * u_t.upper, t * u_t.lower), q_t, Side.RIGHT
     )
-    return ScatteringSolution(
-        kinematics=kin,
-        convention=conv,
-        incident=incident,
-        reflected=reflected,
-        transmitted=transmitted,
-        r=r,
-        t=t,
+    return ScatteringSolution.reflecting(
+        kin.k, kin.a, r, transmitted, conv, t, kinematics=kin
     )
 
 
-def evaluate(sol: ScatteringSolution, x: float) -> Spinor:
-    """Piecewise value of the scattering state at position x.
-
-    Left branch (incident + reflected) for x < 0, transmitted branch for
-    x >= 0; the matching makes both branches agree at x = 0.
-    """
-    if x < 0.0:
-        left_in = sol.incident.value_at(x)
-        left_re = sol.reflected.value_at(x)
-        return Spinor(left_in.upper + left_re.upper, left_in.lower + left_re.lower)
-    return sol.transmitted.value_at(x)
+def evaluate(sol: PlaneWaveSolution, x: float) -> Spinor:
+    """Piecewise value of a state at position x (``sol.spinor_at(x)``)."""
+    return sol.spinor_at(x)

@@ -1,8 +1,9 @@
 """Reflection/transmission coefficients, densities, currents, velocity field.
 
-All quantities are computed from the actual plane waves of a matched
-solution (currents of the physical amplitudes), never from per-convention
-closed forms; the closed forms live in the test suite as cross-checks.
+All quantities are computed from the actual plane waves of a state, matched
+or limit alike (currents of the physical amplitudes), never from
+per-convention closed forms; the closed forms live in the test suite as
+cross-checks.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Regime
-from .matching import ScatteringSolution, evaluate
+from .matching import PlaneWaveSolution, evaluate
 from .spinor import current, density
 
 __all__ = [
@@ -43,13 +43,14 @@ class ObservableSet:
     v_t: float
 
 
-def coefficients(sol: ScatteringSolution) -> ObservableSet:
-    """Observable set of a matched solution, from plane-wave currents."""
+def coefficients(sol: PlaneWaveSolution) -> ObservableSet:
+    """Observable set of a state, from plane-wave currents (none for the
+    nonrelativistic limits, whose incident wave carries no current)."""
     j_in = current(sol.incident.amplitude)
     j_refl = current(sol.reflected.amplitude)
     rho0, j0 = density_current_at_origin(sol)
-    if sol.kinematics.regime is Regime.EVANESCENT:
-        # Decaying wave: exactly zero transmitted current by construction.
+    if sol.transmitted.wave_number.imag > 0.0:
+        # Decaying (evanescent) wave: exactly zero transmitted current.
         t_coef = 0.0
         v_t = math.nan
     else:
@@ -64,13 +65,13 @@ def coefficients(sol: ScatteringSolution) -> ObservableSet:
     )
 
 
-def density_current_at_origin(sol: ScatteringSolution) -> tuple[float, float]:
+def density_current_at_origin(sol: PlaneWaveSolution) -> tuple[float, float]:
     """(ρ(0), j(0)) evaluated from the spinor at the step edge."""
     psi0 = evaluate(sol, 0.0)
     return density(psi0), current(psi0)
 
 
-def transmitted_velocity(sol: ScatteringSolution) -> float:
+def transmitted_velocity(sol: PlaneWaveSolution) -> float:
     """Velocity field j_t / ρ_t of the transmitted wave, in units of c.
 
     Positive for the MAIN / LOWER_COMPONENT choices in the Klein zone,
@@ -78,7 +79,7 @@ def transmitted_velocity(sol: ScatteringSolution) -> float:
     Undefined in the evanescent regime (the decaying wave carries no
     current), where a ValueError is raised.
     """
-    if sol.kinematics.regime is Regime.EVANESCENT:
+    if sol.transmitted.wave_number.imag > 0.0:
         raise ValueError("transmitted velocity undefined for a decaying wave")
     amp = sol.transmitted.amplitude
     return current(amp) / density(amp)

@@ -19,8 +19,6 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
-    "ALPHA",
-    "BETA",
     "Spinor",
     "Side",
     "PlaneWaveState",
@@ -29,11 +27,6 @@ __all__ = [
     "apply_hamiltonian",
     "charge_conjugate",
 ]
-
-# Fixed matrices of the representation: alpha = sigma_x, beta = sigma_z.
-ALPHA = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-BETA = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class Spinor:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .boundary import BoundaryCondition, classify_boundary
 from .core import PhysicalSetup, Regime, kinematics
-from .forces import boundary_force_mean, external_force_mean
+from .forces import external_force_mean, momentum_flux_bracket
 from .limits import (
     LimitKind,
     convergence_scan,
@@ -38,7 +38,6 @@ from .limits import (
 from .matching import Convention, evaluate, match
 from .observables import coefficients
 from .oracle import SmoothStep, integrate_scattering
-from .spinor import Spinor
 
 __all__ = [
     "SuiteResult",
@@ -137,9 +136,7 @@ def _continuity_residual(sol) -> float:
     degenerate corners, so the residual (like the R + T defect) is only
     meaningful relative to the magnitudes involved.
     """
-    left_in = sol.incident.value_at(0.0)
-    left_re = sol.reflected.value_at(0.0)
-    left = Spinor(left_in.upper + left_re.upper, left_in.lower + left_re.lower)
+    left = sol.left_value_at(0.0)
     right = evaluate(sol, 0.0)
     residual = max(abs(left.upper - right.upper), abs(left.lower - right.lower))
     scale = max(1.0, abs(left.upper), abs(left.lower))
@@ -225,7 +222,7 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
             abs(main.force + 4.0 * (e - 1.0)), 1e-12 * e, f"main wall force E={e}"
         )
         result.record(
-            abs(boundary_force_mean(psi0, e, 1.0) + 4.0 * (e - 1.0)),
+            abs(momentum_flux_bracket(psi0, e, 1.0) + 4.0 * (e - 1.0)),
             1e-12 * e,
             f"boundary force E={e}",
         )
@@ -235,7 +232,7 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
             abs(negative.force + 4.0 * (e + 1.0)), 1e-12 * e, f"neg wall force E={e}"
         )
         result.check(
-            abs(negative.force - boundary_force_mean(psi0_neg, e, 1.0)) > 1.0,
+            abs(negative.force - momentum_flux_bracket(psi0_neg, e, 1.0)) > 1.0,
             f"force discrepancy must persist at E={e}",
         )
         result.check(

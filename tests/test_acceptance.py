@@ -17,7 +17,6 @@ from diracstep import (
     PlaneWaveState,
     SmoothStep,
     apply_hamiltonian,
-    boundary_force_mean,
     classify_boundary,
     coefficients,
     convergence_scan,
@@ -27,6 +26,7 @@ from diracstep import (
     integrate_scattering,
     kinematics,
     match,
+    momentum_flux_bracket,
     nonrelativistic_limit,
 )
 from diracstep.verify import run_closed_vs_oracle, run_conservation
@@ -85,14 +85,14 @@ def test_criterion_3_impenetrable_limit_values():
         assert psi0.upper == 0.0
         assert psi0.lower == 2.0 * main.a
         assert main.force == -4.0 * (e - 1.0)
-        assert boundary_force_mean(psi0, e, 1.0) == pytest.approx(
+        assert momentum_flux_bracket(psi0, e, 1.0) == pytest.approx(
             -4.0 * (e - 1.0), rel=1e-13
         )
         negative = impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY)
         psi0_neg = negative.spinor_at(0.0)
         assert (psi0_neg.upper, psi0_neg.lower) == (2.0, 0.0)
         assert negative.force == -4.0 * (e + 1.0)
-        wall = boundary_force_mean(psi0_neg, e, 1.0)
+        wall = momentum_flux_bracket(psi0_neg, e, 1.0)
         assert wall == pytest.approx(-4.0 * (e - 1.0), rel=1e-13)
         assert negative.force != wall  # the documented discrepancy
     _report(3, "impenetrable limits exact at 26 energies, discrepancy asserted")
@@ -158,7 +158,7 @@ def test_criterion_6_nonrelativistic_limit():
     e = 1.0 + e_nr
     rel = impenetrable_limit(e, 1.0, Convention.MAIN)
     assert abs(rel.force / (-4.0 * e_nr) - 1.0) < 1e-5
-    wall = boundary_force_mean(rel.spinor_at(0.0), e, 1.0)
+    wall = momentum_flux_bracket(rel.spinor_at(0.0), e, 1.0)
     assert abs(wall / (-4.0 * e_nr) - 1.0) < 1e-5
     neumann = nonrelativistic_limit(e_nr, 1.0, LimitKind.NONREL_NEGATIVE)
     assert classify_boundary(neumann).classification is BoundaryCondition.NEUMANN_NR

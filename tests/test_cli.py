@@ -10,7 +10,19 @@ import pytest
 
 import diracstep
 from diracstep.cli import main
-from diracstep.gridio import read_csv
+from diracstep.gridio import CSV_HEADER
+
+
+def read_csv(path):
+    """Parse a sample CSV back into per-column float lists."""
+    lines = [line for line in Path(path).read_text().split("\n") if line]
+    header = lines[0].split(",")
+    assert header == CSV_HEADER.split(",")
+    columns = {name: [] for name in header}
+    for line in lines[1:]:
+        for name, cell in zip(header, line.split(",")):
+            columns[name].append(float(cell))
+    return columns
 
 
 def run(capsys, *argv):
@@ -255,6 +267,32 @@ def test_verify_exit_codes_and_summary(capsys, tmp_path):
     assert summary["trials"] == 50
     assert summary["failures"] == []
     assert summary["max_error"] < 1e-12
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (("verify", "--suite", "conservation", "--trials", "0"),
+     "--trials must be >= 1, got 0"),
+    (("verify", "--suite", "conservation", "--trials", "-3"),
+     "--trials must be >= 1, got -3"),
+    (("verify", "--suite", "all", "--trials", "0", "--precision", "3"),
+     "--trials must be >= 1, got 0"),
+    (("verify", "--suite", "limits", "--precision", "-1"),
+     "--precision must be >= 0, got -1"),
+    (("scatter", "--energy", "2", "--step-height", "4", "--precision", "-1"),
+     "--precision must be >= 0, got -1"),
+    (("sweep", "--vary", "energy", "--from", "1.5", "--to", "2", "--points", "3",
+      "--step-height", "1", "--out", "s.csv", "--precision", "-2"),
+     "--precision must be >= 0, got -2"),
+], ids=["trials-0", "trials-negative", "trials-0-all", "verify-precision",
+        "scatter-precision", "sweep-precision"])
+def test_unusable_counts_refused_before_any_output_exit_2(capsys, tmp_path, monkeypatch,
+                                                          argv, cause):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--output-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {cause}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_does_not_load_scipy():

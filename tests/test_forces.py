@@ -10,7 +10,6 @@ from diracstep import (
     ForceReport,
     PhysicalSetup,
     Spinor,
-    boundary_force_mean,
     external_force_mean,
     impenetrable_limit,
     kinematics,
@@ -46,20 +45,20 @@ def test_impenetrable_limit_forces_by_convention():
 
 def test_boundary_force_examples():
     a = math.sqrt(1.0 / 3.0)
-    assert boundary_force_mean(Spinor(0.0, 2.0 * a), 2.0, 1.0) == pytest.approx(
+    assert momentum_flux_bracket(Spinor(0.0, 2.0 * a), 2.0, 1.0) == pytest.approx(
         -4.0, abs=1e-13
     )
-    assert boundary_force_mean(Spinor(2.0, 0.0), 2.0, 1.0) == pytest.approx(
+    assert momentum_flux_bracket(Spinor(2.0, 0.0), 2.0, 1.0) == pytest.approx(
         -4.0, abs=1e-13
     )
-    assert boundary_force_mean(Spinor(0.0, 0.0), 2.0, 1.0) == 0.0
+    assert momentum_flux_bracket(Spinor(0.0, 0.0), 2.0, 1.0) == 0.0
 
 
 def test_force_discrepancy_for_negative_energy_convention():
     """External and boundary force disagree at the wall for the conjugate wave."""
     for e in (1.5, 2.0, 7.0):
         limit = impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY)
-        wall = boundary_force_mean(limit.spinor_at(0.0), e, 1.0)
+        wall = momentum_flux_bracket(limit.spinor_at(0.0), e, 1.0)
         assert wall == pytest.approx(-4.0 * (e - 1.0), rel=1e-13)
         assert limit.force == pytest.approx(-4.0 * (e + 1.0), rel=1e-13)
         assert limit.force != wall
@@ -141,7 +140,7 @@ def test_nr_limit_of_relativistic_force():
     for e_nr in (1e-2, 1e-4, 1e-6):
         e = 1.0 + e_nr
         limit = impenetrable_limit(e, 1.0, Convention.MAIN)
-        wall = boundary_force_mean(limit.spinor_at(0.0), e, 1.0)
+        wall = momentum_flux_bracket(limit.spinor_at(0.0), e, 1.0)
         ratios.append(wall / (-4.0 * (e - 1.0)))
     for ratio in ratios:
         assert ratio == pytest.approx(1.0, rel=1e-9)

@@ -12,11 +12,11 @@ from diracstep import (
     kinematics,
     match,
     nonrelativistic_limit,
-    read_csv,
     sample,
     write_csv,
 )
 from diracstep.gridio import CSV_HEADER
+from test_cli import read_csv
 
 
 def _klein_solution():

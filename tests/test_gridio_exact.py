@@ -2,9 +2,9 @@
 
 ``sample`` evaluates every branch on numpy arrays and ``write_csv`` formats
 each row with one %-format.  Both must give exactly what a per-point loop
-over the scalar evaluators (``evaluate``, ``PlaneWaveState.value_at``,
-``LimitSolution.left_value_at`` / ``right_value_at``) and per-cell
-formatting give, down to the sign of zero.
+over the scalar evaluators (``left_value_at`` / ``right_value_at``, which
+sum ``PlaneWaveState.value_at`` in cmath) and per-cell formatting give,
+down to the sign of zero, for matched and limit states alike.
 """
 
 import dataclasses
@@ -18,14 +18,13 @@ from hypothesis import strategies as st
 from diracstep import (
     Convention,
     LimitKind,
-    LimitSolution,
     PhysicalSetup,
     PlaneWaveState,
     Side,
     Spinor,
     current,
     density,
-    evaluate,
+    edge_limit,
     impenetrable_limit,
     kinematics,
     match,
@@ -47,15 +46,8 @@ def _reference_rows(solution, x_min, x_max, n_points):
     for x in xs:
         sides = ("left", "right") if x == 0.0 else (("left",) if x < 0.0 else ("right",))
         for side in sides:
-            if isinstance(solution, LimitSolution):
-                value = (solution.left_value_at(x) if side == "left"
-                         else solution.right_value_at(x))
-            elif side == "right" or x < 0.0:
-                value = evaluate(solution, x)
-            else:  # the left branch at x = 0, which evaluate does not give
-                inc = solution.incident.value_at(x)
-                ref = solution.reflected.value_at(x)
-                value = Spinor(inc.upper + ref.upper, inc.lower + ref.lower)
+            value = (solution.left_value_at(x) if side == "left"
+                     else solution.right_value_at(x))
             value = Spinor(complex(value.upper), complex(value.lower))
             rows.append((x, value.upper, value.lower, density(value), current(value)))
     return rows
@@ -109,11 +101,20 @@ OPEN_CASES = [
     )
     for conv in convs
 ]
+
+
+def _edge(u, offset, conv=None):
+    e = 1.01 + 4.0 * u
+    return edge_limit(PhysicalSetup(1.0, e + offset, e), conv)
+
+
 LIMIT_CASES = [
     lambda u: impenetrable_limit(1.01 + 4.0 * u, 1.0, Convention.MAIN),
     lambda u: impenetrable_limit(1.01 + 4.0 * u, 1.0, Convention.NEGATIVE_ENERGY),
     lambda u: nonrelativistic_limit(1e-3 + 0.5 * u, 1.0, LimitKind.NONREL_MAIN),
     lambda u: nonrelativistic_limit(1e-3 + 0.5 * u, 1.0, LimitKind.NONREL_NEGATIVE),
+    lambda u: _edge(u, 1.0, Convention.LOWER_COMPONENT),  # the edge point
+    lambda u: _edge(u, -1.0),  # the lower edge
 ]
 
 unit = st.floats(0.0, 1.0)
@@ -174,6 +175,11 @@ def test_sample_rejects_overflowing_range():
 # imaginary parts): the closed-form 2x2 solve in ``match`` rounds them
 # differently in the last bit, and pinning them keeps this test about
 # ``sample`` and ``write_csv`` alone.
+#
+# The limit hashes were re-pinned when the limit states became plane-wave
+# sums.  A vanishing component is now a sum such as c + (−c), whose zero
+# may carry the other sign than the standing-wave formula gave (2i·sin(kx)
+# gave −0 where sin(kx) < 0).  Only zero cells changed, and only in sign.
 
 SCATTERING = [
     (1.0, 4.0, 2.0, "main", -5.0, 5.0, 1025,
@@ -212,17 +218,17 @@ SCATTERING = [
 ]
 LIMITS = [
     ("impenetrable", 2.0, 1.0, "main", -5.0, 2.0, 1025,
-     "43add09858408068ad1eee5918ca59c9310c64f0d1ef3320a37d293c5e4ee41f"),
+     "90e004a2d08644345d55c57e31c0024228712a1c8f639ba23c050565d0f62b29"),
     ("impenetrable", 1.5, 1.0, "lower", -3.0, 3.0, 1024,
-     "9a0b4bf6c0ccfb3fadadc6742e86968dfe92a07757f6636a282cfb8304d854a8"),
+     "81c4ee7a824acc25fcbcdce8923c3707709ab88874793fc835a83f186113fb71"),
     ("impenetrable", 3.0, 1.0, "negative", -4.0, 1.0, 1023,
-     "80ca03949b7286d85c527b4850e131c928cf652b0f6ea071f8b2c020ece580f7"),
+     "49e749d22e40464b8bd5045310a86d5b7127780aab8478497653996ec6f4a71c"),
     ("impenetrable", 2.0, 0.0, "main", -5.0, 5.0, 501,
-     "49beebb5220480eaf4d91b3c64cac65bb6ef873527c8b2c85b2488db7739db4b"),
+     "3d640fca172f07d2c60f86f023c565353d96dd30a3d577b78846f210fa31c06e"),
     ("nonrel", 0.01, 1.0, "nonrel-main", -4.0, 1.0, 1025,
-     "e38fcf31b3ede6f26c35c3f1a8cafd26bd76d5659517fa47b34641ced8f944bc"),
+     "b22fb5fa1b9a771a03d2325180930a30c4656fe9d76da3410e55b61a067a6baa"),
     ("nonrel", 0.2, 1.0, "nonrel-negative", -6.0, -0.5, 1024,
-     "6f00ce18c95f5778ba29bd93a014849e2b89f7af2afb5baf3c73a8c2331462f9"),
+     "f6e37f84543ec6d6a58348c107d5c46b4a461812dfa743b18d2c315da80bbe52"),
 ]
 
 

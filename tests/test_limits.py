@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from diracstep import (
@@ -14,6 +15,7 @@ from diracstep import (
     Spinor,
     apply_hamiltonian,
     classify_boundary,
+    coefficients,
     convergence_scan,
     current,
     density,
@@ -222,6 +224,21 @@ def test_lower_edge_state(conv):
     assert all(j == 0.0 for j in grid.j)
 
 
+@pytest.mark.parametrize("limit", [
+    impenetrable_limit(2.0, 1.0, Convention.MAIN),
+    impenetrable_limit(1.3, 1.0, Convention.NEGATIVE_ENERGY),
+    edge_limit(EDGE_POINT, Convention.LOWER_COMPONENT),
+    edge_limit(EDGE_LOWER),
+    edge_limit(PhysicalSetup(0.0, 1.0, 1.0)),
+], ids=["main", "negative", "edge-point-lower", "edge-lower", "massless-edge-point"])
+def test_limit_coefficients_are_the_closed_form_limits(limit):
+    """The plane-wave currents of a limit give R = 1, T = 0, v_t = 0."""
+    obs = coefficients(limit)
+    assert (obs.R, obs.T, obs.v_t) == (limit.R_limit, limit.T_limit, limit.v_t_limit)
+    psi0 = limit.spinor_at(0.0)
+    assert (obs.rho0, obs.j0) == (density(psi0), current(psi0))
+
+
 def test_lower_edge_state_is_an_eigenstate_at_e():
     """Beyond the wall E - V0 = mc2, where the constant [2, 0] is exact."""
     e, m = 2.0, 1.0
@@ -289,3 +306,55 @@ def test_relativistic_limits_refuse_non_finite_inputs(build, energy, mass_energy
 def test_nonrelativistic_limit_refuses_non_finite_inputs(energy_nr, mass_energy, cause):
     with pytest.raises(ValueError, match=cause):
         nonrelativistic_limit(energy_nr, mass_energy, LimitKind.NONREL_MAIN)
+
+
+# Every limit kind as built by the public constructors, at two energies
+# (the kinetic energy for the NONREL kinds).
+LIMIT_BUILDERS = {
+    LimitKind.IMPENETRABLE_MAIN: lambda e: impenetrable_limit(e, 1.0, Convention.MAIN),
+    LimitKind.IMPENETRABLE_NEGATIVE:
+        lambda e: impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY),
+    LimitKind.NONREL_MAIN:
+        lambda e: nonrelativistic_limit(e - 1.0, 1.0, Convention.MAIN),
+    LimitKind.NONREL_NEGATIVE:
+        lambda e: nonrelativistic_limit(e - 1.0, 1.0, Convention.NEGATIVE_ENERGY),
+    LimitKind.EDGE_LOWER: lambda e: edge_limit(PhysicalSetup(1.0, e - 1.0, e)),
+}
+
+
+def _standing_wave(kind, k, a, xs):
+    """The limit eigenstates in their standing-wave form: the left branch
+    at every position, and the constant right branch."""
+    s, c, zero = np.sin(k * xs), np.cos(k * xs), np.zeros(len(xs))
+    left = {
+        LimitKind.IMPENETRABLE_MAIN: (2j * s, 2.0 * a * c),
+        LimitKind.IMPENETRABLE_NEGATIVE: (2.0 * c, 2j * a * s),
+        LimitKind.EDGE_LOWER: (2.0 * c, 2j * a * s),
+        LimitKind.NONREL_MAIN: (2j * s, zero),
+        LimitKind.NONREL_NEGATIVE: (2.0 * c, zero),
+    }[kind]
+    right = {
+        LimitKind.IMPENETRABLE_MAIN: (0.0, 2.0 * a),
+        LimitKind.NONREL_MAIN: (0.0, 0.0),
+    }.get(kind, (2.0, 0.0))
+    return left, right
+
+
+@pytest.mark.parametrize("energy", [1.01, 1.3, 7.0])
+@pytest.mark.parametrize("kind", list(LimitKind), ids=lambda kind: kind.value)
+def test_sampled_limit_equals_its_standing_wave(kind, energy):
+    """Sampled as a sum of plane waves, each limit equals its standing-wave
+    form exactly (up to the sign of zero) on a grid across the wall."""
+    limit = LIMIT_BUILDERS[kind](energy)
+    assert limit.kind is kind
+    grid = sample(limit, -7.0, 5.0, 2001)
+    xs = np.array(grid.xs)
+    # The right branch starts at the second of the two entries at x = 0.
+    right = np.arange(len(xs)) > np.flatnonzero(xs == 0.0)[0]
+    (phi_left, chi_left), (phi_right, chi_right) = _standing_wave(
+        kind, limit.wave_number, limit.a, xs)
+    phi, chi = np.array(grid.phi), np.array(grid.chi)
+    assert (phi[~right] == phi_left[~right]).all()
+    assert (chi[~right] == chi_left[~right]).all()
+    assert (phi[right] == phi_right).all()
+    assert (chi[right] == chi_right).all()

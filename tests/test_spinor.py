@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from diracstep import (
-    ALPHA,
-    BETA,
     Convention,
     PhysicalSetup,
     PlaneWaveState,
@@ -20,6 +18,10 @@ from diracstep import (
     kinematics,
     match,
 )
+
+# Fixed matrices of the representation: alpha = sigma_x, beta = sigma_z.
+ALPHA = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+BETA = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 A_GOLDEN = 0.57735026918962576
 B_GOLDEN = -1.7320508075688773
