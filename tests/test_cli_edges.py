@@ -79,10 +79,10 @@ def _block(command: str, workdir: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _golden_blocks() -> dict[str, str]:
+def _golden_blocks(golden: Path = GOLDEN) -> dict[str, str]:
     blocks: dict[str, str] = {}
     command = None
-    for line in GOLDEN.read_text().splitlines(keepends=True):
+    for line in golden.read_text().splitlines(keepends=True):
         if line.startswith("$ "):
             command = line[2:].rstrip("\n")
             blocks[command] = ""
