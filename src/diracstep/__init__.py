@@ -61,6 +61,7 @@ from .spinor import (
     current,
     density,
 )
+from .table import scatter_table
 
 __all__ = [
     "__version__",
@@ -109,6 +110,7 @@ __all__ = [
     "nr_boundary_force_neumann",
     "physical_convention",
     "sample",
+    "scatter_table",
     "sharp_limit_study",
     "transmitted_velocity",
     "write_csv",

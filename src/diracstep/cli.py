@@ -17,19 +17,16 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .boundary import classify_boundary
 from .core import EdgePointError, PhysicalSetup, Regime, classify_regime, kinematics
-from .forces import ForceReport, external_force_mean, momentum_flux_bracket
+from .forces import ForceReport, momentum_flux_bracket
 from .gridio import sample, write_csv
-from .limits import (
-    edge_limit,
-    impenetrable_limit,
-    infinite_potential_limit,
-    nonrelativistic_limit,
-)
+from .limits import impenetrable_limit, infinite_potential_limit, nonrelativistic_limit
 from .matching import Convention, match, physical_convention
-from .observables import coefficients
+from .table import scatter_table
 from .verify import SUITES, run_suite
 
 _CONVENTION_CHOICES = sorted(["auto", *(conv.value for conv in Convention)])
@@ -63,50 +60,6 @@ def _print_table(rows: list[tuple[str, object]], precision: int) -> None:
         print(f"{name:<{width}}  {_fmt(value, precision)}")
 
 
-def scatter_record(setup: PhysicalSetup, conv: Convention | None) -> dict:
-    """Full observable record for one setup; edge rows come from the limits.
-
-    Edge rows keep their limit's closed-form force −4(E ∓ mc²), whose last
-    bits −V₀ρ(0) would change.
-
-    ``conv=None`` selects the physically transmitting convention for the
-    regime (main below/at the Klein zone, traditional for an ordinary
-    sub-threshold step and at the lower edge).
-    """
-    regime = classify_regime(setup)
-    if regime in (Regime.EDGE_POINT, Regime.EDGE_LOWER):
-        sol = edge_limit(setup, conv)
-        b = -_INF if regime is Regime.EDGE_POINT else 0.0
-        a, k, kbar_or_kappa, force = sol.a, sol.wave_number, 0.0, sol.force
-    else:
-        kin = kinematics(setup)
-        sol = match(kin, conv or physical_convention(regime))
-        a, b, k, kbar_or_kappa = kin.a, kin.b, kin.k, kin.kbar_or_kappa
-        force = external_force_mean(sol)
-    record = {
-        "mass_energy": setup.mass_energy,
-        "step_height": setup.step_height,
-        "energy": setup.energy,
-        "regime": regime.value,
-        "convention": sol.convention.value,
-        "r": sol.r,
-        "t": sol.t,
-        "a": a,
-        "b": b,
-        "k": k,
-        "kbar_or_kappa": kbar_or_kappa,
-        **vars(coefficients(sol)),  # R, T, rho0, j0, v_t
-        "force": force,
-        "boundary": classify_boundary(sol).classification.value,
-    }
-    if sol.convention is Convention.TRADITIONAL and regime is Regime.KLEIN_ZONE:
-        record["warning"] = (
-            "traditional transmitted wave: R exceeds 1 "
-            "(historical Klein-paradox bookkeeping)"
-        )
-    return record
-
-
 _SCATTER_FIELDS = (
     "regime", "convention", "a", "b", "k", "kbar_or_kappa", "r", "t",
     "R", "T", "rho0", "j0", "v_t", "force", "boundary",
@@ -114,21 +67,19 @@ _SCATTER_FIELDS = (
 
 
 def _cmd_scatter(args) -> int:
-    setup = PhysicalSetup(args.mass, args.step_height, args.energy)
-    record = scatter_record(setup, _convention(args.convention))
-    _echo_params(
-        "scatter",
-        {
-            "mass_energy": setup.mass_energy,
-            "step_height": setup.step_height,
-            "energy": setup.energy,
-            "convention": record["convention"],
-        },
-        args.precision,
-    )
+    table = scatter_table(args.mass, args.step_height, args.energy,
+                          _convention(args.convention))
+    record = {name: column.tolist()[0] for name, column in table.items()}
+    for part in ("b", "r", "t"):
+        record[part] = complex(record[f"{part}_re"], record[f"{part}_im"])
+    _echo_params("scatter", {"mass_energy": args.mass, "step_height": args.step_height,
+                             "energy": args.energy, "convention": record["convention"]},
+                 args.precision)
     _print_table([(name, record[name]) for name in _SCATTER_FIELDS], args.precision)
-    if "warning" in record:
-        print(f"warning: {record['warning']}")
+    if (record["convention"] == Convention.TRADITIONAL.value
+            and record["regime"] == Regime.KLEIN_ZONE.value):
+        print("warning: traditional transmitted wave: R exceeds 1 "
+              "(historical Klein-paradox bookkeeping)")
     return 0
 
 
@@ -139,10 +90,11 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+# One %-format per row; "%.17g" gives the same bytes as f"{v:.17g}".
+_SWEEP_ROW = ",".join(
+    "%s" if name in ("regime", "transition", "convention", "boundary") else "%.17g"
+    for name in _SWEEP_COLUMNS
+)
 
 
 def _cmd_sweep(args) -> int:
@@ -163,29 +115,16 @@ def _cmd_sweep(args) -> int:
         raise ValueError("varying the step height needs a fixed --energy")
     if args.vary == "energy" and args.step_height is None:
         raise ValueError("varying the energy needs a fixed --step-height")
-    values = [
-        args.start + i * (args.stop - args.start) / (args.points - 1)
-        for i in range(args.points)
-    ]
-    conv = _convention(args.convention)
-    rows = []
-    previous_regime = None
-    for value in values:
-        if args.vary == "step-height":
-            setup = PhysicalSetup(args.mass, value, args.energy)
-        else:
-            setup = PhysicalSetup(args.mass, args.step_height, value)
-        record = scatter_record(setup, conv)
-        record["transition"] = int(
-            previous_regime is not None and record["regime"] != previous_regime
-        )
-        previous_regime = record["regime"]
-        rows.append(record)
-    fixed_name, fixed_value = (
-        ("energy", args.energy)
-        if args.vary == "step-height"
-        else ("step_height", args.step_height)
+    values = args.start + np.arange(args.points) * (args.stop - args.start) / (
+        args.points - 1
     )
+    if args.vary == "step-height":
+        step_heights, energies = values, args.energy
+        fixed_name, fixed_value = "energy", args.energy
+    else:
+        step_heights, energies = args.step_height, values
+        fixed_name, fixed_value = "step_height", args.step_height
+    table = scatter_table(args.mass, step_heights, energies, _convention(args.convention))
     _echo_params(
         "sweep",
         {
@@ -201,19 +140,11 @@ def _cmd_sweep(args) -> int:
         args.precision,
     )
     lines = [",".join(_SWEEP_COLUMNS)]
-    for record in rows:
-        b = complex(record["b"])
-        r = complex(record["r"])
-        t = complex(record["t"])
-        cells = {
-            **record,
-            "b_re": b.real, "b_im": b.imag,
-            "r_re": r.real, "r_im": r.imag,
-            "t_re": t.real, "t_im": t.imag,
-        }
-        lines.append(",".join(_csv_cell(cells[c]) for c in _SWEEP_COLUMNS))
+    lines.extend(
+        _SWEEP_ROW % row for row in zip(*(table[c].tolist() for c in _SWEEP_COLUMNS))
+    )
     Path(args.out).write_text("\n".join(lines) + "\n", newline="\n")
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {args.points} rows to {args.out}")
     return 0
 
 
@@ -301,8 +232,8 @@ def _cmd_wavefunction(args) -> int:
                     "energy": args.energy, "convention": conv.value}
     resolved.update({"range": f"[{x_min},{x_max}]", "points": args.points,
                      "out": args.out})
-    _echo_params("wavefunction", resolved, args.precision)
     grid = sample(solution, x_min, x_max, args.points)
+    _echo_params("wavefunction", resolved, args.precision)
     write_csv(grid, args.out)
     print(f"wrote {len(grid.xs)} samples to {args.out}")
     return 0

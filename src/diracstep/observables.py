@@ -47,6 +47,9 @@ def coefficients(sol: PlaneWaveSolution) -> ObservableSet:
     """Observable set of a state, from plane-wave currents (none for the
     nonrelativistic limits, whose incident wave carries no current)."""
     j_in = current(sol.incident.amplitude)
+    if j_in == 0.0:
+        raise ValueError("no coefficients: the incident wave carries no current "
+                         "(a nonrelativistic limit state)")
     j_refl = current(sol.reflected.amplitude)
     rho0, j0 = density_current_at_origin(sol)
     if sol.transmitted.wave_number.imag > 0.0:

@@ -97,6 +97,26 @@ def complex_product(z, w) -> np.ndarray:
     return out
 
 
+def complex_quotient(z, w) -> np.ndarray:
+    """Element-wise z / w, rounded exactly as CPython's ``_Py_c_quot``.
+
+    Operands as in ``complex_product``.  Like CPython it divides through by
+    the larger part of w, in CPython's order of real operations; numpy's own
+    complex division rounds differently on a large share of operands.  A
+    zero divisor, where CPython raises ZeroDivisionError, gives NaN parts.
+    """
+    z_re, z_im, w_re, w_im = np.real(z), np.imag(z), np.real(w), np.imag(w)
+    by_real = np.abs(w_re) >= np.abs(w_im)
+    big, small = np.where(by_real, w_re, w_im), np.where(by_real, w_im, w_re)
+    out = np.empty(np.broadcast(z, w).shape, dtype=complex)
+    with np.errstate(all="ignore"):
+        ratio = small / big
+        denom = big + small * ratio
+        out.real = np.where(by_real, z_re + z_im * ratio, z_re * ratio + z_im) / denom
+        out.imag = np.where(by_real, z_im - z_re * ratio, z_im * ratio - z_re) / denom
+    return out
+
+
 def density(s: Spinor) -> float:
     """Probability density |upper|² + |lower|²."""
     return abs(s.upper) ** 2 + abs(s.lower) ** 2

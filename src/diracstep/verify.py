@@ -76,6 +76,11 @@ class SuiteResult:
     max_error: float = 0.0
     failures: list[str] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        # A suite over no setups would pass without checking anything.
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+
     @property
     def passed(self) -> bool:
         return not self.failures

@@ -29,7 +29,12 @@ from diracstep import (
     momentum_flux_bracket,
     nonrelativistic_limit,
 )
-from diracstep.verify import run_closed_vs_oracle, run_conservation
+from diracstep.verify import (
+    run_closed_vs_oracle,
+    run_conservation,
+    run_limits,
+    run_suite,
+)
 
 GOLDEN = PhysicalSetup(1.0, 4.0, 2.0)
 
@@ -225,3 +230,14 @@ def test_criterion_9_boundary_classification():
         assert classify_boundary(inside).classification is BoundaryCondition.NONE
         checked += 3
     _report(9, f"boundary classification agreed on {checked}/{checked} cases")
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("run", [
+    run_conservation, run_closed_vs_oracle, run_limits,
+    lambda trials: run_suite("conservation", trials=trials),
+], ids=["conservation", "closed-vs-oracle", "limits", "run_suite"])
+def test_suites_refuse_fewer_than_one_trial(run, trials):
+    # A suite over no setups would pass without checking anything.
+    with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
+        run(trials=trials)

@@ -328,6 +328,7 @@ def test_scatter_massless_traditional_klein_is_singular_exit_2(capsys):
     (("-5", "inf"), "x_min and x_max must be finite"),
     (("nan", "5"), "x_min and x_max must be finite"),
     (("-" + str(int(1e308)), str(int(1e308))), "x_max - x_min overflows"),
+    (("5", "-5"), "x_min must be below x_max"),
 ])
 @pytest.mark.parametrize("target", [
     ("--limit", "impenetrable"),
@@ -335,12 +336,28 @@ def test_scatter_massless_traditional_klein_is_singular_exit_2(capsys):
 ])
 def test_wavefunction_rejects_unusable_range_exit_2(capsys, tmp_path, x_range, cause, target):
     out_file = tmp_path / "w.csv"
-    code, _, err = run(
+    code, out, err = run(
         capsys, "wavefunction", "--energy", "2", *target, "--range", *x_range,
         "--points", "4", "--out", str(out_file),
     )
     assert code == 2
+    assert out == ""
     assert err.startswith("error: ") and cause in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("target", [
+    ("--limit", "impenetrable"),
+    ("--step-height", "4"),
+])
+def test_wavefunction_rejects_single_point_before_any_output_exit_2(capsys, tmp_path,
+                                                                    target):
+    out_file = tmp_path / "w.csv"
+    code, out, err = run(
+        capsys, "wavefunction", "--energy", "2", *target, "--points", "1",
+        "--out", str(out_file),
+    )
+    assert (code, out, err) == (2, "", "error: need at least two grid points\n")
     assert not out_file.exists()
 
 

@@ -12,6 +12,7 @@ from diracstep import (
     density_current_at_origin,
     kinematics,
     match,
+    nonrelativistic_limit,
     transmitted_velocity,
 )
 
@@ -177,3 +178,9 @@ def test_current_balance_main():
         j_r = current(sol.reflected.amplitude)
         j_t = current(sol.transmitted.amplitude)
         assert abs(j_r) + abs(j_t) == pytest.approx(abs(j_i), rel=1e-12)
+
+
+@pytest.mark.parametrize("conv", [Convention.MAIN, Convention.NEGATIVE_ENERGY])
+def test_coefficients_of_nonrelativistic_limit_name_the_cause(conv):
+    with pytest.raises(ValueError, match="incident wave carries no current"):
+        coefficients(nonrelativistic_limit(0.01, 1.0, conv))

@@ -18,6 +18,7 @@ from diracstep import (
     kinematics,
     match,
 )
+from diracstep.spinor import complex_quotient
 
 # Fixed matrices of the representation: alpha = sigma_x, beta = sigma_z.
 ALPHA = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -166,3 +167,55 @@ def test_conjugate_of_main_wave_matches_negative_energy_wave():
         - conj.amplitude.lower * negative.amplitude.upper
     )
     assert abs(cross) < 1e-14
+
+
+def _parts(z: complex) -> tuple[str, str]:
+    """Exact identity of a complex, including the signs of zero."""
+    return (z.real.hex(), z.imag.hex())
+
+
+def _assert_quotients_match(zs, ws):
+    got = complex_quotient(np.array(zs, dtype=complex), np.array(ws, dtype=complex))
+    mismatches = [
+        (z, w) for z, w, q in zip(zs, ws, got.tolist()) if _parts(z / w) != _parts(q)
+    ]
+    assert mismatches == []
+
+
+def test_complex_quotient_matches_cpython_on_random_pairs():
+    rng = np.random.default_rng(20261018)
+
+    def draw(n):
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30.0, 30.0, n)
+
+    n = 200_000
+    zs = [complex(x, y) for x, y in zip(draw(n), draw(n))]
+    ws = [complex(x, y) for x, y in zip(draw(n), draw(n))]
+    _assert_quotients_match(zs, ws)
+
+
+def test_complex_quotient_matches_cpython_on_special_operands():
+    # Signed zeros, |Re w| = |Im w|, subnormal and near-overflow parts, and
+    # divisors with a real part of +-0.
+    parts = [0.0, -0.0, 1.0, -1.0, 3.0, -3.0, 0.1, 5e-324, -5e-324, 1e-310,
+             2.2250738585072014e-308, 1e308, -1.7e308, 1.7976931348623157e308]
+    values = [complex(x, y) for x in parts for y in parts]
+    pairs = [(z, w) for z in values for w in values if w != 0]
+    _assert_quotients_match([z for z, _ in pairs], [w for _, w in pairs])
+
+
+def test_complex_quotient_takes_real_operands_as_cpython_does():
+    # A float operand counts as having imaginary part +0.0.
+    ws = [complex(0.0, -2.5), complex(-0.0, 3.0), complex(-4.0, -0.0), complex(2.0, 1e-300)]
+    got = complex_quotient(1.0, np.array(ws)).tolist()
+    assert [_parts(q) for q in got] == [_parts(1.0 / w) for w in ws]
+    zs = [complex(-0.0, 1.0), complex(3.0, -0.0), complex(-2.0, 5.0)]
+    got = complex_quotient(np.array(zs), np.array([2.0, -3.0, 0.5])).tolist()
+    assert [_parts(q) for q in got] == [
+        _parts(z / d) for z, d in zip(zs, (2.0, -3.0, 0.5))
+    ]
+
+
+def test_complex_quotient_zero_divisor_gives_nan():
+    got = complex_quotient(np.array([1.0 + 1.0j]), np.array([0.0j]))
+    assert np.isnan(got.real).all() and np.isnan(got.imag).all()
