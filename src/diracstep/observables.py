@@ -44,8 +44,8 @@ class ObservableSet:
 
 
 def coefficients(sol: PlaneWaveSolution) -> ObservableSet:
-    """Observable set of a state, from plane-wave currents (none for the
-    nonrelativistic limits, whose incident wave carries no current)."""
+    """Observable set of a state, from plane-wave currents; ValueError for the
+    nonrelativistic limits, whose incident wave carries no current."""
     j_in = current(sol.incident.amplitude)
     if j_in == 0.0:
         raise ValueError("no coefficients: the incident wave carries no current "
