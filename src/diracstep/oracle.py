@@ -76,8 +76,9 @@ class SmoothStep:
     width: float
 
     def __post_init__(self) -> None:
-        if not (self.height > 0.0 and self.width > 0.0):
-            raise ValueError("step height and width must be > 0")
+        for name, value in (("height", self.height), ("width", self.width)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"step {name} must be finite and > 0, got {value}")
 
     def profile(self, x):
         return self.height * (1.0 + np.tanh(2.0 * x / self.width)) / 2.0
@@ -105,25 +106,32 @@ class OracleResult:
     n_steps: int
 
 
-def _magnus_cells(setup: PhysicalSetup, step: SmoothStep, n: int) -> np.ndarray:
-    """Propagators of n graded cells from x = 10w to −10w, in the order they act.
+def _magnus_cells(
+    setup: PhysicalSetup, step: SmoothStep, counts: list[int]
+) -> list[np.ndarray]:
+    """Propagators of n graded cells from x = 10w to −10w, in the order they
+    act, for every power-of-two n in ``counts``, from one evaluation.
 
     With A = i[[0, p], [q, 0]], p = E − V + mc² and q = E − V − mc²,
     the commutator is [A₂, A₁] = (p₁q₂ − p₂q₁) σ_z, so every Ω has the form
     [[γ, iα], [iβ, −γ]] with α, β, γ real and s² = γ² − αβ.  Each
     propagator is then [[a, ib], [ic, d]] = S·[[a, −b], [c, d]]·S⁻¹ with
     a, b, c, d real and S = diag(1, i); the real matrices are returned as
-    an (n, 2, 2) array, and their products are the real forms of products.
+    (n, 2, 2) arrays, and their products are the real forms of products.
     """
-    # n is a power of two, so u runs exactly from 1 to −1.
-    u = 1.0 - (2.0 / n) * np.arange(n + 1)
+    # n is a power of two, so u runs exactly from 1 to −1 and the u of fewer
+    # cells are the same doubles as every (top/n)-th u of the most cells.
+    top = max(counts)
+    u = 1.0 - (2.0 / top) * np.arange(top + 1)
     nodes = (_FLAT_BEYOND * step.width / math.sinh(_GRADING)) * np.sinh(_GRADING * u)
-    h = nodes[1:] - nodes[:-1]
+    left = np.concatenate([nodes[: -1 : top // n] for n in counts])
+    h = np.concatenate([nodes[top // n :: top // n] for n in counts]) - left
     # E − V at the two Gauss points of every cell, as rows.
-    u1, u2 = setup.energy - step.profile(nodes[:-1] + np.multiply.outer(_GAUSS, h))
+    u1, u2 = setup.energy - step.profile(left + np.multiply.outer(_GAUSS, h))
     m = setup.mass_energy
-    alpha = 0.5 * h * (u1 + u2 + 2.0 * m)
-    beta = 0.5 * h * (u1 + u2 - 2.0 * m)
+    half_h, u_sum = 0.5 * h, u1 + u2
+    alpha = half_h * (u_sum + 2.0 * m)
+    beta = half_h * (u_sum - 2.0 * m)
     # p₁q₂ − p₂q₁ = 2m(u₂ − u₁)
     gamma = (math.sqrt(3.0) / 6.0 * m) * h * h * (u2 - u1)
     s2 = gamma * gamma - alpha * beta
@@ -133,11 +141,12 @@ def _magnus_cells(setup: PhysicalSetup, step: SmoothStep, n: int) -> np.ndarray:
     grow = s2 > 0.0
     cosh = np.cosh(r, out=np.cos(r), where=grow)
     sinhc = np.divide(
-        np.sinh(r, out=np.sin(r), where=grow), r, out=np.ones(n), where=r > 0.0
+        np.sinh(r, out=np.sin(r), where=grow), r, out=np.ones(len(r)), where=r > 0.0
     )
-    return np.array(
-        [[cosh + sinhc * gamma, -sinhc * alpha], [sinhc * beta, cosh - sinhc * gamma]]
-    ).transpose(2, 0, 1)
+    sg = sinhc * gamma
+    cells = np.array([[cosh + sg, -sinhc * alpha], [sinhc * beta, cosh - sg]])
+    ends = np.cumsum(counts)
+    return [cells[..., end - n : end].transpose(2, 0, 1) for n, end in zip(counts, ends)]
 
 
 def _chain(cells: np.ndarray) -> list[np.ndarray]:
@@ -196,8 +205,7 @@ def integrate_scattering(
     # rows: incident and reflected amplitudes of the free waves at x = −10w
     to_waves = np.array([[a, 1.0], [a, -1.0]]) / (2.0 * a)
 
-    def solve(n: int) -> tuple[list[np.ndarray], np.ndarray]:
-        cells = _magnus_cells(setup, step, n)
+    def decompose(cells: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         # The first cell carries the start, so every product is a state.
         cells[0] = cells[0] @ start
         levels = _chain(cells)
@@ -208,25 +216,32 @@ def integrate_scattering(
             raise RuntimeError("decomposition ill-conditioned: no incident content")
         return levels, coeffs
 
-    # First pass: a power of two fitted to a quarter of the count the
+    # First rung: a power of two fitted to a quarter of the count the
     # tolerance needs, which grows with w times the largest wave number and,
-    # for a fourth-order method, like tol^(−1/4).
+    # for a fourth-order method, like tol^(−1/4), then twice and four times
+    # it, from one evaluation of the cells; each further doubling is one more.
     reach = step.width * (step.height + setup.energy + setup.mass_energy)
     guess = 130.0 * reach**0.6 * (tol / 1e-10) ** -0.25
-    n = min(max(_MIN_CELLS, 2 ** math.floor(math.log2(guess))), _MAX_CELLS // 2)
-    _, coarse = solve(n)
-    while True:
-        n *= 2
-        levels, fine = solve(n)
-        richardson = float(np.max(np.abs(fine - coarse)) / (15.0 * abs(fine[0])))
-        if richardson <= tol:
-            break
-        if n >= _MAX_CELLS:
-            raise RuntimeError(
-                f"Richardson estimate {richardson:.2e} above tol {tol:.0e} "
-                f"at the cap of {_MAX_CELLS} cells"
-            )
-        coarse = fine
+    n = min(2 ** math.floor(math.log2(max(_MIN_CELLS, guess))), _MAX_CELLS // 2)
+    # A wide enough step overflows its cells; its estimate is then not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts = [c for c in (n, 2 * n, 4 * n) if c <= _MAX_CELLS]
+        rung = _magnus_cells(setup, step, counts)
+        _, coarse = decompose(rung.pop(0))
+        while True:
+            n *= 2
+            cells = rung.pop(0) if rung else _magnus_cells(setup, step, [n])[0]
+            levels, fine = decompose(cells)
+            richardson = float(np.max(np.abs(fine - coarse)) / (15.0 * abs(fine[0])))
+            if richardson <= tol:
+                break
+            # A non-finite estimate never meets tol: refuse it at once.
+            if not (math.isfinite(richardson) and n < _MAX_CELLS):
+                raise RuntimeError(
+                    f"Richardson estimate {richardson:.2e} misses tol {tol:.0e} at width "
+                    f"{step.width:g} with {n} cells (cap {_MAX_CELLS})"
+                )
+            coarse = fine
     coeff_in, coeff_refl = complex(fine[0]), complex(fine[1])
 
     # Current conservation at every cell boundary, normalized by the local

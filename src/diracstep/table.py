@@ -178,10 +178,18 @@ def scatter_table(mass, step_heights, energies, conv: Convention | None) -> dict
                         m[rows], v0[rows], e[rows], Convention(c), ev)
                     for name, column in columns.items():
                         table[name][rows] = column
-    for i in np.flatnonzero(refused | edge):
+    # Rows with the same setup, bit for bit, share one scalar evaluation, in
+    # the order of their first rows so that the first refusal still raises.
+    special = np.flatnonzero(refused | edge)
+    rows_of = defaultdict(list)
+    bits = np.stack((m, v0, e), axis=1)[special].view(np.int64)
+    for i, key in zip(special.tolist(), map(tuple, bits.tolist())):
+        rows_of[key].append(i)
+    for rows in rows_of.values():
+        i = rows[0]
         setup = PhysicalSetup(float(m[i]), float(v0[i]), float(e[i]))
         if refused[i]:
             _replay(setup, conv)
         for name, value in _edge_row(setup, conv).items():
-            table[name][i] = value
+            table[name][rows] = value
     return dict(table)

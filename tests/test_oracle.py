@@ -1,6 +1,8 @@
 """ODE oracle against the closed forms and Sauter's exact tanh-step R."""
 
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from diracstep import (
     match,
     sharp_limit_study,
 )
-from diracstep import oracle
+from diracstep import matching, oracle
 from diracstep.verify import draw_oracle_setup
 
 GOLDEN = PhysicalSetup(1.0, 4.0, 2.0)
@@ -271,15 +273,174 @@ def test_conservation_check_catches_a_broken_cell(monkeypatch, compensated):
     assert clean.integration_error_estimate < 1e-9
     build = oracle._magnus_cells
 
-    def broken(setup, step, n):
-        cells = build(setup, step, n)
-        cells[n // 2] *= 1.0 + 1e-6
-        if compensated:
-            cells[n // 2 + 1] /= 1.0 + 1e-6
-        return cells
+    def broken(setup, step, counts):
+        passes = build(setup, step, counts)
+        for cells in passes:
+            n = len(cells)
+            cells[n // 2] *= 1.0 + 1e-6
+            if compensated:
+                cells[n // 2 + 1] /= 1.0 + 1e-6
+        return passes
 
     monkeypatch.setattr(oracle, "_magnus_cells", broken)
     res = integrate_scattering(GOLDEN, step, Convention.MAIN)
     assert res.integration_error_estimate > 1e-7
     if compensated:
         assert res.R_num == pytest.approx(clean.R_num, abs=1e-12)
+
+
+def test_smooth_step_refuses_non_finite_height_or_width():
+    for height, width, bad in [(4.0, math.inf, "width"), (math.inf, 1.0, "height"),
+                               (4.0, math.nan, "width"), (-math.inf, 1.0, "height")]:
+        with pytest.raises(ValueError, match=f"step {bad} must be finite and > 0, got"):
+            SmoothStep(height, width)
+
+
+@pytest.mark.parametrize(
+    "setup, width, tol, cells",
+    [
+        # Too wide for the cells: they overflow at the cap.
+        (GOLDEN, 1e300, 1e-10, 2**16),
+        # An evanescent wave grows past the largest double across 20w, and
+        # the first estimate is already NaN, far below the cap.
+        (PhysicalSetup(1.0, 2.5, 2.0), 100.0, 1e-10, 8192),
+        (PhysicalSetup(1.0, 2.5, 2.0), 1e3, 1e-6, 4096),
+    ],
+)
+def test_overflowing_cells_raise_at_the_first_non_finite_estimate(setup, width, tol, cells):
+    """No numpy warning escapes (the suite turns RuntimeWarning into an
+    error), and the ladder stops at the first estimate, which is NaN."""
+    message = f"Richardson estimate nan misses tol {tol:.0e} at width {width:g} with {cells} cells"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        integrate_scattering(setup, SmoothStep(setup.step_height, width), tol=tol)
+
+
+def _reference_cells(setup, step, n):
+    """The cells of one pass, as the oracle built them one count at a time."""
+    u = 1.0 - (2.0 / n) * np.arange(n + 1)
+    nodes = (10.0 * step.width / math.sinh(3.0)) * np.sinh(3.0 * u)
+    h = nodes[1:] - nodes[:-1]
+    u1, u2 = setup.energy - step.profile(nodes[:-1] + np.multiply.outer(oracle._GAUSS, h))
+    m = setup.mass_energy
+    alpha = 0.5 * h * (u1 + u2 + 2.0 * m)
+    beta = 0.5 * h * (u1 + u2 - 2.0 * m)
+    gamma = (math.sqrt(3.0) / 6.0 * m) * h * h * (u2 - u1)
+    s2 = gamma * gamma - alpha * beta
+    r = np.sqrt(np.abs(s2))
+    grow = s2 > 0.0
+    cosh = np.cosh(r, out=np.cos(r), where=grow)
+    sinhc = np.divide(
+        np.sinh(r, out=np.sin(r), where=grow), r, out=np.ones(n), where=r > 0.0
+    )
+    return np.array(
+        [[cosh + sinhc * gamma, -sinhc * alpha], [sinhc * beta, cosh - sinhc * gamma]]
+    ).transpose(2, 0, 1)
+
+
+def _reference_ladder(setup, step, conv, tol):
+    """``integrate_scattering`` with one evaluation of the cells per doubling,
+    as it was before the first rung; also returns the number of passes."""
+    kin = kinematics(setup)
+    u_t, q_t = matching._transmitted_basis(kin, conv)
+    amp = np.array([u_t.upper, u_t.lower], dtype=complex)
+    start = np.array([[amp[0].real, amp[0].imag], [amp[1].imag, -amp[1].real]])
+    a = kin.a
+    to_waves = np.array([[a, 1.0], [a, -1.0]]) / (2.0 * a)
+
+    def solve(n):
+        cells = _reference_cells(setup, step, n)
+        cells[0] = cells[0] @ start
+        levels = oracle._chain(cells)
+        (x00, x01), (x10, x11) = levels[-1][0]
+        arrival = np.array([complex(x00, x01), complex(-x11, x10)])
+        coeffs = to_waves @ arrival
+        if abs(coeffs[0]) < 1e-8 * math.hypot(abs(arrival[0]), abs(arrival[1])):
+            raise RuntimeError("decomposition ill-conditioned: no incident content")
+        return levels, coeffs
+
+    reach = step.width * (step.height + setup.energy + setup.mass_energy)
+    guess = 130.0 * reach**0.6 * (tol / 1e-10) ** -0.25
+    n = min(max(8, 2 ** math.floor(math.log2(guess))), oracle._MAX_CELLS // 2)
+    _, coarse = solve(n)
+    passes = 1
+    while True:
+        n *= 2
+        levels, fine = solve(n)
+        passes += 1
+        richardson = float(np.max(np.abs(fine - coarse)) / (15.0 * abs(fine[0])))
+        if richardson <= tol:
+            break
+        if n >= oracle._MAX_CELLS:
+            raise RuntimeError(f"Richardson estimate {richardson:.2e} misses tol {tol:.0e}")
+        coarse = fine
+    coeff_in, coeff_refl = complex(fine[0]), complex(fine[1])
+    x = oracle._prefix_chain(levels)
+    j_path = -2.0 * (x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0])
+    rho_path = np.sum(x * x, axis=(1, 2))
+    j_ref = 2.0 * (amp[0].conjugate() * amp[1]).real
+    conservation = float(
+        np.max(np.abs(j_path - j_ref) / np.maximum(abs(j_ref), rho_path))
+    )
+    half = 10.0 * step.width
+    r_num = (coeff_refl / coeff_in) * cmath.exp(-2j * kin.k * half)
+    t_num = cmath.exp(-1j * (q_t + kin.k) * half - cmath.log(coeff_in))
+    R_num = abs(coeff_refl / coeff_in) ** 2
+    j_in = 2.0 * a * abs(coeff_in) ** 2
+    T_num = closure = 0.0
+    if kin.regime is not Regime.EVANESCENT:
+        T_num = float(j_ref / j_in)
+        closure = abs(R_num + T_num - 1.0)
+    result = oracle.OracleResult(
+        r_num=r_num, t_num=t_num, R_num=R_num, T_num=T_num,
+        integration_error_estimate=max(richardson, conservation, closure),
+        width=step.width, n_steps=n,
+    )
+    return result, passes
+
+
+def _rung_cases():
+    """Both edges at every delta, the wide-step setups of every regime (the
+    Klein zone and the transmission regime under ``traditional``, and the
+    evanescent band) and the golden setup, at widths from 1e-3 to 2."""
+    for tol in (1e-13, 1e-10, 1e-6):
+        for delta in DELTAS:
+            for width in (1e-3, 0.3):
+                for setup, conv in _edge_setups(1.2, delta):
+                    yield setup, width, conv, tol
+        for width in (1e-3, 1e-2, 0.1, 0.5, 2.0):
+            for setup, conv in WIDE_SETUPS:
+                yield setup, width, conv, tol
+
+
+def _compare_with_reference(cases):
+    """Passes and cell counts of the reference solves, or "refused"."""
+    seen = set()
+    for setup, width, conv, tol in cases:
+        step = SmoothStep(setup.step_height, width)
+        label = f"w={width} tol={tol} E={setup.energy} V0={setup.step_height} {conv.value}"
+        try:
+            expected, passes = _reference_ladder(setup, step, conv, tol)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+                integrate_scattering(setup, step, conv, tol=tol)
+            seen.add("refused")
+            continue
+        assert repr(integrate_scattering(setup, step, conv, tol=tol)) == repr(expected), label
+        seen.add((passes, expected.n_steps))
+    return seen
+
+
+def test_first_rung_is_bit_identical_to_one_pass_per_doubling():
+    """The n-, 2n- and 4n-cell passes from one evaluation give every field
+    of the result, the cell count included, exactly as a ladder that builds
+    each pass on its own."""
+    passes = {p for p, _ in _compare_with_reference(_rung_cases())}
+    assert passes == {2, 3, 4}
+
+
+def test_clipped_rung_is_bit_identical_at_a_low_cap(monkeypatch):
+    """With a cap of 32 cells a first count of 16 leaves a rung of two
+    passes; solves that need more than 32 cells are refused alike."""
+    monkeypatch.setattr(oracle, "_MAX_CELLS", 32)
+    seen = _compare_with_reference(_rung_cases())
+    assert {(2, 16), (3, 32), (2, 32), "refused"} <= seen

@@ -174,3 +174,25 @@ def test_scatter_table_broadcasts_and_marks_transitions():
     assert table["transition"].tolist() == [0, 0, 1, 1, 1]
     assert table["convention"].tolist() == [
         "traditional", "traditional", "main", "main", "main"]
+
+
+@pytest.mark.parametrize("conv", [None, Convention.MAIN, Convention.NEGATIVE_ENERGY],
+                         ids=lambda c: getattr(c, "value", "auto"))
+def test_scatter_table_matches_scalar_chain_on_10000_edge_rows(conv):
+    # Six setups on the two edges, repeated in a scrambled order: the table
+    # evaluates each once and copies it to its other rows.  Under
+    # ``negative`` the lower edge is refused, and the first such row raises.
+    setups = [(e + side, e) for e in (2.0, 2.5, 1.0 + 2.0 ** -20) for side in (1.0, -1.0)]
+    rows = [setups[(7 * i + i // 5) % len(setups)] for i in range(10_000)]
+    _assert_table_matches(1.0, rows, conv)
+
+
+def test_repeated_refused_rows_raise_at_the_first():
+    # Rows 1 and 3 are refused with messages that name them, and both come
+    # back later: the table must still raise the error of row 1.
+    upper, first, second = (3.0, 2.0), (_nudge(1.0, -1), 2.0), (_nudge(0.5, -1), 1.5)
+    rows = [upper, first, upper, second, second, first]
+    _assert_table_matches(1.0, rows, Convention.NEGATIVE_ENERGY)
+    with pytest.raises(EdgePointError, match="V0=0.9999999999999999"):
+        scatter_table(1.0, [v0 for v0, _ in rows], [e for _, e in rows],
+                      Convention.NEGATIVE_ENERGY)
