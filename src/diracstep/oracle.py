@@ -145,7 +145,7 @@ def _magnus_cells(
     )
     sg = sinhc * gamma
     cells = np.array([[cosh + sg, -sinhc * alpha], [sinhc * beta, cosh - sg]])
-    ends = np.cumsum(counts)
+    ends = [sum(counts[: k + 1]) for k in range(len(counts))]
     return [cells[..., end - n : end].transpose(2, 0, 1) for n, end in zip(counts, ends)]
 
 
@@ -209,7 +209,7 @@ def integrate_scattering(
         # The first cell carries the start, so every product is a state.
         cells[0] = cells[0] @ start
         levels = _chain(cells)
-        (x00, x01), (x10, x11) = levels[-1][0]
+        (x00, x01), (x10, x11) = levels[-1][0].tolist()
         arrival = np.array([complex(x00, x01), complex(-x11, x10)])
         coeffs = to_waves @ arrival
         if abs(coeffs[0]) < 1e-8 * math.hypot(abs(arrival[0]), abs(arrival[1])):
@@ -232,7 +232,7 @@ def integrate_scattering(
             n *= 2
             cells = rung.pop(0) if rung else _magnus_cells(setup, step, [n])[0]
             levels, fine = decompose(cells)
-            richardson = float(np.max(np.abs(fine - coarse)) / (15.0 * abs(fine[0])))
+            richardson = float(np.abs(fine - coarse).max() / (15.0 * abs(fine[0])))
             if richardson <= tol:
                 break
             # A non-finite estimate never meets tol: refuse it at once.
@@ -249,10 +249,10 @@ def integrate_scattering(
     # For ψ = S·(X[:, 0] + i X[:, 1]) the current 2 Re(φ̄χ) is −2 det X.
     x = _prefix_chain(levels)
     j_path = -2.0 * (x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0])
-    rho_path = np.sum(x * x, axis=(1, 2))
+    rho_path = (x * x).sum(axis=(1, 2))
     j_ref = 2.0 * (amp[0].conjugate() * amp[1]).real
     conservation = float(
-        np.max(np.abs(j_path - j_ref) / np.maximum(abs(j_ref), rho_path))
+        (np.abs(j_path - j_ref) / np.maximum(abs(j_ref), rho_path)).max()
     )
 
     half = _FLAT_BEYOND * step.width

@@ -296,6 +296,13 @@ def test_smooth_step_refuses_non_finite_height_or_width():
             SmoothStep(height, width)
 
 
+def test_width_whose_reach_underflows_starts_at_the_smallest_pass():
+    # w·(V0 + E + mc2) rounds to 0; the first pass is still 8 cells.  A
+    # massless particle crosses the step without reflection.
+    res = integrate_scattering(PhysicalSetup(0.0, 0.2, 0.1), SmoothStep(0.2, 5e-324))
+    assert (res.n_steps, res.R_num, res.T_num) == (16, 0.0, 1.0)
+
+
 @pytest.mark.parametrize(
     "setup, width, tol, cells",
     [
