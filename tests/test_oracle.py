@@ -306,7 +306,7 @@ def test_width_whose_reach_underflows_starts_at_the_smallest_pass():
 @pytest.mark.parametrize(
     "setup, width, tol, cells",
     [
-        # Too wide for the cells: they overflow at the cap.
+        # Every cell overflows, and the first count is already half the cap.
         (GOLDEN, 1e300, 1e-10, 2**16),
         # An evanescent wave grows past the largest double across 20w, and
         # the first estimate is already NaN, far below the cap.
