@@ -90,11 +90,28 @@ _SWEEP_COLUMNS = (
 )
 
 
-# One %-format per row; "%.17g" gives the same bytes as f"{v:.17g}".
-_SWEEP_ROW = ",".join(
+# "%.17g" gives the same bytes as f"{v:.17g}".
+_SWEEP_FORMATS = tuple(
     "%s" if name in ("regime", "transition", "convention", "boundary") else "%.17g"
     for name in _SWEEP_COLUMNS
 )
+
+
+def _sweep_rows(table: dict) -> list[str]:
+    """The CSV rows of ``table``, by one %-format per row.  A column that is
+    the same on every row, bit for bit (0.0 and -0.0 differ), is formatted
+    once into the row template; the rows format only the varying columns."""
+    template, varying = [], []
+    for spec, name in zip(_SWEEP_FORMATS, _SWEEP_COLUMNS):
+        column = table[name]
+        bits = column.view(np.int64) if column.dtype == np.float64 else column
+        if (bits == bits[0]).all():
+            template.append((spec % column[:1].tolist()[0]).replace("%", "%%"))
+        else:
+            template.append(spec)
+            varying.append(column.tolist())
+    row, rows = ",".join(template), zip(*varying) if varying else [()] * len(column)
+    return [row % values for values in rows]
 
 
 def _cmd_sweep(args) -> int:
@@ -139,11 +156,11 @@ def _cmd_sweep(args) -> int:
         },
         args.precision,
     )
-    lines = [",".join(_SWEEP_COLUMNS)]
-    lines.extend(
-        _SWEEP_ROW % row for row in zip(*(table[c].tolist() for c in _SWEEP_COLUMNS))
-    )
-    Path(args.out).write_text("\n".join(lines) + "\n", newline="\n")
+    lines = [",".join(_SWEEP_COLUMNS), *_sweep_rows(table)]
+    try:
+        Path(args.out).write_text("\n".join(lines) + "\n", newline="\n")
+    except OSError as exc:
+        raise OSError(f"cannot write sweep to {args.out}: {exc}") from exc
     print(f"wrote {args.points} rows to {args.out}")
     return 0
 
@@ -353,11 +370,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_counts(args)
         return args.func(args)
-    except (ValueError, EdgePointError) as exc:
+    except (ValueError, EdgePointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        if getattr(args, "points", None) is None:
+            raise
+        print(f"error: {args.points} points do not fit in memory", file=sys.stderr)
         return 2
 
 

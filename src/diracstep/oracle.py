@@ -170,6 +170,15 @@ def _prefix_chain(levels: list[np.ndarray]) -> np.ndarray:
     return prefix
 
 
+def _growth(kin, step: SmoothStep) -> str:
+    """What overflows on an evanescent step: its density grows across the
+    flat tail [0, 10w] alone by exp(κ·20w)."""
+    if kin.regime is not Regime.EVANESCENT:
+        return ""
+    exponent = 2.0 * _FLAT_BEYOND * step.width * kin.kbar_or_kappa
+    return f": the evanescent density grows by about exp(κ·20w) = exp({exponent:.4g})"
+
+
 def integrate_scattering(
     setup: PhysicalSetup,
     step: SmoothStep,
@@ -183,7 +192,8 @@ def integrate_scattering(
     count until the Richardson estimate is at most ``tol``; the arrival
     value is decomposed onto the incident and reflected free waves, and r
     and t are referred to x = 0.  Raises RuntimeError if the estimate stays
-    above ``tol`` at the internal cell cap.
+    above ``tol`` at the internal cell cap, or if the solution overflows the
+    double range, as an evanescent one does once exp(κ·20w) nears 1e308.
     """
     if conv not in _ORACLE_CONVENTIONS:
         raise ValueError(
@@ -240,27 +250,36 @@ def integrate_scattering(
                 raise RuntimeError(
                     f"Richardson estimate {richardson:.2e} misses tol {tol:.0e} at width "
                     f"{step.width:g} with {n} cells (cap {_MAX_CELLS})"
+                    + ("" if math.isfinite(richardson) else _growth(kin, step))
                 )
             coarse = fine
     coeff_in, coeff_refl = complex(fine[0]), complex(fine[1])
 
-    # Current conservation at every cell boundary, normalized by the local
-    # density so exponentially growing evanescent solutions stay comparable.
-    # For ψ = S·(X[:, 0] + i X[:, 1]) the current 2 Re(φ̄χ) is −2 det X.
-    x = _prefix_chain(levels)
-    j_path = -2.0 * (x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0])
-    rho_path = (x * x).sum(axis=(1, 2))
-    j_ref = 2.0 * (amp[0].conjugate() * amp[1]).real
-    conservation = float(
-        (np.abs(j_path - j_ref) / np.maximum(abs(j_ref), rho_path)).max()
-    )
-
     half = _FLAT_BEYOND * step.width
+    j_ref = 2.0 * (amp[0].conjugate() * amp[1]).real
+    # A pass whose arrival is finite can still overflow the squares below.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            # Current conservation at every cell boundary, normalized by the
+            # local density so exponentially growing evanescent solutions stay
+            # comparable.  For ψ = S·(X[:, 0] + i X[:, 1]) the current
+            # 2 Re(φ̄χ) is −2 det X.
+            x = _prefix_chain(levels)
+            j_path = -2.0 * (x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0])
+            rho_path = (x * x).sum(axis=(1, 2))
+            conservation = float(
+                (np.abs(j_path - j_ref) / np.maximum(abs(j_ref), rho_path)).max()
+            )
+            # log-form avoids overflow of exp(kappa*x) for strongly evanescent runs
+            t_num = cmath.exp(-1j * (q_t + kin.k) * half - cmath.log(coeff_in))
+            j_in = 2.0 * a * abs(coeff_in) ** 2
+    except (FloatingPointError, OverflowError):
+        raise RuntimeError(
+            f"the solution overflows the double range at width {step.width:g}"
+            + _growth(kin, step)
+        ) from None
     r_num = (coeff_refl / coeff_in) * cmath.exp(-2j * kin.k * half)
-    # log-form avoids overflow of exp(kappa*x) for strongly evanescent runs
-    t_num = cmath.exp(-1j * (q_t + kin.k) * half - cmath.log(coeff_in))
     R_num = abs(coeff_refl / coeff_in) ** 2
-    j_in = 2.0 * a * abs(coeff_in) ** 2
     T_num = closure = 0.0
     if kin.regime is not Regime.EVANESCENT:
         T_num = float(j_ref / j_in)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diracstep
@@ -443,3 +444,42 @@ def test_scatter_refuses_overflowing_magnitudes_exit_2(capsys, argv, cause):
     assert code == 2
     assert out == ""
     assert err == f"error: {cause}\n"
+
+
+_POINTS_ARGV = {
+    "sweep": ("sweep", "--vary", "energy", "--from", "1.5", "--to", "3",
+              "--step-height", "4"),
+    "wavefunction": ("wavefunction", "--energy", "2", "--step-height", "4"),
+}
+
+
+@pytest.mark.parametrize("command", list(_POINTS_ARGV))
+def test_point_count_that_does_not_fit_in_memory_exit_2(capsys, tmp_path, monkeypatch,
+                                                         command):
+    # numpy refuses the grid of 1e11 points; the refusal is simulated, so
+    # that the test allocates nothing.
+    arange = np.arange
+
+    def refuse_huge(n, *args, **kwargs):
+        if n == 100_000_000_000:
+            raise MemoryError("Unable to allocate 745. GiB")
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", refuse_huge)
+    out_file = tmp_path / "p.csv"
+    code, out, err = run(capsys, *_POINTS_ARGV[command], "--points", "100000000000",
+                         "--out", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err == "error: 100000000000 points do not fit in memory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, noun", [("sweep", "sweep"), ("wavefunction", "sample")])
+def test_write_failure_names_the_output_exit_2(capsys, tmp_path, command, noun):
+    out_file = tmp_path / "missing" / "p.csv"
+    code, _, err = run(capsys, *_POINTS_ARGV[command], "--points", "5",
+                       "--out", str(out_file))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {noun} to {out_file}: [Errno 2] ")
+    assert not out_file.parent.exists()

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import re
 
 import numpy as np
@@ -451,3 +452,66 @@ def test_clipped_rung_is_bit_identical_at_a_low_cap(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_CELLS", 32)
     seen = _compare_with_reference(_rung_cases())
     assert {(2, 16), (3, 32), (2, 32), "refused"} <= seen
+
+
+# kappa = sqrt(3)/2: the density grows by about exp(kappa*20w) across the step.
+EVANESCENT = PhysicalSetup(1.0, 2.5, 2.0)
+
+
+@pytest.mark.parametrize(
+    "width, exponent",
+    # Up to w = 42 the ladder accepts a finite pass and the squares of the
+    # conservation check overflow; from about w = 100 on the ladder's own
+    # estimate is NaN.
+    [(40.5, "701.5"), (41.0, "710.1"), (42.0, "727.5"), (100.0, "1732")],
+)
+def test_wide_evanescent_step_names_width_and_growth(width, exponent):
+    """A RuntimeError, and no numpy warning (the suite turns RuntimeWarning
+    into an error)."""
+    growth = re.escape(f"grows by about exp(κ·20w) = exp({exponent})")
+    with pytest.raises(RuntimeError, match=f"at width {width:g}.*{growth}"):
+        integrate_scattering(EVANESCENT, SmoothStep(2.5, width))
+
+
+@pytest.mark.parametrize("width", [1.0, 10.0, 30.0, 40.0])
+def test_evanescent_steps_that_fit_are_unchanged(width):
+    step = SmoothStep(2.5, width)
+    expected, _ = _reference_ladder(EVANESCENT, step, Convention.MAIN, 1e-10)
+    assert repr(integrate_scattering(EVANESCENT, step)) == repr(expected)
+
+
+def _oracle_scan_cases(rounds: int, seed: int):
+    """Solves drawn as the benchmark's oracle-scan rounds draw them: both
+    edges at delta from 1e-1 to 1e-4 with w = 1e-3, Klein-zone and
+    transmission setups over widths from 1e-3 to 1, and one evanescent setup,
+    17 per round."""
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    for _ in range(rounds):
+        for decade in (1, 2, 3, 4):
+            for edge in (1.0, -1.0):
+                e = rng.uniform(1.18, 1.22)
+                delta = 10.0 ** -(decade + rng.uniform(-0.1, 0.1))
+                conv = Convention.MAIN if edge > 0 else Convention.TRADITIONAL
+                yield PhysicalSetup(1.0, e + edge * (1.0 + delta), e), 1e-3, conv, 1e-10
+        for lo, hi in ((1e-3, 1e-2), (1e-2, 1e-1), (1e-1, 1.0), (1e-1, 1.0)):
+            e = rng.uniform(1.9, 2.1)
+            conv = rng.choice((Convention.MAIN, Convention.TRADITIONAL))
+            klein = PhysicalSetup(1.0, e + 1.0 + rng.uniform(0.9, 1.1), e)
+            yield klein, log_uniform(lo, hi), conv, 1e-10
+            transmission = PhysicalSetup(1.0, rng.uniform(0.9, 1.1), rng.uniform(2.9, 3.1))
+            yield transmission, log_uniform(lo, hi), Convention.TRADITIONAL, 1e-10
+        e = rng.uniform(1.9, 2.1)
+        evanescent = PhysicalSetup(1.0, e + rng.uniform(-0.6, 0.6), e)
+        yield evanescent, log_uniform(1e-3, 1.0), Convention.MAIN, 1e-10
+
+
+def test_oracle_scan_solves_are_bit_identical_to_one_pass_per_doubling():
+    """510 solves of the benchmark's kind: the overflow guard changes no
+    field of a result that fits in doubles."""
+    cases = list(_oracle_scan_cases(30, seed=20261018))
+    assert len(cases) == 510
+    assert "refused" not in _compare_with_reference(cases)
