@@ -29,9 +29,6 @@ from .limits import (
     InfiniteStepLimit,
     LimitKind,
     LimitSolution,
-    ScanResult,
-    ScanRow,
-    convergence_scan,
     edge_limit,
     impenetrable_limit,
     infinite_potential_limit,
@@ -51,7 +48,7 @@ from .observables import (
     density_current_at_origin,
     transmitted_velocity,
 )
-from .oracle import OracleResult, SmoothStep, integrate_scattering, sharp_limit_study
+from .oracle import OracleResult, SmoothStep, integrate_scattering, sauter_log_coefficients
 from .spinor import (
     PlaneWaveState,
     Side,
@@ -81,8 +78,6 @@ __all__ = [
     "PlaneWaveSolution",
     "PlaneWaveState",
     "Regime",
-    "ScanResult",
-    "ScanRow",
     "ScatteringSolution",
     "Side",
     "SmoothStep",
@@ -92,7 +87,6 @@ __all__ = [
     "classify_boundary",
     "classify_regime",
     "coefficients",
-    "convergence_scan",
     "current",
     "density",
     "density_current_at_origin",
@@ -111,7 +105,7 @@ __all__ = [
     "physical_convention",
     "sample",
     "scatter_table",
-    "sharp_limit_study",
+    "sauter_log_coefficients",
     "transmitted_velocity",
     "write_csv",
 ]

@@ -1,4 +1,4 @@
-"""Closed-form limit solutions and empirical approach-path scans.
+"""Closed-form limit solutions.
 
 Covered limits:
 
@@ -6,9 +6,7 @@ Covered limits:
   (R = 1, T = 0, v_t = 0) while the eigenstate stays finite at the wall;
 * its nonrelativistic reduction E → mc² (Dirichlet or Neumann wall,
   depending on the transmitted-wave convention the limit came from);
-* infinite step, V₀ → ∞, where transmission survives (Klein tunneling);
-* ``convergence_scan``: numerical approach of the impenetrable point from
-  either side, used to verify rates (T vanishes like √δ from the right).
+* infinite step, V₀ → ∞, where transmission survives (Klein tunneling).
 
 Limits are provided as exact closed forms, not numerically approached
 values, so boundary conditions can be evaluated without integration error.
@@ -24,25 +22,18 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
-from .core import PhysicalSetup, Regime, classify_regime, kinematics
-from .forces import external_force_mean
-from .matching import Convention, PlaneWaveSolution, match
-from .observables import coefficients
+from .core import PhysicalSetup, Regime, classify_regime
+from .matching import Convention, PlaneWaveSolution
 from .spinor import PlaneWaveState, Side, Spinor
 
 __all__ = [
     "LimitKind",
     "LimitSolution",
     "InfiniteStepLimit",
-    "ScanRow",
-    "ScanResult",
     "impenetrable_limit",
     "edge_limit",
     "nonrelativistic_limit",
     "infinite_potential_limit",
-    "convergence_scan",
 ]
 
 
@@ -249,69 +240,3 @@ def infinite_potential_limit(energy: float, mass_energy: float) -> InfiniteStepL
         R=((a - 1.0) / (a + 1.0)) ** 2,
         T=4.0 * a / (a + 1.0) ** 2,
     )
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    delta: float
-    R: float
-    T: float
-    v_t: float
-    force: float
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Approach of V₀ = (E + mc²) + δ along a list of offsets δ.
-
-    ``exponent`` is the least-squares slope of log|T| against log δ over
-    the positive offsets (None if there are fewer than two); the
-    impenetrable point is approached with T ∝ √δ, i.e. exponent 1/2.
-    """
-
-    rows: tuple[ScanRow, ...]
-    exponent: float | None
-
-
-def convergence_scan(
-    energy: float,
-    mass_energy: float,
-    conv: Convention,
-    deltas: list[float],
-) -> ScanResult:
-    """Evaluate R, T, v_t and the mean external force along V₀ → E + mc².
-
-    Positive offsets approach from inside the Klein zone, negative ones
-    (allowed range (−mc², 0)) from the total-reflection side.
-    """
-    rows = []
-    for delta in deltas:
-        if delta == 0.0:
-            raise ValueError("offsets must be nonzero; the point itself is a limit")
-        if delta < 0.0 and delta <= -mass_energy:
-            raise ValueError(
-                f"left-side offset must lie in (-mc2, 0), got {delta}"
-            )
-        setup = PhysicalSetup(
-            mass_energy=mass_energy,
-            step_height=(energy + mass_energy) + delta,
-            energy=energy,
-        )
-        sol = match(kinematics(setup), conv)
-        obs = coefficients(sol)
-        rows.append(
-            ScanRow(
-                delta=delta,
-                R=obs.R,
-                T=obs.T,
-                v_t=obs.v_t,
-                force=external_force_mean(sol),
-            )
-        )
-    positive = [(row.delta, abs(row.T)) for row in rows if row.delta > 0.0 and row.T != 0.0]
-    exponent = None
-    if len(positive) >= 2:
-        log_d = np.log([p[0] for p in positive])
-        log_t = np.log([p[1] for p in positive])
-        exponent = float(np.polyfit(log_d, log_t, 1)[0])
-    return ScanResult(rows=tuple(rows), exponent=exponent)

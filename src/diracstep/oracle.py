@@ -32,11 +32,10 @@ between the n- and 2n-cell results, a Richardson estimate of the error,
 meets the tolerance.  The cost therefore depends on w times the wave
 numbers and on the tolerance but not on the distance to a regime edge.
 
-The oracle never touches the closed-form amplitudes; agreement between its
-(R, T) and the matcher's is a genuine two-route check.  Smoothing biases
-the reflection away from the sharp-step value by a relative
-(π²/12)·k·k̄·w² + O(w⁴), so comparisons must either keep w·k small or
-budget for that term.
+The oracle never touches the closed-form amplitudes.  The tanh step is
+exactly solvable (Sauter), so ``sauter_log_coefficients`` gives the exact R
+and T it should reach at any width, and at w = 0 the sharp-step values of
+the matcher.
 
 The negative-energy convention is excluded by design: it is not a
 stationary state at energy E, so no boundary condition of this ODE system
@@ -52,10 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhysicalSetup, Regime, kinematics
-from .matching import Convention, _transmitted_basis, match
-from .observables import coefficients
+from .matching import Convention, _transmitted_basis
 
-__all__ = ["SmoothStep", "OracleResult", "integrate_scattering", "sharp_limit_study"]
+__all__ = ["SmoothStep", "OracleResult", "integrate_scattering", "sauter_log_coefficients"]
 
 _ORACLE_CONVENTIONS = (Convention.MAIN, Convention.TRADITIONAL)
 # The transition region is [−10w, 10w]: 1 − tanh(20) ≈ 8.5e-18.
@@ -170,13 +168,14 @@ def _prefix_chain(levels: list[np.ndarray]) -> np.ndarray:
     return prefix
 
 
-def _growth(kin, step: SmoothStep) -> str:
-    """What overflows on an evanescent step: its density grows across the
-    flat tail [0, 10w] alone by exp(κ·20w)."""
-    if kin.regime is not Regime.EVANESCENT:
-        return ""
-    exponent = 2.0 * _FLAT_BEYOND * step.width * kin.kbar_or_kappa
-    return f": the evanescent density grows by about exp(κ·20w) = exp({exponent:.4g})"
+def _overflow(kin, step: SmoothStep, n: int) -> RuntimeError:
+    """The refusal of a solution that leaves the double range; on an evanescent
+    step it names the density's growth across the flat tail [0, 10w], exp(κ·20w)."""
+    message = f"the solution overflows the double range at width {step.width:g} with {n} cells"
+    if kin.regime is Regime.EVANESCENT:
+        exponent = 2.0 * _FLAT_BEYOND * step.width * kin.kbar_or_kappa
+        message += f": the evanescent density grows by about exp(κ·20w) = exp({exponent:.4g})"
+    return RuntimeError(message)
 
 
 def integrate_scattering(
@@ -193,7 +192,8 @@ def integrate_scattering(
     value is decomposed onto the incident and reflected free waves, and r
     and t are referred to x = 0.  Raises RuntimeError if the estimate stays
     above ``tol`` at the internal cell cap, or if the solution overflows the
-    double range, as an evanescent one does once exp(κ·20w) nears 1e308.
+    double range, as an evanescent one does once exp(κ·20w) nears 1e308 and
+    a wide Klein-zone one does inside its band where |E − V(x)| < mc².
     """
     if conv not in _ORACLE_CONVENTIONS:
         raise ValueError(
@@ -246,11 +246,12 @@ def integrate_scattering(
             if richardson <= tol:
                 break
             # A non-finite estimate never meets tol: refuse it at once.
-            if not (math.isfinite(richardson) and n < _MAX_CELLS):
+            if not math.isfinite(richardson):
+                raise _overflow(kin, step, n)
+            if n >= _MAX_CELLS:
                 raise RuntimeError(
                     f"Richardson estimate {richardson:.2e} misses tol {tol:.0e} at width "
                     f"{step.width:g} with {n} cells (cap {_MAX_CELLS})"
-                    + ("" if math.isfinite(richardson) else _growth(kin, step))
                 )
             coarse = fine
     coeff_in, coeff_refl = complex(fine[0]), complex(fine[1])
@@ -274,10 +275,7 @@ def integrate_scattering(
             t_num = cmath.exp(-1j * (q_t + kin.k) * half - cmath.log(coeff_in))
             j_in = 2.0 * a * abs(coeff_in) ** 2
     except (FloatingPointError, OverflowError):
-        raise RuntimeError(
-            f"the solution overflows the double range at width {step.width:g}"
-            + _growth(kin, step)
-        ) from None
+        raise _overflow(kin, step, n) from None
     r_num = (coeff_refl / coeff_in) * cmath.exp(-2j * kin.k * half)
     R_num = abs(coeff_refl / coeff_in) ** 2
     T_num = closure = 0.0
@@ -295,26 +293,44 @@ def integrate_scattering(
     )
 
 
-def sharp_limit_study(
-    setup: PhysicalSetup,
-    conv: Convention,
-    widths: list[float],
-    tol: float = 1e-10,
-) -> list[tuple[float, float]]:
-    """|R_num(w) − R_closed| along a decreasing sequence of widths.
+def sauter_log_coefficients(
+    setup: PhysicalSetup, width: float, conv: Convention = Convention.MAIN
+) -> tuple[float, float]:
+    """Exact ln R and ln |T| of ``SmoothStep(V₀, width)`` in the Klein zone and
+    the transmission regime (F. Sauter, Z. Phys. 73 (1932) 547).
 
-    Demonstrates convergence of the smooth profile to the sharp step; for
-    tanh smoothing the error column shrinks like w².
+    With c = πw/4 and f(z) = ln|sinh(cz)/c|, under MAIN
+        ln R = f(V₀+k+k̄) + f(V₀−k−k̄) − f(V₀+k−k̄) − f(V₀−k+k̄),
+        ln T = f(2k) + f(2k̄) − f(V₀+k−k̄) − f(V₀−k+k̄);
+    under TRADITIONAL k̄ → −k̄, and T has the sign of 1 − R.  The factor that
+    nearly vanishes at high energy is formed from E − k = m²/(E + k) and
+    |E − V₀| − k̄ = m²/(|E − V₀| + k̄).  As w → 0, f(z) → ln|z|: width 0 gives
+    the sharp step, and sinh z = z(1 + z²/6 + …) raises ln R by
+    (π²/12)·k·k̄·w² + O(w⁴), since (k + k̄)² − (k − k̄)² = 4kk̄.
     """
     kin = kinematics(setup)
-    k_t = kin.kbar_or_kappa
-    if any(w >= 1.0 / k_t for w in widths):
-        raise ValueError("all widths must be below the transmitted wavelength 1/kbar")
-    if any(w2 >= w1 for w1, w2 in zip(widths, widths[1:])):
-        raise ValueError("widths must be strictly decreasing")
-    r_closed = coefficients(match(kin, conv)).R
-    rows = []
-    for w in widths:
-        res = integrate_scattering(setup, SmoothStep(setup.step_height, w), conv, tol=tol)
-        rows.append((w, abs(res.R_num - r_closed)))
-    return rows
+    if conv not in _ORACLE_CONVENTIONS or kin.regime is Regime.EVANESCENT:
+        raise ValueError("Sauter's R and T are those of the main and traditional "
+                         "conventions in the Klein zone and the transmission regime")
+    m, e, v0 = setup.mass_energy, setup.energy, setup.step_height
+    k, kb = kin.k, kin.kbar_or_kappa
+    c = math.pi * width / 4.0
+
+    def f(z: float) -> float:
+        x = abs(c * z)
+        if x < 1e-8:  # sinh x = x to double precision
+            return math.log(abs(z)) if z else -math.inf
+        if x < 1.0:
+            return math.log(math.sinh(x) / c)
+        return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0 * c)
+
+    small = m * m / (e + k) + m * m / (abs(e - v0) + kb)
+    if kin.regime is Regime.KLEIN_ZONE:
+        minus_sum, minus_diff = small, v0 - k + kb
+    else:
+        minus_sum, minus_diff = v0 - k - kb, -v0 * small / (k + kb)
+    sum_pair = f(v0 + k + kb) + f(minus_sum)
+    diff_pair = f(v0 + k - kb) + f(minus_diff)
+    if conv is Convention.TRADITIONAL:
+        sum_pair, diff_pair = diff_pair, sum_pair
+    return sum_pair - diff_pair, f(2.0 * k) + f(2.0 * kb) - diff_pair

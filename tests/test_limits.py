@@ -1,4 +1,4 @@
-"""Closed-form limits and approach-path scans."""
+"""Closed-form limits and the exact approach to the impenetrable point."""
 
 import math
 
@@ -16,13 +16,14 @@ from diracstep import (
     apply_hamiltonian,
     classify_boundary,
     coefficients,
-    convergence_scan,
     current,
     density,
     edge_limit,
+    external_force_mean,
     impenetrable_limit,
     infinite_potential_limit,
     kinematics,
+    match,
     nonrelativistic_limit,
     sample,
 )
@@ -141,40 +142,54 @@ def test_infinite_potential_limit_values():
     assert limit.R + limit.T == pytest.approx(1.0, abs=1e-14)
 
 
-def test_convergence_scan_from_the_right():
-    deltas = [10.0 ** p for p in range(-10, -3)]
-    scan = convergence_scan(2.0, 1.0, Convention.MAIN, deltas)
-    t_values = [row.T for row in scan.rows]
-    r_values = [row.R for row in scan.rows]
-    v_values = [row.v_t for row in scan.rows]
-    assert t_values == sorted(t_values)  # T shrinks toward the wall
-    assert r_values == sorted(r_values, reverse=True)
-    assert v_values == sorted(v_values)
-    assert scan.exponent == pytest.approx(0.5, abs=0.01)
+def _approach(energy, delta):
+    """The MAIN solution at V0 = E + mc2 + delta (delta < 0 from the
+    evanescent side), its observables, a, and eps = sqrt(|delta| / 2mc2) with
+    delta as the setup holds it: V0 - E, and then - mc2, are exact."""
+    setup = PhysicalSetup(1.0, energy + 1.0 + delta, energy)
+    kin = kinematics(setup)
+    sol = match(kin, Convention.MAIN)
+    eps = math.sqrt(abs(setup.step_height - energy - 1.0) / 2.0)
+    return sol, coefficients(sol), kin.a, eps
 
 
-def test_convergence_scan_near_edge_transmission_value():
-    scan = convergence_scan(2.0, 1.0, Convention.MAIN, [1e-6])
-    assert scan.rows[0].T == pytest.approx(0.0016316602369923989, rel=1e-9)
-    assert scan.exponent is None
+DELTAS = [10.0**p for p in range(-12, -3)]
 
 
-def test_convergence_scan_from_the_left_total_reflection():
-    deltas = [-1e-2, -1e-4, -1e-6]
-    scan = convergence_scan(2.0, 1.0, Convention.MAIN, deltas)
-    for row in scan.rows:
-        assert row.R == pytest.approx(1.0, abs=1e-12)
-        assert row.T == 0.0
-        assert math.isnan(row.v_t)
-    forces = [abs(row.force + 4.0) for row in scan.rows]
-    assert forces == sorted(forces, reverse=True)
+@pytest.mark.parametrize("energy", [1.05, 2.0, 10.0])
+def test_klein_side_approach_follows_the_exact_expansion(energy):
+    """T = 4a eps (1 - 2a eps + O(eps^2)) and the wall force is
+    -4(E - mc2)(1 - 2a eps) + O(delta); their O(eps^2) and O(delta)
+    coefficients are -0.43 and -0.205 at E = 1.05, 0.50 and -5.3 at E = 2,
+    1.95 and -65 at E = 10."""
+    rows = []
+    for delta in DELTAS:
+        sol, obs, a, eps = _approach(energy, delta)
+        assert abs(obs.T / (4.0 * a * eps) - (1.0 - 2.0 * a * eps)) <= 3.0 * eps**2, delta
+        wall = -4.0 * (energy - 1.0) * (1.0 - 2.0 * a * eps)
+        assert abs(external_force_mean(sol) - wall) <= 4.0 * energy**2 * eps**2, delta
+        rows.append((obs.T, obs.R, obs.v_t))
+    # T and v_t grow and R falls away from the wall.
+    t_values, r_values, v_values = zip(*rows)
+    assert list(t_values) == sorted(t_values)
+    assert list(r_values) == sorted(r_values, reverse=True)
+    assert list(v_values) == sorted(v_values)
 
 
-def test_convergence_scan_validates_offsets():
-    with pytest.raises(ValueError):
-        convergence_scan(2.0, 1.0, Convention.MAIN, [0.0])
-    with pytest.raises(ValueError):
-        convergence_scan(2.0, 1.0, Convention.MAIN, [-1.5])
+def test_near_edge_transmission_value():
+    _, obs, a, eps = _approach(2.0, 1e-6)
+    assert obs.T == pytest.approx(0.0016316602369923989, rel=1e-9)
+    assert obs.T == pytest.approx(4.0 * a * eps * (1.0 - 2.0 * a * eps), rel=eps**2)
+
+
+@pytest.mark.parametrize("energy", [1.05, 2.0, 10.0])
+def test_evanescent_side_force_has_no_sqrt_delta_term(energy):
+    for delta in DELTAS:
+        sol, obs, _, _ = _approach(energy, -delta)
+        assert obs.R == pytest.approx(1.0, abs=1e-12)
+        assert obs.T == 0.0
+        assert math.isnan(obs.v_t)
+        assert external_force_mean(sol) == pytest.approx(-4.0 * (energy - 1.0), rel=1e-12)
 
 
 EDGE_POINT = PhysicalSetup(1.0, 3.0, 2.0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracstep import (
     Convention,
@@ -184,3 +186,36 @@ def test_current_balance_main():
 def test_coefficients_of_nonrelativistic_limit_name_the_cause(conv):
     with pytest.raises(ValueError, match="incident wave carries no current"):
         coefficients(nonrelativistic_limit(0.01, 1.0, conv))
+
+
+magnitudes = st.floats(min_value=-300.0, max_value=300.0).map(lambda p: 10.0**p)
+
+
+@st.composite
+def extreme_setups(draw):
+    """mc2, E - mc2 and V0 each from 1e-300 to 1e300, with V0 drawn freely or
+    placed a relative offset from either regime edge."""
+    m, kinetic, v0, offset = (draw(magnitudes) for _ in range(4))
+    e = m + kinetic
+    where = draw(st.sampled_from(["free", "klein", "lower"]))
+    if where == "klein":
+        v0 = (e + m) * (1.0 + draw(st.sampled_from([1.0, -1.0])) * min(offset, 0.5))
+    elif where == "lower":
+        v0 = (e - m) * (1.0 + draw(st.sampled_from([1.0, -1.0])) * min(offset, 0.5))
+    return m, v0, e
+
+
+@settings(max_examples=400, deadline=None)
+@given(extreme_setups(), st.sampled_from(list(Convention)))
+def test_extreme_magnitudes_conserve_or_are_refused_with_a_cause(args, conv):
+    """Each input is refused with a ValueError that names its cause, or gives
+    finite R and T with R + T = 1 to 1e-12 of max(1, R)."""
+    m, v0, e = args
+    try:
+        obs = coefficients(match(kinematics(PhysicalSetup(m, v0, e)), conv))
+    except ValueError as exc:
+        # A bare "math domain error" or "math range error" names nothing.
+        assert str(exc) and not str(exc).startswith("math "), repr(exc)
+        return
+    assert math.isfinite(obs.R) and math.isfinite(obs.T)
+    assert abs(obs.R + obs.T - 1.0) <= 1e-12 * max(1.0, obs.R)

@@ -17,10 +17,9 @@ from diracstep import (
     integrate_scattering,
     kinematics,
     match,
-    sharp_limit_study,
+    sauter_log_coefficients,
 )
 from diracstep import matching, oracle
-from diracstep.verify import draw_oracle_setup
 
 GOLDEN = PhysicalSetup(1.0, 4.0, 2.0)
 
@@ -75,9 +74,13 @@ def test_phase_of_reflection_amplitude():
 
 
 def test_randomized_agreement_in_low_bias_window():
+    """E/mc2 in (1.02, 1.7) and the step at most 0.2 mc2 above the Klein edge:
+    the smoothing bias at w = 1e-3 stays below 1e-6."""
     rng = np.random.default_rng(101)
     for _ in range(8):
-        setup = draw_oracle_setup(rng)
+        e = math.exp(rng.uniform(math.log(1.02), math.log(1.7)))
+        delta = math.exp(rng.uniform(math.log(1e-3), math.log(0.2)))
+        setup = PhysicalSetup(1.0, e + 1.0 + delta, e)
         closed = coefficients(match(kinematics(setup), Convention.MAIN)).R
         res = integrate_scattering(
             setup, SmoothStep(setup.step_height, 1e-3), Convention.MAIN
@@ -86,45 +89,96 @@ def test_randomized_agreement_in_low_bias_window():
         assert res.integration_error_estimate < 1e-9
 
 
-def test_smoothing_bias_follows_quadratic_law():
-    """Wide-window check: the deviation from the sharp step tracks
-    (pi^2/12) R k kbar w^2, so agreement is limited by physics, not by the
-    integrator."""
-    rng = np.random.default_rng(55)
-    width = 1e-3
-    for _ in range(5):
-        e = float(np.exp(rng.uniform(np.log(1.1), np.log(3.0))))
-        v0 = float(rng.uniform((e + 1.0) * 1.1, 3.0 * (e + 1.0)))
-        setup = PhysicalSetup(1.0, v0, e)
+def _sauter(setup, width, conv):
+    """Sauter's exact R and T of the tanh step; T has the sign of 1 - R."""
+    log_r, log_t = sauter_log_coefficients(setup, width, conv)
+    r = math.exp(log_r)
+    return r, math.copysign(math.exp(log_t), 1.0 - r)
+
+
+# Klein zone under both conventions, from near the edge to far above it, and
+# the transmission regime under both.
+SAUTER_SETUPS = [
+    (PhysicalSetup(1.0, v0, e), conv)
+    for e, v0 in [(1.2, 2.2 + 1e-6), (1.5, 2.6), (2.0, 4.0), (5.0, 20.0), (50.0, 120.0),
+                  (3.0, 0.8), (2.0, 1.0 - 1e-6), (40.0, 10.0)]
+    for conv in (Convention.MAIN, Convention.TRADITIONAL)
+]
+
+
+@pytest.mark.parametrize("width", [0.0, 1e-3, 0.3, 2.0, 10.0])
+def test_sauter_reflection_and_transmission_add_to_one(width):
+    """sinh(x+y)·sinh(x-y) = sinh(x)^2 - sinh(y)^2 makes R + T = 1 an identity
+    of the exact formulas, which the code evaluates as two separate sums.  The
+    logarithms are about w·V0 in size, and so is their rounding."""
+    for setup, conv in SAUTER_SETUPS:
+        log_r, log_t = sauter_log_coefficients(setup, width, conv)
+        # (R + T - 1) / max(1, R), without forming an R beyond the double range
+        scale = max(0.0, log_r)
+        t = math.copysign(math.exp(log_t - scale), -log_r)
+        defect = math.exp(log_r - scale) + t - math.exp(-scale)
+        assert abs(defect) <= 1e-15 * (100.0 + width * setup.step_height), (setup, conv.value)
+
+
+def test_sauter_at_zero_width_is_the_sharp_step():
+    for setup, conv in SAUTER_SETUPS:
+        closed = coefficients(match(kinematics(setup), conv))
+        r, t = _sauter(setup, 0.0, conv)
+        assert r == pytest.approx(closed.R, rel=1e-12, abs=1e-14), (setup, conv.value)
+        assert t == pytest.approx(closed.T, rel=1e-12, abs=1e-14), (setup, conv.value)
+
+
+def test_sauter_matches_the_direct_sinh_products():
+    """At moderate energies no factor nearly cancels, and the sinh products
+    can be formed as written."""
+    for setup, conv in SAUTER_SETUPS[:8]:
         kin = kinematics(setup)
-        closed = coefficients(match(kin, Convention.MAIN)).R
-        res = integrate_scattering(setup, SmoothStep(v0, width), Convention.MAIN)
-        bias = (np.pi**2 / 12.0) * closed * kin.k * kin.kbar_or_kappa * width**2
-        assert abs(res.R_num - closed) == pytest.approx(bias, rel=0.05, abs=1e-9)
+        v0, k = setup.step_height, kin.k
+        kb = kin.kbar_or_kappa if conv is Convention.MAIN else -kin.kbar_or_kappa
+        for width in (1e-3, 0.3, 2.0):
+            c = math.pi * width / 4.0
+            s1, s2, s3, s4 = (math.sinh(c * (v0 + z)) for z in (k + kb, -k - kb, k - kb, kb - k))
+            r, t = _sauter(setup, width, conv)
+            assert r == pytest.approx(s1 * s2 / (s3 * s4), rel=1e-12)
+            assert t == pytest.approx(math.sinh(2.0 * c * k) * math.sinh(2.0 * c * kb) / (s3 * s4),
+                                      rel=1e-12)
 
 
-def test_sharp_limit_study_monotone_convergence():
-    rows = sharp_limit_study(GOLDEN, Convention.MAIN, [1e-2, 1e-3, 1e-4])
-    errors = [err for _, err in rows]
-    assert errors == sorted(errors, reverse=True)
-    assert errors[-1] < 1e-6
-    assert errors[0] > errors[-1]
-    # quadratic shrinkage: two decades in w give about four in the error
-    assert errors[0] / errors[-1] == pytest.approx(1e4, rel=0.2)
+def test_smoothing_bias_is_the_derived_w2_and_w4_law():
+    """sinh z = z(1 + z^2/6 + z^4/120 + ...) gives ln R(w) - ln R(0) =
+    A w^2 + B w^4 + O(w^6), with A = (pi^2/12) k kb, from
+    (k + kb)^2 - (k - kb)^2 = 4 k kb, and B = -pi^4 k kb (3 V0^2 + k^2 + kb^2)
+    / 2880, from the fourth powers.  So R(w) = R(0) (1 + A w^2 + (B + A^2/2)
+    w^4 + ...): the w^2 coefficient of R(w) is (pi^2/12) k kb R."""
+    for setup, conv in SAUTER_SETUPS:
+        kin = kinematics(setup)
+        v0, k = setup.step_height, kin.k
+        kb = kin.kbar_or_kappa if conv is Convention.MAIN else -kin.kbar_or_kappa
+        a2 = math.pi**2 / 12.0 * k * kb
+        b4 = -(math.pi**4) * k * kb * (3.0 * v0**2 + k**2 + kb**2) / 2880.0
+        r0 = _sauter(setup, 0.0, conv)[0]
+        label = f"E={setup.energy} V0={setup.step_height} {conv.value}"
+        # Widths where the next term is O(w^2 (V0 + E)^2) relative to the one
+        # checked, and rounding of R stays below it.
+        w = 1e-3 / (v0 + setup.energy)
+        w2_coefficient = (_sauter(setup, w, conv)[0] - r0) / w**2
+        assert w2_coefficient == pytest.approx(a2 * r0, rel=1e-5), label
+        w = 4e-2 / (v0 + setup.energy)
+        r = _sauter(setup, w, conv)[0]
+        w4_coefficient = (r - r0 * (1.0 + a2 * w**2)) / w**4
+        assert w4_coefficient == pytest.approx((b4 + a2**2 / 2.0) * r0, rel=1e-3), label
 
 
-def test_sharp_limit_study_coarse_widths():
-    rows = sharp_limit_study(GOLDEN, Convention.MAIN, [0.1, 0.01, 0.001])
-    errors = [err for _, err in rows]
-    assert errors == sorted(errors, reverse=True)
-    assert errors[-1] < 1e-6
-
-
-def test_sharp_limit_study_validates_widths():
-    with pytest.raises(ValueError):
-        sharp_limit_study(GOLDEN, Convention.MAIN, [1e-3, 1e-2])
-    with pytest.raises(ValueError):
-        sharp_limit_study(GOLDEN, Convention.MAIN, [5.0, 1e-3])
+@pytest.mark.parametrize("width", [0.1, 1e-2, 1e-3, 1e-4])
+def test_oracle_follows_sauter_toward_the_sharp_step(width):
+    """The oracle's distance from the sharp step is Sauter's smoothing bias,
+    (pi^2/12) k kb R w^2 to leading order, at every width."""
+    for setup, conv in SAUTER_SETUPS:
+        res = integrate_scattering(setup, SmoothStep(setup.step_height, width), conv)
+        r, t = _sauter(setup, width, conv)
+        label = f"w={width} E={setup.energy} V0={setup.step_height} {conv.value}"
+        assert abs(res.R_num - r) <= 1e-9 * max(1.0, r), label
+        assert abs(math.log(abs(res.T_num / t))) <= 1e-9, label
 
 
 def test_current_conserved_along_trajectory():
@@ -145,33 +199,6 @@ def test_oracle_rejects_unsupported_inputs():
     evan = PhysicalSetup(1.0, 2.5, 2.0)
     with pytest.raises(ValueError):
         integrate_scattering(evan, SmoothStep(2.5, 1e-3), Convention.TRADITIONAL)
-
-
-def _log_abs_sinh(x):
-    x = abs(x)
-    if x < 1.0:
-        return math.log(math.sinh(x))
-    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
-
-
-def _sauter_R(setup, width, conv):
-    """Exact R of the tanh step (F. Sauter, Z. Phys. 73 (1932) 547).
-
-    Klein zone, main: f(V0+k+kb) f(V0-k-kb) / [f(V0+k-kb) f(V0-k+kb)] with
-    f(z) = sinh(pi w z / 4).  Traditional, in the Klein zone and in the
-    transmission regime: the same expression with kb -> -kb, which is 1/R.
-    """
-    kin = kinematics(setup)
-    v0, k = setup.step_height, kin.k
-    kb = kin.kbar_or_kappa if conv is Convention.MAIN else -kin.kbar_or_kappa
-    c = math.pi * width / 4.0
-    log_r = (
-        _log_abs_sinh(c * (v0 + k + kb))
-        + _log_abs_sinh(c * (v0 - k - kb))
-        - _log_abs_sinh(c * (v0 + k - kb))
-        - _log_abs_sinh(c * (v0 - k + kb))
-    )
-    return math.exp(log_r)
 
 
 def _edge_setups(energy, delta):
@@ -196,11 +223,12 @@ def test_exact_sauter_reflection_at_both_edges(width):
             res = integrate_scattering(
                 setup, SmoothStep(setup.step_height, width), conv
             )
-            exact = _sauter_R(setup, width, conv)
+            exact, t = _sauter(setup, width, conv)
             err = abs(res.R_num - exact) / max(1.0, exact)
             label = f"w={width} delta={delta} V0={setup.step_height} {conv.value}"
             assert err <= 1e-9, label
             assert err <= 10.0 * res.integration_error_estimate + 1e-13, label
+            assert abs(math.log(abs(res.T_num / t))) <= 1e-9, label
 
 
 @pytest.mark.parametrize("width", [1e-3, 0.3, 1.0, 2.0])
@@ -246,13 +274,14 @@ def test_exact_sauter_reflection_on_wide_steps(width, tol):
         res = integrate_scattering(
             setup, SmoothStep(setup.step_height, width), conv, tol=tol
         )
+        label = f"w={width} tol={tol} E={setup.energy} V0={setup.step_height} {conv.value}"
         if kinematics(setup).regime is Regime.EVANESCENT:
             exact = 1.0
             assert res.T_num == 0.0
         else:
-            exact = _sauter_R(setup, width, conv)
+            exact, t = _sauter(setup, width, conv)
+            assert abs(math.log(abs(res.T_num / t))) <= max(1e-9, 10.0 * tol), label
         err = abs(res.R_num - exact) / max(1.0, exact)
-        label = f"w={width} tol={tol} E={setup.energy} V0={setup.step_height} {conv.value}"
         # The estimate is of the amplitudes and R squares them, so at the
         # loosest tolerance R may miss by a few times tol.
         assert err <= max(1e-9, 10.0 * tol), label
@@ -305,22 +334,28 @@ def test_width_whose_reach_underflows_starts_at_the_smallest_pass():
 
 
 @pytest.mark.parametrize(
-    "setup, width, tol, cells",
+    "setup, width, tol, cells, conv",
     [
         # Every cell overflows, and the first count is already half the cap.
-        (GOLDEN, 1e300, 1e-10, 2**16),
+        (GOLDEN, 1e300, 1e-10, 2**16, Convention.MAIN),
         # An evanescent wave grows past the largest double across 20w, and
         # the first estimate is already NaN, far below the cap.
-        (PhysicalSetup(1.0, 2.5, 2.0), 100.0, 1e-10, 8192),
-        (PhysicalSetup(1.0, 2.5, 2.0), 1e3, 1e-6, 4096),
+        (PhysicalSetup(1.0, 2.5, 2.0), 100.0, 1e-10, 8192, Convention.MAIN),
+        (PhysicalSetup(1.0, 2.5, 2.0), 1e3, 1e-6, 4096, Convention.MAIN),
+        # A wide Klein-zone step overflows inside its band where |E - V(x)| < mc2.
+        (PhysicalSetup(1.0, 3.0001, 2.0), 1e3, 1e-10, 32768, Convention.MAIN),
+        (PhysicalSetup(1.0, 3.0001, 2.0), 1e3, 1e-10, 32768, Convention.TRADITIONAL),
     ],
 )
-def test_overflowing_cells_raise_at_the_first_non_finite_estimate(setup, width, tol, cells):
+def test_overflowing_cells_raise_at_the_first_non_finite_estimate(setup, width, tol, cells, conv):
     """No numpy warning escapes (the suite turns RuntimeWarning into an
-    error), and the ladder stops at the first estimate, which is NaN."""
-    message = f"Richardson estimate nan misses tol {tol:.0e} at width {width:g} with {cells} cells"
-    with pytest.raises(RuntimeError, match=re.escape(message)):
-        integrate_scattering(setup, SmoothStep(setup.step_height, width), tol=tol)
+    error), and the ladder stops at the first estimate, which is NaN; the
+    refusal names the overflow, not the NaN."""
+    message = f"the solution overflows the double range at width {width:g} with {cells} cells"
+    step = SmoothStep(setup.step_height, width)
+    with pytest.raises(RuntimeError, match=re.escape(message)) as info:
+        integrate_scattering(setup, step, conv, tol=tol)
+    assert "nan" not in str(info.value)
 
 
 def _reference_cells(setup, step, n):
