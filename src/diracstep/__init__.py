@@ -38,7 +38,6 @@ from .matching import (
     Convention,
     PlaneWaveSolution,
     ScatteringSolution,
-    evaluate,
     match,
     physical_convention,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "density",
     "density_current_at_origin",
     "edge_limit",
-    "evaluate",
     "external_force_mean",
     "impenetrable_limit",
     "infinite_potential_limit",

@@ -16,10 +16,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .limits import LimitKind, LimitSolution
-from .matching import PlaneWaveSolution, evaluate
+from .matching import PlaneWaveSolution
 from .spinor import Spinor, current, density
 
-__all__ = ["BoundaryCondition", "BoundaryReport", "classify_boundary"]
+__all__ = ["BoundaryCondition", "BoundaryReport", "TOLERANCE", "classify_boundary"]
+
+# A component counts as zero below TOLERANCE times the solution's amplitude
+# scale; exact limits give zero residuals, matched states small ones.
+TOLERANCE = 1e-10
 
 
 class BoundaryCondition(Enum):
@@ -57,22 +61,16 @@ def _solution_scale(sol: PlaneWaveSolution) -> float:
     return max(max(abs(s.upper), abs(s.lower)) for s in amps)
 
 
-def classify_boundary(
-    sol: PlaneWaveSolution, tolerance: float = 1e-10
-) -> BoundaryReport:
-    """Classify the boundary condition satisfied at the origin.
-
-    ``tolerance`` is relative to the solution's amplitude scale, so the
-    classifier serves both exact closed-form limits (zero residuals) and
-    numerically produced solutions (small ones).  The nonrelativistic limit
-    kinds are classified on their Schroedinger wavefunction instead.
+def classify_boundary(sol: PlaneWaveSolution) -> BoundaryReport:
+    """Classify the boundary condition satisfied at the origin, to
+    ``TOLERANCE`` relative to the solution's amplitude scale.  The
+    nonrelativistic limit kinds are classified on their Schroedinger
+    wavefunction instead.
     """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be > 0")
-    psi0 = evaluate(sol, 0.0)
+    psi0 = sol.spinor_at(0.0)
     if getattr(sol, "kind", None) in (LimitKind.NONREL_MAIN, LimitKind.NONREL_NEGATIVE):
-        return _classify_nonrelativistic(sol, psi0, tolerance)
-    return _classify_relativistic(psi0, _solution_scale(sol), tolerance)
+        return _classify_nonrelativistic(sol, psi0, TOLERANCE)
+    return _classify_relativistic(psi0, _solution_scale(sol), TOLERANCE)
 
 
 def _classify_relativistic(

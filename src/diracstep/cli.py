@@ -26,6 +26,7 @@ from .forces import ForceReport, momentum_flux_bracket
 from .gridio import sample, write_csv
 from .limits import impenetrable_limit, infinite_potential_limit, nonrelativistic_limit
 from .matching import Convention, match, physical_convention
+from .observables import coefficients
 from .table import scatter_table
 from .verify import SUITES, run_suite
 
@@ -205,6 +206,7 @@ def _cmd_limit(args) -> int:
         nr_boundary_mean=-4.0 * (args.energy - args.mass),
     )
     report = classify_boundary(limit)
+    obs = coefficients(limit)
     _echo_params("limit", {"which": "impenetrable", "mass_energy": args.mass,
                            "energy": args.energy, "convention": conv.value},
                  precision)
@@ -212,9 +214,9 @@ def _cmd_limit(args) -> int:
         ("kind", limit.kind.value),
         ("spinor0_upper", psi0.upper),
         ("spinor0_lower", psi0.lower),
-        ("R_limit", limit.R_limit),
-        ("T_limit", limit.T_limit),
-        ("v_t_limit", limit.v_t_limit),
+        ("R_limit", obs.R),
+        ("T_limit", obs.T),
+        ("v_t_limit", obs.v_t),
         ("external_force", forces.external_mean),
         ("boundary_force", forces.boundary_mean),
         ("nr_force", forces.nr_boundary_mean),

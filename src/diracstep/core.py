@@ -20,6 +20,7 @@ __all__ = [
     "Kinematics",
     "EdgePointError",
     "classify_regime",
+    "incident_wave",
     "kinematics",
 ]
 
@@ -123,6 +124,18 @@ class Kinematics:
     b_dprime: complex
 
 
+def incident_wave(energy: float, mass_energy: float) -> tuple[float, float]:
+    """Incident wave number k = √(E² − (mc²)²) and spinor ratio
+    a = √((E − mc²)/(E + mc²)), 1 for mc² = 0.  Raises ValueError when k²
+    overflows."""
+    # (E−m)(E+m) instead of E²−m²: keeps full precision for E close to mc².
+    e, m = energy, mass_energy
+    k2 = (e - m) * (e + m)
+    if k2 == math.inf:
+        raise ValueError(f"(E - mc2)(E + mc2) overflows (E={e}, mc2={m})")
+    return math.sqrt(k2), math.sqrt((e - m) / (e + m)) if m > 0.0 else 1.0
+
+
 def kinematics(setup: PhysicalSetup) -> Kinematics:
     """Compute wave numbers and spinor ratios for an open-regime setup.
 
@@ -143,12 +156,7 @@ def kinematics(setup: PhysicalSetup) -> Kinematics:
         )
     m, e, v0 = setup.mass_energy, setup.energy, setup.step_height
     d = e - v0
-    # (E−m)(E+m) instead of E²−m²: keeps full precision for E close to mc².
-    k2 = (e - m) * (e + m)
-    if k2 == math.inf:
-        raise ValueError(f"(E - mc2)(E + mc2) overflows (E={e}, mc2={m})")
-    k = math.sqrt(k2)
-    a = math.sqrt((e - m) / (e + m)) if m > 0.0 else 1.0
+    k, a = incident_wave(e, m)
     # k̄² in the open regimes, −κ² in the evanescent band.
     kbar2 = (d - m) * (d + m)
     if kbar2 == math.inf:

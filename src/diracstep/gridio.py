@@ -4,7 +4,8 @@
 the ``left_values`` / ``right_values`` evaluators of
 ``matching.PlaneWaveSolution``, the one state type of matched and limit
 solutions.  Each equals its scalar counterpart (``left_value_at`` /
-``right_value_at``) bit for bit, so a sample holds exactly the values a
+``right_value_at``) bit for bit, and so do ``rho`` and ``j`` from
+``spinor.densities`` / ``currents``: a sample holds exactly the values a
 per-point loop would give.  ``write_csv`` formats each row with a single
 %-format.
 
@@ -28,6 +29,7 @@ import numpy as np
 from . import __version__
 from .limits import LimitSolution
 from .matching import PlaneWaveSolution
+from .spinor import currents, densities
 
 __all__ = ["GridSample", "sample", "write_csv"]
 
@@ -106,20 +108,12 @@ def sample(
     if not (np.isfinite(phi).all() and np.isfinite(chi).all()):
         raise ValueError("spinor components must be finite")
 
-    # rho and j as spinor.density / spinor.current form them; Python's ** is
-    # kept because it rounds differently from x*x.
-    rho = [
-        u ** 2 + d ** 2
-        for u, d in zip(np.hypot(phi.real, phi.imag).tolist(),
-                        np.hypot(chi.real, chi.imag).tolist())
-    ]
-    j = 2.0 * (phi.real * chi.real + phi.imag * chi.imag)
     return GridSample(
         xs=tuple(xs.tolist()),
         phi=tuple(phi.tolist()),
         chi=tuple(chi.tolist()),
-        rho=tuple(rho),
-        j=tuple(j.tolist()),
+        rho=tuple(densities(phi, chi).tolist()),
+        j=tuple(currents(phi, chi).tolist()),
         metadata=_metadata(solution),
     )
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .core import PhysicalSetup, Regime, classify_regime
+from .core import PhysicalSetup, Regime, classify_regime, incident_wave
 from .matching import Convention, PlaneWaveSolution
 from .spinor import PlaneWaveState, Side, Spinor
 
@@ -45,10 +45,7 @@ class LimitKind(Enum):
     EDGE_LOWER = "edge-lower"
 
 
-_NR_CONVENTIONS = {
-    LimitKind.NONREL_MAIN: Convention.MAIN,
-    LimitKind.NONREL_NEGATIVE: Convention.NEGATIVE_ENERGY,
-}
+_NONREL_KINDS = (LimitKind.NONREL_MAIN, LimitKind.NONREL_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,8 @@ class LimitSolution(PlaneWaveSolution):
     the spinor-ratio (resp. its small-a limit value).  ``r`` and ``t`` are
     the reflection and transmission amplitudes in the parameterization of
     ``convention``, and ``force`` is the limiting mean of the external step
-    force.  Every kind reflects totally: R = 1, T = 0, v_t = 0.
+    force.  Every kind reflects totally; for the relativistic kinds
+    ``observables.coefficients`` gives R = 1, T = 0, v_t = 0 exactly.
     """
 
     kind: LimitKind
@@ -69,9 +67,6 @@ class LimitSolution(PlaneWaveSolution):
     mass_energy: float
     a: float
     force: float
-    R_limit: float = 1.0
-    T_limit: float = 0.0
-    v_t_limit: float = 0.0
 
     @property
     def wave_number(self) -> float:
@@ -96,7 +91,7 @@ def _limit(kind, conv, energy, mass_energy, k, a, r, t, force) -> LimitSolution:
         LimitKind.NONREL_MAIN: Spinor(0.0, 0.0),
     }.get(kind, Spinor(2.0, 0.0))
     return LimitSolution.reflecting(
-        k, 0.0 if kind in _NR_CONVENTIONS else a, r,
+        k, 0.0 if kind in _NONREL_KINDS else a, r,
         PlaneWaveState(wall, 0.0, Side.RIGHT), conv, t,
         kind=kind, energy=energy, mass_energy=mass_energy, a=a, force=force,
     )
@@ -107,17 +102,6 @@ def _check_finite(energy: float, mass_energy: float) -> None:
         raise ValueError(f"energy must be finite, got {energy}")
     if not (mass_energy >= 0.0 and math.isfinite(mass_energy)):
         raise ValueError(f"mass_energy must be finite and >= 0, got {mass_energy}")
-
-
-def _k_and_a(energy: float, mass_energy: float) -> tuple[float, float]:
-    """Incident wave number and spinor ratio, as ``kinematics`` forms them."""
-    k = math.sqrt((energy - mass_energy) * (energy + mass_energy))
-    a = (
-        math.sqrt((energy - mass_energy) / (energy + mass_energy))
-        if mass_energy > 0.0
-        else 1.0
-    )
-    return k, a
 
 
 def impenetrable_limit(
@@ -136,7 +120,7 @@ def impenetrable_limit(
     if energy <= mass_energy:
         raise ValueError("impenetrable limit needs E > mc2")
     _check_finite(energy, mass_energy)
-    k, a = _k_and_a(energy, mass_energy)
+    k, a = incident_wave(energy, mass_energy)
     if conv in (Convention.MAIN, Convention.LOWER_COMPONENT):
         kind, conv, r = LimitKind.IMPENETRABLE_MAIN, Convention.MAIN, -1.0
         force = -4.0 * (energy - mass_energy)
@@ -183,23 +167,22 @@ def edge_limit(
         raise ValueError(
             f"{conv.value!r} parameterization is degenerate at the lower edge"
         )
-    k, a = _k_and_a(energy, mass_energy)
+    k, a = incident_wave(energy, mass_energy)
     return _limit(LimitKind.EDGE_LOWER, conv, energy, mass_energy, k, a, 1.0, 2.0,
                   -4.0 * (energy - mass_energy))
 
 
 def nonrelativistic_limit(
-    energy_nr: float, mass_energy: float, kind: LimitKind | Convention
+    energy_nr: float, mass_energy: float, conv: Convention
 ) -> LimitSolution:
     """Nonrelativistic reduction of an impenetrable-barrier eigenstate.
 
     ``energy_nr`` is the kinetic energy; validity requires it to be small
-    against mc².  ``kind`` is a NONREL kind or the convention it comes
-    from: NONREL_MAIN (MAIN) is the hard-wall Dirichlet state 2i·sin(k x)
-    with vanishing lower component; NONREL_NEGATIVE (NEGATIVE_ENERGY) is
-    the Neumann state 2·cos(k x), constant beyond the wall.
+    against mc².  ``conv`` is the convention the limit comes from: MAIN
+    gives NONREL_MAIN, the hard-wall Dirichlet state 2i·sin(k x) with
+    vanishing lower component; NEGATIVE_ENERGY gives NONREL_NEGATIVE, the
+    Neumann state 2·cos(k x), constant beyond the wall.
     """
-    conv = _NR_CONVENTIONS.get(kind, kind)
     if conv is Convention.MAIN:
         kind, r = LimitKind.NONREL_MAIN, -1.0
     elif conv is Convention.NEGATIVE_ENERGY:
@@ -233,7 +216,7 @@ def infinite_potential_limit(energy: float, mass_energy: float) -> InfiniteStepL
     if energy <= mass_energy:
         raise ValueError("infinite-step limit needs E > mc2")
     _check_finite(energy, mass_energy)
-    _, a = _k_and_a(energy, mass_energy)
+    _, a = incident_wave(energy, mass_energy)
     return InfiniteStepLimit(
         a=a,
         b_limit=-1.0,

@@ -18,7 +18,7 @@ path and the per-convention closed forms become checks, not sources.
 
 Matched states and the closed-form ``limits`` share one state type,
 :class:`PlaneWaveSolution`, which owns the only evaluators, scalar and
-array; ``evaluate`` is a view of its ``spinor_at``.
+array.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ __all__ = [
     "Convention",
     "PlaneWaveSolution",
     "ScatteringSolution",
+    "GROWING_UNDER_EVANESCENT",
     "match",
-    "evaluate",
     "physical_convention",
+    "transmitted_column",
 ]
 
 
@@ -121,6 +122,24 @@ class ScatteringSolution(PlaneWaveSolution):
         return self.kinematics.setup
 
 
+# The e^{+ik̄x} waves, which grow for x → +∞ once k̄ → −iκ under an
+# evanescent step.
+GROWING_UNDER_EVANESCENT = (Convention.TRADITIONAL, Convention.NEGATIVE_ENERGY)
+
+
+def transmitted_column(conv: Convention, b, b_dprime, k_t):
+    """Unit-coefficient transmitted spinor (upper, lower) of ``conv`` and its
+    wave number q_t, from b, b″ and k_t = k̄ (−iκ in the evanescent band);
+    on scalars and arrays alike."""
+    if conv is Convention.MAIN:
+        return 1.0, -b, -k_t
+    if conv is Convention.LOWER_COMPONENT:
+        return b_dprime, 1.0, -k_t
+    if conv is Convention.TRADITIONAL:
+        return 1.0, b, k_t
+    return -b, 1.0, k_t
+
+
 def _transmitted_basis(kin: Kinematics, conv: Convention) -> tuple[Spinor, complex]:
     """Unit-coefficient transmitted amplitude and its wave number.
 
@@ -129,20 +148,15 @@ def _transmitted_basis(kin: Kinematics, conv: Convention) -> tuple[Spinor, compl
     """
     if kin.regime is Regime.EVANESCENT:
         k_t = -1j * kin.kbar_or_kappa
-        if conv in (Convention.TRADITIONAL, Convention.NEGATIVE_ENERGY):
+        if conv in GROWING_UNDER_EVANESCENT:
             raise ValueError(
                 f"{conv.value!r} transmitted wave grows under the step in the "
                 "evanescent regime"
             )
     else:
         k_t = complex(kin.kbar_or_kappa)
-    if conv is Convention.MAIN:
-        return Spinor(1.0, -kin.b), -k_t
-    if conv is Convention.LOWER_COMPONENT:
-        return Spinor(kin.b_dprime, 1.0), -k_t
-    if conv is Convention.TRADITIONAL:
-        return Spinor(1.0, kin.b), k_t
-    return Spinor(-kin.b, 1.0), k_t
+    upper, lower, q_t = transmitted_column(conv, kin.b, kin.b_dprime, k_t)
+    return Spinor(upper, lower), q_t
 
 
 def physical_convention(regime: Regime) -> Convention:
@@ -191,8 +205,3 @@ def match(kin: Kinematics, conv: Convention) -> ScatteringSolution:
     return ScatteringSolution.reflecting(
         kin.k, kin.a, r, transmitted, conv, t, kinematics=kin
     )
-
-
-def evaluate(sol: PlaneWaveSolution, x: float) -> Spinor:
-    """Piecewise value of a state at position x (``sol.spinor_at(x)``)."""
-    return sol.spinor_at(x)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .matching import PlaneWaveSolution, evaluate
+from .matching import PlaneWaveSolution
 from .spinor import current, density
 
 __all__ = [
@@ -70,7 +70,7 @@ def coefficients(sol: PlaneWaveSolution) -> ObservableSet:
 
 def density_current_at_origin(sol: PlaneWaveSolution) -> tuple[float, float]:
     """(ρ(0), j(0)) evaluated from the spinor at the step edge."""
-    psi0 = evaluate(sol, 0.0)
+    psi0 = sol.spinor_at(0.0)
     return density(psi0), current(psi0)
 
 

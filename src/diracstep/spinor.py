@@ -117,6 +117,32 @@ def complex_quotient(z, w) -> np.ndarray:
     return out
 
 
+def product(x, y):
+    """x * y as CPython rounds it; a product of floats stays real."""
+    return complex_product(x, y) if np.iscomplexobj(x) or np.iscomplexobj(y) else x * y
+
+
+def quotient(x, y):
+    """x / y as CPython rounds it; a quotient of floats stays real."""
+    return complex_quotient(x, y) if np.iscomplexobj(x) or np.iscomplexobj(y) else x / y
+
+
+def magnitude(x):
+    """abs(): CPython's complex abs is hypot(re, im)."""
+    return np.hypot(x.real, x.imag) if np.iscomplexobj(x) else np.abs(x)
+
+
+def densities(upper, lower):
+    """``density`` of arrays of components; np.float_power(x, 2) rounds as
+    Python's x ** 2."""
+    return np.float_power(magnitude(upper), 2.0) + np.float_power(magnitude(lower), 2.0)
+
+
+def currents(upper, lower):
+    """``current`` of arrays of components."""
+    return 2.0 * product(np.conj(upper), lower).real
+
+
 def density(s: Spinor) -> float:
     """Probability density |upper|² + |lower|²."""
     return abs(s.upper) ** 2 + abs(s.lower) ** 2

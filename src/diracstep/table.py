@@ -3,9 +3,9 @@
 ``scatter_table`` runs the scalar chain ``PhysicalSetup`` → ``kinematics``
 → ``match`` → ``coefficients`` → ``classify_boundary`` on numpy arrays, one
 operation for each of the chain's, with the chain's operand types (complex
-only in the evanescent band, which keeps the signed zeros) and CPython's
-rounding: ``spinor.complex_product`` / ``complex_quotient``, ``np.hypot``
-for abs and ``np.float_power`` for x ** 2.  Edge rows come from
+only in the evanescent band, which keeps the signed zeros), the chain's
+transmitted column (``matching.transmitted_column``) and CPython's rounding
+(``spinor``'s array arithmetic).  Edge rows come from
 ``limits.edge_limit``.  Refused rows are found as masks, and the first is
 replayed through the chain, which raises its own error.  The scalar chain
 stays the single-solution API and this core's reference: at N = 1 it is
@@ -18,38 +18,16 @@ from collections import defaultdict
 
 import numpy as np
 
-from .boundary import BoundaryCondition, classify_boundary
+from .boundary import TOLERANCE, BoundaryCondition, classify_boundary
 from .core import PhysicalSetup, Regime, classify_regime, kinematics
 from .limits import edge_limit
-from .matching import Convention, match, physical_convention
+from .matching import (GROWING_UNDER_EVANESCENT, Convention, match, physical_convention,
+                       transmitted_column)
 from .observables import coefficients
-from .spinor import complex_product, complex_quotient
+from .spinor import (complex_product, complex_quotient, currents, densities, magnitude,
+                     product, quotient)
 
 __all__ = ["scatter_table"]
-
-
-def _mul(x, y):
-    """x * y as CPython rounds it; a product of floats stays real."""
-    return complex_product(x, y) if np.iscomplexobj(x) or np.iscomplexobj(y) else x * y
-
-
-def _div(x, y):
-    """x / y as CPython rounds it; a quotient of floats stays real."""
-    return complex_quotient(x, y) if np.iscomplexobj(x) or np.iscomplexobj(y) else x / y
-
-
-def _abs(x):
-    """abs(): CPython's complex abs is hypot(re, im)."""
-    return np.hypot(x.real, x.imag) if np.iscomplexobj(x) else np.abs(x)
-
-
-def _density(upper, lower):
-    """``spinor.density``; np.float_power(x, 2) rounds as Python's x ** 2."""
-    return np.float_power(_abs(upper), 2.0) + np.float_power(_abs(lower), 2.0)
-
-
-def _current(upper, lower):
-    return 2.0 * _mul(np.conj(upper), lower).real
 
 
 def _open_rows(m, v0, e, conv: Convention, evanescent: bool):
@@ -66,44 +44,38 @@ def _open_rows(m, v0, e, conv: Convention, evanescent: bool):
     else:
         k_t = kappa.astype(complex)
         b = kappa / (d + m)
-    b_dprime = -_div(1.0, b)
+    b_dprime = -quotient(1.0, b)
     refused = (k2 == np.inf) | (kbar2 == np.inf) | (kbar2 == 0.0) | (d + m == 0.0)
     refused |= b == 0.0
-    # match, with the transmitted column of _transmitted_basis
-    upper, lower = {
-        Convention.MAIN: (1.0, -b),
-        Convention.LOWER_COMPONENT: (b_dprime, 1.0),
-        Convention.TRADITIONAL: (1.0, b),
-        Convention.NEGATIVE_ENERGY: (-b, 1.0),
-    }[conv]
-    q_t = -k_t if conv in (Convention.MAIN, Convention.LOWER_COMPONENT) else k_t
-    scale = np.maximum(_abs(upper), _abs(lower))
-    u_hat, l_hat = _div(upper, scale), _div(lower, scale)
-    det = _mul(u_hat, a) + l_hat
-    t = complex_quotient(np.asarray(_div(2.0 * a, det), dtype=complex), scale)
-    r = np.asarray(_div(_mul(u_hat, a) - l_hat, det), dtype=complex)
+    # match
+    upper, lower, q_t = transmitted_column(conv, b, b_dprime, k_t)
+    scale = np.maximum(magnitude(upper), magnitude(lower))
+    u_hat, l_hat = quotient(upper, scale), quotient(lower, scale)
+    det = product(u_hat, a) + l_hat
+    t = complex_quotient(np.asarray(quotient(2.0 * a, det), dtype=complex), scale)
+    r = np.asarray(quotient(product(u_hat, a) - l_hat, det), dtype=complex)
     t_upper, t_lower = complex_product(t, upper), complex_product(t, lower)
     r_lower = complex_product(-r, a)
     # coefficients, with psi(0) from the transmitted wave's value_at(0.0)
-    j_in = _current(1.0, a)
+    j_in = currents(1.0, a)
     phase = np.exp(complex_product(complex_product(1j, q_t), 0.0))
     psi_upper = complex_product(phase, t_upper)
     psi_lower = complex_product(phase, t_lower)
-    rho0 = _density(psi_upper, psi_lower)
+    rho0 = densities(psi_upper, psi_lower)
     if evanescent:
         T, v_t = np.zeros_like(a), np.full_like(a, np.nan)
     else:
-        j_t, rho_t = _current(t_upper, t_lower), _density(t_upper, t_lower)
+        j_t, rho_t = currents(t_upper, t_lower), densities(t_upper, t_lower)
         T, v_t = j_t / j_in, j_t / rho_t
         refused |= rho_t == 0.0
     # classify_boundary, whose scale ** 2 overflows past ~1.3e154
     sol_scale = np.maximum.reduce([
         np.maximum(1.0, np.abs(a)),
-        np.maximum(_abs(r), _abs(r_lower)),
-        np.maximum(_abs(t_upper), _abs(t_lower)),
+        np.maximum(magnitude(r), magnitude(r_lower)),
+        np.maximum(magnitude(t_upper), magnitude(t_lower)),
     ])
-    upper_zero = _abs(psi_upper) < 1e-10 * sol_scale
-    lower_zero = _abs(psi_lower) < 1e-10 * sol_scale
+    upper_zero = magnitude(psi_upper) < TOLERANCE * sol_scale
+    lower_zero = magnitude(psi_lower) < TOLERANCE * sol_scale
     boundary = np.where(
         upper_zero == lower_zero, BoundaryCondition.NONE.value,
         np.where(upper_zero, BoundaryCondition.DIRICHLET_UPPER.value,
@@ -114,8 +86,8 @@ def _open_rows(m, v0, e, conv: Convention, evanescent: bool):
     columns = {"a": a, "b_re": b.real, "b_im": b.imag, "k": np.sqrt(k2),
                "kbar_or_kappa": kappa, "r_re": r.real, "r_im": r.imag,
                "t_re": t.real, "t_im": t.imag, "T": T, "rho0": rho0, "v_t": v_t,
-               "R": np.abs(_current(r, r_lower)) / np.abs(j_in), "force": -v0 * rho0,
-               "j0": _current(psi_upper, psi_lower), "boundary": boundary}
+               "R": np.abs(currents(r, r_lower)) / np.abs(j_in), "force": -v0 * rho0,
+               "j0": currents(psi_upper, psi_lower), "boundary": boundary}
     return columns, refused
 
 
@@ -156,13 +128,15 @@ def scatter_table(mass, step_heights, energies, conv: Convention | None) -> dict
             [*edges, Regime.KLEIN_ZONE.value, Regime.TRANSMISSION.value],
             Regime.EVANESCENT.value,
         ).astype(object)
-        convs = np.full(len(e), (conv or Convention.MAIN).value, dtype=object)
+        # With conv=None each open regime's physical convention; edge rows
+        # take theirs from their limit below.
+        convs = np.full(len(e), None if conv is None else conv.value, dtype=object)
         if conv is None:
-            convs[regime == Regime.TRANSMISSION.value] = Convention.TRADITIONAL.value
+            for open_regime in (Regime.TRANSMISSION, Regime.EVANESCENT, Regime.KLEIN_ZONE):
+                convs[regime == open_regime.value] = physical_convention(open_regime).value
         edge = np.isin(regime, edges)
         evanescent = regime == Regime.EVANESCENT.value
-        # The TRADITIONAL and NEGATIVE_ENERGY waves grow under an evanescent step.
-        growing = [Convention.TRADITIONAL.value, Convention.NEGATIVE_ENERGY.value]
+        growing = [c.value for c in GROWING_UNDER_EVANESCENT]
         refused = ~valid | (evanescent & np.isin(convs, growing))
         table = defaultdict(lambda: np.zeros(len(e)), {
             "step_height": v0, "energy": e, "regime": regime,

@@ -13,7 +13,6 @@ import pytest
 from diracstep import (
     BoundaryCondition,
     Convention,
-    LimitKind,
     PhysicalSetup,
     PlaneWaveState,
     SmoothStep,
@@ -86,7 +85,8 @@ def test_criterion_3_impenetrable_limit_values():
     energies += [2.0]
     for e in energies:
         main = impenetrable_limit(e, 1.0, Convention.MAIN)
-        assert (main.R_limit, main.T_limit, main.v_t_limit) == (1.0, 0.0, 0.0)
+        obs = coefficients(main)
+        assert (obs.R, obs.T, obs.v_t) == (1.0, 0.0, 0.0)
         psi0 = main.spinor_at(0.0)
         assert psi0.upper == 0.0
         assert psi0.lower == 2.0 * main.a
@@ -170,7 +170,7 @@ def test_criterion_6_nonrelativistic_limit():
     assert abs(rel.force / (-4.0 * e_nr) - 1.0) < 1e-5
     wall = momentum_flux_bracket(rel.spinor_at(0.0), e, 1.0)
     assert abs(wall / (-4.0 * e_nr) - 1.0) < 1e-5
-    neumann = nonrelativistic_limit(e_nr, 1.0, LimitKind.NONREL_NEGATIVE)
+    neumann = nonrelativistic_limit(e_nr, 1.0, Convention.NEGATIVE_ENERGY)
     assert classify_boundary(neumann).classification is BoundaryCondition.NEUMANN_NR
     assert neumann.force == pytest.approx(-4.0 * e_nr, rel=1e-12)
     _report(6, "impenetrable force equals -4E_nr to 1e-5; Neumann NR classified")

@@ -6,7 +6,6 @@ import pytest
 from diracstep import (
     BoundaryCondition,
     Convention,
-    LimitKind,
     PhysicalSetup,
     classify_boundary,
     impenetrable_limit,
@@ -67,9 +66,9 @@ def test_evanescent_solution_impenetrable_but_unclassified():
 
 
 def test_nonrelativistic_classifications():
-    main = nonrelativistic_limit(0.01, 1.0, LimitKind.NONREL_MAIN)
+    main = nonrelativistic_limit(0.01, 1.0, Convention.MAIN)
     assert classify_boundary(main).classification is BoundaryCondition.DIRICHLET_NR
-    negative = nonrelativistic_limit(0.01, 1.0, LimitKind.NONREL_NEGATIVE)
+    negative = nonrelativistic_limit(0.01, 1.0, Convention.NEGATIVE_ENERGY)
     assert (
         classify_boundary(negative).classification is BoundaryCondition.NEUMANN_NR
     )
@@ -78,7 +77,7 @@ def test_nonrelativistic_classifications():
 def test_degenerate_whole_spinor_zero_flagged_not_classified():
     """ψ(0) = 0 entirely: flagged, but deliberately given no classification
     (not a self-adjoint wall condition) except in nonrelativistic mode."""
-    nr = nonrelativistic_limit(0.01, 1.0, LimitKind.NONREL_MAIN)
+    nr = nonrelativistic_limit(0.01, 1.0, Convention.MAIN)
     nr_report = classify_boundary(nr)
     assert nr_report.classification is BoundaryCondition.DIRICHLET_NR
     # relativistic solution with both components zero at the origin cannot
@@ -90,11 +89,6 @@ def test_degenerate_whole_spinor_zero_flagged_not_classified():
     assert report.both_components_zero
     assert report.classification is BoundaryCondition.NONE
     assert report.impenetrable
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        classify_boundary(impenetrable_limit(2.0, 1.0), tolerance=0.0)
 
 
 def test_tolerance_is_relative():

@@ -446,6 +446,32 @@ def test_scatter_refuses_overflowing_magnitudes_exit_2(capsys, argv, cause):
     assert err == f"error: {cause}\n"
 
 
+@pytest.mark.parametrize("argv,cause", [
+    (("scatter", "--energy", "1e300", "--step-height", "1e300"),
+     "E=1e+300, mc2=1.0"),
+    # Both rows lie on a regime edge: E - mc2 and E + mc2.
+    (("sweep", "--vary", "step-height", "--from", "9.999999999e+199",
+      "--to", "1.0000000000999999e+200", "--points", "2", "--energy", "1e200",
+      "--mass", "1e190"), "E=1e+200, mc2=1e+190"),
+    (("limit", "--which", "impenetrable", "--energy", "1e300"), "E=1e+300, mc2=1.0"),
+    (("limit", "--which", "infinite", "--energy", "1e300"), "E=1e+300, mc2=1.0"),
+    (("wavefunction", "--limit", "impenetrable", "--energy", "1e300"),
+     "E=1e+300, mc2=1.0"),
+], ids=["scatter", "sweep", "limit", "limit-infinite", "wavefunction"])
+def test_edge_point_with_overflowing_wave_number_exit_2(capsys, tmp_path, argv, cause):
+    """At an edge, and in every relativistic limit, the incident wave number
+    k comes from core.incident_wave, which refuses k² = (E - mc2)(E + mc2)
+    that overflows, as kinematics does."""
+    out_file = tmp_path / "out.csv"
+    if argv[0] in ("sweep", "wavefunction"):
+        argv += ("--out", str(out_file))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: (E - mc2)(E + mc2) overflows ({cause})\n"
+    assert not out_file.exists()
+
+
 _POINTS_ARGV = {
     "sweep": ("sweep", "--vary", "energy", "--from", "1.5", "--to", "3",
               "--step-height", "4"),

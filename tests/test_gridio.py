@@ -6,7 +6,6 @@ import pytest
 
 from diracstep import (
     Convention,
-    LimitKind,
     PhysicalSetup,
     impenetrable_limit,
     kinematics,
@@ -70,7 +69,7 @@ def test_impenetrable_sample_zero_current_and_density_at_wall():
 
 
 def test_nonrel_sample_has_zero_lower_component():
-    limit = nonrelativistic_limit(0.01, 1.0, LimitKind.NONREL_MAIN)
+    limit = nonrelativistic_limit(0.01, 1.0, Convention.MAIN)
     gs = sample(limit, -4.0, 1.0, 64)
     assert all(abs(c) < 1e-12 for c in gs.chi)
 

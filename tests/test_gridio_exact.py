@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from diracstep import (
     Convention,
-    LimitKind,
     PhysicalSetup,
     PlaneWaveState,
     Side,
@@ -111,8 +110,8 @@ def _edge(u, offset, conv=None):
 LIMIT_CASES = [
     lambda u: impenetrable_limit(1.01 + 4.0 * u, 1.0, Convention.MAIN),
     lambda u: impenetrable_limit(1.01 + 4.0 * u, 1.0, Convention.NEGATIVE_ENERGY),
-    lambda u: nonrelativistic_limit(1e-3 + 0.5 * u, 1.0, LimitKind.NONREL_MAIN),
-    lambda u: nonrelativistic_limit(1e-3 + 0.5 * u, 1.0, LimitKind.NONREL_NEGATIVE),
+    lambda u: nonrelativistic_limit(1e-3 + 0.5 * u, 1.0, Convention.MAIN),
+    lambda u: nonrelativistic_limit(1e-3 + 0.5 * u, 1.0, Convention.NEGATIVE_ENERGY),
     lambda u: _edge(u, 1.0, Convention.LOWER_COMPONENT),  # the edge point
     lambda u: _edge(u, -1.0),  # the lower edge
 ]
@@ -265,5 +264,5 @@ def test_golden_scattering_bytes(case, tmp_path):
 def test_golden_limit_bytes(case, tmp_path):
     which, e, m, kind, x_min, x_max, n, expected = case
     limit = (impenetrable_limit(e, m, Convention(kind)) if which == "impenetrable"
-             else nonrelativistic_limit(e, m, LimitKind(kind)))
+             else nonrelativistic_limit(e, m, Convention(kind.removeprefix("nonrel-"))))
     assert _digest(sample(limit, x_min, x_max, n), tmp_path) == expected

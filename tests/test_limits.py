@@ -34,7 +34,8 @@ def test_impenetrable_main_golden():
     psi0 = limit.spinor_at(0.0)
     assert psi0.upper == 0.0
     assert psi0.lower == pytest.approx(1.1547005383792515, abs=1e-13)
-    assert (limit.R_limit, limit.T_limit, limit.v_t_limit) == (1.0, 0.0, 0.0)
+    obs = coefficients(limit)
+    assert (obs.R, obs.T, obs.v_t) == (1.0, 0.0, 0.0)
     assert limit.force == pytest.approx(-4.0, abs=1e-13)
 
 
@@ -106,7 +107,7 @@ def test_limit_force_scale_invariance():
 def test_nonrelativistic_main():
     m = 1.0
     e_nr = 0.005
-    limit = nonrelativistic_limit(e_nr, m, LimitKind.NONREL_MAIN)
+    limit = nonrelativistic_limit(e_nr, m, Convention.MAIN)
     assert limit.a == pytest.approx(0.05, abs=1e-15)
     # exact-formula cross-check at E = mc2 + E_nr
     a_exact = kinematics(PhysicalSetup(m, 4.0, m + e_nr)).a
@@ -119,7 +120,7 @@ def test_nonrelativistic_main():
 
 
 def test_nonrelativistic_negative_neumann_form():
-    limit = nonrelativistic_limit(0.005, 1.0, LimitKind.NONREL_NEGATIVE)
+    limit = nonrelativistic_limit(0.005, 1.0, Convention.NEGATIVE_ENERGY)
     assert limit.nr_derivative_at_origin() == 0.0
     assert limit.spinor_at(0.0).upper == pytest.approx(2.0)
     assert limit.spinor_at(2.0).upper == pytest.approx(2.0)
@@ -128,10 +129,10 @@ def test_nonrelativistic_negative_neumann_form():
 
 
 def test_nonrelativistic_limit_validation():
+    with pytest.raises(ValueError, match="main and negative conventions"):
+        nonrelativistic_limit(0.01, 1.0, LimitKind.NONREL_MAIN)
     with pytest.raises(ValueError):
-        nonrelativistic_limit(0.01, 1.0, LimitKind.IMPENETRABLE_MAIN)
-    with pytest.raises(ValueError):
-        nonrelativistic_limit(-0.01, 1.0, LimitKind.NONREL_MAIN)
+        nonrelativistic_limit(-0.01, 1.0, Convention.MAIN)
 
 
 def test_infinite_potential_limit_values():
@@ -224,7 +225,8 @@ def test_lower_edge_state(conv):
     assert limit.kind is LimitKind.EDGE_LOWER
     assert limit.convention is (conv or Convention.TRADITIONAL)
     assert (limit.r, limit.t) == (1.0, 2.0)
-    assert (limit.R_limit, limit.T_limit, limit.v_t_limit) == (1.0, 0.0, 0.0)
+    obs = coefficients(limit)
+    assert (obs.R, obs.T, obs.v_t) == (1.0, 0.0, 0.0)
     assert limit.force == -4.0 * (2.0 - 1.0)
     assert limit.force == -EDGE_LOWER.step_height * density(limit.spinor_at(0.0))
     negative = impenetrable_limit(2.0, 1.0, Convention.NEGATIVE_ENERGY)
@@ -249,7 +251,7 @@ def test_lower_edge_state(conv):
 def test_limit_coefficients_are_the_closed_form_limits(limit):
     """The plane-wave currents of a limit give R = 1, T = 0, v_t = 0."""
     obs = coefficients(limit)
-    assert (obs.R, obs.T, obs.v_t) == (limit.R_limit, limit.T_limit, limit.v_t_limit)
+    assert (obs.R, obs.T, obs.v_t) == (1.0, 0.0, 0.0)
     psi0 = limit.spinor_at(0.0)
     assert (obs.rho0, obs.j0) == (density(psi0), current(psi0))
 
@@ -287,7 +289,6 @@ def test_massless_edge_point():
 ])
 def test_nonrelativistic_limit_accepts_the_convention(conv, kind):
     by_conv = nonrelativistic_limit(0.01, 1.0, conv)
-    assert by_conv == nonrelativistic_limit(0.01, 1.0, kind)
     assert (by_conv.kind, by_conv.convention) == (kind, conv)
 
 
@@ -320,7 +321,7 @@ def test_relativistic_limits_refuse_non_finite_inputs(build, energy, mass_energy
 ], ids=["energy-inf", "energy-nan", "mass-inf", "mass-nan"])
 def test_nonrelativistic_limit_refuses_non_finite_inputs(energy_nr, mass_energy, cause):
     with pytest.raises(ValueError, match=cause):
-        nonrelativistic_limit(energy_nr, mass_energy, LimitKind.NONREL_MAIN)
+        nonrelativistic_limit(energy_nr, mass_energy, Convention.MAIN)
 
 
 # Every limit kind as built by the public constructors, at two energies

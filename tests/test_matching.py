@@ -1,5 +1,7 @@
 """Continuity matcher against the per-convention closed forms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,13 @@ from diracstep import (
     Regime,
     Spinor,
     coefficients,
-    evaluate,
     kinematics,
     match,
     physical_convention,
+    scatter_table,
 )
+from diracstep import verify
+from diracstep.matching import GROWING_UNDER_EVANESCENT
 
 GOLDEN = PhysicalSetup(1.0, 4.0, 2.0)
 
@@ -72,7 +76,7 @@ def test_matcher_agrees_with_closed_forms_randomized(conv):
 
 def test_evaluate_golden_at_origin():
     sol = match(kinematics(GOLDEN), Convention.MAIN)
-    psi0 = evaluate(sol, 0.0)
+    psi0 = sol.spinor_at(0.0)
     assert psi0.upper == pytest.approx(0.5, abs=1e-14)
     assert psi0.lower == pytest.approx(0.8660254037844386, abs=1e-14)
 
@@ -81,7 +85,7 @@ def _residual_at_zero(sol) -> float:
     left_in = sol.incident.value_at(0.0)
     left_re = sol.reflected.value_at(0.0)
     left = Spinor(left_in.upper + left_re.upper, left_in.lower + left_re.lower)
-    right = evaluate(sol, 0.0)
+    right = sol.spinor_at(0.0)
     scale = max(1.0, abs(left.upper), abs(left.lower))
     return max(abs(left.upper - right.upper), abs(left.lower - right.lower)) / scale
 
@@ -119,6 +123,32 @@ def test_growing_conventions_rejected_in_evanescent_regime():
         match(kin, Convention.NEGATIVE_ENERGY)
 
 
+@pytest.mark.parametrize("conv", list(Convention), ids=lambda conv: conv.value)
+def test_evanescent_growth_rule_is_one_fact(conv, monkeypatch):
+    """The scalar matcher, the array core and the conservation suite agree
+    on which conventions exist under an evanescent step."""
+    growing = conv in GROWING_UNDER_EVANESCENT
+    kin = kinematics(PhysicalSetup(1.0, 2.5, 2.0))
+    message = re.escape(f"{conv.value!r} transmitted wave grows under the step "
+                        "in the evanescent regime")
+    for solve in (lambda: match(kin, conv), lambda: scatter_table(1.0, 2.5, 2.0, conv)):
+        if growing:
+            with pytest.raises(ValueError, match=message):
+                solve()
+        else:
+            solve()
+    drawn = set()
+
+    def spy(kin, conv):
+        if kin.regime is Regime.EVANESCENT:
+            drawn.add(conv)
+        return match(kin, conv)
+
+    monkeypatch.setattr(verify, "match", spy)
+    assert verify.run_conservation(trials=3, seed=7).passed
+    assert drawn == set(Convention) - set(GROWING_UNDER_EVANESCENT)
+
+
 def test_main_and_lower_produce_identical_piecewise_solutions():
     rng = np.random.default_rng(3)
     for _ in range(100):
@@ -129,7 +159,7 @@ def test_main_and_lower_produce_identical_piecewise_solutions():
         lower = match(kin, Convention.LOWER_COMPONENT)
         assert main.r == pytest.approx(lower.r, rel=1e-12)
         for x in (-2.3, -0.4, 0.0, 0.9, 3.1):
-            pm, pl = evaluate(main, x), evaluate(lower, x)
+            pm, pl = main.spinor_at(x), lower.spinor_at(x)
             assert pm.upper == pytest.approx(pl.upper, rel=1e-11, abs=1e-13)
             assert pm.lower == pytest.approx(pl.lower, rel=1e-11, abs=1e-13)
         om, ol = coefficients(main), coefficients(lower)
