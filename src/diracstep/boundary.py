@@ -5,9 +5,10 @@ itself need not: depending on how the wall limit was taken, either the
 upper (large) or the lower (small) component satisfies a Dirichlet
 condition at the wall, and the nonrelativistic reductions turn these into
 the usual Dirichlet or Neumann conditions on the Schroedinger
-wavefunction.  Vanishing of the *entire* spinor is reported separately:
-that condition does not correspond to a self-adjoint half-line
-Hamiltonian and never emerges from the step limits.
+wavefunction.  Vanishing of the *entire* spinor is not classified: that
+condition does not correspond to a self-adjoint half-line Hamiltonian, and
+no relativistic state reaches it, since continuity would need r = −1 and
+r = +1 at once.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .limits import LimitKind, LimitSolution
 from .matching import PlaneWaveSolution
-from .spinor import Spinor, current, density
+from .spinor import current, density
 
 __all__ = ["BoundaryCondition", "BoundaryReport", "TOLERANCE", "classify_boundary"]
 
@@ -36,86 +36,43 @@ class BoundaryCondition(Enum):
 
 @dataclass(frozen=True)
 class BoundaryReport:
-    """Origin values and the boundary condition they satisfy.
+    """The boundary condition satisfied at the origin, and whether the
+    current vanishes there (relative to the local density).  The origin
+    values themselves are ``sol.spinor_at(0.0)`` and
+    ``observables.coefficients(sol).j0``."""
 
-    ``impenetrable`` records whether the current vanishes at the origin
-    (relative to the local density).  ``both_components_zero`` flags the
-    degenerate relativistic case ψ(0) = 0, which is not a self-adjoint
-    boundary condition and is deliberately not given a classification.
-    """
-
-    phi0: complex
-    chi0: complex
-    j0: float
     classification: BoundaryCondition
     impenetrable: bool
-    both_components_zero: bool = False
-
-
-def _solution_scale(sol: PlaneWaveSolution) -> float:
-    amps = (
-        sol.incident.amplitude,
-        sol.reflected.amplitude,
-        sol.transmitted.amplitude,
-    )
-    return max(max(abs(s.upper), abs(s.lower)) for s in amps)
 
 
 def classify_boundary(sol: PlaneWaveSolution) -> BoundaryReport:
     """Classify the boundary condition satisfied at the origin, to
-    ``TOLERANCE`` relative to the solution's amplitude scale.  The
-    nonrelativistic limit kinds are classified on their Schroedinger
-    wavefunction instead.
+    ``TOLERANCE`` relative to the solution's amplitude scale.
+
+    A state whose incident wave carries no current (a nonrelativistic
+    limit) is classified on its Schroedinger wavefunction, the upper
+    component: DirichletNR if it vanishes at the wall, NeumannNR if its
+    left slope does.  Every other state is classified on which spinor
+    component vanishes; both vanishing is given no classification.
     """
     psi0 = sol.spinor_at(0.0)
-    if getattr(sol, "kind", None) in (LimitKind.NONREL_MAIN, LimitKind.NONREL_NEGATIVE):
-        return _classify_nonrelativistic(sol, psi0, TOLERANCE)
-    return _classify_relativistic(psi0, _solution_scale(sol), TOLERANCE)
-
-
-def _classify_relativistic(
-    psi0: Spinor, scale: float, tolerance: float
-) -> BoundaryReport:
-    j0 = current(psi0)
+    amps = (sol.incident.amplitude, sol.reflected.amplitude, sol.transmitted.amplitude)
+    scale = max(max(abs(s.upper), abs(s.lower)) for s in amps)
+    upper_zero = abs(psi0.upper) < TOLERANCE * scale
+    lower_zero = abs(psi0.lower) < TOLERANCE * scale
+    if current(sol.incident.amplitude) == 0.0:
+        slope_scale = scale * max(abs(sol.incident.wave_number), 1.0)
+        if upper_zero:
+            classification = BoundaryCondition.DIRICHLET_NR
+        elif abs(sol.nr_derivative_at_origin()) < TOLERANCE * slope_scale:
+            classification = BoundaryCondition.NEUMANN_NR
+        else:
+            classification = BoundaryCondition.NONE
+    elif upper_zero != lower_zero:
+        classification = (BoundaryCondition.DIRICHLET_UPPER if upper_zero
+                          else BoundaryCondition.DIRICHLET_LOWER)
+    else:
+        classification = BoundaryCondition.NONE
     rho0 = density(psi0)
-    upper_zero = abs(psi0.upper) < tolerance * scale
-    lower_zero = abs(psi0.lower) < tolerance * scale
-    if upper_zero and lower_zero:
-        classification = BoundaryCondition.NONE
-    elif upper_zero:
-        classification = BoundaryCondition.DIRICHLET_UPPER
-    elif lower_zero:
-        classification = BoundaryCondition.DIRICHLET_LOWER
-    else:
-        classification = BoundaryCondition.NONE
-    reference = rho0 if rho0 > tolerance * scale**2 else scale**2
-    return BoundaryReport(
-        phi0=psi0.upper,
-        chi0=psi0.lower,
-        j0=j0,
-        classification=classification,
-        impenetrable=abs(j0) < tolerance * reference,
-        both_components_zero=upper_zero and lower_zero,
-    )
-
-
-def _classify_nonrelativistic(
-    limit: LimitSolution, psi0: Spinor, tolerance: float
-) -> BoundaryReport:
-    # The NR wavefunction is the upper component; the lower is already zero.
-    scale = 2.0
-    deriv0 = limit.nr_derivative_at_origin()
-    if abs(psi0.upper) < tolerance * scale:
-        classification = BoundaryCondition.DIRICHLET_NR
-    elif abs(deriv0) < tolerance * scale * max(limit.wave_number, 1.0):
-        classification = BoundaryCondition.NEUMANN_NR
-    else:
-        classification = BoundaryCondition.NONE
-    return BoundaryReport(
-        phi0=psi0.upper,
-        chi0=psi0.lower,
-        j0=current(psi0),
-        classification=classification,
-        impenetrable=True,
-        both_components_zero=False,
-    )
+    reference = rho0 if rho0 > TOLERANCE * scale**2 else scale**2
+    return BoundaryReport(classification, abs(current(psi0)) < TOLERANCE * reference)

@@ -293,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=9,
                         help="significant digits for table display")
-    common.add_argument("--output-dir", default=".",
-                        help="directory for machine-readable summaries")
 
     physics = argparse.ArgumentParser(add_help=False)
     physics.add_argument("--energy", type=float, required=True,
@@ -354,6 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--output-dir", default=".",
+                   help="directory for the JSON summaries")
     p.set_defaults(func=_cmd_verify)
     return parser
 

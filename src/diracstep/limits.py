@@ -11,9 +11,10 @@ Covered limits:
 Limits are provided as exact closed forms, not numerically approached
 values, so boundary conditions can be evaluated without integration error.
 Each limit eigenstate is plane-wave data, a ``matching.PlaneWaveSolution``:
-the reflection r = ±1 of the incident [1, a]·e^{ikx} and one constant
-spinor beyond the wall.  It is sampled, classified and tabulated through
-the same evaluators and observables as a matched state.
+the reflection r = ±1 of the incident [1, a]·e^{ikx} and, beyond the wall,
+the constant spinor that continuity gives it.  It is sampled, classified and
+tabulated through the same evaluators and observables as a matched state;
+``kind`` only labels it.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ class LimitKind(Enum):
     EDGE_LOWER = "edge-lower"
 
 
-_NONREL_KINDS = (LimitKind.NONREL_MAIN, LimitKind.NONREL_NEGATIVE)
-
-
 @dataclass(frozen=True)
 class LimitSolution(PlaneWaveSolution):
     """Closed-form eigenstate at a limit point, stored as plane-wave data.
@@ -72,27 +70,15 @@ class LimitSolution(PlaneWaveSolution):
     def wave_number(self) -> float:
         return self.incident.wave_number
 
-    def nr_derivative_at_origin(self) -> complex:
-        """d/dx of the nonrelativistic wavefunction at the wall (NR kinds)."""
-        if self.kind is LimitKind.NONREL_MAIN:
-            return 2j * self.wave_number
-        if self.kind is LimitKind.NONREL_NEGATIVE:
-            return 0.0
-        raise ValueError(f"{self.kind.value} is not a nonrelativistic limit")
 
-
-def _limit(kind, conv, energy, mass_energy, k, a, r, t, force) -> LimitSolution:
-    """The limit eigenstate as data: the reflection r = ±1 of [1, a]·e^{ikx}
-    (with a → 0 for the NONREL kinds) and one constant spinor beyond the
-    wall, [0, 2a] for IMPENETRABLE_MAIN, [0, 0] for NONREL_MAIN and [2, 0]
-    for the kinds whose lower component vanishes at the wall."""
-    wall = {
-        LimitKind.IMPENETRABLE_MAIN: Spinor(0.0, 2.0 * a),
-        LimitKind.NONREL_MAIN: Spinor(0.0, 0.0),
-    }.get(kind, Spinor(2.0, 0.0))
+def _limit(kind, conv, energy, mass_energy, k, ratio, a, r, t, force) -> LimitSolution:
+    """The limit eigenstate as data: the reflection r = ±1 of [1, ratio]·e^{ikx}
+    and, beyond the wall, the constant spinor [1 + r, ratio·(1 − r)] that
+    continuity at x = 0 gives, [0, 2·ratio] or [2, 0].  ``ratio`` is ``a``,
+    or 0 for the NONREL kinds, whose incident wave carries no current."""
+    wall = PlaneWaveState(Spinor(1.0 + r, ratio * (1.0 - r)), 0.0, Side.RIGHT)
     return LimitSolution.reflecting(
-        k, 0.0 if kind in _NONREL_KINDS else a, r,
-        PlaneWaveState(wall, 0.0, Side.RIGHT), conv, t,
+        k, ratio, r, wall, conv, t,
         kind=kind, energy=energy, mass_energy=mass_energy, a=a, force=force,
     )
 
@@ -130,7 +116,7 @@ def impenetrable_limit(
     else:
         raise ValueError("impenetrable limit defined for the main, lower and "
                          "negative-energy conventions only")
-    return _limit(kind, conv, energy, mass_energy, k, a, r, 0.0, force)
+    return _limit(kind, conv, energy, mass_energy, k, a, a, r, 0.0, force)
 
 
 def edge_limit(
@@ -168,7 +154,7 @@ def edge_limit(
             f"{conv.value!r} parameterization is degenerate at the lower edge"
         )
     k, a = incident_wave(energy, mass_energy)
-    return _limit(LimitKind.EDGE_LOWER, conv, energy, mass_energy, k, a, 1.0, 2.0,
+    return _limit(LimitKind.EDGE_LOWER, conv, energy, mass_energy, k, a, a, 1.0, 2.0,
                   -4.0 * (energy - mass_energy))
 
 
@@ -198,8 +184,12 @@ def nonrelativistic_limit(
     _check_finite(energy_nr, mass_energy)
     k_nr = math.sqrt(2.0 * mass_energy * energy_nr)
     a_limit = math.sqrt(energy_nr / (2.0 * mass_energy))
-    return _limit(kind, conv, energy_nr, mass_energy, k_nr, a_limit, r, 0.0,
-                  -4.0 * energy_nr)
+    force = -4.0 * energy_nr
+    for cause, value in (("sqrt(2 mc2 E_kin)", k_nr), ("sqrt(E_kin / 2mc2)", a_limit),
+                         ("-4 E_kin", force)):
+        if not math.isfinite(value):
+            raise ValueError(f"{cause} overflows (E_kin={energy_nr}, mc2={mass_energy})")
+    return _limit(kind, conv, energy_nr, mass_energy, k_nr, 0.0, a_limit, r, 0.0, force)
 
 
 @dataclass(frozen=True)

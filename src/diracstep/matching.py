@@ -101,6 +101,12 @@ class PlaneWaveSolution:
     def right_value_at(self, x: float) -> Spinor:
         return self.transmitted.value_at(x)
 
+    def nr_derivative_at_origin(self) -> complex:
+        """Left slope of the upper component at the wall, i·k·(1 − r): the
+        derivative of the Schroedinger wavefunction of a nonrelativistic
+        limit state, whose upper component that wavefunction is."""
+        return 1j * self.incident.wave_number * (1 - self.r)
+
     def left_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``left_value_at`` at every position, as complex arrays."""
         in_upper, in_lower = self.incident.values_at(xs)

@@ -91,8 +91,10 @@ class OracleResult:
     with half as many cells, over 15, relative to the incident amplitude),
     the current-conservation defect at every cell boundary, and |R + T − 1|.
     The Magnus step conserves the current exactly, so the last two measure
-    rounding, and the first measures truncation.  ``n_steps`` is the number
-    of Magnus cells in the accepted pass.
+    rounding, and the first measures truncation.  R squares the amplitudes
+    whose change the estimate measures, so R's relative error can reach
+    about twice the estimate.  ``n_steps`` is the number of Magnus cells in
+    the accepted pass.
     """
 
     r_num: complex

@@ -34,6 +34,7 @@ from .limits import impenetrable_limit, nonrelativistic_limit
 from .matching import GROWING_UNDER_EVANESCENT, Convention, match
 from .observables import coefficients
 from .oracle import SmoothStep, integrate_scattering, sauter_log_coefficients
+from .spinor import density
 
 __all__ = [
     "SuiteResult",
@@ -84,27 +85,26 @@ def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
-def draw_energy(rng: np.random.Generator, mass_energy: float = 1.0) -> float:
-    """Log-uniform E/mc² over (1 + 1e-3, 1e3)."""
-    return _log_uniform(rng, 1.0 + 1e-3, 1e3) * mass_energy
+def draw_energy(rng: np.random.Generator) -> float:
+    """Log-uniform E over (1 + 1e-3, 1e3), in units of mc² = 1."""
+    return _log_uniform(rng, 1.0 + 1e-3, 1e3)
 
 
-def draw_setup(
-    rng: np.random.Generator, regime: Regime, mass_energy: float = 1.0
-) -> PhysicalSetup:
-    """Random setup with the step height uniform inside the given regime."""
-    e = draw_energy(rng, mass_energy)
+def draw_setup(rng: np.random.Generator, regime: Regime) -> PhysicalSetup:
+    """Random setup at mc² = 1 with the step height uniform inside the given
+    regime."""
+    e = draw_energy(rng)
     if regime is Regime.KLEIN_ZONE:
-        v0 = rng.uniform(e + mass_energy, 3.0 * (e + mass_energy))
+        v0 = rng.uniform(e + 1.0, 3.0 * (e + 1.0))
     elif regime is Regime.EVANESCENT:
-        v0 = rng.uniform(e - mass_energy, e + mass_energy)
+        v0 = rng.uniform(e - 1.0, e + 1.0)
     elif regime is Regime.TRANSMISSION:
-        v0 = rng.uniform(0.0, e - mass_energy)
+        v0 = rng.uniform(0.0, e - 1.0)
     else:
         raise ValueError(f"cannot draw inside closed regime {regime}")
-    if v0 <= 0.0 or v0 in (e - mass_energy, e + mass_energy):
-        return draw_setup(rng, regime, mass_energy)
-    return PhysicalSetup(mass_energy=mass_energy, step_height=v0, energy=e)
+    if v0 <= 0.0 or v0 in (e - 1.0, e + 1.0):
+        return draw_setup(rng, regime)
+    return PhysicalSetup(mass_energy=1.0, step_height=v0, energy=e)
 
 
 def _continuity_residual(sol) -> float:
@@ -220,13 +220,17 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
                 (obs.R, obs.T, obs.v_t) == (1.0, 0.0, 0.0),
                 f"{limit.kind.value} limit R/T/v_t at E={e}",
             )
+            # The external force −V₀·ρ(0) at V₀ = E + mc², from the wall spinor.
+            wall_force = -(e + 1.0) * density(limit.spinor_at(0.0))
+            result.record(abs(limit.force - wall_force), 1e-12 * e,
+                          f"{limit.kind.value} wall force E={e}")
+        # ψ(0⁻) from the incident and reflected waves: the upper component
+        # obeys Dirichlet while the spinor does not vanish.
+        left = main.left_value_at(0.0)
         result.record(
-            max(abs(psi0.upper), abs(psi0.lower - 2.0 * main.a)),
+            max(abs(left.upper), abs(left.lower - 2.0 * main.a)),
             1e-15,
-            f"main limit spinor(0) at E={e}",
-        )
-        result.record(
-            abs(main.force + 4.0 * (e - 1.0)), 1e-12 * e, f"main wall force E={e}"
+            f"main limit spinor(0-) at E={e}",
         )
         result.record(
             abs(momentum_flux_bracket(psi0, e, 1.0) + 4.0 * (e - 1.0)),
@@ -235,9 +239,6 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
         )
         # Negative-energy convention: external and boundary force disagree.
         psi0_neg = negative.spinor_at(0.0)
-        result.record(
-            abs(negative.force + 4.0 * (e + 1.0)), 1e-12 * e, f"neg wall force E={e}"
-        )
         result.check(
             abs(negative.force - momentum_flux_bracket(psi0_neg, e, 1.0)) > 1.0,
             f"force discrepancy must persist at E={e}",

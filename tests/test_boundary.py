@@ -1,13 +1,21 @@
 """Boundary-condition classification at the wall."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from diracstep import (
     BoundaryCondition,
+    BoundaryReport,
     Convention,
     PhysicalSetup,
+    PlaneWaveSolution,
+    PlaneWaveState,
+    Side,
+    Spinor,
     classify_boundary,
+    coefficients,
     impenetrable_limit,
     kinematics,
     match,
@@ -19,8 +27,9 @@ def test_impenetrable_main_is_dirichlet_upper():
     report = classify_boundary(impenetrable_limit(2.0, 1.0, Convention.MAIN))
     assert report.classification is BoundaryCondition.DIRICHLET_UPPER
     assert report.impenetrable
-    assert report.chi0 == pytest.approx(1.1547005383792515, abs=1e-13)
-    assert not report.both_components_zero
+    psi0 = impenetrable_limit(2.0, 1.0, Convention.MAIN).spinor_at(0.0)
+    assert psi0.upper == 0.0
+    assert psi0.lower == pytest.approx(1.1547005383792515, abs=1e-13)
 
 
 def test_impenetrable_negative_is_dirichlet_lower():
@@ -29,7 +38,9 @@ def test_impenetrable_negative_is_dirichlet_lower():
     )
     assert report.classification is BoundaryCondition.DIRICHLET_LOWER
     assert report.impenetrable
-    assert report.phi0 == pytest.approx(2.0, abs=1e-14)
+    psi0 = impenetrable_limit(2.0, 1.0, Convention.NEGATIVE_ENERGY).spinor_at(0.0)
+    assert psi0.upper == pytest.approx(2.0, abs=1e-14)
+    assert psi0.lower == 0.0
 
 
 def test_generic_klein_zone_solution_classifies_none():
@@ -37,7 +48,7 @@ def test_generic_klein_zone_solution_classifies_none():
     report = classify_boundary(sol)
     assert report.classification is BoundaryCondition.NONE
     assert not report.impenetrable
-    assert report.j0 == pytest.approx(0.8660254037844386, abs=1e-13)
+    assert coefficients(sol).j0 == pytest.approx(0.8660254037844386, abs=1e-13)
 
 
 def test_randomized_classification_agreement():
@@ -74,32 +85,52 @@ def test_nonrelativistic_classifications():
     )
 
 
-def test_degenerate_whole_spinor_zero_flagged_not_classified():
-    """ψ(0) = 0 entirely: flagged, but deliberately given no classification
-    (not a self-adjoint wall condition) except in nonrelativistic mode."""
-    nr = nonrelativistic_limit(0.01, 1.0, Convention.MAIN)
-    nr_report = classify_boundary(nr)
-    assert nr_report.classification is BoundaryCondition.DIRICHLET_NR
-    # relativistic solution with both components zero at the origin cannot
-    # arise from the step limits; probe the classifier's rule directly
-    from diracstep.boundary import _classify_relativistic
-    from diracstep import Spinor
+def test_report_is_classification_and_impenetrability_only():
+    assert [f.name for f in fields(BoundaryReport)] == ["classification", "impenetrable"]
 
-    report = _classify_relativistic(Spinor(0.0, 0.0), scale=2.0, tolerance=1e-10)
-    assert report.both_components_zero
+
+def _hand_built(a: float, r: float, wall: Spinor, k: float = 1.5) -> PlaneWaveSolution:
+    """Incident [1, a]·e^{ikx}, reflected r·[1, −a]·e^{−ikx}, and a constant
+    ``wall`` spinor for x >= 0; no LimitKind."""
+    return PlaneWaveSolution.reflecting(
+        k, a, r, PlaneWaveState(wall, 0.0, Side.RIGHT), Convention.MAIN, 0.0)
+
+
+def test_whole_spinor_zero_is_not_classified():
+    """ψ(0) = 0 entirely is deliberately given no classification (not a
+    self-adjoint wall condition); no step limit reaches it, so the state is
+    built by hand."""
+    sol = _hand_built(0.5, -1.0, Spinor(0.0, 0.0))
+    assert sol.spinor_at(0.0) == Spinor(0.0, 0.0)
+    report = classify_boundary(sol)
     assert report.classification is BoundaryCondition.NONE
     assert report.impenetrable
 
 
-def test_tolerance_is_relative():
-    """A numerically produced near-zero component classifies at loose
-    tolerance and stops classifying at a tighter one."""
-    limit = impenetrable_limit(2.0, 1.0, Convention.MAIN)
-    from diracstep.boundary import _classify_relativistic
-    from diracstep import Spinor
+@pytest.mark.parametrize("scale,expected", [
+    (1.0, BoundaryCondition.NONE),
+    (1e6, BoundaryCondition.DIRICHLET_UPPER),
+])
+def test_tolerance_is_relative(scale, expected):
+    """The same near-zero upper component 1e-8 at the wall classifies as
+    Dirichlet once the state's amplitudes are 1e6 times larger, and not at
+    unit scale: TOLERANCE is relative to the amplitude scale."""
+    a = impenetrable_limit(2.0, 1.0, Convention.MAIN).a
+    sol = _hand_built(a, -1.0, Spinor(1e-8, 2.0 * a * scale))
+    assert classify_boundary(sol).classification is expected
 
-    smudged = Spinor(1e-8, limit.spinor_at(0.0).lower)
-    loose = _classify_relativistic(smudged, scale=2.0, tolerance=1e-6)
-    tight = _classify_relativistic(smudged, scale=2.0, tolerance=1e-12)
-    assert loose.classification is BoundaryCondition.DIRICHLET_UPPER
-    assert tight.classification is BoundaryCondition.NONE
+
+@pytest.mark.parametrize("r,wall,expected", [
+    (-1.0, Spinor(0.0, 0.0), BoundaryCondition.DIRICHLET_NR),
+    (1.0, Spinor(2.0, 0.0), BoundaryCondition.NEUMANN_NR),
+    (0.5, Spinor(1.5, 0.0), BoundaryCondition.NONE),
+])
+def test_state_without_incident_current_is_classified_nonrelativistically(r, wall,
+                                                                          expected):
+    """Incident ratio 0 and no LimitKind: the data alone selects the
+    Schroedinger rule."""
+    sol = _hand_built(0.0, r, wall)
+    assert not hasattr(sol, "kind")
+    report = classify_boundary(sol)
+    assert report.classification is expected
+    assert report.impenetrable

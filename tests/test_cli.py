@@ -289,7 +289,9 @@ def test_verify_exit_codes_and_summary(capsys, tmp_path):
 def test_unusable_counts_refused_before_any_output_exit_2(capsys, tmp_path, monkeypatch,
                                                           argv, cause):
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *argv, "--output-dir", str(tmp_path / "out"))
+    if argv[0] == "verify":
+        argv += ("--output-dir", str(tmp_path / "out"))
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {cause}\n"
@@ -446,29 +448,39 @@ def test_scatter_refuses_overflowing_magnitudes_exit_2(capsys, argv, cause):
     assert err == f"error: {cause}\n"
 
 
+_K_OVERFLOW = "(E - mc2)(E + mc2) overflows"
+_NR_OVERFLOW = "sqrt(2 mc2 E_kin) overflows (E_kin=1e+308, mc2=1.0)"
+
+
 @pytest.mark.parametrize("argv,cause", [
     (("scatter", "--energy", "1e300", "--step-height", "1e300"),
-     "E=1e+300, mc2=1.0"),
+     f"{_K_OVERFLOW} (E=1e+300, mc2=1.0)"),
     # Both rows lie on a regime edge: E - mc2 and E + mc2.
     (("sweep", "--vary", "step-height", "--from", "9.999999999e+199",
       "--to", "1.0000000000999999e+200", "--points", "2", "--energy", "1e200",
-      "--mass", "1e190"), "E=1e+200, mc2=1e+190"),
-    (("limit", "--which", "impenetrable", "--energy", "1e300"), "E=1e+300, mc2=1.0"),
-    (("limit", "--which", "infinite", "--energy", "1e300"), "E=1e+300, mc2=1.0"),
+      "--mass", "1e190"), f"{_K_OVERFLOW} (E=1e+200, mc2=1e+190)"),
+    (("limit", "--which", "impenetrable", "--energy", "1e300"),
+     f"{_K_OVERFLOW} (E=1e+300, mc2=1.0)"),
+    (("limit", "--which", "infinite", "--energy", "1e300"),
+     f"{_K_OVERFLOW} (E=1e+300, mc2=1.0)"),
     (("wavefunction", "--limit", "impenetrable", "--energy", "1e300"),
-     "E=1e+300, mc2=1.0"),
-], ids=["scatter", "sweep", "limit", "limit-infinite", "wavefunction"])
+     f"{_K_OVERFLOW} (E=1e+300, mc2=1.0)"),
+    (("limit", "--which", "nonrel", "--energy", "1e308"), _NR_OVERFLOW),
+    (("wavefunction", "--limit", "nonrel", "--energy", "1e308"), _NR_OVERFLOW),
+], ids=["scatter", "sweep", "limit", "limit-infinite", "wavefunction", "limit-nonrel",
+        "wavefunction-nonrel"])
 def test_edge_point_with_overflowing_wave_number_exit_2(capsys, tmp_path, argv, cause):
     """At an edge, and in every relativistic limit, the incident wave number
     k comes from core.incident_wave, which refuses k² = (E - mc2)(E + mc2)
-    that overflows, as kinematics does."""
+    that overflows, as kinematics does; the nonrelativistic limit refuses
+    its own k, a and force that overflow."""
     out_file = tmp_path / "out.csv"
     if argv[0] in ("sweep", "wavefunction"):
         argv += ("--out", str(out_file))
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == f"error: (E - mc2)(E + mc2) overflows ({cause})\n"
+    assert err == f"error: {cause}\n"
     assert not out_file.exists()
 
 

@@ -135,6 +135,34 @@ def test_nonrelativistic_limit_validation():
         nonrelativistic_limit(-0.01, 1.0, Convention.MAIN)
 
 
+@pytest.mark.parametrize("e_kin,mc2,cause", [
+    (1e308, 1.0, "sqrt(2 mc2 E_kin)"),
+    (1e300, 1e-300, "sqrt(E_kin / 2mc2)"),
+    (5e307, 1.0, "-4 E_kin"),
+])
+def test_nonrelativistic_limit_refuses_overflow(e_kin, mc2, cause):
+    with pytest.raises(ValueError) as info:
+        nonrelativistic_limit(e_kin, mc2, Convention.MAIN)
+    assert str(info.value) == f"{cause} overflows (E_kin={e_kin}, mc2={mc2})"
+
+
+@pytest.mark.parametrize("conv,slope", [
+    (Convention.MAIN, lambda k: 2j * k),
+    (Convention.NEGATIVE_ENERGY, lambda k: 0j),
+])
+def test_nr_derivative_is_the_left_slope_of_the_upper_component(conv, slope):
+    """i·k·(1 − r) gives 2ik (Dirichlet, 2i·sin kx) and 0 (Neumann,
+    2·cos kx) bit for bit, and agrees with a centred difference of the left
+    branch."""
+    limit = nonrelativistic_limit(0.01, 1.0, conv)
+    k = limit.wave_number
+    deriv = limit.nr_derivative_at_origin()
+    assert (deriv.real, deriv.imag) == (slope(k).real, slope(k).imag)
+    h = 1e-6
+    diff = (limit.left_value_at(h).upper - limit.left_value_at(-h).upper) / (2 * h)
+    assert abs(diff - deriv) < 1e-9
+
+
 def test_infinite_potential_limit_values():
     limit = infinite_potential_limit(2.0, 1.0)
     assert limit.b_limit == -1.0

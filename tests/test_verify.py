@@ -1,8 +1,10 @@
 """The verify suites against exact references, at many seeds."""
 
+from dataclasses import replace
+
 import pytest
 
-from diracstep import oracle
+from diracstep import PlaneWaveState, Side, Spinor, oracle, verify
 from diracstep.verify import run_closed_vs_oracle, run_limits
 
 # ``verify`` is run at seeds derived from other seeds, so a check that fails at
@@ -23,6 +25,34 @@ def test_limits_passes_at_every_seed(seed):
     result = run_limits(seed=seed)
     assert result.passed, result.failures[:3]
     assert result.max_error < 1e-7
+
+
+def _wrong_wall(limit):
+    wall = limit.transmitted.amplitude
+    spinor = Spinor(wall.upper, wall.lower * (1.0 + 1e-6) + 1e-6)
+    return replace(limit, transmitted=PlaneWaveState(spinor, 0.0, Side.RIGHT))
+
+
+def _wrong_reflection(limit):
+    r = limit.r * (1.0 - 1e-6)
+    reflected = PlaneWaveState(Spinor(r, -r * limit.a), -limit.wave_number, Side.LEFT)
+    return replace(limit, reflected=reflected, r=r)
+
+
+@pytest.mark.parametrize("corrupt,check", [
+    (lambda limit: replace(limit, force=limit.force * (1.0 + 1e-6)), "wall force"),
+    (_wrong_wall, "wall force"),
+    (_wrong_reflection, "main limit spinor(0-)"),
+], ids=["force", "wall-spinor", "reflection"])
+def test_limits_suite_fails_on_a_wrong_limit(monkeypatch, corrupt, check):
+    """Each wall fact is checked against a second route, so a limit whose
+    force, wall spinor or reflection is off by 1e-6 fails the suite."""
+    limit = verify.impenetrable_limit
+    monkeypatch.setattr(verify, "impenetrable_limit",
+                        lambda *args: corrupt(limit(*args)))
+    result = run_limits(trials=3)
+    assert not result.passed
+    assert any(check in failure for failure in result.failures), result.failures
 
 
 def test_closed_vs_oracle_solves_stay_within_the_oracle_scan_cells(monkeypatch):
