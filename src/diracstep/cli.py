@@ -24,7 +24,8 @@ from .boundary import classify_boundary
 from .core import EdgePointError, PhysicalSetup, Regime, classify_regime, kinematics
 from .forces import ForceReport, momentum_flux_bracket
 from .gridio import sample, write_csv
-from .limits import impenetrable_limit, infinite_potential_limit, nonrelativistic_limit
+from .limits import (edge_limit, impenetrable_limit, infinite_potential_limit,
+                     nonrelativistic_limit)
 from .matching import Convention, match, physical_convention
 from .observables import coefficients
 from .table import scatter_table
@@ -245,10 +246,12 @@ def _cmd_wavefunction(args) -> int:
         if args.step_height is None:
             raise ValueError("provide either --step-height or --limit")
         setup = PhysicalSetup(args.mass, args.step_height, args.energy)
-        conv = conv or physical_convention(classify_regime(setup))
-        solution = match(kinematics(setup), conv)
+        regime = classify_regime(setup)
+        edge = regime in (Regime.EDGE_POINT, Regime.EDGE_LOWER)  # as in scatter's edge rows
+        solution = (edge_limit(setup, conv) if edge
+                    else match(kinematics(setup), conv or physical_convention(regime)))
         resolved = {"mass_energy": args.mass, "step_height": args.step_height,
-                    "energy": args.energy, "convention": conv.value}
+                    "energy": args.energy, "convention": solution.convention.value}
     resolved.update({"range": f"[{x_min},{x_max}]", "points": args.points,
                      "out": args.out})
     grid = sample(solution, x_min, x_max, args.points)

@@ -163,11 +163,11 @@ def nonrelativistic_limit(
 ) -> LimitSolution:
     """Nonrelativistic reduction of an impenetrable-barrier eigenstate.
 
-    ``energy_nr`` is the kinetic energy; validity requires it to be small
-    against mc².  ``conv`` is the convention the limit comes from: MAIN
-    gives NONREL_MAIN, the hard-wall Dirichlet state 2i·sin(k x) with
-    vanishing lower component; NEGATIVE_ENERGY gives NONREL_NEGATIVE, the
-    Neumann state 2·cos(k x), constant beyond the wall.
+    ``energy_nr`` is the kinetic energy, small against mc²; from 2mc² on a
+    would reach 1 and it is refused.  ``conv`` is the convention the limit
+    comes from: MAIN gives NONREL_MAIN, the hard-wall Dirichlet state
+    2i·sin(k x) with vanishing lower component; NEGATIVE_ENERGY gives
+    NONREL_NEGATIVE, the Neumann state 2·cos(k x), constant beyond the wall.
     """
     if conv is Convention.MAIN:
         kind, r = LimitKind.NONREL_MAIN, -1.0
@@ -189,6 +189,9 @@ def nonrelativistic_limit(
                          ("-4 E_kin", force)):
         if not math.isfinite(value):
             raise ValueError(f"{cause} overflows (E_kin={energy_nr}, mc2={mass_energy})")
+    if a_limit >= 1.0:  # a < 1 for every relativistic state
+        raise ValueError(f"sqrt(E_kin / 2mc2) = {a_limit} >= 1: E_kin >= 2 mc2 is not "
+                         f"nonrelativistic (E_kin={energy_nr}, mc2={mass_energy})")
     return _limit(kind, conv, energy_nr, mass_energy, k_nr, 0.0, a_limit, r, 0.0, force)
 
 

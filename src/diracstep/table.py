@@ -7,9 +7,10 @@ only in the evanescent band, which keeps the signed zeros), the chain's
 transmitted column (``matching.transmitted_column``) and CPython's rounding
 (``spinor``'s array arithmetic).  Edge rows come from
 ``limits.edge_limit``.  Refused rows are found as masks, and the first is
-replayed through the chain, which raises its own error.  The scalar chain
-stays the single-solution API and this core's reference: at N = 1 it is
-several times cheaper, and the oracle and the verify suites call it.
+replayed through the chain, which raises its own error.  ``verify``'s
+conservation suite checks these rows and their continuity residual at
+x = 0.  The scalar chain stays the single-solution API (several times
+cheaper at N = 1) and this core's reference.
 """
 
 from __future__ import annotations
@@ -59,9 +60,12 @@ def _open_rows(m, v0, e, conv: Convention, evanescent: bool):
     # coefficients, with psi(0) from the transmitted wave's value_at(0.0)
     j_in = currents(1.0, a)
     phase = np.exp(complex_product(complex_product(1j, q_t), 0.0))
-    psi_upper = complex_product(phase, t_upper)
-    psi_lower = complex_product(phase, t_lower)
+    psi_upper, psi_lower = complex_product(phase, t_upper), complex_product(phase, t_lower)
     rho0 = densities(psi_upper, psi_lower)
+    # continuity at x = 0: psi(0-) = [1 + r, a + r_lower] against psi(0)
+    left_upper, left_lower = 1.0 + r, a + r_lower
+    residual = np.maximum(magnitude(left_upper - psi_upper), magnitude(left_lower - psi_lower))
+    left_scale = np.maximum(np.maximum(1.0, magnitude(left_upper)), magnitude(left_lower))
     if evanescent:
         T, v_t = np.zeros_like(a), np.full_like(a, np.nan)
     else:
@@ -87,7 +91,8 @@ def _open_rows(m, v0, e, conv: Convention, evanescent: bool):
                "kbar_or_kappa": kappa, "r_re": r.real, "r_im": r.imag,
                "t_re": t.real, "t_im": t.imag, "T": T, "rho0": rho0, "v_t": v_t,
                "R": np.abs(currents(r, r_lower)) / np.abs(j_in), "force": -v0 * rho0,
-               "j0": currents(psi_upper, psi_lower), "boundary": boundary}
+               "j0": currents(psi_upper, psi_lower), "boundary": boundary,
+               "continuity": residual / left_scale}
     return columns, refused
 
 
@@ -105,7 +110,7 @@ def _edge_row(setup: PhysicalSetup, conv) -> dict:
     b = -np.inf if classify_regime(setup) is Regime.EDGE_POINT else 0.0
     r, t = complex(sol.r), complex(sol.t)
     return {"a": sol.a, "b_re": b, "b_im": 0.0, "k": sol.wave_number,
-            "kbar_or_kappa": 0.0, "r_re": r.real, "r_im": r.imag,
+            "kbar_or_kappa": 0.0, "continuity": 0.0, "r_re": r.real, "r_im": r.imag,
             "t_re": t.real, "t_im": t.imag, **vars(coefficients(sol)),
             "force": sol.force, "convention": sol.convention.value,
             "boundary": classify_boundary(sol).classification.value}

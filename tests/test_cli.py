@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import diracstep
+from diracstep import Convention
 from diracstep.cli import main
 from diracstep.gridio import CSV_HEADER
+from diracstep.table import scatter_table
 
 
 def read_csv(path):
@@ -248,6 +250,60 @@ def test_wavefunction_nonrel_zero_lower(capsys, tmp_path):
     assert all(v == 0.0 for v in columns["chi_re"] + columns["chi_im"])
 
 
+@pytest.mark.parametrize("step_height,conv,kind,limit_argv", [
+    ("3", "auto", "impenetrable-main", ("--limit", "impenetrable")),
+    ("3", "lower", "impenetrable-main", ("--limit", "impenetrable")),
+    ("3", "negative", "impenetrable-negative",
+     ("--limit", "impenetrable", "--convention", "negative")),
+    ("1", "auto", "edge-lower", None),
+    ("1", "main", "edge-lower", None),
+], ids=["edge-point-auto", "edge-point-lower", "edge-point-negative", "edge-lower-auto",
+        "edge-lower-main"])
+def test_wavefunction_at_an_edge_samples_the_edge_state(capsys, tmp_path, step_height,
+                                                        conv, kind, limit_argv):
+    """On a regime edge --step-height samples limits.edge_limit, the state of
+    scatter's edge row, with the sidecar gridio writes for it: at the edge
+    point the samples of --limit impenetrable, at the lower edge the wall
+    spinor [2, 0]."""
+    code, out, err = run(
+        capsys, "wavefunction", "--energy", "2", "--step-height", step_height,
+        "--convention", conv, "--points", "11", "--out", str(tmp_path / "edge.csv"),
+    )
+    assert (code, err) == (0, "")
+    meta = json.loads((tmp_path / "edge.meta.json").read_text())
+    row = scatter_table(1.0, float(step_height), 2.0, None if conv == "auto"
+                        else Convention(conv))
+    assert (meta["regime"], meta["step_height"]) == (kind, None)
+    assert meta["convention"] == row["convention"][0]
+    if limit_argv is None:
+        columns = read_csv(tmp_path / "edge.csv")
+        right = columns["x"].index(0.0) + 1
+        assert columns["phi_re"][right:] == [2.0] * (len(columns["x"]) - right)
+        assert columns["chi_re"][right:] == [0.0] * (len(columns["x"]) - right)
+        return
+    assert run(capsys, "wavefunction", "--energy", "2", *limit_argv, "--points", "11",
+               "--out", str(tmp_path / "limit.csv"))[0] == 0
+    assert (tmp_path / "edge.csv").read_bytes() == (tmp_path / "limit.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("limit", "--which", "nonrel", "--energy", "999"),
+    ("limit", "--which", "nonrel", "--energy", "2", "--convention", "negative"),
+    ("wavefunction", "--limit", "nonrel", "--energy", "3"),
+], ids=["limit-999", "limit-2mc2", "wavefunction"])
+def test_nonrel_past_2mc2_exit_2(capsys, tmp_path, argv):
+    """The nonrelativistic reduction has a = sqrt(E_kin / 2mc2) < 1, as every
+    relativistic state does; from E_kin = 2mc2 on it is refused."""
+    out_file = tmp_path / "nr.csv"
+    if argv[0] == "wavefunction":
+        argv += ("--out", str(out_file))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sqrt(E_kin / 2mc2) = ")
+    assert "E_kin >= 2 mc2 is not nonrelativistic" in err
+    assert not out_file.exists()
+
+
 def test_wavefunction_requires_target(capsys, tmp_path):
     code, _, err = run(
         capsys, "wavefunction", "--energy", "2", "--out", str(tmp_path / "x.csv"),
@@ -467,8 +523,11 @@ _NR_OVERFLOW = "sqrt(2 mc2 E_kin) overflows (E_kin=1e+308, mc2=1.0)"
      f"{_K_OVERFLOW} (E=1e+300, mc2=1.0)"),
     (("limit", "--which", "nonrel", "--energy", "1e308"), _NR_OVERFLOW),
     (("wavefunction", "--limit", "nonrel", "--energy", "1e308"), _NR_OVERFLOW),
+    # V0 = E + mc2 rounds to E: the edge point.
+    (("wavefunction", "--energy", "1e300", "--step-height", "1e300"),
+     f"{_K_OVERFLOW} (E=1e+300, mc2=1.0)"),
 ], ids=["scatter", "sweep", "limit", "limit-infinite", "wavefunction", "limit-nonrel",
-        "wavefunction-nonrel"])
+        "wavefunction-nonrel", "wavefunction-edge"])
 def test_edge_point_with_overflowing_wave_number_exit_2(capsys, tmp_path, argv, cause):
     """At an edge, and in every relativistic limit, the incident wave number
     k comes from core.incident_wave, which refuses k² = (E - mc2)(E + mc2)

@@ -5,7 +5,8 @@ Each command below runs in an empty directory; its block in
 prefixed with "! ", the exit code, and the sha256 of every file it wrote.
 The commands cover ``scatter`` at both edges (and the massless edge point)
 under every convention, sweeps that reach or cross the edges under every
-convention, every ``limit`` kind and the wavefunction refusals at an edge.
+convention, every ``limit`` kind, and ``wavefunction`` at both edges, which
+samples the edge state that ``scatter`` reports (or exits 2 as it does).
 
 Regenerate the golden file, after a deliberate output change only, with
 ``PYTHONPATH=src python tests/test_cli_edges.py``.
@@ -51,6 +52,7 @@ def _commands() -> list[str]:
             f"limit --which impenetrable --energy 2 {c}",
             f"limit --which nonrel --energy 0.01 {c}",
             f"wavefunction --energy 2 --step-height 3 {c} --points 5 --out w.csv",
+            f"wavefunction --energy 2 --step-height 1 {c} --points 5 --out w.csv",
             f"wavefunction --energy 0.01 --limit nonrel {c} --points 5 --out w.csv",
         ]
     commands += [

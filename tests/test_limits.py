@@ -146,6 +146,21 @@ def test_nonrelativistic_limit_refuses_overflow(e_kin, mc2, cause):
     assert str(info.value) == f"{cause} overflows (E_kin={e_kin}, mc2={mc2})"
 
 
+@pytest.mark.parametrize("conv", [Convention.MAIN, Convention.NEGATIVE_ENERGY],
+                         ids=lambda conv: conv.value)
+@pytest.mark.parametrize("e_kin,mc2", [(2.0, 1.0), (6.0, 1.0), (999.0, 1.0), (3e-300, 1e-300)])
+def test_nonrelativistic_limit_refuses_kinetic_energy_from_2mc2(e_kin, mc2, conv):
+    """a = sqrt(E_kin / 2mc2) < 1 for every relativistic state, so the
+    reduction is refused from E_kin = 2mc2 on, with that cause; just below,
+    it still builds."""
+    with pytest.raises(ValueError) as info:
+        nonrelativistic_limit(e_kin, mc2, conv)
+    a_limit = math.sqrt(e_kin / (2.0 * mc2))
+    assert str(info.value) == (f"sqrt(E_kin / 2mc2) = {a_limit} >= 1: E_kin >= 2 mc2 is "
+                               f"not nonrelativistic (E_kin={e_kin}, mc2={mc2})")
+    assert nonrelativistic_limit(1.99 * mc2, mc2, conv).a < 1.0
+
+
 @pytest.mark.parametrize("conv,slope", [
     (Convention.MAIN, lambda k: 2j * k),
     (Convention.NEGATIVE_ENERGY, lambda k: 0j),
@@ -384,8 +399,16 @@ def _standing_wave(kind, k, a, xs):
     return left, right
 
 
-@pytest.mark.parametrize("energy", [1.01, 1.3, 7.0])
-@pytest.mark.parametrize("kind", list(LimitKind), ids=lambda kind: kind.value)
+NONREL_KINDS = (LimitKind.NONREL_MAIN, LimitKind.NONREL_NEGATIVE)
+
+
+# At 7.0 the NONREL kinds would have E_kin = 6 >= 2mc2, which
+# test_nonrelativistic_limit_refuses_kinetic_energy_from_2mc2 refuses.
+@pytest.mark.parametrize("kind,energy", [
+    pytest.param(kind, energy, id=f"{kind.value}-{energy}")
+    for kind in LimitKind for energy in (1.01, 1.3, 7.0)
+    if energy < 7.0 or kind not in NONREL_KINDS
+])
 def test_sampled_limit_equals_its_standing_wave(kind, energy):
     """Sampled as a sum of plane waves, each limit equals its standing-wave
     form exactly (up to the sign of zero) on a grid across the wall."""

@@ -139,12 +139,13 @@ def test_evanescent_growth_rule_is_one_fact(conv, monkeypatch):
             solve()
     drawn = set()
 
-    def spy(kin, conv):
-        if kin.regime is Regime.EVANESCENT:
+    def spy(mass, step_heights, energies, conv):
+        table = scatter_table(mass, step_heights, energies, conv)
+        if (table["regime"] == Regime.EVANESCENT.value).all():
             drawn.add(conv)
-        return match(kin, conv)
+        return table
 
-    monkeypatch.setattr(verify, "match", spy)
+    monkeypatch.setattr(verify, "scatter_table", spy)
     assert verify.run_conservation(trials=3, seed=7).passed
     assert drawn == set(Convention) - set(GROWING_UNDER_EVANESCENT)
 

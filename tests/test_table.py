@@ -4,7 +4,9 @@
 chain PhysicalSetup → kinematics → match → coefficients → classify_boundary
 (edge rows: ``edge_limit``) gives, down to the sign of zero, and refuse a
 table with the error of its first refused row.  ``_scatter_record`` below
-is that chain, as the CLI ran it once per sweep row before the array core.
+is that chain, as the CLI ran it once per sweep row before the array core,
+with the continuity residual at x = 0 that ``verify``'s conservation suite
+reads from the table.
 """
 
 import math
@@ -33,8 +35,22 @@ from diracstep.table import scatter_table
 COLUMNS = (
     "step_height", "energy", "regime", "transition", "convention", "a",
     "b_re", "b_im", "k", "kbar_or_kappa", "r_re", "r_im", "t_re", "t_im",
-    "R", "T", "rho0", "j0", "v_t", "force", "boundary",
+    "R", "T", "rho0", "j0", "v_t", "force", "boundary", "continuity",
 )
+
+
+def _continuity_residual(sol) -> float:
+    """Mismatch of the one-sided values at x = 0, relative to their size.
+
+    Amplitudes grow without bound for the paradox conventions near their
+    degenerate corners, so the residual (like the R + T defect) is only
+    meaningful relative to the magnitudes involved.
+    """
+    left = sol.left_value_at(0.0)
+    right = sol.spinor_at(0.0)
+    residual = max(abs(left.upper - right.upper), abs(left.lower - right.lower))
+    scale = max(1.0, abs(left.upper), abs(left.lower))
+    return residual / scale
 
 
 def _scatter_record(setup: PhysicalSetup, conv: Convention | None) -> dict:
@@ -60,6 +76,7 @@ def _scatter_record(setup: PhysicalSetup, conv: Convention | None) -> dict:
         **vars(coefficients(sol)),
         "force": force,
         "boundary": classify_boundary(sol).classification.value,
+        "continuity": _continuity_residual(sol),
     }
 
 

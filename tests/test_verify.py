@@ -2,9 +2,12 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from diracstep import PlaneWaveState, Side, Spinor, oracle, verify
+from diracstep import (Convention, PhysicalSetup, PlaneWaveState, Regime, Side, Spinor,
+                       oracle, verify)
+from diracstep.matching import GROWING_UNDER_EVANESCENT
 from diracstep.verify import run_closed_vs_oracle, run_limits
 
 # ``verify`` is run at seeds derived from other seeds, so a check that fails at
@@ -53,6 +56,55 @@ def test_limits_suite_fails_on_a_wrong_limit(monkeypatch, corrupt, check):
     result = run_limits(trials=3)
     assert not result.passed
     assert any(check in failure for failure in result.failures), result.failures
+
+
+@pytest.mark.parametrize("regime", [Regime.KLEIN_ZONE, Regime.TRANSMISSION,
+                                    Regime.EVANESCENT], ids=lambda regime: regime.value)
+@pytest.mark.parametrize("column,check", [("T", "R+T"), ("continuity", "continuity")])
+def test_conservation_suite_fails_on_a_broken_row(monkeypatch, regime, column, check):
+    """The suite checks the rows that scatter and sweep print: one row whose T
+    or continuity residual is off by 1e-9 fails it, and the failure names
+    that check and that row's setup."""
+    scatter_table = verify.scatter_table
+    broken = []
+
+    def corrupt(mass, step_heights, energies, conv):
+        table = scatter_table(mass, step_heights, energies, conv)
+        if not broken and table["regime"][0] == regime.value:
+            table[column][1] += 1e-9
+            setup = PhysicalSetup(mass, float(step_heights[1]), float(energies[1]))
+            broken.append(f"{check} {regime.value}/{conv.value} {setup}: error ")
+        return table
+
+    monkeypatch.setattr(verify, "scatter_table", corrupt)
+    result = verify.run_conservation(trials=3)
+    assert not result.passed
+    assert len(result.failures) == 1 and result.failures[0].startswith(broken[0])
+    assert result.max_error >= 1e-12
+
+
+def test_conservation_suite_draws_each_setup_once_in_blocks(monkeypatch):
+    """The suite checks the setups that scalar draw_setup gives on one rng
+    stream, in order, each under every convention that exists in its regime,
+    at most 4096 of them per scatter_table call."""
+    scatter_table = verify.scatter_table
+    calls = []
+
+    def spy(mass, step_heights, energies, conv):
+        calls.append((conv, step_heights.tolist(), energies.tolist()))
+        return scatter_table(mass, step_heights, energies, conv)
+
+    monkeypatch.setattr(verify, "scatter_table", spy)
+    assert verify.run_conservation(trials=4097, seed=3).passed
+    rng, expected = np.random.default_rng(3), []
+    for regime in (Regime.KLEIN_ZONE, Regime.TRANSMISSION, Regime.EVANESCENT):
+        setups = [verify.draw_setup(rng, regime) for _ in range(4097)]
+        for block in (setups[:4096], setups[4096:]):
+            expected += [(conv, [s.step_height for s in block], [s.energy for s in block])
+                         for conv in Convention
+                         if regime is not Regime.EVANESCENT
+                         or conv not in GROWING_UNDER_EVANESCENT]
+    assert calls == expected
 
 
 def test_closed_vs_oracle_solves_stay_within_the_oracle_scan_cells(monkeypatch):
