@@ -31,6 +31,15 @@ from w·(V₀ + E + mc²) and the tolerance, and doubles until the change
 between the n- and 2n-cell results, a Richardson estimate of the error,
 meets the tolerance.  The cost therefore depends on w times the wave
 numbers and on the tolerance but not on the distance to a regime edge.
+An estimate that rises from one doubling to the next has met the rounding
+floor, which √R sets when R ≫ 1, and is refused there.
+
+The first rung evaluates the cells of 4n, 2n and n at once, on a node grid
+cached per set of counts, and multiplies them in one pairwise tree: the
+passes lie one after another, each at a multiple of its own count, so one
+batched product per level pairs cells of one pass only.  Every product has
+the operands it has in a tree of its own pass, so every result is bit for
+bit that of one evaluation and one tree per pass.
 
 The oracle never touches the closed-form amplitudes.  The tanh step is
 exactly solvable (Sauter), so ``sauter_log_coefficients`` gives the exact R
@@ -45,6 +54,8 @@ can represent it.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +75,7 @@ _GRADING = 3.0
 _MIN_CELLS = 8
 _MAX_CELLS = 2**16
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_GAUSS_COLUMN = np.array(_GAUSS)[:, np.newaxis]
 
 
 @dataclass(frozen=True)
@@ -106,35 +118,56 @@ class OracleResult:
     n_steps: int
 
 
+@functools.cache
+def _grid(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """sinh(c·u) at the left and the right node of every cell of passes of
+    ``counts`` cells that lie one after another, as two rows, and the index
+    of each pass's first cell.  The nodes are 10w / sinh(c) times these,
+    the same doubles as when sinh(c·u) is formed per solve.  The counts are
+    powers of two up to the cap, so the cache holds at most 24 entries and
+    about 7 MB."""
+    # n is a power of two, so u runs exactly from 1 to −1 and the u of fewer
+    # cells are the same doubles as every (top/n)-th u of the most cells.
+    top = max(counts)
+    grid = np.sinh(_GRADING * (1.0 - (2.0 / top) * np.arange(top + 1)))
+    unit = np.array([
+        np.concatenate([grid[: -1 : top // n] for n in counts]),
+        np.concatenate([grid[top // n :: top // n] for n in counts]),
+    ])
+    heads = np.array([0, *itertools.accumulate(counts[:-1])])
+    unit.flags.writeable = heads.flags.writeable = False
+    return unit, heads
+
+
 def _magnus_cells(
     setup: PhysicalSetup, step: SmoothStep, counts: list[int]
 ) -> list[np.ndarray]:
     """Propagators of n graded cells from x = 10w to −10w, in the order they
-    act, for every power-of-two n in ``counts``, from one evaluation.
+    act, for every power-of-two n in ``counts``, from one evaluation, as
+    (n, 2, 2) views that lie one after another in one array.
 
     With A = i[[0, p], [q, 0]], p = E − V + mc² and q = E − V − mc²,
     the commutator is [A₂, A₁] = (p₁q₂ − p₂q₁) σ_z, so every Ω has the form
     [[γ, iα], [iβ, −γ]] with α, β, γ real and s² = γ² − αβ.  Each
     propagator is then [[a, ib], [ic, d]] = S·[[a, −b], [c, d]]·S⁻¹ with
-    a, b, c, d real and S = diag(1, i); the real matrices are returned as
-    (n, 2, 2) arrays, and their products are the real forms of products.
+    a, b, c, d real and S = diag(1, i); the real matrices are returned, and
+    their products are the real forms of products.
     """
-    # n is a power of two, so u runs exactly from 1 to −1 and the u of fewer
-    # cells are the same doubles as every (top/n)-th u of the most cells.
-    top = max(counts)
-    u = 1.0 - (2.0 / top) * np.arange(top + 1)
-    nodes = (_FLAT_BEYOND * step.width / math.sinh(_GRADING)) * np.sinh(_GRADING * u)
-    left = np.concatenate([nodes[: -1 : top // n] for n in counts])
-    h = np.concatenate([nodes[top // n :: top // n] for n in counts]) - left
+    unit, heads = _grid(tuple(counts))
+    left, h = (_FLAT_BEYOND * step.width / math.sinh(_GRADING)) * unit
+    h -= left
     # E − V at the two Gauss points of every cell, as rows.
-    u1, u2 = setup.energy - step.profile(left + np.multiply.outer(_GAUSS, h))
+    x = _GAUSS_COLUMN * h
+    x += left
+    u1, u2 = setup.energy - step.profile(x)
     m = setup.mass_energy
     half_h, u_sum = 0.5 * h, u1 + u2
-    alpha = half_h * (u_sum + 2.0 * m)
+    # −α, the same double as α negated: negation commutes with rounding.
+    minus_alpha = half_h * (-2.0 * m - u_sum)
     beta = half_h * (u_sum - 2.0 * m)
     # p₁q₂ − p₂q₁ = 2m(u₂ − u₁)
     gamma = (math.sqrt(3.0) / 6.0 * m) * h * h * (u2 - u1)
-    s2 = gamma * gamma - alpha * beta
+    s2 = gamma * gamma + minus_alpha * beta
     # s is real for s² > 0 and imaginary for s² < 0, so cosh s and sinh(s)/s
     # are cosh and sinh(r)/r, or cos and sin(r)/r, of r = |s|.
     r = np.sqrt(np.abs(s2))
@@ -144,29 +177,46 @@ def _magnus_cells(
         np.sinh(r, out=np.sin(r), where=grow), r, out=np.ones(len(r)), where=r > 0.0
     )
     sg = sinhc * gamma
-    cells = np.array([[cosh + sg, -sinhc * alpha], [sinhc * beta, cosh - sg]])
-    ends = [sum(counts[: k + 1]) for k in range(len(counts))]
-    return [cells[..., end - n : end].transpose(2, 0, 1) for n, end in zip(counts, ends)]
+    entries = np.empty((2, 2, len(r)))
+    np.add(cosh, sg, out=entries[0, 0])
+    np.multiply(sinhc, minus_alpha, out=entries[0, 1])
+    np.multiply(sinhc, beta, out=entries[1, 0])
+    np.subtract(cosh, sg, out=entries[1, 1])
+    cells = entries.transpose(2, 0, 1)
+    return [cells[head : head + n] for head, n in zip(heads.tolist(), counts)]
 
 
 def _chain(cells: np.ndarray) -> list[np.ndarray]:
-    """Pairwise products of a power-of-two count of cells, later cells on the
-    left, level by level: the last level holds the product of all of them."""
+    """Pairwise products of the passes of power-of-two counts of cells in
+    ``cells``, one after another in descending order of count, later cells
+    on the left, level by level.  Each pass starts at a multiple of its
+    count, so one product per level pairs cells of one pass only; a pass
+    down to one matrix is the last entry of its level and leaves the tree."""
     levels = [cells]
     while len(cells) > 1:
-        cells = cells[1::2] @ cells[0::2]
+        upper = cells[1::2]
+        cells = upper @ cells[0::2][: len(upper)]
         levels.append(cells)
     return levels
 
 
-def _prefix_chain(levels: list[np.ndarray]) -> np.ndarray:
-    """All prefix products M_i ··· M_1 from the levels of ``_chain``, by a
-    down-sweep that takes one product per level."""
-    prefix = levels[-1]
-    for level in reversed(levels[:-1]):
-        parent, prefix = prefix, level.copy()
-        prefix[1::2] = parent
-        prefix[2::2] = level[2::2] @ parent[:-1]
+def _prefix_chain(levels: list[np.ndarray], head: int, n: int) -> np.ndarray:
+    """All prefix products M_i ··· M_1 of the pass of n cells from ``head``
+    on, from the levels of ``_chain``, by a down-sweep that takes one
+    product per level.  The products of 2^d cells each are every 2^d-th
+    prefix, so the odd ones of a level are already in place and each level
+    adds the even ones."""
+    prefix = np.empty((n, 2, 2))
+    for depth in range(n.bit_length() - 1, -1, -1):
+        span, first = 1 << depth, head >> depth
+        level = levels[depth]
+        prefix[span - 1] = level[first]
+        if 3 * span <= n:
+            np.matmul(
+                level[first + 2 : first + (n >> depth) : 2],
+                prefix[2 * span - 1 : -1 : 2 * span],
+                out=prefix[3 * span - 1 :: 2 * span],
+            )
     return prefix
 
 
@@ -193,7 +243,9 @@ def integrate_scattering(
     count until the Richardson estimate is at most ``tol``; the arrival
     value is decomposed onto the incident and reflected free waves, and r
     and t are referred to x = 0.  Raises RuntimeError if the estimate stays
-    above ``tol`` at the internal cell cap, or if the solution overflows the
+    above ``tol`` at the internal cell cap or rises from one doubling to the
+    next, as it does once it meets the rounding floor (about √R times the
+    rounding of the incident amplitude), or if the solution overflows the
     double range, as an evanescent one does once exp(κ·20w) nears 1e308 and
     a wide Klein-zone one does inside its band where |E − V(x)| < mc².
     """
@@ -210,56 +262,82 @@ def integrate_scattering(
     kin = kinematics(setup)
 
     u_t, q_t = _transmitted_basis(kin, conv)
-    amp = np.array([u_t.upper, u_t.lower], dtype=complex)
+    amp_up, amp_low = complex(u_t.upper), complex(u_t.lower)
     # S⁻¹ψ of the start, with its real and imaginary parts as the columns.
-    start = np.array([[amp[0].real, amp[0].imag], [amp[1].imag, -amp[1].real]])
+    start = np.array([[amp_up.real, amp_up.imag], [amp_low.imag, -amp_low.real]])
     a = kin.a
-    # rows: incident and reflected amplitudes of the free waves at x = −10w
-    to_waves = np.array([[a, 1.0], [a, -1.0]]) / (2.0 * a)
+    # The incident and reflected amplitudes of the free waves at x = −10w are
+    # [[a, 1], [a, −1]] / 2a times the arrival; Python's complex arithmetic
+    # forms the same doubles as numpy's matrix product.
+    half, by_2a = a / (2.0 * a), 1.0 / (2.0 * a)
 
-    def decompose(cells: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        # The first cell carries the start, so every product is a state.
-        cells[0] = cells[0] @ start
-        levels = _chain(cells)
-        (x00, x01), (x10, x11) = levels[-1][0].tolist()
-        arrival = np.array([complex(x00, x01), complex(-x11, x10)])
-        coeffs = to_waves @ arrival
-        if abs(coeffs[0]) < 1e-8 * math.hypot(abs(arrival[0]), abs(arrival[1])):
+    def decompose(levels: list[np.ndarray], head: int, n: int) -> tuple[complex, complex]:
+        depth = n.bit_length() - 1
+        (x00, x01), (x10, x11) = levels[depth][head >> depth].tolist()
+        up, low = complex(x00, x01), complex(-x11, x10)
+        coeff_in, coeff_refl = half * up + by_2a * low, half * up + -by_2a * low
+        if abs(coeff_in) < 1e-8 * math.hypot(abs(up), abs(low)):
             raise RuntimeError("decomposition ill-conditioned: no incident content")
-        return levels, coeffs
+        return coeff_in, coeff_refl
 
-    # First rung: a power of two fitted to a quarter of the count the
+    def solve(counts: list[int]) -> tuple[list[np.ndarray], list[int]]:
+        """The levels of the passes of ``counts`` cells, in descending order,
+        and the index of the first cell of each."""
+        cells = np.concatenate(_magnus_cells(setup, step, counts))
+        # The first cell of a pass carries the start, so every product is a state.
+        heads = _grid(tuple(counts))[1]
+        cells[heads] = cells[heads] @ start
+        return _chain(cells), heads.tolist()
+
+    # First rung: a power of two n fitted to a quarter of the count the
     # tolerance needs, which grows with w times the largest wave number and,
-    # for a fourth-order method, like tol^(−1/4), then twice and four times
-    # it, from one evaluation of the cells; each further doubling is one more.
+    # for a fourth-order method, like tol^(−1/4), with 2n and 4n, from one
+    # evaluation of the cells and one tree; each further doubling is one
+    # more of each.
     reach = step.width * (step.height + setup.energy + setup.mass_energy)
     guess = 130.0 * reach**0.6 * (tol / 1e-10) ** -0.25
     n = min(2 ** math.floor(math.log2(max(_MIN_CELLS, guess))), _MAX_CELLS // 2)
     # A wide enough step overflows its cells; its estimate is then not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        counts = [c for c in (n, 2 * n, 4 * n) if c <= _MAX_CELLS]
-        rung = _magnus_cells(setup, step, counts)
-        _, coarse = decompose(rung.pop(0))
+        levels, rung = solve([c for c in (4 * n, 2 * n, n) if c <= _MAX_CELLS])
+        coarse = decompose(levels, rung.pop(), n)
+        previous = math.inf
         while True:
             n *= 2
-            cells = rung.pop(0) if rung else _magnus_cells(setup, step, [n])[0]
-            levels, fine = decompose(cells)
-            richardson = float(np.abs(fine - coarse).max() / (15.0 * abs(fine[0])))
+            if rung:
+                head = rung.pop()
+            else:
+                levels, (head,) = solve([n])
+            fine = decompose(levels, head, n)
+            # np.abs of an array, whose last bit can differ from abs of a scalar,
+            # and np.max's rule that a NaN in either wins.
+            d_in, d_refl = np.abs([fine[0] - coarse[0], fine[1] - coarse[1]]).tolist()
+            change = max(d_in, d_refl) if d_in == d_in and d_refl == d_refl else math.nan
+            richardson = change / (15.0 * abs(fine[0]))
             if richardson <= tol:
                 break
             # A non-finite estimate never meets tol: refuse it at once.
             if not math.isfinite(richardson):
                 raise _overflow(kin, step, n)
-            if n >= _MAX_CELLS:
-                raise RuntimeError(
+            # Truncation error falls with every doubling; an estimate that
+            # rises has met the rounding of the reflected amplitude, |r| = √R
+            # times that of the incident one, and more cells cannot help.
+            if richardson > previous or n >= _MAX_CELLS:
+                refusal = (
                     f"Richardson estimate {richardson:.2e} misses tol {tol:.0e} at width "
-                    f"{step.width:g} with {n} cells (cap {_MAX_CELLS})"
+                    f"{step.width:g} with {n} cells"
                 )
-            coarse = fine
-    coeff_in, coeff_refl = complex(fine[0]), complex(fine[1])
+                if richardson > previous:
+                    raise RuntimeError(
+                        f"{refusal}: it rose from {previous:.2e} with half as many, so it "
+                        f"has met the rounding floor that √R = {abs(fine[1] / fine[0]):.3g} sets"
+                    )
+                raise RuntimeError(f"{refusal} (cap {_MAX_CELLS})")
+            coarse, previous = fine, richardson
+    coeff_in, coeff_refl = fine
 
-    half = _FLAT_BEYOND * step.width
-    j_ref = 2.0 * (amp[0].conjugate() * amp[1]).real
+    half_width = _FLAT_BEYOND * step.width
+    j_ref = 2.0 * (amp_up.conjugate() * amp_low).real
     # A pass whose arrival is finite can still overflow the squares below.
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -267,18 +345,18 @@ def integrate_scattering(
             # local density so exponentially growing evanescent solutions stay
             # comparable.  For ψ = S·(X[:, 0] + i X[:, 1]) the current
             # 2 Re(φ̄χ) is −2 det X.
-            x = _prefix_chain(levels)
+            x = _prefix_chain(levels, head, n)
             j_path = -2.0 * (x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0])
             rho_path = (x * x).sum(axis=(1, 2))
             conservation = float(
                 (np.abs(j_path - j_ref) / np.maximum(abs(j_ref), rho_path)).max()
             )
             # log-form avoids overflow of exp(kappa*x) for strongly evanescent runs
-            t_num = cmath.exp(-1j * (q_t + kin.k) * half - cmath.log(coeff_in))
+            t_num = cmath.exp(-1j * (q_t + kin.k) * half_width - cmath.log(coeff_in))
             j_in = 2.0 * a * abs(coeff_in) ** 2
     except (FloatingPointError, OverflowError):
         raise _overflow(kin, step, n) from None
-    r_num = (coeff_refl / coeff_in) * cmath.exp(-2j * kin.k * half)
+    r_num = (coeff_refl / coeff_in) * cmath.exp(-2j * kin.k * half_width)
     R_num = abs(coeff_refl / coeff_in) ** 2
     T_num = closure = 0.0
     if kin.regime is not Regime.EVANESCENT:

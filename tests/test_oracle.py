@@ -249,6 +249,30 @@ def test_cell_cap_raises_when_estimate_above_tol(monkeypatch):
         integrate_scattering(GOLDEN, SmoothStep(4.0, 1.0), Convention.MAIN)
 
 
+@pytest.mark.parametrize(
+    "setup, width, conv, tol",
+    [
+        # main in the transmission regime, R ~ 5e11
+        (PhysicalSetup(1.0, 16.264875658634125, 315.75974032196524), 0.013886384318014863,
+         Convention.MAIN, 1e-10),
+        # traditional in the Klein zone, R ~ 1.7e5
+        (PhysicalSetup(1.0, 1140.4735942683808, 701.4078652311506), 0.0018617004572031475,
+         Convention.TRADITIONAL, 1e-13),
+    ],
+)
+def test_estimate_that_rises_is_refused_at_the_rounding_floor(setup, width, conv, tol):
+    """The estimate is relative to the incident amplitude, so when R >> 1 the
+    rounding of the reflected one, sqrt(R) times larger, floors it above tol.
+    It falls to that floor and then rises; the ladder refuses at the first
+    rise, at 8192 cells, instead of doubling on to the 65536-cell cap."""
+    estimate = r"\d\.\d\de-\d\d"
+    message = (rf"^Richardson estimate {estimate} misses tol {tol:.0e} at width {width:g} "
+               rf"with 8192 cells: it rose from {estimate} with half as many, so it has met "
+               rf"the rounding floor that √R = \S+ sets$")
+    with pytest.raises(RuntimeError, match=message):
+        integrate_scattering(setup, SmoothStep(setup.step_height, width), conv, tol=tol)
+
+
 # Wide steps across the regimes: Klein zone under both conventions, the
 # transmission regime under ``traditional`` and the evanescent band.
 WIDE_SETUPS = [
@@ -380,6 +404,26 @@ def _reference_cells(setup, step, n):
     ).transpose(2, 0, 1)
 
 
+def _reference_chain(cells):
+    """Pairwise products of one pass, level by level, one pass at a time."""
+    levels = [cells]
+    while len(cells) > 1:
+        cells = cells[1::2] @ cells[0::2]
+        levels.append(cells)
+    return levels
+
+
+def _reference_prefix_chain(levels):
+    """All prefix products M_i ... M_1 of one pass by a down-sweep over the
+    levels of ``_reference_chain``."""
+    prefix = levels[-1]
+    for level in reversed(levels[:-1]):
+        parent, prefix = prefix, level.copy()
+        prefix[1::2] = parent
+        prefix[2::2] = level[2::2] @ parent[:-1]
+    return prefix
+
+
 def _reference_ladder(setup, step, conv, tol):
     """``integrate_scattering`` with one evaluation of the cells per doubling,
     as it was before the first rung; also returns the number of passes."""
@@ -393,7 +437,7 @@ def _reference_ladder(setup, step, conv, tol):
     def solve(n):
         cells = _reference_cells(setup, step, n)
         cells[0] = cells[0] @ start
-        levels = oracle._chain(cells)
+        levels = _reference_chain(cells)
         (x00, x01), (x10, x11) = levels[-1][0]
         arrival = np.array([complex(x00, x01), complex(-x11, x10)])
         coeffs = to_waves @ arrival
@@ -417,7 +461,7 @@ def _reference_ladder(setup, step, conv, tol):
             raise RuntimeError(f"Richardson estimate {richardson:.2e} misses tol {tol:.0e}")
         coarse = fine
     coeff_in, coeff_refl = complex(fine[0]), complex(fine[1])
-    x = oracle._prefix_chain(levels)
+    x = _reference_prefix_chain(levels)
     j_path = -2.0 * (x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0])
     rho_path = np.sum(x * x, axis=(1, 2))
     j_ref = 2.0 * (amp[0].conjugate() * amp[1]).real
