@@ -21,8 +21,7 @@ from .forces import (
     ForceReport,
     external_force_mean,
     momentum_flux_bracket,
-    nr_boundary_force_dirichlet,
-    nr_boundary_force_neumann,
+    nr_boundary_force,
 )
 from .gridio import GridSample, sample, write_csv
 from .limits import (
@@ -98,8 +97,7 @@ __all__ = [
     "match",
     "momentum_flux_bracket",
     "nonrelativistic_limit",
-    "nr_boundary_force_dirichlet",
-    "nr_boundary_force_neumann",
+    "nr_boundary_force",
     "physical_convention",
     "sample",
     "scatter_table",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .boundary import classify_boundary
-from .core import EdgePointError, PhysicalSetup, Regime, classify_regime, kinematics
+from .core import PhysicalSetup, Regime, classify_regime, kinematics
 from .forces import ForceReport, momentum_flux_bracket
 from .gridio import sample, write_csv
 from .limits import (edge_limit, impenetrable_limit, infinite_potential_limit,
@@ -182,22 +182,19 @@ def _cmd_limit(args) -> int:
         return 0
     if args.which == "nonrel":
         limit = nonrelativistic_limit(args.energy, args.mass, conv)
-        report = classify_boundary(limit)
+        rows = [
+            ("kind", limit.kind.value),
+            ("wave_number", limit.wave_number),
+            ("a_limit", limit.a),
+            ("psi0", limit.spinor_at(0.0).upper),
+            ("psi_deriv0", limit.nr_derivative_at_origin()),
+            ("force", limit.force),
+            ("boundary", classify_boundary(limit).classification.value),
+        ]
         _echo_params("limit", {"which": "nonrel", "mass_energy": args.mass,
                                "kinetic_energy": args.energy,
                                "convention": conv.value}, precision)
-        _print_table(
-            [
-                ("kind", limit.kind.value),
-                ("wave_number", limit.wave_number),
-                ("a_limit", limit.a),
-                ("psi0", limit.spinor_at(0.0).upper),
-                ("psi_deriv0", limit.nr_derivative_at_origin()),
-                ("force", limit.force),
-                ("boundary", report.classification.value),
-            ],
-            precision,
-        )
+        _print_table(rows, precision)
         return 0
     limit = impenetrable_limit(args.energy, args.mass, conv)
     psi0 = limit.spinor_at(0.0)
@@ -375,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_counts(args)
         return args.func(args)
-    except (ValueError, EdgePointError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matching import ScatteringSolution
+from .matching import PlaneWaveSolution
 from .observables import density_current_at_origin
 from .spinor import Spinor
 
@@ -25,8 +25,7 @@ __all__ = [
     "ForceReport",
     "external_force_mean",
     "momentum_flux_bracket",
-    "nr_boundary_force_dirichlet",
-    "nr_boundary_force_neumann",
+    "nr_boundary_force",
 ]
 
 
@@ -55,10 +54,10 @@ class ForceReport:
         return abs(self.external_mean - self.boundary_mean) <= 1e-9 * scale
 
 
-def external_force_mean(sol: ScatteringSolution) -> float:
-    """Mean of the external step force, −V₀·ρ(0), in the matched state."""
+def external_force_mean(sol: PlaneWaveSolution) -> float:
+    """Mean of the external step force, −V₀·ρ(0), in a matched or limit state."""
     rho0, _ = density_current_at_origin(sol)
-    return -sol.setup.step_height * rho0
+    return -sol.step_height * rho0
 
 
 def momentum_flux_bracket(psi: Spinor, energy: float, mass_energy: float) -> float:
@@ -75,20 +74,12 @@ def momentum_flux_bracket(psi: Spinor, energy: float, mass_energy: float) -> flo
     return -energy * (up2 + lo2) + mass_energy * (up2 - lo2)
 
 
-def nr_boundary_force_dirichlet(psi_nr_deriv0: complex, mass_energy: float) -> float:
-    """Nonrelativistic boundary force at a hard wall with ψ(0) = 0.
-
-    Takes the spatial derivative of the Schroedinger wavefunction at the
-    wall and returns −(ħ²/2m)|ψₓ(0)|², with ħ = c = 1 so m = mc².
-    """
-    return -abs(psi_nr_deriv0) ** 2 / (2.0 * mass_energy)
-
-
-def nr_boundary_force_neumann(
-    psi_nr0: complex, psi_nr_second_deriv0: complex, mass_energy: float
-) -> float:
-    """Nonrelativistic boundary force at a wall with ψₓ(0) = 0.
-
-    Takes ψ(0) and ψₓₓ(0) and returns +(ħ²/2m)·Re(ψ*(0) ψₓₓ(0))."""
-    cross = (complex(psi_nr0).conjugate() * psi_nr_second_deriv0).real
-    return cross / (2.0 * mass_energy)
+def nr_boundary_force(psi: complex, psi_x: complex, psi_xx: complex,
+                      mass_energy: float) -> float:
+    """Nonrelativistic boundary force (Re ψ̄ψₓₓ − |ψₓ|²)/2m of a Schroedinger
+    wavefunction and its derivatives at a hard wall, with ħ = c = 1 so m = mc²:
+    −|ψₓ|²/2m on a Dirichlet wall, Re(ψ̄ψₓₓ)/2m on a Neumann wall.  Each
+    square is divided by m as it is formed, so it overflows only with the force."""
+    cross = (0.5 * complex(psi).conjugate() * (psi_xx / mass_energy)).real
+    slope = abs(psi_x)
+    return cross - 0.5 * slope * (slope / mass_energy)

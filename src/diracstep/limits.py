@@ -14,7 +14,7 @@ Each limit eigenstate is plane-wave data, a ``matching.PlaneWaveSolution``:
 the reflection r = ±1 of the incident [1, a]·e^{ikx} and, beyond the wall,
 the constant spinor that continuity gives it.  It is sampled, classified and
 tabulated through the same evaluators and observables as a matched state;
-``kind`` only labels it.
+``kind`` only labels it, and its wall force is read from it, not stored.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .core import PhysicalSetup, Regime, classify_regime, incident_wave
+from .forces import external_force_mean, nr_boundary_force
 from .matching import Convention, PlaneWaveSolution
 from .spinor import PlaneWaveState, Side, Spinor
 
@@ -55,8 +56,9 @@ class LimitSolution(PlaneWaveSolution):
     ``wave_number`` is k (resp. the nonrelativistic wave number) and ``a``
     the spinor-ratio (resp. its small-a limit value).  ``r`` and ``t`` are
     the reflection and transmission amplitudes in the parameterization of
-    ``convention``, and ``force`` is the limiting mean of the external step
-    force.  Every kind reflects totally; for the relativistic kinds
+    ``convention``, and ``step_height`` is the edge V₀ the state sits on:
+    E + mc², E − mc² for EDGE_LOWER, ∞ (a hard wall) for the NONREL kinds.
+    Every kind reflects totally; for the relativistic kinds
     ``observables.coefficients`` gives R = 1, T = 0, v_t = 0 exactly.
     """
 
@@ -64,14 +66,24 @@ class LimitSolution(PlaneWaveSolution):
     energy: float
     mass_energy: float
     a: float
-    force: float
+    step_height: float
 
     @property
     def wave_number(self) -> float:
         return self.incident.wave_number
 
+    @property
+    def force(self) -> float:
+        """Mean wall force: −V₀·ρ(0), or at the hard wall V₀ = ∞ the boundary
+        force of the Schroedinger wavefunction, the upper component."""
+        if self.step_height < math.inf:
+            return external_force_mean(self)
+        return nr_boundary_force(self.left_value_at(0.0).upper,
+                                 self.nr_derivative_at_origin(),
+                                 self.nr_second_derivative_at_origin(), self.mass_energy)
 
-def _limit(kind, conv, energy, mass_energy, k, ratio, a, r, t, force) -> LimitSolution:
+
+def _limit(kind, conv, energy, mass_energy, k, ratio, a, r, t, step_height) -> LimitSolution:
     """The limit eigenstate as data: the reflection r = ±1 of [1, ratio]·e^{ikx}
     and, beyond the wall, the constant spinor [1 + r, ratio·(1 − r)] that
     continuity at x = 0 gives, [0, 2·ratio] or [2, 0].  ``ratio`` is ``a``,
@@ -79,7 +91,7 @@ def _limit(kind, conv, energy, mass_energy, k, ratio, a, r, t, force) -> LimitSo
     wall = PlaneWaveState(Spinor(1.0 + r, ratio * (1.0 - r)), 0.0, Side.RIGHT)
     return LimitSolution.reflecting(
         k, ratio, r, wall, conv, t,
-        kind=kind, energy=energy, mass_energy=mass_energy, a=a, force=force,
+        kind=kind, energy=energy, mass_energy=mass_energy, a=a, step_height=step_height,
     )
 
 
@@ -97,11 +109,11 @@ def impenetrable_limit(
 
     For the MAIN / LOWER_COMPONENT conventions the wall enforces a
     Dirichlet condition on the upper component, leaving the density at the
-    wall at 4a² and the mean wall force at −4(E − mc²); the state is
+    wall at 4a² and the mean wall force −V₀·4a² at −4(E − mc²); the state is
     reported in the main parameterization, r = −1 and t = 0.  For the
     NEGATIVE_ENERGY convention the lower component vanishes instead
-    (r = +1, t = 0) and the external force limit is −4(E + mc²), which
-    disagrees with the boundary quantum force of the same state.
+    (r = +1, t = 0) and the external force limit is −V₀·4 = −4(E + mc²),
+    which disagrees with the boundary quantum force of the same state.
     """
     if energy <= mass_energy:
         raise ValueError("impenetrable limit needs E > mc2")
@@ -109,14 +121,12 @@ def impenetrable_limit(
     k, a = incident_wave(energy, mass_energy)
     if conv in (Convention.MAIN, Convention.LOWER_COMPONENT):
         kind, conv, r = LimitKind.IMPENETRABLE_MAIN, Convention.MAIN, -1.0
-        force = -4.0 * (energy - mass_energy)
     elif conv is Convention.NEGATIVE_ENERGY:
         kind, r = LimitKind.IMPENETRABLE_NEGATIVE, 1.0
-        force = -4.0 * (energy + mass_energy)
     else:
         raise ValueError("impenetrable limit defined for the main, lower and "
                          "negative-energy conventions only")
-    return _limit(kind, conv, energy, mass_energy, k, a, a, r, 0.0, force)
+    return _limit(kind, conv, energy, mass_energy, k, a, a, r, 0.0, energy + mass_energy)
 
 
 def edge_limit(
@@ -132,7 +142,7 @@ def edge_limit(
 
     At the lower edge V₀ = E − mc² the transmitted wave freezes into the
     constant spinor [2, 0] (b → 0, r = 1, t = 2): the state is the
-    IMPENETRABLE_NEGATIVE function, with the wall force −4(E − mc²).  Only
+    IMPENETRABLE_NEGATIVE function, with the wall force −V₀·4 = −4(E − mc²).  Only
     the MAIN and TRADITIONAL parameterizations stay finite there;
     ``conv=None`` reports TRADITIONAL.
     """
@@ -155,7 +165,7 @@ def edge_limit(
         )
     k, a = incident_wave(energy, mass_energy)
     return _limit(LimitKind.EDGE_LOWER, conv, energy, mass_energy, k, a, a, 1.0, 2.0,
-                  -4.0 * (energy - mass_energy))
+                  setup.step_height)
 
 
 def nonrelativistic_limit(
@@ -168,6 +178,7 @@ def nonrelativistic_limit(
     comes from: MAIN gives NONREL_MAIN, the hard-wall Dirichlet state
     2i·sin(k x) with vanishing lower component; NEGATIVE_ENERGY gives
     NONREL_NEGATIVE, the Neumann state 2·cos(k x), constant beyond the wall.
+    Both sit at a hard wall, V₀ = ∞, with the force −4·E_kin.
     """
     if conv is Convention.MAIN:
         kind, r = LimitKind.NONREL_MAIN, -1.0
@@ -184,15 +195,14 @@ def nonrelativistic_limit(
     _check_finite(energy_nr, mass_energy)
     k_nr = math.sqrt(2.0 * mass_energy * energy_nr)
     a_limit = math.sqrt(energy_nr / (2.0 * mass_energy))
-    force = -4.0 * energy_nr
     for cause, value in (("sqrt(2 mc2 E_kin)", k_nr), ("sqrt(E_kin / 2mc2)", a_limit),
-                         ("-4 E_kin", force)):
+                         ("-4 E_kin", -4.0 * energy_nr)):
         if not math.isfinite(value):
             raise ValueError(f"{cause} overflows (E_kin={energy_nr}, mc2={mass_energy})")
     if a_limit >= 1.0:  # a < 1 for every relativistic state
         raise ValueError(f"sqrt(E_kin / 2mc2) = {a_limit} >= 1: E_kin >= 2 mc2 is not "
                          f"nonrelativistic (E_kin={energy_nr}, mc2={mass_energy})")
-    return _limit(kind, conv, energy_nr, mass_energy, k_nr, 0.0, a_limit, r, 0.0, force)
+    return _limit(kind, conv, energy_nr, mass_energy, k_nr, 0.0, a_limit, r, 0.0, math.inf)
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,15 @@ class PlaneWaveSolution:
         limit state, whose upper component that wavefunction is."""
         return 1j * self.incident.wave_number * (1 - self.r)
 
+    def nr_second_derivative_at_origin(self) -> complex:
+        """Its second derivative at the wall, −k²·(1 + r); ValueError where
+        that overflows."""
+        k = self.incident.wave_number
+        value = -(1 + self.r) * k * k
+        if np.isinf(value):
+            raise ValueError(f"-k^2 (1 + r) overflows (k={k}, r={self.r})")
+        return value
+
     def left_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``left_value_at`` at every position, as complex arrays."""
         in_upper, in_lower = self.incident.values_at(xs)
@@ -126,6 +135,10 @@ class ScatteringSolution(PlaneWaveSolution):
     @property
     def setup(self):
         return self.kinematics.setup
+
+    @property
+    def step_height(self) -> float:
+        return self.kinematics.setup.step_height
 
 
 # The e^{+ik̄x} waves, which grow for x → +∞ once k̄ → −iκ under an

@@ -90,7 +90,7 @@ def _open_rows(m, v0, e, conv: Convention, evanescent: bool):
     columns = {"a": a, "b_re": b.real, "b_im": b.imag, "k": np.sqrt(k2),
                "kbar_or_kappa": kappa, "r_re": r.real, "r_im": r.imag,
                "t_re": t.real, "t_im": t.imag, "T": T, "rho0": rho0, "v_t": v_t,
-               "R": np.abs(currents(r, r_lower)) / np.abs(j_in), "force": -v0 * rho0,
+               "R": np.abs(currents(r, r_lower)) / np.abs(j_in),
                "j0": currents(psi_upper, psi_lower), "boundary": boundary,
                "continuity": residual / left_scale}
     return columns, refused
@@ -112,7 +112,7 @@ def _edge_row(setup: PhysicalSetup, conv) -> dict:
     return {"a": sol.a, "b_re": b, "b_im": 0.0, "k": sol.wave_number,
             "kbar_or_kappa": 0.0, "continuity": 0.0, "r_re": r.real, "r_im": r.imag,
             "t_re": t.real, "t_im": t.imag, **vars(coefficients(sol)),
-            "force": sol.force, "convention": sol.convention.value,
+            "convention": sol.convention.value,
             "boundary": classify_boundary(sol).classification.value}
 
 
@@ -171,4 +171,6 @@ def scatter_table(mass, step_heights, energies, conv: Convention | None) -> dict
             _replay(setup, conv)
         for name, value in _edge_row(setup, conv).items():
             table[name][rows] = value
+    with np.errstate(over="ignore"):
+        table["force"] = -v0 * table["rho0"]  # forces.external_force_mean
     return dict(table)

@@ -9,10 +9,11 @@ Three suites:
                         step against that formula's w → 0 limit, and the
                         paradox bookkeeping (R > 1 under the traditional
                         boundary condition in the Klein zone);
-* ``limits``            impenetrable-barrier values, the two-sided approach
-                        of the wall force and of T against their exact
-                        expansions, boundary condition classification,
-                        nonrelativistic force.
+* ``limits``            impenetrable-barrier values and wall forces against
+                        the paper's, the two-sided approach of the wall force
+                        and of T against their exact expansions, boundary
+                        condition classification, the relativistic wall force
+                        near E = mc² against the nonrelativistic one.
 
 Setups are drawn with log-uniform E/mc² in (1 + 1e-3, 1e3) and the step
 height uniform inside the requested regime (Klein-zone heights uniform in
@@ -34,7 +35,6 @@ from .limits import impenetrable_limit, nonrelativistic_limit
 from .matching import GROWING_UNDER_EVANESCENT, Convention, match
 from .observables import coefficients
 from .oracle import SmoothStep, integrate_scattering, sauter_log_coefficients
-from .spinor import density
 from .table import scatter_table
 
 __all__ = [
@@ -207,17 +207,19 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
         e = draw_energy(rng)
         main = impenetrable_limit(e, 1.0, Convention.MAIN)
         negative = impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY)
-        psi0 = main.spinor_at(0.0)
-        for limit in (main, negative):
+        # Per kind: the wall force −V₀·ρ(0) at V₀ = E + mc², read from the wall
+        # spinor, against the paper's −4(E ∓ mc²), and the vanishing component.
+        for limit, paper_force, wall in (
+            (main, -4.0 * (e - 1.0), BoundaryCondition.DIRICHLET_UPPER),
+            (negative, -4.0 * (e + 1.0), BoundaryCondition.DIRICHLET_LOWER),
+        ):
             obs = coefficients(limit)
-            result.check(
-                (obs.R, obs.T, obs.v_t) == (1.0, 0.0, 0.0),
-                f"{limit.kind.value} limit R/T/v_t at E={e}",
-            )
-            # The external force −V₀·ρ(0) at V₀ = E + mc², from the wall spinor.
-            wall_force = -(e + 1.0) * density(limit.spinor_at(0.0))
-            result.record(abs(limit.force - wall_force), 1e-12 * e,
+            result.check((obs.R, obs.T, obs.v_t) == (1.0, 0.0, 0.0),
+                         f"{limit.kind.value} limit R/T/v_t at E={e}")
+            result.record(abs(limit.force - paper_force), 1e-12 * e,
                           f"{limit.kind.value} wall force E={e}")
+            result.check(classify_boundary(limit).classification is wall,
+                         f"{limit.kind.value} limit classification at E={e}")
         # ψ(0⁻) from the incident and reflected waves: the upper component
         # obeys Dirichlet while the spinor does not vanish.
         left = main.left_value_at(0.0)
@@ -226,27 +228,12 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
             1e-15,
             f"main limit spinor(0-) at E={e}",
         )
-        result.record(
-            abs(momentum_flux_bracket(psi0, e, 1.0) + 4.0 * (e - 1.0)),
-            1e-12 * e,
-            f"boundary force E={e}",
-        )
+        main_bracket = momentum_flux_bracket(main.spinor_at(0.0), e, 1.0)
+        result.record(abs(main_bracket + 4.0 * (e - 1.0)), 1e-12 * e, f"boundary force E={e}")
         # Negative-energy convention: external and boundary force disagree.
-        psi0_neg = negative.spinor_at(0.0)
-        result.check(
-            abs(negative.force - momentum_flux_bracket(psi0_neg, e, 1.0)) > 1.0,
-            f"force discrepancy must persist at E={e}",
-        )
-        result.check(
-            classify_boundary(main).classification
-            is BoundaryCondition.DIRICHLET_UPPER,
-            f"main limit classification at E={e}",
-        )
-        result.check(
-            classify_boundary(negative).classification
-            is BoundaryCondition.DIRICHLET_LOWER,
-            f"negative limit classification at E={e}",
-        )
+        negative_bracket = momentum_flux_bracket(negative.spinor_at(0.0), e, 1.0)
+        result.check(abs(negative.force - negative_bracket) > 1.0,
+                     f"force discrepancy must persist at E={e}")
         inside = draw_setup(rng, Regime.KLEIN_ZONE)
         report = classify_boundary(match(kinematics(inside), Convention.MAIN))
         result.check(
@@ -270,13 +257,13 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
             result.record(abs(t_ratio - shift), 1e-7, f"T/(4a eps) {label}")
         force = external_force_mean(sol) + 4.0 * (e_probe - 1.0) * shift
         result.record(abs(force), 1e-7, f"wall force {label}")
-    # Nonrelativistic wall force and Neumann classification.
-    e_nr = 1e-6
+    # The relativistic wall force at E = mc² + E_kin against the hard-wall force
+    # of the Dirichlet state at that E_kin, each read from its own state.
+    e = 1.0 + 1e-6
+    e_nr = e - 1.0
     main_nr = nonrelativistic_limit(e_nr, 1.0, Convention.MAIN)
-    rel = impenetrable_limit(1.0 + e_nr, 1.0, Convention.MAIN)
-    result.record(
-        abs(rel.force / (-4.0 * e_nr) - 1.0), 1e-5, "NR force ratio"
-    )
+    rel = impenetrable_limit(e, 1.0, Convention.MAIN)
+    result.record(abs(rel.force / main_nr.force - 1.0), 1e-12, "NR force ratio")
     result.check(
         classify_boundary(main_nr).classification is BoundaryCondition.DIRICHLET_NR,
         "NR main limit must classify DirichletNR",

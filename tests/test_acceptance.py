@@ -19,6 +19,7 @@ from diracstep import (
     apply_hamiltonian,
     classify_boundary,
     coefficients,
+    density,
     external_force_mean,
     impenetrable_limit,
     infinite_potential_limit,
@@ -90,14 +91,18 @@ def test_criterion_3_impenetrable_limit_values():
         psi0 = main.spinor_at(0.0)
         assert psi0.upper == 0.0
         assert psi0.lower == 2.0 * main.a
-        assert main.force == -4.0 * (e - 1.0)
+        # The wall force is read from the state, −V0·rho(0) with V0 = E + mc2,
+        # within 4 ulps of the paper's -4(E - mc2) and -4(E + mc2).
+        assert main.force == -(e + 1.0) * density(psi0)
+        assert abs(main.force + 4.0 * (e - 1.0)) <= 4.0 * math.ulp(4.0 * (e - 1.0))
         assert momentum_flux_bracket(psi0, e, 1.0) == pytest.approx(
             -4.0 * (e - 1.0), rel=1e-13
         )
         negative = impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY)
         psi0_neg = negative.spinor_at(0.0)
         assert (psi0_neg.upper, psi0_neg.lower) == (2.0, 0.0)
-        assert negative.force == -4.0 * (e + 1.0)
+        assert negative.force == -(e + 1.0) * density(psi0_neg)
+        assert abs(negative.force + 4.0 * (e + 1.0)) <= 4.0 * math.ulp(4.0 * (e + 1.0))
         wall = momentum_flux_bracket(psi0_neg, e, 1.0)
         assert wall == pytest.approx(-4.0 * (e - 1.0), rel=1e-13)
         assert negative.force != wall  # the documented discrepancy

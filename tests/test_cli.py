@@ -210,6 +210,23 @@ def test_limit_nonrel_neumann(capsys):
     assert "NeumannNR" in out
 
 
+def test_limit_nonrel_force_where_its_square_overflows(capsys):
+    """|psi_x(0)|^2 = 4e308 overflows a double; the force -2e154 does not."""
+    code, out, err = run(capsys, "limit", "--which", "nonrel", "--energy", "5e153",
+                         "--mass", "1e154")
+    assert (code, err) == (0, "")
+    assert "force        -2e+154\n" in out
+
+
+def test_limit_nonrel_neumann_refuses_an_overflowing_curvature(capsys):
+    """psi_xx(0) = -2k^2 of the Neumann state exceeds the double range at
+    k = 1e154: exit 2 with the cause, before any output."""
+    code, out, err = run(capsys, "limit", "--which", "nonrel", "--energy", "5e153",
+                         "--mass", "1e154", "--convention", "negative")
+    assert (code, out) == (2, "")
+    assert err == "error: -k^2 (1 + r) overflows (k=1e+154, r=1.0)\n"
+
+
 def test_wavefunction_impenetrable(capsys, tmp_path):
     out_file = tmp_path / "wall.csv"
     code, _, _ = run(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracstep import (
     Convention,
@@ -15,8 +17,7 @@ from diracstep import (
     kinematics,
     match,
     momentum_flux_bracket,
-    nr_boundary_force_dirichlet,
-    nr_boundary_force_neumann,
+    nr_boundary_force,
 )
 
 GOLDEN = PhysicalSetup(1.0, 4.0, 2.0)
@@ -116,22 +117,56 @@ def test_force_report_invariant_and_consistency():
     assert not negative.consistent
 
 
-def test_nr_boundary_force_dirichlet():
-    m = 1.0
-    for e_nr in (1e-2, 1e-4, 1e-6):
-        k_nr = math.sqrt(2.0 * m * e_nr)
-        force = nr_boundary_force_dirichlet(2j * k_nr, m)
-        assert force == pytest.approx(-4.0 * e_nr, rel=1e-13)
-    assert nr_boundary_force_dirichlet(0.0, m) == 0.0
+def _dirichlet_force(psi_nr_deriv0, mass_energy):
+    """The hard-wall force with psi(0) = 0, as a formula of its own."""
+    return -abs(psi_nr_deriv0) ** 2 / (2.0 * mass_energy)
 
 
-def test_nr_boundary_force_neumann():
+def _neumann_force(psi_nr0, psi_nr_second_deriv0, mass_energy):
+    """The wall force with psi_x(0) = 0, as a formula of its own."""
+    return (complex(psi_nr0).conjugate() * psi_nr_second_deriv0).real / (2.0 * mass_energy)
+
+
+@pytest.mark.parametrize("e_nr", [1e-2, 1e-4, 1e-6])
+def test_nr_boundary_force_on_a_dirichlet_wall(e_nr):
     m = 1.0
-    for e_nr in (1e-2, 1e-4, 1e-6):
-        k_nr = math.sqrt(2.0 * m * e_nr)
-        force = nr_boundary_force_neumann(2.0, -2.0 * k_nr**2, m)
-        assert force == pytest.approx(-4.0 * e_nr, rel=1e-13)
-    assert nr_boundary_force_neumann(0.0, 0.0, m) == 0.0
+    k_nr = math.sqrt(2.0 * m * e_nr)
+    force = nr_boundary_force(0.0, 2j * k_nr, 0.0, m)
+    assert force == _dirichlet_force(2j * k_nr, m)
+    assert force == pytest.approx(-4.0 * e_nr, rel=1e-13)
+
+
+@pytest.mark.parametrize("e_nr", [1e-2, 1e-4, 1e-6])
+def test_nr_boundary_force_on_a_neumann_wall(e_nr):
+    m = 1.0
+    k_nr = math.sqrt(2.0 * m * e_nr)
+    force = nr_boundary_force(2.0, 0.0, -2.0 * k_nr**2, m)
+    assert force == _neumann_force(2.0, -2.0 * k_nr**2, m)
+    assert force == pytest.approx(-4.0 * e_nr, rel=1e-13)
+
+
+def test_nr_boundary_force_of_a_wavefunction_at_rest():
+    assert nr_boundary_force(0.0, 0.0, 0.0, 1.0) == _dirichlet_force(0.0, 1.0) == 0.0
+    assert nr_boundary_force(0.0, 0.0, 0.0, 1.0) == _neumann_force(0.0, 0.0, 1.0) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-300, 1e300), st.floats(1e-150, 1e150), st.floats(1e-150, 1e150))
+def test_nr_boundary_force_within_two_ulps_of_each_wall_formula(m, slope, curvature):
+    """At any mass the square is divided by m before it is formed, one
+    rounding away from the formulas above."""
+    for force, reference in (
+        (nr_boundary_force(0.0, 1j * slope, 0.0, m), _dirichlet_force(1j * slope, m)),
+        (nr_boundary_force(2.0, 0.0, -curvature, m), _neumann_force(2.0, -curvature, m)),
+    ):
+        if reference != 0.0 and math.isfinite(reference) and abs(reference) > 1e-290:
+            assert abs(force - reference) <= 2.0 * math.ulp(reference)
+
+
+def test_nr_boundary_force_does_not_overflow_where_it_is_finite():
+    """|psi_x|^2 = 4e308 overflows a double; the force -2e154 does not."""
+    k = math.sqrt(2.0 * 1e154 * 5e153)
+    assert nr_boundary_force(0.0, 2j * k, 0.0, 1e154) == pytest.approx(-2e154, rel=1e-15)
 
 
 def test_nr_limit_of_relativistic_force():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracstep import (
     BoundaryCondition,
@@ -25,6 +27,7 @@ from diracstep import (
     kinematics,
     match,
     nonrelativistic_limit,
+    nr_boundary_force,
     sample,
 )
 
@@ -176,6 +179,86 @@ def test_nr_derivative_is_the_left_slope_of_the_upper_component(conv, slope):
     h = 1e-6
     diff = (limit.left_value_at(h).upper - limit.left_value_at(-h).upper) / (2 * h)
     assert abs(diff - deriv) < 1e-9
+
+
+@pytest.mark.parametrize("conv", [Convention.MAIN, Convention.NEGATIVE_ENERGY],
+                         ids=lambda conv: conv.value)
+def test_nr_second_derivative_is_the_left_curvature_of_the_upper_component(conv):
+    """-k^2 (1 + r): 0 on the Dirichlet wall, -2k^2 on the Neumann wall, as
+    a centred second difference of the left branch gives it."""
+    limit = nonrelativistic_limit(0.01, 1.0, conv)
+    k = limit.wave_number
+    curvature = limit.nr_second_derivative_at_origin()
+    assert curvature == -(1.0 + limit.r) * k * k
+    h = 1e-4
+    left = [limit.left_value_at(x).upper for x in (-h, 0.0, h)]
+    assert abs((left[0] - 2.0 * left[1] + left[2]) / h**2 - curvature) < 1e-6
+
+
+def test_nr_second_derivative_refuses_to_overflow():
+    """-2k^2 exceeds the double range at k = 1e154, where k itself does not."""
+    limit = nonrelativistic_limit(5e153, 1e154, Convention.NEGATIVE_ENERGY)
+    with pytest.raises(ValueError) as info:
+        limit.nr_second_derivative_at_origin()
+    assert str(info.value) == f"-k^2 (1 + r) overflows (k={limit.wave_number}, r=1.0)"
+    with pytest.raises(ValueError, match="overflows"):
+        limit.force
+
+
+# Paper values of the relativistic wall forces, -4(E -+ mc2), by kind.
+PAPER_FORCE = {
+    LimitKind.IMPENETRABLE_MAIN: lambda e, m: -4.0 * (e - m),
+    LimitKind.IMPENETRABLE_NEGATIVE: lambda e, m: -4.0 * (e + m),
+    LimitKind.EDGE_LOWER: lambda e, m: -4.0 * (e - m),
+}
+
+
+def _relativistic_limits(e, m):
+    """Every relativistic limit at (E, mc2), by each constructor and
+    convention that builds one."""
+    limits = [impenetrable_limit(e, m, conv) for conv in
+              (Convention.MAIN, Convention.LOWER_COMPONENT, Convention.NEGATIVE_ENERGY)]
+    limits += [edge_limit(PhysicalSetup(m, e + m, e), conv)
+               for conv in (None, *Convention)]
+    if m > 0.0:
+        limits += [edge_limit(PhysicalSetup(m, e - m, e), conv)
+                   for conv in (None, Convention.MAIN, Convention.TRADITIONAL)]
+    return limits
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((0.0, 1e-3, 1.0, 1e3)), st.floats(-12.0, 6.0))
+def test_relativistic_limit_force_is_read_from_the_state(mc2, log_excess):
+    """E/mc2 - 1 from 1e-12 to 1e6 (E from 1e-12 to 1e6 at mc2 = 0): the
+    force of every relativistic kind is -V0 rho(0) of the state at its step
+    height, bit for bit, within 4 ulps of the paper's value."""
+    e = mc2 * (1.0 + 10.0**log_excess) if mc2 > 0.0 else 10.0**log_excess
+    kinds = set()
+    for limit in _relativistic_limits(e, mc2):
+        kinds.add(limit.kind)
+        assert limit.step_height == (e - mc2 if limit.kind is LimitKind.EDGE_LOWER
+                                     else e + mc2)
+        assert limit.force == external_force_mean(limit)
+        assert limit.force == -limit.step_height * density(limit.spinor_at(0.0))
+        paper = PAPER_FORCE[limit.kind](e, mc2)
+        assert abs(limit.force - paper) <= 4.0 * math.ulp(paper), limit.kind
+    assert kinds == set(PAPER_FORCE) - ({LimitKind.EDGE_LOWER} if mc2 == 0.0 else set())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1e-3, 1.0, 1e3)), st.floats(-12.0, math.log10(1.9)),
+       st.sampled_from((Convention.MAIN, Convention.NEGATIVE_ENERGY)))
+def test_nonrelativistic_limit_force_is_read_from_the_state(mc2, log_ratio, conv):
+    """E_kin/mc2 from 1e-12 to 1.9: the force of both NONREL kinds is the
+    hard-wall force of the Schroedinger wavefunction, bit for bit, within 4
+    ulps of the paper's -4 E_kin."""
+    e_kin = mc2 * 10.0**log_ratio
+    limit = nonrelativistic_limit(e_kin, mc2, conv)
+    assert limit.step_height == math.inf
+    assert limit.force == nr_boundary_force(
+        limit.spinor_at(0.0).upper, limit.nr_derivative_at_origin(),
+        limit.nr_second_derivative_at_origin(), mc2)
+    assert abs(limit.force + 4.0 * e_kin) <= 4.0 * math.ulp(4.0 * e_kin)
 
 
 def test_infinite_potential_limit_values():

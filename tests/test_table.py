@@ -59,12 +59,11 @@ def _scatter_record(setup: PhysicalSetup, conv: Convention | None) -> dict:
     if regime in (Regime.EDGE_POINT, Regime.EDGE_LOWER):
         sol = edge_limit(setup, conv)
         b = -math.inf if regime is Regime.EDGE_POINT else 0.0
-        a, k, kbar_or_kappa, force = sol.a, sol.wave_number, 0.0, sol.force
+        a, k, kbar_or_kappa = sol.a, sol.wave_number, 0.0
     else:
         kin = kinematics(setup)
         sol = match(kin, conv or physical_convention(regime))
         a, b, k, kbar_or_kappa = kin.a, kin.b, kin.k, kin.kbar_or_kappa
-        force = external_force_mean(sol)
     b, r, t = complex(b), complex(sol.r), complex(sol.t)
     return {
         "step_height": setup.step_height,
@@ -74,7 +73,7 @@ def _scatter_record(setup: PhysicalSetup, conv: Convention | None) -> dict:
         "a": a, "b_re": b.real, "b_im": b.imag, "k": k, "kbar_or_kappa": kbar_or_kappa,
         "r_re": r.real, "r_im": r.imag, "t_re": t.real, "t_im": t.imag,
         **vars(coefficients(sol)),
-        "force": force,
+        "force": external_force_mean(sol),
         "boundary": classify_boundary(sol).classification.value,
         "continuity": _continuity_residual(sol),
     }

@@ -42,17 +42,25 @@ def _wrong_reflection(limit):
     return replace(limit, reflected=reflected, r=r)
 
 
-@pytest.mark.parametrize("corrupt,check", [
-    (lambda limit: replace(limit, force=limit.force * (1.0 + 1e-6)), "wall force"),
-    (_wrong_wall, "wall force"),
-    (_wrong_reflection, "main limit spinor(0-)"),
-], ids=["force", "wall-spinor", "reflection"])
-def test_limits_suite_fails_on_a_wrong_limit(monkeypatch, corrupt, check):
+def _wrong_nr_reflection(limit):
+    r = limit.r * (1.0 - 1e-6)
+    reflected = PlaneWaveState(Spinor(r, 0.0), -limit.wave_number, Side.LEFT)
+    return replace(limit, reflected=reflected, r=r)
+
+
+@pytest.mark.parametrize("constructor,corrupt,check", [
+    ("impenetrable_limit",
+     lambda limit: replace(limit, step_height=limit.step_height * (1.0 + 1e-6)),
+     "wall force"),
+    ("impenetrable_limit", _wrong_wall, "wall force"),
+    ("impenetrable_limit", _wrong_reflection, "main limit spinor(0-)"),
+    ("nonrelativistic_limit", _wrong_nr_reflection, "NR force ratio"),
+], ids=["force", "wall-spinor", "reflection", "nonrel-reflection"])
+def test_limits_suite_fails_on_a_wrong_limit(monkeypatch, constructor, corrupt, check):
     """Each wall fact is checked against a second route, so a limit whose
-    force, wall spinor or reflection is off by 1e-6 fails the suite."""
-    limit = verify.impenetrable_limit
-    monkeypatch.setattr(verify, "impenetrable_limit",
-                        lambda *args: corrupt(limit(*args)))
+    step height, wall spinor or reflection is off by 1e-6 fails the suite."""
+    limit = getattr(verify, constructor)
+    monkeypatch.setattr(verify, constructor, lambda *args: corrupt(limit(*args)))
     result = run_limits(trials=3)
     assert not result.passed
     assert any(check in failure for failure in result.failures), result.failures
