@@ -19,16 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, table
 from .boundary import classify_boundary
-from .core import PhysicalSetup, Regime, classify_regime, kinematics
+from .core import PhysicalSetup, Regime
 from .forces import ForceReport, momentum_flux_bracket
 from .gridio import sample, write_csv
-from .limits import (edge_limit, impenetrable_limit, infinite_potential_limit,
-                     nonrelativistic_limit)
-from .matching import Convention, match, physical_convention
+from .limits import impenetrable_limit, infinite_potential_limit, nonrelativistic_limit
+from .matching import Convention
 from .observables import coefficients
-from .table import scatter_table
 from .verify import SUITES, run_suite
 
 _CONVENTION_CHOICES = sorted(["auto", *(conv.value for conv in Convention)])
@@ -69,9 +67,8 @@ _SCATTER_FIELDS = (
 
 
 def _cmd_scatter(args) -> int:
-    table = scatter_table(args.mass, args.step_height, args.energy,
+    record = table.record(PhysicalSetup(args.mass, args.step_height, args.energy),
                           _convention(args.convention))
-    record = {name: column.tolist()[0] for name, column in table.items()}
     for part in ("b", "r", "t"):
         record[part] = complex(record[f"{part}_re"], record[f"{part}_im"])
     _echo_params("scatter", {"mass_energy": args.mass, "step_height": args.step_height,
@@ -99,13 +96,13 @@ _SWEEP_FORMATS = tuple(
 )
 
 
-def _sweep_rows(table: dict) -> list[str]:
-    """The CSV rows of ``table``, by one %-format per row.  A column that is
+def _sweep_rows(columns: dict) -> list[str]:
+    """The CSV rows of ``columns``, by one %-format per row.  A column that is
     the same on every row, bit for bit (0.0 and -0.0 differ), is formatted
     once into the row template; the rows format only the varying columns."""
     template, varying = [], []
     for spec, name in zip(_SWEEP_FORMATS, _SWEEP_COLUMNS):
-        column = table[name]
+        column = columns[name]
         bits = column.view(np.int64) if column.dtype == np.float64 else column
         if (bits == bits[0]).all():
             template.append((spec % column[:1].tolist()[0]).replace("%", "%%"))
@@ -143,7 +140,8 @@ def _cmd_sweep(args) -> int:
     else:
         step_heights, energies = args.step_height, values
         fixed_name, fixed_value = "step_height", args.step_height
-    table = scatter_table(args.mass, step_heights, energies, _convention(args.convention))
+    columns = table.scatter_table(args.mass, step_heights, energies,
+                                  _convention(args.convention))
     _echo_params(
         "sweep",
         {
@@ -158,7 +156,7 @@ def _cmd_sweep(args) -> int:
         },
         args.precision,
     )
-    lines = [",".join(_SWEEP_COLUMNS), *_sweep_rows(table)]
+    lines = [",".join(_SWEEP_COLUMNS), *_sweep_rows(columns)]
     try:
         Path(args.out).write_text("\n".join(lines) + "\n", newline="\n")
     except OSError as exc:
@@ -242,11 +240,8 @@ def _cmd_wavefunction(args) -> int:
     else:
         if args.step_height is None:
             raise ValueError("provide either --step-height or --limit")
-        setup = PhysicalSetup(args.mass, args.step_height, args.energy)
-        regime = classify_regime(setup)
-        edge = regime in (Regime.EDGE_POINT, Regime.EDGE_LOWER)  # as in scatter's edge rows
-        solution = (edge_limit(setup, conv) if edge
-                    else match(kinematics(setup), conv or physical_convention(regime)))
+        solution = table.solve(PhysicalSetup(args.mass, args.step_height, args.energy),
+                               conv)
         resolved = {"mass_energy": args.mass, "step_height": args.step_height,
                     "energy": args.energy, "convention": solution.convention.value}
     resolved.update({"range": f"[{x_min},{x_max}]", "points": args.points,

@@ -109,7 +109,6 @@ class Kinematics:
     b               transmitted spinor ratio k̄ / (E − V₀ + mc²):
                     real < 0 in KLEIN_ZONE, real > 0 in TRANSMISSION,
                     pure imaginary (from k̄ → −iκ) in EVANESCENT
-    b_prime         1 / b
     b_dprime        −1 / b; real > 0 in KLEIN_ZONE and stays finite as the
                     impenetrable-barrier point is approached
     """
@@ -120,7 +119,6 @@ class Kinematics:
     kbar_or_kappa: float
     a: float
     b: complex
-    b_prime: complex
     b_dprime: complex
 
 
@@ -133,7 +131,7 @@ def incident_wave(energy: float, mass_energy: float) -> tuple[float, float]:
     k2 = (e - m) * (e + m)
     if k2 == math.inf:
         raise ValueError(f"(E - mc2)(E + mc2) overflows (E={e}, mc2={m})")
-    return math.sqrt(k2), math.sqrt((e - m) / (e + m)) if m > 0.0 else 1.0
+    return math.sqrt(k2), math.sqrt((e - m) / (e + m))
 
 
 def kinematics(setup: PhysicalSetup) -> Kinematics:
@@ -174,8 +172,7 @@ def kinematics(setup: PhysicalSetup) -> Kinematics:
         b: complex = -1j * transmitted / (d + m)
     else:
         b = transmitted / (d + m)
-    b_prime = 1.0 / b
-    b_dprime = -b_prime
+    b_dprime = -(1.0 / b)  # -1.0 / b would flip a signed zero in the evanescent band
     return Kinematics(
         setup=setup,
         regime=regime,
@@ -183,6 +180,5 @@ def kinematics(setup: PhysicalSetup) -> Kinematics:
         kbar_or_kappa=transmitted,
         a=a,
         b=b,
-        b_prime=b_prime,
         b_dprime=b_dprime,
     )

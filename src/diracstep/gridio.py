@@ -13,8 +13,9 @@ Output contract: a CSV with header ``x,phi_re,phi_im,chi_re,chi_im,rho,j``
 (17 significant digits, '\\n' line endings, byte-identical for identical
 inputs) plus a JSON metadata sidecar named ``<basename>.meta.json`` with
 keys {mass_energy, step_height, energy, convention, regime,
-generator_version}.  Complex components are stored as separate real and
-imaginary columns so any plotting tool can consume the file directly.
+generator_version}; a limit state's regime is its kind, its step height the
+edge V₀ it sits on (null at the hard wall, ∞).  Complex components are stored
+as separate real and imaginary columns so any plotting tool can consume them.
 """
 
 from __future__ import annotations
@@ -57,14 +58,13 @@ class GridSample:
 
 
 def _metadata(solution) -> dict:
-    if isinstance(solution, LimitSolution):
-        values = (solution.mass_energy, None, solution.energy, solution.kind.value)
-    else:
-        setup = solution.setup
-        values = (setup.mass_energy, setup.step_height, setup.energy,
-                  solution.kinematics.regime.value)
-    return dict(zip(("mass_energy", "step_height", "energy", "regime"), values),
-                convention=solution.convention.value, generator_version=__version__)
+    limit = isinstance(solution, LimitSolution)
+    source = solution if limit else solution.setup  # holds mass_energy and energy
+    regime = solution.kind if limit else solution.kinematics.regime
+    step_height = solution.step_height if solution.step_height < math.inf else None
+    return {"mass_energy": source.mass_energy, "step_height": step_height,
+            "energy": source.energy, "convention": solution.convention.value,
+            "regime": regime.value, "generator_version": __version__}
 
 
 def sample(

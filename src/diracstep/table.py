@@ -1,16 +1,15 @@
-"""Array core of ``sweep`` and ``scatter``: every record column for N setups.
+"""One setup's state and record, and the array core of ``sweep``.
 
-``scatter_table`` runs the scalar chain ``PhysicalSetup`` → ``kinematics``
-→ ``match`` → ``coefficients`` → ``classify_boundary`` on numpy arrays, one
-operation for each of the chain's, with the chain's operand types (complex
-only in the evanescent band, which keeps the signed zeros), the chain's
-transmitted column (``matching.transmitted_column``) and CPython's rounding
-(``spinor``'s array arithmetic).  Edge rows come from
-``limits.edge_limit``.  Refused rows are found as masks, and the first is
-replayed through the chain, which raises its own error.  ``verify``'s
-conservation suite checks these rows and their continuity residual at
-x = 0.  The scalar chain stays the single-solution API (several times
-cheaper at N = 1) and this core's reference.
+``solve`` is the one home of the per-setup rule: a setup on a regime edge
+takes its limit eigenstate, any other the matched state, by default under
+its regime's physical convention.  ``record`` is its row, as ``scatter``
+prints it.  ``scatter_table`` gives the same rows for N setups, bit for bit:
+it runs ``kinematics`` → ``match`` → ``coefficients`` → ``classify_boundary``
+on numpy arrays, one operation for each of the chain's, with the chain's
+operand types (complex only in the evanescent band, which keeps the signed
+zeros), transmitted column and CPython's rounding (``spinor``'s array
+arithmetic).  Edge rows are ``record``'s.  Refused rows are found as masks,
+and ``record`` of the first raises the chain's own error.
 """
 
 from __future__ import annotations
@@ -21,14 +20,16 @@ import numpy as np
 
 from .boundary import TOLERANCE, BoundaryCondition, classify_boundary
 from .core import PhysicalSetup, Regime, classify_regime, kinematics
+from .forces import external_force_mean
 from .limits import edge_limit
-from .matching import (GROWING_UNDER_EVANESCENT, Convention, match, physical_convention,
-                       transmitted_column)
+from .matching import (GROWING_UNDER_EVANESCENT, Convention, PlaneWaveSolution, match,
+                       physical_convention, transmitted_column)
 from .observables import coefficients
 from .spinor import (complex_product, complex_quotient, currents, densities, magnitude,
                      product, quotient)
 
-__all__ = ["scatter_table"]
+__all__ = ["record", "scatter_table", "solve"]
+_EDGES = (Regime.EDGE_POINT, Regime.EDGE_LOWER)
 
 
 def _open_rows(m, v0, e, conv: Convention, evanescent: bool):
@@ -36,7 +37,7 @@ def _open_rows(m, v0, e, conv: Convention, evanescent: bool):
     their columns and the rows it refuses."""
     d = e - v0
     k2 = (e - m) * (e + m)
-    a = np.where(m > 0.0, np.sqrt((e - m) / (e + m)), 1.0)
+    a = np.sqrt((e - m) / (e + m))
     kbar2 = (d - m) * (d + m)
     kappa = np.sqrt(np.abs(kbar2))
     if evanescent:
@@ -92,28 +93,39 @@ def _open_rows(m, v0, e, conv: Convention, evanescent: bool):
                "t_re": t.real, "t_im": t.imag, "T": T, "rho0": rho0, "v_t": v_t,
                "R": np.abs(currents(r, r_lower)) / np.abs(j_in),
                "j0": currents(psi_upper, psi_lower), "boundary": boundary,
-               "continuity": residual / left_scale}
+               "continuity": residual / left_scale, "force": -v0 * rho0}
     return columns, refused
 
 
-def _replay(setup: PhysicalSetup, conv) -> None:
-    """Run the scalar chain on a row the masks refused; it raises there."""
-    sol = match(kinematics(setup), conv or physical_convention(classify_regime(setup)))
-    coefficients(sol)
-    classify_boundary(sol)
-    raise RuntimeError(f"array core refused a row the scalar chain accepts: {setup}")
+def solve(setup: PhysicalSetup, conv: Convention | None = None) -> PlaneWaveSolution:
+    """The edge state (``limits.edge_limit``) or the matched state of a setup."""
+    regime = classify_regime(setup)
+    if regime in _EDGES:
+        return edge_limit(setup, conv)
+    return match(kinematics(setup), conv or physical_convention(regime))
 
 
-def _edge_row(setup: PhysicalSetup, conv) -> dict:
-    """Columns of an edge row, from its limit eigenstate."""
-    sol = edge_limit(setup, conv)
-    b = -np.inf if classify_regime(setup) is Regime.EDGE_POINT else 0.0
-    r, t = complex(sol.r), complex(sol.t)
-    return {"a": sol.a, "b_re": b, "b_im": 0.0, "k": sol.wave_number,
-            "kbar_or_kappa": 0.0, "continuity": 0.0, "r_re": r.real, "r_im": r.imag,
-            "t_re": t.real, "t_im": t.imag, **vars(coefficients(sol)),
-            "convention": sol.convention.value,
-            "boundary": classify_boundary(sol).classification.value}
+def record(setup: PhysicalSetup, conv: Convention | None = None) -> dict:
+    """Every ``scatter_table`` column but ``transition`` for one setup, from
+    ``solve``, or the chain's error; ``continuity`` is the mismatch of the
+    one-sided values at x = 0, relative to max(1, |ψ(0⁻)|)."""
+    sol, regime = solve(setup, conv), classify_regime(setup)
+    if regime in _EDGES:  # b = k̄/(E − V₀ + mc²) → −∞ at the edge point, 0 at the lower
+        b, kbar_or_kappa = -np.inf if regime is Regime.EDGE_POINT else 0.0, 0.0
+    else:
+        b, kbar_or_kappa = sol.kinematics.b, sol.kinematics.kbar_or_kappa
+    columns = {  # a and k of the incident wave [1, a]·e^{ikx}
+        "step_height": setup.step_height, "energy": setup.energy, "regime": regime.value,
+        "convention": sol.convention.value, "a": sol.incident.amplitude.lower,
+        "b_re": b.real, "b_im": b.imag, "k": sol.incident.wave_number,
+        "kbar_or_kappa": kbar_or_kappa, "r_re": sol.r.real, "r_im": sol.r.imag,
+        "t_re": sol.t.real, "t_im": sol.t.imag, **vars(coefficients(sol)),
+        "force": external_force_mean(sol),
+        "boundary": classify_boundary(sol).classification.value}
+    left, right = sol.left_value_at(0.0), sol.spinor_at(0.0)
+    residual = max(abs(left.upper - right.upper), abs(left.lower - right.lower))
+    columns["continuity"] = residual / max(1.0, abs(left.upper), abs(left.lower))
+    return columns
 
 
 def scatter_table(mass, step_heights, energies, conv: Convention | None) -> dict:
@@ -124,7 +136,7 @@ def scatter_table(mass, step_heights, energies, conv: Convention | None) -> dict
     """
     m, v0, e = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
                                      for x in (mass, step_heights, energies)))
-    edges = (Regime.EDGE_POINT.value, Regime.EDGE_LOWER.value)
+    edges = [edge.value for edge in _EDGES]
     with np.errstate(all="ignore"):
         valid = ((m >= 0.0) & np.isfinite(m) & (v0 > 0.0) & np.isfinite(v0)
                  & np.isfinite(e) & (e > m))
@@ -133,8 +145,7 @@ def scatter_table(mass, step_heights, energies, conv: Convention | None) -> dict
             [*edges, Regime.KLEIN_ZONE.value, Regime.TRANSMISSION.value],
             Regime.EVANESCENT.value,
         ).astype(object)
-        # With conv=None each open regime's physical convention; edge rows
-        # take theirs from their limit below.
+        # With conv=None each open regime's physical convention; edge rows get theirs below.
         convs = np.full(len(e), None if conv is None else conv.value, dtype=object)
         if conv is None:
             for open_regime in (Regime.TRANSMISSION, Regime.EVANESCENT, Regime.KLEIN_ZONE):
@@ -146,8 +157,7 @@ def scatter_table(mass, step_heights, energies, conv: Convention | None) -> dict
         table = defaultdict(lambda: np.zeros(len(e)), {
             "step_height": v0, "energy": e, "regime": regime,
             "transition": np.concatenate(([0], regime[1:] != regime[:-1])).astype(int),
-            "convention": convs, "boundary": np.empty(len(e), dtype=object),
-        })
+            "convention": convs, "boundary": np.empty(len(e), dtype=object)})
         open_rows = ~edge & ~refused
         for c in set(convs[open_rows]):
             for ev in (False, True):
@@ -167,10 +177,9 @@ def scatter_table(mass, step_heights, energies, conv: Convention | None) -> dict
     for rows in rows_of.values():
         i = rows[0]
         setup = PhysicalSetup(float(m[i]), float(v0[i]), float(e[i]))
+        row = record(setup, conv)
         if refused[i]:
-            _replay(setup, conv)
-        for name, value in _edge_row(setup, conv).items():
-            table[name][rows] = value
-    with np.errstate(over="ignore"):
-        table["force"] = -v0 * table["rho0"]  # forces.external_force_mean
+            raise RuntimeError(f"array core refused a row the scalar chain accepts: {setup}")
+        for name in row.keys() - {"step_height", "energy", "regime"}:
+            table[name][rows] = row[name]
     return dict(table)

@@ -183,7 +183,7 @@ def test_criterion_6_nonrelativistic_limit():
 
 def test_criterion_7_oracle_agreement():
     start = time.monotonic()
-    result = run_closed_vs_oracle(trials=20, seed=20240802, tol=1e-10)
+    result = run_closed_vs_oracle(trials=20, seed=20240802)
     elapsed = time.monotonic() - start
     assert result.passed, result.failures[:5]
     assert result.max_error < 1e-9

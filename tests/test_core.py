@@ -114,9 +114,19 @@ def test_b_family_identities(e, v0):
     kin = kinematics(PhysicalSetup(1.0, v0, e))
     assert kin.b < 0.0
     assert kin.a * kin.b < 0.0
-    assert kin.b * kin.b_prime == pytest.approx(1.0, abs=1e-15)
-    assert kin.b_dprime == -kin.b_prime  # defined identity, exact
+    assert kin.b * kin.b_dprime == pytest.approx(-1.0, abs=1e-15)
+    assert kin.b_dprime == -(1.0 / kin.b)  # defined identity, exact
     assert kin.b_dprime > 0.0
+
+
+@pytest.mark.parametrize("v0", [0.5, 2.5, 4.0], ids=["transmission", "evanescent", "klein"])
+def test_b_dprime_is_minus_the_reciprocal_of_b_bit_for_bit(v0):
+    # -(1/b), signed zeros included: -1.0 / b would flip the sign of the zero
+    # real part in the evanescent band.
+    kin = kinematics(PhysicalSetup(1.0, v0, 2.0))
+    expected = complex(-(1.0 / kin.b))
+    got = complex(kin.b_dprime)
+    assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
 def test_a_monotone_to_one():

@@ -136,9 +136,17 @@ def test_metadata_for_limit_solution(tmp_path):
     out = tmp_path / "limit.csv"
     write_csv(gs, out)
     meta = json.loads((tmp_path / "limit.meta.json").read_text())
-    assert meta["step_height"] is None
+    assert meta["step_height"] == 3.0  # the edge V0 = E + mc2 it sits on
     assert meta["convention"] == "negative"
     assert meta["regime"] == "impenetrable-negative"
+
+
+def test_metadata_for_a_hard_wall_has_no_step_height(tmp_path):
+    # The nonrelativistic states sit at V0 = inf, which JSON holds as null.
+    write_csv(sample(nonrelativistic_limit(0.01, 1.0, Convention.MAIN), -1.0, 1.0, 5),
+              tmp_path / "wall.csv")
+    meta = json.loads((tmp_path / "wall.meta.json").read_text())
+    assert (meta["step_height"], meta["regime"]) == (None, "nonrel-main")
 
 
 def test_write_failure_reports_path():

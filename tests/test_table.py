@@ -1,12 +1,14 @@
 """The array core against the scalar record chain, bit for bit.
 
-``scatter_table`` must return, column by column, exactly what the per-row
-chain PhysicalSetup → kinematics → match → coefficients → classify_boundary
-(edge rows: ``edge_limit``) gives, down to the sign of zero, and refuse a
-table with the error of its first refused row.  ``_scatter_record`` below
-is that chain, as the CLI ran it once per sweep row before the array core,
+``scatter_table`` must return, column by column, exactly what
+``table.record`` gives for each row, down to the sign of zero, and refuse a
+table with the error of its first refused row.  ``record`` is the row
+``scatter`` prints: the chain PhysicalSetup → ``table.solve`` (kinematics →
+match, or ``edge_limit`` on an edge) → coefficients → classify_boundary,
 with the continuity residual at x = 0 that ``verify``'s conservation suite
-reads from the table.
+reads from the table.  The table computes its open rows by array arithmetic
+of its own, so the comparison checks two routes; edge rows are the same
+``edge_limit`` state on both.
 """
 
 import math
@@ -16,20 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracstep import (
-    Convention,
-    EdgePointError,
-    PhysicalSetup,
-    Regime,
-    classify_boundary,
-    classify_regime,
-    coefficients,
-    edge_limit,
-    external_force_mean,
-    kinematics,
-    match,
-    physical_convention,
-)
+from diracstep import Convention, EdgePointError, PhysicalSetup, kinematics
+from diracstep.core import incident_wave
+from diracstep.table import record as scalar_record
 from diracstep.table import scatter_table
 
 COLUMNS = (
@@ -39,52 +30,12 @@ COLUMNS = (
 )
 
 
-def _continuity_residual(sol) -> float:
-    """Mismatch of the one-sided values at x = 0, relative to their size.
-
-    Amplitudes grow without bound for the paradox conventions near their
-    degenerate corners, so the residual (like the R + T defect) is only
-    meaningful relative to the magnitudes involved.
-    """
-    left = sol.left_value_at(0.0)
-    right = sol.spinor_at(0.0)
-    residual = max(abs(left.upper - right.upper), abs(left.lower - right.lower))
-    scale = max(1.0, abs(left.upper), abs(left.lower))
-    return residual / scale
-
-
-def _scatter_record(setup: PhysicalSetup, conv: Convention | None) -> dict:
-    """One row through the scalar chain; edge rows come from the limits."""
-    regime = classify_regime(setup)
-    if regime in (Regime.EDGE_POINT, Regime.EDGE_LOWER):
-        sol = edge_limit(setup, conv)
-        b = -math.inf if regime is Regime.EDGE_POINT else 0.0
-        a, k, kbar_or_kappa = sol.a, sol.wave_number, 0.0
-    else:
-        kin = kinematics(setup)
-        sol = match(kin, conv or physical_convention(regime))
-        a, b, k, kbar_or_kappa = kin.a, kin.b, kin.k, kin.kbar_or_kappa
-    b, r, t = complex(b), complex(sol.r), complex(sol.t)
-    return {
-        "step_height": setup.step_height,
-        "energy": setup.energy,
-        "regime": regime.value,
-        "convention": sol.convention.value,
-        "a": a, "b_re": b.real, "b_im": b.imag, "k": k, "kbar_or_kappa": kbar_or_kappa,
-        "r_re": r.real, "r_im": r.imag, "t_re": t.real, "t_im": t.imag,
-        **vars(coefficients(sol)),
-        "force": external_force_mean(sol),
-        "boundary": classify_boundary(sol).classification.value,
-        "continuity": _continuity_residual(sol),
-    }
-
-
 def _reference(mass, rows, conv):
     """Records of every row, or the exception of the first refused one."""
     records = []
     for v0, e in rows:
         try:
-            records.append(_scatter_record(PhysicalSetup(mass, v0, e), conv))
+            records.append(scalar_record(PhysicalSetup(mass, v0, e), conv))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             return exc
     for i, record in enumerate(records):
@@ -212,3 +163,15 @@ def test_repeated_refused_rows_raise_at_the_first():
     with pytest.raises(EdgePointError, match="V0=0.9999999999999999"):
         scatter_table(1.0, [v0 for v0, _ in rows], [e for _, e in rows],
                       Convention.NEGATIVE_ENERGY)
+
+
+@pytest.mark.parametrize("mass", (0.0, -0.0))
+@settings(max_examples=100, deadline=None)
+@given(e=st.floats(1e-150, 1e150))
+def test_massless_a_is_exactly_one(mass, e):
+    # a = sqrt((E - mc2)/(E + mc2)) is E/E = 1 exactly at mc2 = +-0, on the
+    # scalar chain and in the table, on open and edge rows alike.
+    assert incident_wave(e, mass)[1] == 1.0
+    assert kinematics(PhysicalSetup(mass, 0.5 * e, e)).a == 1.0
+    assert scalar_record(PhysicalSetup(mass, e, e))["a"] == 1.0
+    assert scatter_table(mass, [0.5 * e, e, 3.0 * e], e, None)["a"].tolist() == [1.0] * 3
