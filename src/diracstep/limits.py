@@ -75,12 +75,13 @@ class LimitSolution(PlaneWaveSolution):
     @property
     def force(self) -> float:
         """Mean wall force: −V₀·ρ(0), or at the hard wall V₀ = ∞ the boundary
-        force of the Schroedinger wavefunction, the upper component."""
+        force of the Schroedinger wavefunction, the upper component, from
+        ψ′/k = i(1 − r) and ψ″/k² = −(1 + r) scaled by k·(k/m) last."""
         if self.step_height < math.inf:
             return external_force_mean(self)
-        return nr_boundary_force(self.left_value_at(0.0).upper,
-                                 self.nr_derivative_at_origin(),
-                                 self.nr_second_derivative_at_origin(), self.mass_energy)
+        k, r = self.wave_number, self.r
+        return k * (k / self.mass_energy) * nr_boundary_force(
+            self.left_value_at(0.0).upper, 1j * (1 - r), -(1 + r), 1.0)
 
 
 def _limit(kind, conv, energy, mass_energy, k, ratio, a, r, t, step_height) -> LimitSolution:

@@ -34,12 +34,14 @@ numbers and on the tolerance but not on the distance to a regime edge.
 An estimate that rises from one doubling to the next has met the rounding
 floor, which √R sets when R ≫ 1, and is refused there.
 
-The first rung evaluates the cells of 4n, 2n and n at once, on a node grid
-cached per set of counts, and multiplies them in one pairwise tree: the
-passes lie one after another, each at a multiple of its own count, so one
-batched product per level pairs cells of one pass only.  Every product has
-the operands it has in a tree of its own pass, so every result is bit for
-bit that of one evaluation and one tree per pass.
+On the nodes 2x/w = 20·sinh(c·u)/sinh(c) does not depend on w, so the tanh
+step at every Gauss point is cached per set of counts; a solve scales rows.
+The first rung evaluates the cells of 4n, 2n and n at once and multiplies
+them in one pairwise tree: the passes lie one after another, each at a
+multiple of its own count, so one batched product per level pairs cells of
+one pass only.  Every product has the operands it has in a tree of its own
+pass, so every result is bit for bit that of one evaluation per pass under
+the same cell formula.
 
 The oracle never touches the closed-form amplitudes.  The tanh step is
 exactly solvable (Sauter), so ``sauter_log_coefficients`` gives the exact R
@@ -91,7 +93,12 @@ class SmoothStep:
                 raise ValueError(f"step {name} must be finite and > 0, got {value}")
 
     def profile(self, x):
-        return self.height * (1.0 + np.tanh(2.0 * x / self.width)) / 2.0
+        return self.height * _rise(2.0 * x / self.width)
+
+
+def _rise(z):
+    """(1 + tanh z) / 2, the step's profile in units of its height at z = 2x/w."""
+    return (1.0 + np.tanh(z)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -120,31 +127,28 @@ class OracleResult:
 
 @functools.cache
 def _grid(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """sinh(c·u) at the left and the right node of every cell of passes of
-    ``counts`` cells that lie one after another, as two rows, and the index
-    of each pass's first cell.  The nodes are 10w / sinh(c) times these,
-    the same doubles as when sinh(c·u) is formed per solve.  The counts are
-    powers of two up to the cap, so the cache holds at most 24 entries and
-    about 7 MB."""
+    """Rows Δs, Δs·(P₁ + P₂) and Δs²·(P₂ − P₁) of passes of ``counts`` cells
+    that lie one after another, and the index of each pass's first cell.  With
+    s = sinh(c·u) at the nodes x = 10w·s / sinh(c), z = (20 / sinh c)·s is 2x/w
+    at every width, and P = (1 + tanh z)/2 at the Gauss points is V / V₀.  The
+    counts are powers of two up to the cap: at most 24 entries, about 11 MB."""
     # n is a power of two, so u runs exactly from 1 to −1 and the u of fewer
     # cells are the same doubles as every (top/n)-th u of the most cells.
     top = max(counts)
     grid = np.sinh(_GRADING * (1.0 - (2.0 / top) * np.arange(top + 1)))
-    unit = np.array([
-        np.concatenate([grid[: -1 : top // n] for n in counts]),
-        np.concatenate([grid[top // n :: top // n] for n in counts]),
-    ])
+    left = np.concatenate([grid[: -1 : top // n] for n in counts])
+    ds = np.concatenate([grid[top // n :: top // n] for n in counts]) - left
+    p1, p2 = _rise((2.0 * _FLAT_BEYOND / math.sinh(_GRADING)) * (left + _GAUSS_COLUMN * ds))
+    rows = np.array([ds, ds * (p1 + p2), ds * ds * (p2 - p1)])
     heads = np.array([0, *itertools.accumulate(counts[:-1])])
-    unit.flags.writeable = heads.flags.writeable = False
-    return unit, heads
+    rows.flags.writeable = heads.flags.writeable = False
+    return rows, heads
 
 
-def _magnus_cells(
-    setup: PhysicalSetup, step: SmoothStep, counts: list[int]
-) -> list[np.ndarray]:
+def _magnus_cells(setup: PhysicalSetup, step: SmoothStep, counts: list[int]) -> np.ndarray:
     """Propagators of n graded cells from x = 10w to −10w, in the order they
-    act, for every power-of-two n in ``counts``, from one evaluation, as
-    (n, 2, 2) views that lie one after another in one array.
+    act, for every power-of-two n in ``counts``, from one evaluation, one
+    pass after another in one (N, 2, 2) array.
 
     With A = i[[0, p], [q, 0]], p = E − V + mc² and q = E − V − mc²,
     the commutator is [A₂, A₁] = (p₁q₂ − p₂q₁) σ_z, so every Ω has the form
@@ -153,20 +157,16 @@ def _magnus_cells(
     a, b, c, d real and S = diag(1, i); the real matrices are returned, and
     their products are the real forms of products.
     """
-    unit, heads = _grid(tuple(counts))
-    left, h = (_FLAT_BEYOND * step.width / math.sinh(_GRADING)) * unit
-    h -= left
-    # E − V at the two Gauss points of every cell, as rows.
-    x = _GAUSS_COLUMN * h
-    x += left
-    u1, u2 = setup.energy - step.profile(x)
-    m = setup.mass_energy
-    half_h, u_sum = 0.5 * h, u1 + u2
-    # −α, the same double as α negated: negation commutes with rounding.
-    minus_alpha = half_h * (-2.0 * m - u_sum)
-    beta = half_h * (u_sum - 2.0 * m)
-    # p₁q₂ − p₂q₁ = 2m(u₂ − u₁)
-    gamma = (math.sqrt(3.0) / 6.0 * m) * h * h * (u2 - u1)
+    (ds, dsp, ds2dp), _ = _grid(tuple(counts))
+    m, e, v0 = setup.mass_energy, setup.energy, step.height
+    # h = c·Δs and V = V₀·P, so −α = (h/2)(V₁ + V₂) − h(E + mc²) and
+    # β = h(E − mc²) − (h/2)(V₁ + V₂).
+    c = _FLAT_BEYOND * step.width / math.sinh(_GRADING)
+    half_v = (0.5 * c * v0) * dsp
+    minus_alpha = half_v - (c * (e + m)) * ds
+    beta = (c * (e - m)) * ds - half_v
+    # p₁q₂ − p₂q₁ = 2mc²(V₁ − V₂); m·c·c·V₀ in turn never forms c², and is 0 at mc² = 0.
+    gamma = (-math.sqrt(3.0) / 6.0 * m * c * c * v0) * ds2dp
     s2 = gamma * gamma + minus_alpha * beta
     # s is real for s² > 0 and imaginary for s² < 0, so cosh s and sinh(s)/s
     # are cosh and sinh(r)/r, or cos and sin(r)/r, of r = |s|.
@@ -177,13 +177,12 @@ def _magnus_cells(
         np.sinh(r, out=np.sin(r), where=grow), r, out=np.ones(len(r)), where=r > 0.0
     )
     sg = sinhc * gamma
-    entries = np.empty((2, 2, len(r)))
-    np.add(cosh, sg, out=entries[0, 0])
-    np.multiply(sinhc, minus_alpha, out=entries[0, 1])
-    np.multiply(sinhc, beta, out=entries[1, 0])
-    np.subtract(cosh, sg, out=entries[1, 1])
-    cells = entries.transpose(2, 0, 1)
-    return [cells[head : head + n] for head, n in zip(heads.tolist(), counts)]
+    cells = np.empty((len(r), 2, 2))
+    np.add(cosh, sg, out=cells[:, 0, 0])
+    np.multiply(sinhc, minus_alpha, out=cells[:, 0, 1])
+    np.multiply(sinhc, beta, out=cells[:, 1, 0])
+    np.subtract(cosh, sg, out=cells[:, 1, 1])
+    return cells
 
 
 def _chain(cells: np.ndarray) -> list[np.ndarray]:
@@ -283,7 +282,7 @@ def integrate_scattering(
     def solve(counts: list[int]) -> tuple[list[np.ndarray], list[int]]:
         """The levels of the passes of ``counts`` cells, in descending order,
         and the index of the first cell of each."""
-        cells = np.concatenate(_magnus_cells(setup, step, counts))
+        cells = _magnus_cells(setup, step, counts)
         # The first cell of a pass carries the start, so every product is a state.
         heads = _grid(tuple(counts))[1]
         cells[heads] = cells[heads] @ start

@@ -196,13 +196,13 @@ def test_nr_second_derivative_is_the_left_curvature_of_the_upper_component(conv)
 
 
 def test_nr_second_derivative_refuses_to_overflow():
-    """-2k^2 exceeds the double range at k = 1e154, where k itself does not."""
+    """-2k^2 exceeds the double range at k = 1e154, where k itself does not,
+    and neither does the force, which is formed in units of k."""
     limit = nonrelativistic_limit(5e153, 1e154, Convention.NEGATIVE_ENERGY)
     with pytest.raises(ValueError) as info:
         limit.nr_second_derivative_at_origin()
     assert str(info.value) == f"-k^2 (1 + r) overflows (k={limit.wave_number}, r=1.0)"
-    with pytest.raises(ValueError, match="overflows"):
-        limit.force
+    assert abs(limit.force + 2e154) <= 4.0 * math.ulp(2e154)
 
 
 # Paper values of the relativistic wall forces, -4(E -+ mc2), by kind.
@@ -250,14 +250,21 @@ def test_relativistic_limit_force_is_read_from_the_state(mc2, log_excess):
        st.sampled_from((Convention.MAIN, Convention.NEGATIVE_ENERGY)))
 def test_nonrelativistic_limit_force_is_read_from_the_state(mc2, log_ratio, conv):
     """E_kin/mc2 from 1e-12 to 1.9: the force of both NONREL kinds is the
-    hard-wall force of the Schroedinger wavefunction, bit for bit, within 4
-    ulps of the paper's -4 E_kin."""
+    hard-wall force of the Schroedinger wavefunction, bit for bit, from its
+    derivatives in units of k scaled by k^2/m, within 4 ulps of the paper's
+    -4 E_kin.  On the Dirichlet wall it is also the force of the derivatives
+    themselves, bit for bit."""
     e_kin = mc2 * 10.0**log_ratio
     limit = nonrelativistic_limit(e_kin, mc2, conv)
     assert limit.step_height == math.inf
-    assert limit.force == nr_boundary_force(
-        limit.spinor_at(0.0).upper, limit.nr_derivative_at_origin(),
-        limit.nr_second_derivative_at_origin(), mc2)
+    k, r, psi0 = limit.wave_number, limit.r, limit.spinor_at(0.0).upper
+    slope, curvature = 1j * (1 - r), -(1 + r)
+    assert limit.nr_derivative_at_origin() == k * slope
+    assert limit.nr_second_derivative_at_origin() == curvature * k * k
+    assert limit.force == k * (k / mc2) * nr_boundary_force(psi0, slope, curvature, 1.0)
+    if conv is Convention.MAIN:
+        assert limit.force == nr_boundary_force(
+            psi0, limit.nr_derivative_at_origin(), limit.nr_second_derivative_at_origin(), mc2)
     assert abs(limit.force + 4.0 * e_kin) <= 4.0 * math.ulp(4.0 * e_kin)
 
 

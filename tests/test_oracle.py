@@ -328,13 +328,12 @@ def test_conservation_check_catches_a_broken_cell(monkeypatch, compensated):
     build = oracle._magnus_cells
 
     def broken(setup, step, counts):
-        passes = build(setup, step, counts)
-        for cells in passes:
-            n = len(cells)
-            cells[n // 2] *= 1.0 + 1e-6
+        cells = build(setup, step, counts)
+        for head, n in zip(oracle._grid(tuple(counts))[1], counts):
+            cells[head + n // 2] *= 1.0 + 1e-6
             if compensated:
-                cells[n // 2 + 1] /= 1.0 + 1e-6
-        return passes
+                cells[head + n // 2 + 1] /= 1.0 + 1e-6
+        return cells
 
     monkeypatch.setattr(oracle, "_magnus_cells", broken)
     res = integrate_scattering(GOLDEN, step, Convention.MAIN)
@@ -382,26 +381,62 @@ def test_overflowing_cells_raise_at_the_first_non_finite_estimate(setup, width, 
     assert "nan" not in str(info.value)
 
 
-def _reference_cells(setup, step, n):
-    """The cells of one pass, as the oracle built them one count at a time."""
+def _reference_rows(n):
+    """Delta s and the step P at the two Gauss points of every cell of one
+    pass of n cells, from z = 20 sinh(3u) / sinh(3) = 2x/w."""
     u = 1.0 - (2.0 / n) * np.arange(n + 1)
-    nodes = (10.0 * step.width / math.sinh(3.0)) * np.sinh(3.0 * u)
-    h = nodes[1:] - nodes[:-1]
-    u1, u2 = setup.energy - step.profile(nodes[:-1] + np.multiply.outer(oracle._GAUSS, h))
-    m = setup.mass_energy
-    alpha = 0.5 * h * (u1 + u2 + 2.0 * m)
-    beta = 0.5 * h * (u1 + u2 - 2.0 * m)
-    gamma = (math.sqrt(3.0) / 6.0 * m) * h * h * (u2 - u1)
+    s = np.sinh(3.0 * u)
+    ds = s[1:] - s[:-1]
+    z = (20.0 / math.sinh(3.0)) * (s[:-1] + np.multiply.outer(oracle._GAUSS, ds))
+    p1, p2 = (1.0 + np.tanh(z)) / 2.0
+    return ds, p1, p2
+
+
+def _exponential(alpha, beta, gamma):
+    """exp of every [[gamma, i alpha], [i beta, -gamma]], in the real form."""
     s2 = gamma * gamma - alpha * beta
     r = np.sqrt(np.abs(s2))
     grow = s2 > 0.0
     cosh = np.cosh(r, out=np.cos(r), where=grow)
     sinhc = np.divide(
-        np.sinh(r, out=np.sin(r), where=grow), r, out=np.ones(n), where=r > 0.0
+        np.sinh(r, out=np.sin(r), where=grow), r, out=np.ones(len(r)), where=r > 0.0
     )
     return np.array(
         [[cosh + sinhc * gamma, -sinhc * alpha], [sinhc * beta, cosh - sinhc * gamma]]
     ).transpose(2, 0, 1)
+
+
+def _reference_cells(setup, step, n):
+    """The cells of one pass, built one count at a time by the oracle's cell
+    formula: h = c·Delta s with c = 10w / sinh(3), and V = V0·P."""
+    ds, p1, p2 = _reference_rows(n)
+    c = 10.0 * step.width / math.sinh(3.0)
+    m, e, v0 = setup.mass_energy, setup.energy, step.height
+    half_v = 0.5 * c * v0 * (ds * (p1 + p2))
+    alpha = (c * (e + m)) * ds - half_v
+    beta = (c * (e - m)) * ds - half_v
+    gamma = -math.sqrt(3.0) / 6.0 * m * c * c * v0 * (ds * ds * (p2 - p1))
+    return _exponential(alpha, beta, gamma)
+
+
+def _x_nodes(step, n):
+    """The left node and the width of every cell of one pass as x, from the
+    nodes 10w sinh(3u) / sinh(3) rounded to doubles."""
+    u = 1.0 - (2.0 / n) * np.arange(n + 1)
+    nodes = (10.0 * step.width / math.sinh(3.0)) * np.sinh(3.0 * u)
+    return nodes[:-1], nodes[1:] - nodes[:-1]
+
+
+def _x_node_cells(setup, step, n):
+    """The cells of one pass by the x-node formula: E - V at the Gauss points
+    of the x nodes, with V from ``SmoothStep.profile``."""
+    left, h = _x_nodes(step, n)
+    u1, u2 = setup.energy - step.profile(left + np.multiply.outer(oracle._GAUSS, h))
+    m = setup.mass_energy
+    alpha = 0.5 * h * (u1 + u2 + 2.0 * m)
+    beta = 0.5 * h * (u1 + u2 - 2.0 * m)
+    gamma = (math.sqrt(3.0) / 6.0 * m) * h * h * (u2 - u1)
+    return _exponential(alpha, beta, gamma)
 
 
 def _reference_chain(cells):
@@ -594,3 +629,113 @@ def test_oracle_scan_solves_are_bit_identical_to_one_pass_per_doubling():
     cases = list(_oracle_scan_cases(30, seed=20261018))
     assert len(cases) == 510
     assert "refused" not in _compare_with_reference(cases)
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024, 4096])
+def test_cells_agree_with_the_x_node_formula(n):
+    """Within 4 eps of each cell's scale times 1 + |x|·(|E| + V0 + mc2): the
+    x-node formula rounds its nodes to ulp(x), which moves a cell's phase by
+    that much."""
+    setups = [GOLDEN, EVANESCENT, PhysicalSetup(1.0, 0.5, 2.0), PhysicalSetup(0.0, 4.0, 2.0),
+              PhysicalSetup(2.0, 20.0, 5.0), PhysicalSetup(1e-3, 1e3, 2e-3),
+              *(setup for setup, _ in _edge_setups(1.2, 1e-4))]
+    for setup in setups:
+        for width in (1e-9, 1e-3, 0.37, 1.0, 3.0):
+            step = SmoothStep(setup.step_height, width)
+            cells = oracle._magnus_cells(setup, step, [n])
+            expected = _x_node_cells(setup, step, n)
+            left, h = _x_nodes(step, n)
+            reach = np.maximum(abs(left), abs(left + h)) * (
+                abs(setup.energy) + setup.step_height + setup.mass_energy)
+            scale = np.abs(expected).max(axis=(1, 2)) * (1.0 + reach)
+            excess = np.abs(cells - expected).max(axis=(1, 2)) / scale
+            assert excess.max() <= 4.0 * np.finfo(float).eps, (setup, width)
+
+
+def test_cached_rows_refuse_writes():
+    rows, heads = oracle._grid((32, 16, 8))
+    for array in (rows, rows[1], heads):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+@pytest.mark.parametrize("counts", [(32, 16, 8), (1024, 512, 256), (4096,)])
+def test_cached_rows_are_the_step_at_the_gauss_points_at_every_width(counts):
+    """Each pass's rows are those of the pass built on its own, bit for bit,
+    and V0·P is within eps·V0 of ``SmoothStep.profile`` at the Gauss points
+    of the x nodes, whatever the width."""
+    rows, heads = oracle._grid(counts)
+    for head, n in zip(heads.tolist(), counts):
+        ds, p1, p2 = _reference_rows(n)
+        assert np.array_equal(rows[:, head : head + n], [ds, ds * (p1 + p2), ds * ds * (p2 - p1)])
+        for width in (1e-9, 1e-3, 0.37, 1.0, 123.0, 1e3):
+            for height in (4.0, 0.37, 3e5):
+                step = SmoothStep(height, width)
+                left, h = _x_nodes(step, n)
+                profile = step.profile(left + np.multiply.outer(oracle._GAUSS, h))
+                excess = np.abs(height * np.array([p1, p2]) - profile).max()
+                assert excess <= np.finfo(float).eps * height, (n, width, height)
+
+
+def test_grid_cache_holds_at_most_24_entries_up_to_the_cap(monkeypatch):
+    """Ladders from every first count up to the cap of 2^16 cells ask for 13
+    first rungs and 11 single passes.  A first cell scaled by 1 + 1/n keeps
+    every Richardson estimate near 1/30n, falling but above tol, so each
+    ladder runs to the cap; the transmission setup has no evanescent band to
+    overflow in at any width."""
+    setup = PhysicalSetup(1.0, 0.5, 2.0)
+    build, grid = oracle._magnus_cells, oracle._grid
+    asked = set()
+
+    def stalled(setup, step, counts):
+        cells = build(setup, step, counts)
+        for head, n in zip(grid(tuple(counts))[1], counts):
+            cells[head] *= 1.0 + 1.0 / n
+        return cells
+
+    def recorded(counts):
+        asked.add(counts)
+        return grid(counts)
+
+    monkeypatch.setattr(oracle, "_magnus_cells", stalled)
+    monkeypatch.setattr(oracle, "_grid", recorded)
+    grid.cache_clear()
+    for first in (2**k for k in range(3, 16)):
+        # w·(V0 + E + mc2) that sizes the first pass to ``first`` cells
+        reach = (1.5 * first / 130.0) ** (1.0 / 0.6)
+        with pytest.raises(RuntimeError, match=r"with 65536 cells \(cap 65536\)"):
+            integrate_scattering(setup, SmoothStep(0.5, reach / 3.5), Convention.TRADITIONAL)
+    assert len(asked) == grid.cache_info().currsize == 24
+    assert max(map(max, asked)) == oracle._MAX_CELLS
+
+
+@pytest.mark.parametrize(
+    "width, setup, conv, outcome",
+    [
+        (1e-300, PhysicalSetup(0.0, 4.0, 2.0), Convention.MAIN, (16, 0.0, 1.0)),
+        (1e-300, PhysicalSetup(0.0, 0.2, 0.1), Convention.MAIN, (16, 0.0, 1.0)),
+        (1e-300, PhysicalSetup(0.0, 4.0, 2.0), Convention.TRADITIONAL,
+         "decomposition ill-conditioned: no incident content"),
+        (1e150, PhysicalSetup(0.0, 4.0, 2.0), Convention.MAIN,
+         "Richardson estimate * misses tol 1e-10 at width 1e+150 with 65536 cells (cap 65536)"),
+        (1e150, PhysicalSetup(0.0, 4.0, 2.0), Convention.TRADITIONAL,
+         "decomposition ill-conditioned: no incident content"),
+        (1e200, PhysicalSetup(0.0, 4.0, 2.0), Convention.MAIN,
+         "the solution overflows the double range at width 1e+200 with 65536 cells"),
+        (1e200, PhysicalSetup(0.0, 0.2, 0.1), Convention.MAIN,
+         "the solution overflows the double range at width 1e+200 with 65536 cells"),
+    ],
+)
+def test_massless_extreme_widths_keep_their_outcome(width, setup, conv, outcome):
+    """mc2 = 0 gives gamma = 0 at every width, also where c² over- or
+    underflows: the cell counts and refusals of the x-node formula.  At
+    w = 1e150 a cell turns the phase by about 1e145 radians, so the estimate
+    (*) is rounding noise and only the refusal is pinned."""
+    step = SmoothStep(setup.step_height, width)
+    if isinstance(outcome, tuple):
+        res = integrate_scattering(setup, step, conv)
+        assert (res.n_steps, res.R_num, res.T_num) == outcome
+        return
+    pattern = re.escape(outcome).replace(r"\*", r"\d\.\d\de[-+]\d\d")
+    with pytest.raises(RuntimeError, match=f"^{pattern}$"):
+        integrate_scattering(setup, step, conv)
