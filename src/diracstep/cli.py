@@ -140,8 +140,13 @@ def _cmd_sweep(args) -> int:
     else:
         step_heights, energies = args.step_height, values
         fixed_name, fixed_value = "step_height", args.step_height
-    columns = table.scatter_table(args.mass, step_heights, energies,
-                                  _convention(args.convention))
+    try:
+        columns = table.scatter_table(args.mass, step_heights, energies,
+                                      _convention(args.convention))
+    except ValueError as exc:  # a refused row, marked by scatter_table
+        v0, e = np.broadcast_arrays(step_heights, energies)
+        raise ValueError(f"row {exc.row} (V0={float(v0[exc.row])}, E={float(e[exc.row])}): "
+                         f"{exc}; {exc.refused} of {args.points} rows refused") from None
     _echo_params(
         "sweep",
         {

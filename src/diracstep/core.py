@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .spinor import SCALAR
+
 __all__ = [
     "PhysicalSetup",
     "Regime",
@@ -122,16 +124,61 @@ class Kinematics:
     b_dprime: complex
 
 
+# The refusal causes of an open-regime setup, in the order they are checked
+# (0 is none), and their messages.
+K2_OVERFLOW, KBAR2_OVERFLOW, KBAR_ZERO, GROWING, SINGULAR, NOT_FINITE = range(1, 7)
+_REFUSALS = {
+    K2_OVERFLOW: "(E - mc2)(E + mc2) overflows (E={e}, mc2={m})",
+    KBAR2_OVERFLOW: "(E - V0 - mc2)(E - V0 + mc2) overflows (E={e}, V0={v0}, mc2={m})",
+    KBAR_ZERO: ("transmitted wave number rounds to 0 in {regime}: V0={v0} is within rounding "
+                "of the regime edge {edge} (E={e}, mc2={m})"),
+    GROWING: "{conv!r} transmitted wave grows under the step in the evanescent regime",
+    # Possible only at degenerate corners (e.g. the TRADITIONAL wave for a
+    # massless particle, where it is parallel to the reflected wave).
+    SINGULAR: "continuity system singular for {conv!r} at this setup",
+    NOT_FINITE: "spinor components must be finite",
+}
+
+
+def refusal(cause: int, mass_energy, step_height, energy, conv=None) -> ValueError:
+    """The error of an open-regime setup refused for ``cause``, on every path;
+    ``conv`` is the transmitted-wave convention, for GROWING and SINGULAR."""
+    e, v0, m = energy, step_height, mass_energy
+    if cause != KBAR_ZERO:
+        return ValueError(_REFUSALS[cause].format(e=e, v0=v0, m=m, conv=conv and conv.value))
+    edge = "E - mc2" if e - v0 > 0.0 else "E + mc2"
+    regime = classify_regime(PhysicalSetup(m, v0, e)).value
+    return EdgePointError(_REFUSALS[cause].format(regime=regime, v0=v0, edge=edge, e=e, m=m))
+
+
+def _incident(xp, e, m):
+    """k², k and a on Python numbers or arrays (``xp`` is ``spinor.SCALAR`` or
+    ``spinor.ARRAY``)."""
+    # (E−m)(E+m) instead of E²−m²: keeps full precision for E close to mc².
+    k2 = (e - m) * (e + m)
+    return k2, xp.sqrt(k2), xp.sqrt(xp.quotient(e - m, e + m))
+
+
+def _kinematics(xp, m, v0, e, evanescent: bool):
+    """The open-regime kinematics on Python numbers or arrays: (k, k̄ or κ, a,
+    b, b″), and whether k² overflows, k̄² overflows and k̄ rounds to 0."""
+    k2, k, a = _incident(xp, e, m)
+    d = e - v0
+    kbar2 = (d - m) * (d + m)  # k̄² in the open regimes, −κ² in the evanescent band
+    transmitted = xp.sqrt(xp.magnitude(kbar2))
+    b = xp.quotient(xp.product(-1j, transmitted) if evanescent else transmitted, d + m)
+    b_dprime = -xp.quotient(1.0, b)  # -1.0 / b would flip a signed zero in the evanescent band
+    return (k, transmitted, a, b, b_dprime), (k2 == math.inf, kbar2 == math.inf, kbar2 == 0.0)
+
+
 def incident_wave(energy: float, mass_energy: float) -> tuple[float, float]:
     """Incident wave number k = √(E² − (mc²)²) and spinor ratio
     a = √((E − mc²)/(E + mc²)), 1 for mc² = 0.  Raises ValueError when k²
     overflows."""
-    # (E−m)(E+m) instead of E²−m²: keeps full precision for E close to mc².
-    e, m = energy, mass_energy
-    k2 = (e - m) * (e + m)
+    k2, k, a = _incident(SCALAR, energy, mass_energy)
     if k2 == math.inf:
-        raise ValueError(f"(E - mc2)(E + mc2) overflows (E={e}, mc2={m})")
-    return math.sqrt(k2), math.sqrt((e - m) / (e + m))
+        raise refusal(K2_OVERFLOW, mass_energy, None, energy)
+    return k, a
 
 
 def kinematics(setup: PhysicalSetup) -> Kinematics:
@@ -152,33 +199,9 @@ def kinematics(setup: PhysicalSetup) -> Kinematics:
             f"kinematics degenerate at {regime.value} (V0={setup.step_height}); "
             "use the limits module"
         )
-    m, e, v0 = setup.mass_energy, setup.energy, setup.step_height
-    d = e - v0
-    k, a = incident_wave(e, m)
-    # k̄² in the open regimes, −κ² in the evanescent band.
-    kbar2 = (d - m) * (d + m)
-    if kbar2 == math.inf:
-        raise ValueError(
-            f"(E - V0 - mc2)(E - V0 + mc2) overflows (E={e}, V0={v0}, mc2={m})"
-        )
-    if kbar2 == 0.0:
-        edge = "E - mc2" if d > 0.0 else "E + mc2"
-        raise EdgePointError(
-            f"transmitted wave number rounds to 0 in {regime.value}: "
-            f"V0={v0} is within rounding of the regime edge {edge} (E={e}, mc2={m})"
-        )
-    transmitted = math.sqrt(abs(kbar2))
-    if regime is Regime.EVANESCENT:
-        b: complex = -1j * transmitted / (d + m)
-    else:
-        b = transmitted / (d + m)
-    b_dprime = -(1.0 / b)  # -1.0 / b would flip a signed zero in the evanescent band
-    return Kinematics(
-        setup=setup,
-        regime=regime,
-        k=k,
-        kbar_or_kappa=transmitted,
-        a=a,
-        b=b,
-        b_dprime=b_dprime,
-    )
+    m, v0, e = setup.mass_energy, setup.step_height, setup.energy
+    values, hits = _kinematics(SCALAR, m, v0, e, regime is Regime.EVANESCENT)
+    for cause, hit in enumerate(hits, K2_OVERFLOW):
+        if hit:
+            raise refusal(cause, m, v0, e)
+    return Kinematics(setup, regime, *values)

@@ -23,13 +23,16 @@ array.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .core import GROWING, SINGULAR, Kinematics, Regime, refusal
+from .spinor import SCALAR, PlaneWaveState, Side, Spinor
 
-from .core import Kinematics, Regime
-from .spinor import PlaneWaveState, Side, Spinor
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Convention",
@@ -112,7 +115,7 @@ class PlaneWaveSolution:
         that overflows."""
         k = self.incident.wave_number
         value = -(1 + self.r) * k * k
-        if np.isinf(value):
+        if cmath.isinf(value):
             raise ValueError(f"-k^2 (1 + r) overflows (k={k}, r={self.r})")
         return value
 
@@ -159,22 +162,42 @@ def transmitted_column(conv: Convention, b, b_dprime, k_t):
     return -b, 1.0, k_t
 
 
-def _transmitted_basis(kin: Kinematics, conv: Convention) -> tuple[Spinor, complex]:
-    """Unit-coefficient transmitted amplitude and its wave number.
+def _continuity(xp, a, b, b_dprime, kappa, conv: Convention, evanescent: bool):
+    """``match`` on Python numbers or arrays (``xp`` is ``spinor.SCALAR`` or
+    ``spinor.ARRAY``), from the kinematics: the transmitted column (upper,
+    lower, q_t), r, t and t·(upper, lower), and whether the wave grows under
+    the step and whether the system is singular.
 
     In the evanescent regime the oscillatory wave number continues to
     k̄ → −iκ; only the two e^{−ik̄x} conventions then decay for x → +∞.
     """
-    if kin.regime is Regime.EVANESCENT:
-        k_t = -1j * kin.kbar_or_kappa
-        if conv in GROWING_UNDER_EVANESCENT:
-            raise ValueError(
-                f"{conv.value!r} transmitted wave grows under the step in the "
-                "evanescent regime"
-            )
-    else:
-        k_t = complex(kin.kbar_or_kappa)
-    upper, lower, q_t = transmitted_column(conv, kin.b, kin.b_dprime, k_t)
+    k_t = xp.product(-1j, kappa) if evanescent else xp.complex(kappa)
+    upper, lower, q_t = transmitted_column(conv, b, b_dprime, k_t)
+    scale = xp.maximum(xp.magnitude(upper), xp.magnitude(lower))
+    u_hat, l_hat = xp.quotient(upper, scale), xp.quotient(lower, scale)
+    det = xp.product(u_hat, a) + l_hat
+    t = xp.quotient(xp.complex(xp.quotient(2.0 * a, det)), scale)
+    r = xp.complex(xp.quotient(xp.product(u_hat, a) - l_hat, det))
+    growing = evanescent and conv in GROWING_UNDER_EVANESCENT
+    values = (upper, lower, q_t, r, t, xp.product(t, upper), xp.product(t, lower))
+    return values, (growing, det == 0)
+
+
+def _continuity_of(kin: Kinematics, conv: Convention, causes):
+    """``_continuity`` of a Kinematics; the error of the first of ``causes``
+    (GROWING, SINGULAR) that holds."""
+    values, hits = _continuity(SCALAR, kin.a, kin.b, kin.b_dprime, kin.kbar_or_kappa, conv,
+                               kin.regime is Regime.EVANESCENT)
+    s = kin.setup
+    for cause, hit in zip((GROWING, SINGULAR), hits):
+        if hit and cause in causes:
+            raise refusal(cause, s.mass_energy, s.step_height, s.energy, conv)
+    return values
+
+
+def _transmitted_basis(kin: Kinematics, conv: Convention) -> tuple[Spinor, complex]:
+    """Unit-coefficient transmitted amplitude and its wave number."""
+    upper, lower, q_t, *_ = _continuity_of(kin, conv, (GROWING,))
     return Spinor(upper, lower), q_t
 
 
@@ -205,22 +228,8 @@ def match(kin: Kinematics, conv: Convention) -> ScatteringSolution:
 
         det = û·a + l̂,   t·max|u_conv| = 2a / det,   r = (û·a − l̂) / det.
     """
-    u_t, q_t = _transmitted_basis(kin, conv)
-    scale = max(abs(u_t.upper), abs(u_t.lower))
-    u_hat, l_hat = u_t.upper / scale, u_t.lower / scale
-    det = u_hat * kin.a + l_hat
-    if det == 0:
-        # Possible only at degenerate corners (e.g. the TRADITIONAL wave for
-        # a massless particle, where it is parallel to the reflected wave).
-        raise ValueError(
-            f"continuity system singular for {conv.value!r} at this setup"
-        )
-    t_scaled = complex(2.0 * kin.a / det)
-    r = complex((u_hat * kin.a - l_hat) / det)
-    t = t_scaled / scale
-    transmitted = PlaneWaveState(
-        Spinor(t * u_t.upper, t * u_t.lower), q_t, Side.RIGHT
-    )
+    _, _, q_t, r, t, t_upper, t_lower = _continuity_of(kin, conv, (GROWING, SINGULAR))
+    transmitted = PlaneWaveState(Spinor(t_upper, t_lower), q_t, Side.RIGHT)
     return ScatteringSolution.reflecting(
         kin.k, kin.a, r, transmitted, conv, t, kinematics=kin
     )

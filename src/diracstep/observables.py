@@ -3,7 +3,8 @@
 All quantities are computed from the actual plane waves of a state, matched
 or limit alike (currents of the physical amplitudes), never from
 per-convention closed forms; the closed forms live in the test suite as
-cross-checks.
+cross-checks.  ``_observe`` forms them on Python numbers or on arrays, for
+``coefficients`` and for the rows of ``table`` alike.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .boundary import TOLERANCE, BoundaryCondition
 from .matching import PlaneWaveSolution
-from .spinor import current, density
+from .spinor import SCALAR, current, density
 
 __all__ = [
     "ObservableSet",
@@ -46,26 +48,49 @@ class ObservableSet:
 def coefficients(sol: PlaneWaveSolution) -> ObservableSet:
     """Observable set of a state, from plane-wave currents; ValueError for the
     nonrelativistic limits, whose incident wave carries no current."""
-    j_in = current(sol.incident.amplitude)
-    if j_in == 0.0:
+    incident, reflected = sol.incident.amplitude, sol.reflected.amplitude
+    if current(incident) == 0.0:
         raise ValueError("no coefficients: the incident wave carries no current "
                          "(a nonrelativistic limit state)")
-    j_refl = current(sol.reflected.amplitude)
-    rho0, j0 = density_current_at_origin(sol)
-    if sol.transmitted.wave_number.imag > 0.0:
-        # Decaying (evanescent) wave: exactly zero transmitted current.
-        t_coef = 0.0
-        v_t = math.nan
+    q_t, wall = sol.transmitted.wave_number, sol.transmitted.amplitude
+    # A decaying (evanescent) wave carries exactly zero transmitted current.
+    row = _observe(SCALAR, incident.lower, reflected.upper, reflected.lower, sol.t,
+                   wall.upper, wall.lower, q_t, 0.0, q_t.imag > 0.0)
+    return ObservableSet(*(row[name] for name in ("R", "T", "rho0", "j0", "v_t")))
+
+
+def _observe(xp, a, r, r_lower, t, t_upper, t_lower, q_t, v0, evanescent: bool) -> dict:
+    """The ``table.record`` columns r_re to continuity of the state
+    [1, a]·e^{ikx} + [r, r_lower]·e^{−ikx} for x < 0 and [t_upper, t_lower]·e^{iq_t·x}
+    beyond, under a step of height v0, on Python numbers or arrays (``xp`` is
+    ``spinor.SCALAR`` or ``spinor.ARRAY``); ``boundary`` is ``classify_boundary``'s
+    rule for a state whose incident wave carries current."""
+    mag = xp.magnitude
+    j_in = xp.currents(1.0, a)
+    # psi(0) as the transmitted wave's value_at(0.0) gives it
+    phase = xp.exp(xp.product(xp.product(1j, q_t), 0.0))
+    psi_upper, psi_lower = xp.product(phase, t_upper), xp.product(phase, t_lower)
+    rho0 = xp.densities(psi_upper, psi_lower)
+    # continuity at x = 0: psi(0-) = [1 + r, a + r_lower] against psi(0)
+    left_upper, left_lower = 1.0 + r, a + r_lower
+    residual = xp.maximum(mag(left_upper - psi_upper), mag(left_lower - psi_lower))
+    left_scale = xp.maximum(xp.maximum(1.0, mag(left_upper)), mag(left_lower))
+    if evanescent:
+        T, v_t = 0.0, math.nan
     else:
-        t_coef = current(sol.transmitted.amplitude) / j_in
-        v_t = transmitted_velocity(sol)
-    return ObservableSet(
-        R=abs(j_refl) / abs(j_in),
-        T=t_coef,
-        rho0=rho0,
-        j0=j0,
-        v_t=v_t,
-    )
+        j_t = xp.currents(t_upper, t_lower)
+        T, v_t = xp.quotient(j_t, j_in), xp.quotient(j_t, xp.densities(t_upper, t_lower))
+    # A component of psi(0) is zero below TOLERANCE times the largest amplitude.
+    scale = xp.maximum(xp.maximum(xp.maximum(1.0, a), xp.maximum(mag(r), mag(r_lower))),
+                       xp.maximum(mag(t_upper), mag(t_lower)))
+    upper_zero, lower_zero = (mag(psi) < TOLERANCE * scale for psi in (psi_upper, psi_lower))
+    boundary = xp.where(upper_zero == lower_zero, BoundaryCondition.NONE.value,
+                        xp.where(upper_zero, BoundaryCondition.DIRICHLET_UPPER.value,
+                                 BoundaryCondition.DIRICHLET_LOWER.value))
+    return {"r_re": r.real, "r_im": r.imag, "t_re": t.real, "t_im": t.imag,
+            "R": xp.quotient(mag(xp.currents(r, r_lower)), mag(j_in)), "T": T, "rho0": rho0,
+            "j0": xp.currents(psi_upper, psi_lower), "v_t": v_t, "force": -v0 * rho0,
+            "boundary": boundary, "continuity": xp.quotient(residual, left_scale)}
 
 
 def density_current_at_origin(sol: PlaneWaveSolution) -> tuple[float, float]:

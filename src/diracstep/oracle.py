@@ -293,7 +293,11 @@ def integrate_scattering(
     # for a fourth-order method, like tol^(−1/4), with 2n and 4n, from one
     # evaluation of the cells and one tree; each further doubling is one
     # more of each.
-    reach = step.width * (step.height + setup.energy + setup.mass_energy)
+    energies = step.height + setup.energy + setup.mass_energy
+    reach = step.width * energies
+    if reach == math.inf:
+        raise ValueError(f"step width {step.width:g} too wide: its reach "
+                         f"w (V0 + E + mc2) = {step.width:g} * {energies:g} overflows")
     guess = 130.0 * reach**0.6 * (tol / 1e-10) ** -0.25
     n = min(2 ** math.floor(math.log2(max(_MIN_CELLS, guess))), _MAX_CELLS // 2)
     # A wide enough step overflows its cells; its estimate is then not finite.

@@ -8,13 +8,20 @@ i.e. the representation with α = σₓ and β = σ_z.  The upper spinor
 component is the large component, the lower the small one.  States are
 plane waves  amplitude · e^{iqx}  with a possibly complex wave number q;
 an imaginary part of q encodes evanescent decay.
+
+``SCALAR`` and ``ARRAY`` are the two namespaces of arithmetic that the
+open-regime chain runs on: Python numbers, and numpy arrays rounded as
+CPython rounds.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -143,14 +150,41 @@ def currents(upper, lower):
     return 2.0 * product(np.conj(upper), lower).real
 
 
+def _quotient(x, y):
+    """x / y, with IEEE's ±inf or NaN (NaN parts for a complex divisor, as
+    ``complex_quotient`` gives) where CPython raises on a zero divisor."""
+    try:
+        return x / y
+    except ZeroDivisionError:
+        if complex in (type(x), type(y)):
+            return complex(math.nan, math.nan)
+        return x * math.copysign(math.inf, y)
+
+
+# The open-regime chain's operations on Python numbers, and on numpy arrays
+# rounded as CPython rounds.
+SCALAR = SimpleNamespace(
+    sqrt=math.sqrt, magnitude=abs, product=operator.mul, quotient=_quotient, complex=complex,
+    maximum=max, exp=cmath.exp, where=lambda c, x, y: x if c else y,
+    select=lambda hits, values, default: next((v for h, v in zip(hits, values) if h), default),
+    nonfinite=lambda x: not cmath.isfinite(x),
+    densities=lambda upper, lower: abs(upper) ** 2 + abs(lower) ** 2,
+    currents=lambda upper, lower: 2.0 * (upper.conjugate() * lower).real)
+ARRAY = SimpleNamespace(
+    sqrt=np.sqrt, magnitude=magnitude, product=product, quotient=quotient,
+    complex=lambda x: np.asarray(x, dtype=complex), maximum=np.maximum, exp=np.exp,
+    where=np.where, select=np.select, nonfinite=lambda x: ~np.isfinite(x),
+    densities=densities, currents=currents)
+
+
 def density(s: Spinor) -> float:
     """Probability density |upper|² + |lower|²."""
-    return abs(s.upper) ** 2 + abs(s.lower) ** 2
+    return SCALAR.densities(s.upper, s.lower)
 
 
 def current(s: Spinor) -> float:
     """Probability current density 2c·Re(upper* · lower), with c = 1."""
-    return 2.0 * (s.upper.conjugate() * s.lower).real
+    return SCALAR.currents(s.upper, s.lower)
 
 
 def apply_hamiltonian(

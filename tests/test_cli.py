@@ -498,7 +498,8 @@ def test_sweep_refuses_unusable_range_exit_2(capsys, tmp_path, start, stop, caus
 
 def test_sweep_to_one_ulp_inside_transmission_exit_2(capsys, tmp_path):
     """The last row, V₀ = 0.9999999999999999 at E = 2, is inside the
-    transmission regime, but E − V₀ rounds to mc²."""
+    transmission regime, but E − V₀ rounds to mc².  The error names the row,
+    its setup and the number of refused rows."""
     out_file = tmp_path / "s.csv"
     code, out, err = run(
         capsys, "sweep", "--vary", "step-height", "--from", "0.1", "--to", "1",
@@ -507,9 +508,10 @@ def test_sweep_to_one_ulp_inside_transmission_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == (
-        "error: transmitted wave number rounds to 0 in Transmission: "
+        "error: row 9 (V0=0.9999999999999999, E=2.0): "
+        "transmitted wave number rounds to 0 in Transmission: "
         "V0=0.9999999999999999 is within rounding of the regime edge E - mc2 "
-        "(E=2.0, mc2=1.0)\n"
+        "(E=2.0, mc2=1.0); 1 of 10 rows refused\n"
     )
     assert not out_file.exists()
 
@@ -539,7 +541,9 @@ _NR_OVERFLOW = "sqrt(2 mc2 E_kin) overflows (E_kin=1e+308, mc2=1.0)"
     # Both rows lie on a regime edge: E - mc2 and E + mc2.
     (("sweep", "--vary", "step-height", "--from", "9.999999999e+199",
       "--to", "1.0000000000999999e+200", "--points", "2", "--energy", "1e200",
-      "--mass", "1e190"), f"{_K_OVERFLOW} (E=1e+200, mc2=1e+190)"),
+      "--mass", "1e190"),
+     f"row 0 (V0=9.999999999e+199, E=1e+200): {_K_OVERFLOW} (E=1e+200, mc2=1e+190); "
+     "2 of 2 rows refused"),
     (("limit", "--which", "impenetrable", "--energy", "1e300"),
      f"{_K_OVERFLOW} (E=1e+300, mc2=1.0)"),
     (("limit", "--which", "infinite", "--energy", "1e300"),

@@ -1,7 +1,11 @@
-"""The package's public names: each export resolves to its defining module."""
+"""The package's public names: each export resolves to its defining module;
+the scalar chain's modules import no numpy."""
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +27,31 @@ def test_package_export_is_listed_by_its_defining_module(name):
 def test_module_exports_exist(module):
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def _module_level_imports(statements):
+    """The modules that ``statements`` import when the module loads: not
+    inside functions, nor under ``if TYPE_CHECKING``."""
+    for node in statements:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _module_level_imports(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+        yield from _module_level_imports(
+            child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt))
+
+
+@pytest.mark.parametrize("name", ["core", "matching", "observables", "boundary", "forces",
+                                  "limits"])
+def test_scalar_chain_modules_do_not_import_numpy(name):
+    # The scalar chain runs on Python numbers (spinor.SCALAR); numpy stays
+    # with the array evaluators.
+    source = importlib.util.find_spec(f"diracstep.{name}").origin
+    tree = ast.parse(Path(source).read_text(encoding="utf-8"))
+    imported = list(_module_level_imports(tree.body))
+    assert not [module for module in imported if module.split(".")[0] == "numpy"], imported

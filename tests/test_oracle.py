@@ -356,6 +356,14 @@ def test_width_whose_reach_underflows_starts_at_the_smallest_pass():
     assert (res.n_steps, res.R_num, res.T_num) == (16, 0.0, 1.0)
 
 
+def test_width_whose_reach_overflows_is_refused_with_its_cause():
+    # w·(V0 + E + mc2) overflows before the first pass is sized.
+    with pytest.raises(ValueError) as info:
+        integrate_scattering(PhysicalSetup(1.0, 4.0, 2.0), SmoothStep(4.0, 1.7e308))
+    assert str(info.value) == ("step width 1.7e+308 too wide: its reach "
+                               "w (V0 + E + mc2) = 1.7e+308 * 7 overflows")
+
+
 @pytest.mark.parametrize(
     "setup, width, tol, cells, conv",
     [

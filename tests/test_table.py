@@ -1,17 +1,19 @@
-"""The array core against the scalar record chain, bit for bit.
+"""The array core against the scalar record, bit for bit.
 
 ``scatter_table`` must return, column by column, exactly what
 ``table.record`` gives for each row, down to the sign of zero, and refuse a
 table with the error of its first refused row.  ``record`` is the row
-``scatter`` prints: the chain PhysicalSetup → ``table.solve`` (kinematics →
-match, or ``edge_limit`` on an edge) → coefficients → classify_boundary,
-with the continuity residual at x = 0 that ``verify``'s conservation suite
-reads from the table.  The table computes its open rows by array arithmetic
-of its own, so the comparison checks two routes; edge rows are the same
-``edge_limit`` state on both.
+``scatter`` prints: on an open regime the columns of ``table._chain`` on
+Python numbers, and on an edge those of the ``edge_limit`` state, with the
+continuity residual at x = 0 that ``verify``'s conservation suite reads from
+the table.  The table runs the same ``_chain`` on numpy arrays, so these
+tests pin the array arithmetic's rounding to CPython's and the edge and
+refusal bookkeeping; the independent check of the values themselves is the
+decimal reference in ``test_reference.py``.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,9 +131,47 @@ def test_refusal_names_the_first_refused_row():
     # Row 0 rounds to the lower edge; row 2 sits on it, where the negative
     # parameterization is degenerate.  The table must name row 0.
     rows = [(0.9999999999999999, 2.0), (2.5, 2.0), (1.0, 2.0)]
-    with pytest.raises(EdgePointError, match="V0=0.9999999999999999"):
+    with pytest.raises(EdgePointError, match="V0=0.9999999999999999") as info:
         scatter_table(1.0, [v for v, _ in rows], [e for _, e in rows],
                       Convention.NEGATIVE_ENERGY)
+    assert (info.value.row, info.value.refused) == (0, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_refusal_carries_the_first_refused_row_and_the_refused_count(case):
+    mass, rows, conv = case
+    refused = [i for i, (v0, e) in enumerate(rows)
+               if isinstance(_reference(mass, [(v0, e)], conv), Exception)]
+    if not refused:
+        scatter_table(mass, [v0 for v0, _ in rows], [e for _, e in rows], conv)
+        return
+    with pytest.raises(ValueError) as info:
+        scatter_table(mass, [v0 for v0, _ in rows], [e for _, e in rows], conv)
+    assert (info.value.row, info.value.refused) == (refused[0], len(refused))
+
+
+@pytest.mark.parametrize("mass, v0, e, conv, cause", [
+    (1.0, 1.0, 1e200, None, "(E - mc2)(E + mc2) overflows"),
+    (1.0, 1e300, 2.0, None, "(E - V0 - mc2)(E - V0 + mc2) overflows"),
+    (1.0, 0.9999999999999999, 2.0, None, "rounds to 0 in Transmission"),
+    (1.0, 0.2, 1.2, None, "rounds to 0 in Evanescent"),
+    # k̄² = (d − mc²)(d + mc²) underflows one ulp above E + mc².
+    (1e-200, 3.0000000000000005e-200, 2e-200, None, "rounds to 0 in KleinZone"),
+    (1.0, 2.5, 2.0, Convention.TRADITIONAL, "'traditional' transmitted wave grows"),
+    (1.0, 2.5, 2.0, Convention.NEGATIVE_ENERGY, "'negative' transmitted wave grows"),
+    # Massless, b = ±1 makes each column parallel to the reflected wave [1, −1].
+    (0.0, 0.5, 1.0, Convention.MAIN, "singular for 'main'"),
+    (0.0, 0.5, 1.0, Convention.LOWER_COMPONENT, "singular for 'lower'"),
+    (0.0, 0.5, 1.0, Convention.NEGATIVE_ENERGY, "singular for 'negative'"),
+    (0.0, 1.5, 1.0, Convention.TRADITIONAL, "singular for 'traditional'"),
+], ids=["k2-overflow", "kbar2-overflow", "kbar-zero-transmission", "kbar-zero-evanescent",
+        "kbar-zero-klein", "growing-traditional", "growing-negative", "singular-main",
+        "singular-lower", "singular-negative", "singular-traditional"])
+def test_each_refusal_cause_is_raised_alike_by_record_and_table(mass, v0, e, conv, cause):
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        scalar_record(PhysicalSetup(mass, v0, e), conv)
+    _assert_table_matches(mass, [(v0, e)], conv)
 
 
 def test_scatter_table_broadcasts_and_marks_transitions():
