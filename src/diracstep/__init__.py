@@ -25,7 +25,6 @@ from .forces import (
 )
 from .gridio import GridSample, sample, write_csv
 from .limits import (
-    InfiniteStepLimit,
     LimitKind,
     LimitSolution,
     edge_limit,
@@ -43,7 +42,6 @@ from .matching import (
 from .observables import (
     ObservableSet,
     coefficients,
-    density_current_at_origin,
     transmitted_velocity,
 )
 from .oracle import OracleResult, SmoothStep, integrate_scattering, sauter_log_coefficients
@@ -66,7 +64,6 @@ __all__ = [
     "EdgePointError",
     "ForceReport",
     "GridSample",
-    "InfiniteStepLimit",
     "Kinematics",
     "LimitKind",
     "LimitSolution",
@@ -87,7 +84,6 @@ __all__ = [
     "coefficients",
     "current",
     "density",
-    "density_current_at_origin",
     "edge_limit",
     "external_force_mean",
     "impenetrable_limit",

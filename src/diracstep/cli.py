@@ -21,16 +21,19 @@ import numpy as np
 
 from . import __version__, table
 from .boundary import classify_boundary
-from .core import PhysicalSetup, Regime
+from .core import PhysicalSetup, Regime, incident_wave
 from .forces import ForceReport, momentum_flux_bracket
 from .gridio import sample, write_csv
-from .limits import impenetrable_limit, infinite_potential_limit, nonrelativistic_limit
+from .limits import (_nr_wall_force, impenetrable_limit, infinite_potential_limit,
+                     nonrelativistic_limit)
 from .matching import Convention
 from .observables import coefficients
 from .verify import SUITES, run_suite
 
 _CONVENTION_CHOICES = sorted(["auto", *(conv.value for conv in Convention)])
 _INF = float("inf")
+_KLEIN_PARADOX = ("warning: traditional transmitted wave: R exceeds 1 "
+                  "(historical Klein-paradox bookkeeping)")
 
 
 def _convention(name: str) -> Convention | None:
@@ -77,8 +80,7 @@ def _cmd_scatter(args) -> int:
     _print_table([(name, record[name]) for name in _SCATTER_FIELDS], args.precision)
     if (record["convention"] == Convention.TRADITIONAL.value
             and record["regime"] == Regime.KLEIN_ZONE.value):
-        print("warning: traditional transmitted wave: R exceeds 1 "
-              "(historical Klein-paradox bookkeeping)")
+        print(_KLEIN_PARADOX)
     return 0
 
 
@@ -172,64 +174,37 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_limit(args) -> int:
     conv = _convention(args.convention) or Convention.MAIN
-    precision = args.precision
+    e, m, warning = args.energy, args.mass, None
     if args.which == "infinite":
-        limit = infinite_potential_limit(args.energy, args.mass)
-        _echo_params("limit", {"which": "infinite", "mass_energy": args.mass,
-                               "energy": args.energy}, precision)
-        _print_table(
-            [("a", limit.a), ("b_limit", limit.b_limit), ("R", limit.R),
-             ("T", limit.T)],
-            precision,
-        )
-        return 0
-    if args.which == "nonrel":
-        limit = nonrelativistic_limit(args.energy, args.mass, conv)
-        rows = [
-            ("kind", limit.kind.value),
-            ("wave_number", limit.wave_number),
-            ("a_limit", limit.a),
-            ("psi0", limit.spinor_at(0.0).upper),
-            ("psi_deriv0", limit.nr_derivative_at_origin()),
-            ("force", limit.force),
-            ("boundary", classify_boundary(limit).classification.value),
-        ]
-        _echo_params("limit", {"which": "nonrel", "mass_energy": args.mass,
-                               "kinetic_energy": args.energy,
-                               "convention": conv.value}, precision)
-        _print_table(rows, precision)
-        return 0
-    limit = impenetrable_limit(args.energy, args.mass, conv)
-    psi0 = limit.spinor_at(0.0)
-    forces = ForceReport(
-        external_mean=limit.force,
-        boundary_mean=momentum_flux_bracket(psi0, args.energy, args.mass),
-        nr_boundary_mean=-4.0 * (args.energy - args.mass),
-    )
-    report = classify_boundary(limit)
-    obs = coefficients(limit)
-    _echo_params("limit", {"which": "impenetrable", "mass_energy": args.mass,
-                           "energy": args.energy, "convention": conv.value},
-                 precision)
-    rows = [
-        ("kind", limit.kind.value),
-        ("spinor0_upper", psi0.upper),
-        ("spinor0_lower", psi0.lower),
-        ("R_limit", obs.R),
-        ("T_limit", obs.T),
-        ("v_t_limit", obs.v_t),
-        ("external_force", forces.external_mean),
-        ("boundary_force", forces.boundary_mean),
-        ("nr_force", forces.nr_boundary_mean),
-        ("boundary", report.classification.value),
-    ]
-    _print_table(rows, precision)
-    if not forces.consistent:
-        print(
-            "warning: external force and boundary quantum force DISAGREE for "
-            "this convention (the negative-energy transmitted wave is not "
-            "compatible with a perfectly reflecting wall)"
-        )
+        obs = infinite_potential_limit(e, m, conv)
+        rows = [("a", incident_wave(e, m)[1]), ("b_limit", -1.0), ("R", obs.R), ("T", obs.T)]
+        if conv is Convention.TRADITIONAL:
+            warning = _KLEIN_PARADOX
+    elif args.which == "nonrel":
+        limit = nonrelativistic_limit(e, m, conv)
+        rows = [("kind", limit.kind.value), ("wave_number", limit.wave_number),
+                ("a_limit", limit.a), ("psi0", limit.spinor_at(0.0).upper),
+                ("psi_deriv0", limit.nr_derivative_at_origin()), ("force", limit.force),
+                ("boundary", classify_boundary(limit).classification.value)]
+    else:
+        limit = impenetrable_limit(e, m, conv)
+        psi0, obs = limit.spinor_at(0.0), coefficients(limit)
+        forces = ForceReport(limit.force, momentum_flux_bracket(psi0, e, m))
+        rows = [("kind", limit.kind.value), ("spinor0_upper", psi0.upper),
+                ("spinor0_lower", psi0.lower), ("R_limit", obs.R), ("T_limit", obs.T),
+                ("v_t_limit", obs.v_t), ("external_force", forces.external_mean),
+                ("boundary_force", forces.boundary_mean), ("nr_force", _nr_wall_force(e, m)),
+                ("boundary", classify_boundary(limit).classification.value)]
+        if not forces.consistent:
+            warning = ("warning: external force and boundary quantum force DISAGREE for "
+                       "this convention (the negative-energy transmitted wave is not "
+                       "compatible with a perfectly reflecting wall)")
+    energy = "kinetic_energy" if args.which == "nonrel" else "energy"
+    _echo_params("limit", {"which": args.which, "mass_energy": m, energy: e,
+                           "convention": conv.value}, args.precision)
+    _print_table(rows, args.precision)
+    if warning:
+        print(warning)
     return 0
 
 

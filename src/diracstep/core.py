@@ -11,6 +11,7 @@ Natural units: ħ = c = 1, so wave numbers carry units of energy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -126,10 +127,13 @@ class Kinematics:
 
 # The refusal causes of an open-regime setup, in the order they are checked
 # (0 is none), and their messages.
-K2_OVERFLOW, KBAR2_OVERFLOW, KBAR_ZERO, GROWING, SINGULAR, NOT_FINITE = range(1, 7)
+(K2_OVERFLOW, KBAR2_OVERFLOW, K2_UNDERFLOW, KBAR2_UNDERFLOW, KBAR_ZERO, GROWING, SINGULAR,
+ NOT_FINITE) = range(1, 9)
 _REFUSALS = {
     K2_OVERFLOW: "(E - mc2)(E + mc2) overflows (E={e}, mc2={m})",
     KBAR2_OVERFLOW: "(E - V0 - mc2)(E - V0 + mc2) overflows (E={e}, V0={v0}, mc2={m})",
+    K2_UNDERFLOW: "(E - mc2)(E + mc2) underflows (E={e}, mc2={m})",
+    KBAR2_UNDERFLOW: "(E - V0 - mc2)(E - V0 + mc2) underflows (E={e}, V0={v0}, mc2={m})",
     KBAR_ZERO: ("transmitted wave number rounds to 0 in {regime}: V0={v0} is within rounding "
                 "of the regime edge {edge} (E={e}, mc2={m})"),
     GROWING: "{conv!r} transmitted wave grows under the step in the evanescent regime",
@@ -161,23 +165,27 @@ def _incident(xp, e, m):
 
 def _kinematics(xp, m, v0, e, evanescent: bool):
     """The open-regime kinematics on Python numbers or arrays: (k, k̄ or κ, a,
-    b, b″), and whether k² overflows, k̄² overflows and k̄ rounds to 0."""
+    b, b″), and whether k² or k̄² overflows, k² or k̄² underflows (is below the
+    normal range, with nonzero factors; E ± mc² are nonzero) and k̄ rounds to 0."""
     k2, k, a = _incident(xp, e, m)
     d = e - v0
     kbar2 = (d - m) * (d + m)  # k̄² in the open regimes, −κ² in the evanescent band
+    tiny = sys.float_info.min
+    kbar2_underflows = (xp.magnitude(kbar2) < tiny) & (d != m) & (d != -m)
     transmitted = xp.sqrt(xp.magnitude(kbar2))
     b = xp.quotient(xp.product(-1j, transmitted) if evanescent else transmitted, d + m)
     b_dprime = -xp.quotient(1.0, b)  # -1.0 / b would flip a signed zero in the evanescent band
-    return (k, transmitted, a, b, b_dprime), (k2 == math.inf, kbar2 == math.inf, kbar2 == 0.0)
+    return (k, transmitted, a, b, b_dprime), (k2 == math.inf, kbar2 == math.inf, k2 < tiny,
+                                              kbar2_underflows, kbar2 == 0.0)
 
 
 def incident_wave(energy: float, mass_energy: float) -> tuple[float, float]:
     """Incident wave number k = √(E² − (mc²)²) and spinor ratio
-    a = √((E − mc²)/(E + mc²)), 1 for mc² = 0.  Raises ValueError when k²
-    overflows."""
+    a = √((E − mc²)/(E + mc²)), 1 for mc² = 0, for E > mc².  Raises
+    ValueError when k² overflows or underflows."""
     k2, k, a = _incident(SCALAR, energy, mass_energy)
-    if k2 == math.inf:
-        raise refusal(K2_OVERFLOW, mass_energy, None, energy)
+    if k2 == math.inf or k2 < sys.float_info.min:
+        raise refusal(K2_OVERFLOW if k2 == math.inf else K2_UNDERFLOW, mass_energy, None, energy)
     return k, a
 
 
@@ -187,7 +195,8 @@ def kinematics(setup: PhysicalSetup) -> Kinematics:
     Raises EdgePointError exactly on the regime boundaries (k̄ = 0), where
     the scattering amplitudes degenerate and the closed-form limits of the
     ``limits`` module apply instead, and also where k̄ or κ rounds to 0 just
-    inside an open regime.  Raises ValueError when k² or k̄² overflows.
+    inside an open regime.  Raises ValueError when k² or k̄² leaves the
+    normal range.
 
     In the EVANESCENT regime the transmitted wave number continues to
     k̄ → −iκ, the unique choice that decays for x → +∞; ``b`` then becomes

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matching import PlaneWaveSolution
-from .observables import density_current_at_origin
+from .observables import coefficients
 from .spinor import Spinor
 
 __all__ = [
@@ -31,16 +31,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ForceReport:
-    """Mean forces at the wall, in energy/length units.
+    """Mean forces at the wall, in energy/length units, and whether they agree.
 
-    external_mean     ⟨f⟩ = −V₀ ρ(0) ≤ 0 (the step pushes the particle left)
-    boundary_mean     boundary quantum force of the stationary state at x=0
-    nr_boundary_mean  its nonrelativistic counterpart
+    external_mean  ⟨f⟩ = −V₀ ρ(0) ≤ 0 (the step pushes the particle left)
+    boundary_mean  boundary quantum force of the stationary state at x=0
     """
 
     external_mean: float
     boundary_mean: float
-    nr_boundary_mean: float
 
     def __post_init__(self) -> None:
         if self.external_mean > 0.0:
@@ -55,9 +53,9 @@ class ForceReport:
 
 
 def external_force_mean(sol: PlaneWaveSolution) -> float:
-    """Mean of the external step force, −V₀·ρ(0), in a matched or limit state."""
-    rho0, _ = density_current_at_origin(sol)
-    return -sol.step_height * rho0
+    """Mean external step force −V₀·ρ(0) of a matched or relativistic limit
+    state, with ρ(0) from ``coefficients``."""
+    return -sol.step_height * coefficients(sol).rho0
 
 
 def momentum_flux_bracket(psi: Spinor, energy: float, mass_energy: float) -> float:

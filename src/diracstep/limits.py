@@ -6,7 +6,8 @@ Covered limits:
   (R = 1, T = 0, v_t = 0) while the eigenstate stays finite at the wall;
 * its nonrelativistic reduction E → mc² (Dirichlet or Neumann wall,
   depending on the transmitted-wave convention the limit came from);
-* infinite step, V₀ → ∞, where transmission survives (Klein tunneling).
+* infinite step, V₀ → ∞, where transmission survives (Klein tunneling):
+  b → −1 in ``matching._continuity``, read through ``coefficients``.
 
 Limits are provided as exact closed forms, not numerically approached
 values, so boundary conditions can be evaluated without integration error.
@@ -20,18 +21,19 @@ tabulated through the same evaluators and observables as a matched state;
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .core import PhysicalSetup, Regime, classify_regime, incident_wave
+from .core import SINGULAR, PhysicalSetup, Regime, classify_regime, incident_wave, refusal
 from .forces import external_force_mean, nr_boundary_force
-from .matching import Convention, PlaneWaveSolution
-from .spinor import PlaneWaveState, Side, Spinor
+from .matching import Convention, PlaneWaveSolution, _continuity
+from .observables import ObservableSet, coefficients
+from .spinor import SCALAR, PlaneWaveState, Side, Spinor
 
 __all__ = [
     "LimitKind",
     "LimitSolution",
-    "InfiniteStepLimit",
     "impenetrable_limit",
     "edge_limit",
     "nonrelativistic_limit",
@@ -179,51 +181,68 @@ def nonrelativistic_limit(
     comes from: MAIN gives NONREL_MAIN, the hard-wall Dirichlet state
     2i·sin(k x) with vanishing lower component; NEGATIVE_ENERGY gives
     NONREL_NEGATIVE, the Neumann state 2·cos(k x), constant beyond the wall.
-    Both sit at a hard wall, V₀ = ∞, with the force −4·E_kin.
+    Both sit at a hard wall, V₀ = ∞, with the force −4·E_kin.  It is refused
+    where 2mc²·E_kin underflows, and k = √(2mc²·E_kin) with it.
     """
     if conv is Convention.MAIN:
         kind, r = LimitKind.NONREL_MAIN, -1.0
     elif conv is Convention.NEGATIVE_ENERGY:
         kind, r = LimitKind.NONREL_NEGATIVE, 1.0
     else:
-        raise ValueError(
-            "nonrelativistic limits exist for the main and negative conventions"
-        )
+        raise ValueError("nonrelativistic limits exist for the main and negative conventions")
     if mass_energy <= 0.0:
         raise ValueError("nonrelativistic limit needs mc2 > 0")
     if energy_nr <= 0.0:
         raise ValueError("nonrelativistic kinetic energy must be > 0")
     _check_finite(energy_nr, mass_energy)
-    k_nr = math.sqrt(2.0 * mass_energy * energy_nr)
-    a_limit = math.sqrt(energy_nr / (2.0 * mass_energy))
-    for cause, value in (("sqrt(2 mc2 E_kin)", k_nr), ("sqrt(E_kin / 2mc2)", a_limit),
-                         ("-4 E_kin", -4.0 * energy_nr)):
+    limit = _hard_wall(kind, conv, r, energy_nr, mass_energy)
+    for cause, value in (("sqrt(2 mc2 E_kin)", limit.wave_number),
+                         ("sqrt(E_kin / 2mc2)", limit.a), ("-4 E_kin", -4.0 * energy_nr)):
         if not math.isfinite(value):
             raise ValueError(f"{cause} overflows (E_kin={energy_nr}, mc2={mass_energy})")
-    if a_limit >= 1.0:  # a < 1 for every relativistic state
-        raise ValueError(f"sqrt(E_kin / 2mc2) = {a_limit} >= 1: E_kin >= 2 mc2 is not "
+    if limit.a >= 1.0:  # a < 1 for every relativistic state
+        raise ValueError(f"sqrt(E_kin / 2mc2) = {limit.a} >= 1: E_kin >= 2 mc2 is not "
                          f"nonrelativistic (E_kin={energy_nr}, mc2={mass_energy})")
+    if 2.0 * mass_energy * energy_nr < sys.float_info.min:
+        raise ValueError(f"2 mc2 E_kin underflows (E_kin={energy_nr}, mc2={mass_energy})")
+    return limit
+
+
+def _hard_wall(kind, conv, r, energy_nr, mass_energy) -> LimitSolution:
+    """The NONREL state of kinetic energy E_kin, unchecked: the reflection r
+    of [1, 0]·e^{ikx} at the hard wall, k = √(2mc²·E_kin), with a = √(E_kin / 2mc²)."""
+    k_nr = math.sqrt(2.0 * mass_energy * energy_nr)
+    a_limit = math.sqrt(energy_nr / (2.0 * mass_energy))
     return _limit(kind, conv, energy_nr, mass_energy, k_nr, 0.0, a_limit, r, 0.0, math.inf)
 
 
-@dataclass(frozen=True)
-class InfiniteStepLimit:
-    """V₀ → ∞ limit: b → −1 and transmission survives (Klein tunneling)."""
+def _nr_wall_force(energy: float, mass_energy: float) -> float:
+    """Wall force of the Dirichlet NONREL state at E_kin = E − mc², whatever
+    E_kin/mc²; NaN at mc² = 0 and where 2mc²·E_kin underflows."""
+    energy_nr = energy - mass_energy
+    if 2.0 * mass_energy * energy_nr < sys.float_info.min:
+        return math.nan
+    return _hard_wall(LimitKind.NONREL_MAIN, Convention.MAIN, -1.0, energy_nr,
+                      mass_energy).force
 
-    a: float
-    b_limit: float
-    R: float
-    T: float
 
-
-def infinite_potential_limit(energy: float, mass_energy: float) -> InfiniteStepLimit:
+def infinite_potential_limit(
+    energy: float, mass_energy: float, conv: Convention = Convention.MAIN
+) -> ObservableSet:
+    """Observables of the step V₀ → ∞: b → −1 and b″ → 1 in the continuity
+    system.  MAIN, LOWER_COMPONENT and NEGATIVE_ENERGY share the column [1, 1]
+    (r = (a − 1)/(a + 1), Klein tunneling); TRADITIONAL's [1, −1] gives
+    r = (a + 1)/(a − 1), R > 1, and is singular where a = 1 (mc² = 0, or
+    E ≳ 1e16·mc²)."""
     if energy <= mass_energy:
         raise ValueError("infinite-step limit needs E > mc2")
     _check_finite(energy, mass_energy)
-    _, a = incident_wave(energy, mass_energy)
-    return InfiniteStepLimit(
-        a=a,
-        b_limit=-1.0,
-        R=((a - 1.0) / (a + 1.0)) ** 2,
-        T=4.0 * a / (a + 1.0) ** 2,
-    )
+    k, a = incident_wave(energy, mass_energy)
+    # k̄ → ∞ enters neither r, t nor the currents; the placeholder wave number
+    # 0 makes ψ(0) = t·column.
+    (_, _, q_t, r, t, t_upper, t_lower), (_, singular) = _continuity(
+        SCALAR, a, -1.0, 1.0, 0.0, conv, False)
+    if singular:
+        raise refusal(SINGULAR, mass_energy, math.inf, energy, conv)
+    wall = PlaneWaveState(Spinor(t_upper, t_lower), q_t, Side.RIGHT)
+    return coefficients(PlaneWaveSolution.reflecting(k, a, r, wall, conv, t))

@@ -19,7 +19,6 @@ from .spinor import SCALAR, current, density
 __all__ = [
     "ObservableSet",
     "coefficients",
-    "density_current_at_origin",
     "transmitted_velocity",
 ]
 
@@ -91,12 +90,6 @@ def _observe(xp, a, r, r_lower, t, t_upper, t_lower, q_t, v0, evanescent: bool) 
             "R": xp.quotient(mag(xp.currents(r, r_lower)), mag(j_in)), "T": T, "rho0": rho0,
             "j0": xp.currents(psi_upper, psi_lower), "v_t": v_t, "force": -v0 * rho0,
             "boundary": boundary, "continuity": xp.quotient(residual, left_scale)}
-
-
-def density_current_at_origin(sol: PlaneWaveSolution) -> tuple[float, float]:
-    """(ρ(0), j(0)) evaluated from the spinor at the step edge."""
-    psi0 = sol.spinor_at(0.0)
-    return density(psi0), current(psi0)
 
 
 def transmitted_velocity(sol: PlaneWaveSolution) -> float:

@@ -13,7 +13,8 @@ Three suites:
                         the paper's, the two-sided approach of the wall force
                         and of T against their exact expansions, boundary
                         condition classification, the relativistic wall force
-                        near E = mc² against the nonrelativistic one.
+                        near E = mc² against the nonrelativistic one, the
+                        infinite step's R and T against their closed forms.
 
 Setups are drawn with log-uniform E/mc² in (1 + 1e-3, 1e3) and the step
 height uniform inside the requested regime (Klein-zone heights uniform in
@@ -31,7 +32,7 @@ import numpy as np
 from .boundary import BoundaryCondition, classify_boundary
 from .core import PhysicalSetup, Regime, kinematics
 from .forces import external_force_mean, momentum_flux_bracket
-from .limits import impenetrable_limit, nonrelativistic_limit
+from .limits import impenetrable_limit, infinite_potential_limit, nonrelativistic_limit
 from .matching import GROWING_UNDER_EVANESCENT, Convention, match
 from .observables import coefficients
 from .oracle import SmoothStep, integrate_scattering, sauter_log_coefficients
@@ -200,7 +201,7 @@ def run_closed_vs_oracle(trials: int = 20, seed: int = 12345) -> SuiteResult:
 
 
 def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
-    """Impenetrable-barrier limits, approach rates, boundary classification."""
+    """Impenetrable-barrier limits, approach rates, boundary classification, V₀ → ∞."""
     rng = np.random.default_rng(seed)
     result = SuiteResult(suite="limits", trials=trials)
     for _ in range(trials):
@@ -234,6 +235,12 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
         negative_bracket = momentum_flux_bracket(negative.spinor_at(0.0), e, 1.0)
         result.check(abs(negative.force - negative_bracket) > 1.0,
                      f"force discrepancy must persist at E={e}")
+        # V₀ → ∞ against R = ((a ∓ 1)/(a ± 1))², T = 1 − R: main, then traditional.
+        for conv, ratio in ((Convention.MAIN, (main.a - 1.0) / (main.a + 1.0)),
+                            (Convention.TRADITIONAL, (main.a + 1.0) / (main.a - 1.0))):
+            obs, exact = infinite_potential_limit(e, 1.0, conv), ratio**2
+            result.record(max(abs(obs.R - exact), abs(obs.T - (1.0 - exact))) / max(1.0, exact),
+                          1e-12, f"infinite step {conv.value} R/T at E={e}")
         inside = draw_setup(rng, Regime.KLEIN_ZONE)
         report = classify_boundary(match(kinematics(inside), Convention.MAIN))
         result.check(

@@ -1,6 +1,9 @@
 """CLI surface: commands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diracstep
 from diracstep import Convention
@@ -207,6 +212,61 @@ def test_limit_infinite(capsys):
     )
     assert float(lines["R"]) == pytest.approx(0.0717967697, abs=1e-9)
     assert float(lines["T"]) == pytest.approx(0.9282032303, abs=1e-9)
+
+
+def _table_of(out):
+    return dict(line.split(None, 1) for line in out.splitlines()
+                if line and not line.startswith("#"))
+
+
+def test_limit_infinite_traditional_is_kleins_paradox(capsys):
+    code, out, err = run(capsys, "limit", "--which", "infinite", "--energy", "2",
+                         "--convention", "traditional")
+    assert (code, err) == (0, "")
+    assert "# which=infinite  mass_energy=1  energy=2  convention=traditional\n" in out
+    lines = _table_of(out)
+    a = math.sqrt(1.0 / 3.0)
+    assert float(lines["R"]) == pytest.approx(((a + 1.0) / (a - 1.0)) ** 2, rel=1e-8)
+    assert float(lines["R"]) + float(lines["T"]) == pytest.approx(1.0, abs=1e-7)
+    assert out.endswith("warning: traditional transmitted wave: R exceeds 1 "
+                        "(historical Klein-paradox bookkeeping)\n")
+
+
+def test_limit_infinite_traditional_massless_is_singular_exit_2(capsys):
+    code, out, err = run(capsys, "limit", "--which", "infinite", "--energy", "2",
+                         "--mass", "0", "--convention", "traditional")
+    assert (code, out) == (2, "")
+    assert err == "error: continuity system singular for 'traditional' at this setup\n"
+
+
+def test_limit_impenetrable_massless_nr_force_is_nan(capsys):
+    code, out, _ = run(capsys, "limit", "--which", "impenetrable", "--energy", "2",
+                       "--mass", "0")
+    assert code == 0
+    assert _table_of(out)["nr_force"] == "nan"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0.0, 1e-310, 1e-200, 1e-100, 1.0, 1e100, 1e150]),
+       st.floats(1.0 + 1e-12, 1e15))
+def test_limit_nr_force_is_minus_four_kinetic_energies(mc2, ratio):
+    """nr_force is the force of the Dirichlet NR state at E_kin = E - mc2:
+    -4 E_kin to 4 ulps wherever the command exits 0, and nan where that
+    state does not exist, at mc2 = 0 or where 2 mc2 E_kin underflows."""
+    e = ratio * mc2 if mc2 else ratio
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["limit", "--which", "impenetrable", "--energy", repr(e),
+                     "--mass", repr(mc2), "--precision", "17"])
+    if code != 0:
+        assert code == 2 and err.getvalue().startswith("error: ")
+        return
+    nr_force = float(_table_of(out.getvalue())["nr_force"])
+    e_kin = e - mc2
+    if 2.0 * mc2 * e_kin < sys.float_info.min:
+        assert math.isnan(nr_force)
+    else:
+        assert abs(nr_force + 4.0 * e_kin) <= 4.0 * math.ulp(4.0 * e_kin)
 
 
 def test_limit_nonrel_neumann(capsys):
@@ -514,6 +574,30 @@ def test_sweep_to_one_ulp_inside_transmission_exit_2(capsys, tmp_path):
         "(E=2.0, mc2=1.0); 1 of 10 rows refused\n"
     )
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (("scatter", "--mass", "1e-200", "--energy", "2e-200", "--step-height", "1e-199"),
+     "(E - mc2)(E + mc2) underflows (E=2e-200, mc2=1e-200)"),
+    (("scatter", "--mass", "0", "--energy", "1e-170", "--step-height", "5e-171"),
+     "(E - mc2)(E + mc2) underflows (E=1e-170, mc2=0.0)"),
+    (("scatter", "--mass", "1e-200", "--energy", "1.0000001e-200", "--step-height", "1e-100"),
+     "(E - mc2)(E + mc2) underflows (E=1.0000001e-200, mc2=1e-200)"),
+    # k^2 = 1e-300 is normal; k-bar^2 = (E - V0)^2, a few ulps of E squared, is not.
+    (("scatter", "--mass", "0", "--energy", "1e-150", "--step-height", "9.999999999999999e-151"),
+     "(E - V0 - mc2)(E - V0 + mc2) underflows (E=1e-150, V0=9.999999999999999e-151, mc2=0.0)"),
+    # The Klein edge, where k comes from core.incident_wave.
+    (("scatter", "--mass", "1e-200", "--energy", "2e-200", "--step-height", "3e-200"),
+     "(E - mc2)(E + mc2) underflows (E=2e-200, mc2=1e-200)"),
+    (("limit", "--which", "nonrel", "--energy", "1e-170", "--mass", "1e-170"),
+     "2 mc2 E_kin underflows (E_kin=1e-170, mc2=1e-170)"),
+], ids=["kbar2-klein", "kbar2-massless", "k2", "kbar2-only", "k2-edge", "nonrel"])
+def test_products_that_underflow_are_refused_with_their_cause_exit_2(capsys, argv, cause):
+    """A product of nonzero factors below the normal range has lost its
+    digits, or is 0, and is refused with its cause rather than printed."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {cause}\n"
 
 
 @pytest.mark.parametrize("argv,cause", [

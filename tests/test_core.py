@@ -187,3 +187,16 @@ def test_kinematics_refuses_overflowing_magnitudes(e, v0, quantity):
     with pytest.raises(ValueError) as info:
         kinematics(PhysicalSetup(1.0, v0, e))
     assert quantity in str(info.value)
+
+
+@pytest.mark.parametrize("m,e,v0,quantity", [
+    (1e-200, 2e-200, 1e-199, "(E - mc2)(E + mc2) underflows"),
+    (0.0, 1e-150, 9.999999999999999e-151, "(E - V0 - mc2)(E - V0 + mc2) underflows"),
+], ids=["k2", "kbar2"])
+def test_kinematics_refuses_underflowing_magnitudes(m, e, v0, quantity):
+    """A product of nonzero factors below the normal range has lost its
+    digits, or is 0: refused with its cause, not as a rounded edge."""
+    with pytest.raises(ValueError) as info:
+        kinematics(PhysicalSetup(m, v0, e))
+    assert not isinstance(info.value, EdgePointError)
+    assert quantity in str(info.value)

@@ -12,6 +12,7 @@ from diracstep import (
     ForceReport,
     PhysicalSetup,
     Spinor,
+    density,
     external_force_mean,
     impenetrable_limit,
     kinematics,
@@ -19,6 +20,7 @@ from diracstep import (
     momentum_flux_bracket,
     nr_boundary_force,
 )
+from diracstep.table import solve
 
 GOLDEN = PhysicalSetup(1.0, 4.0, 2.0)
 
@@ -106,14 +108,33 @@ def test_two_sided_density_converges_to_4a2():
         assert previous < 1e-3
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.0 + 1e-9, 1e6), st.floats(1e-6, 1.0 - 1e-6))
+def test_external_force_mean_is_minus_v0_density_at_the_wall_bit_for_bit(e, where):
+    """On matched states in every open regime, both edge states and both
+    impenetrable limits, under every convention that builds: ρ(0) from
+    ``coefficients`` is the density of the spinor at the wall, bit for bit."""
+    steps = ((e + 1.0) * (1.0 + 2.0 * where), (e - 1.0) * where, e - 1.0 + 2.0 * where,
+             e + 1.0, e - 1.0)
+    states = [impenetrable_limit(e, 1.0, conv)
+              for conv in (Convention.MAIN, Convention.NEGATIVE_ENERGY)]
+    for v0 in steps:
+        for conv in Convention:
+            try:
+                states.append(solve(PhysicalSetup(1.0, v0, e), conv))
+            except ValueError:  # growing, singular or degenerate at this setup
+                pass
+    for sol in states:
+        reference = -sol.step_height * density(sol.spinor_at(0.0))
+        assert external_force_mean(sol).hex() == reference.hex()
+
+
 def test_force_report_invariant_and_consistency():
     with pytest.raises(ValueError):
-        ForceReport(external_mean=1.0, boundary_mean=-4.0, nr_boundary_mean=-4.0)
-    main = ForceReport(external_mean=-4.0, boundary_mean=-4.0, nr_boundary_mean=-4.0)
+        ForceReport(external_mean=1.0, boundary_mean=-4.0)
+    main = ForceReport(external_mean=-4.0, boundary_mean=-4.0)
     assert main.consistent
-    negative = ForceReport(
-        external_mean=-12.0, boundary_mean=-4.0, nr_boundary_mean=-4.0
-    )
+    negative = ForceReport(external_mean=-12.0, boundary_mean=-4.0)
     assert not negative.consistent
 
 

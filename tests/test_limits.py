@@ -1,6 +1,9 @@
 """Closed-form limits and the exact approach to the impenetrable point."""
 
 import math
+import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from diracstep import (
     nr_boundary_force,
     sample,
 )
+from diracstep.core import incident_wave
 
 
 def test_impenetrable_main_golden():
@@ -155,13 +159,17 @@ def test_nonrelativistic_limit_refuses_overflow(e_kin, mc2, cause):
 def test_nonrelativistic_limit_refuses_kinetic_energy_from_2mc2(e_kin, mc2, conv):
     """a = sqrt(E_kin / 2mc2) < 1 for every relativistic state, so the
     reduction is refused from E_kin = 2mc2 on, with that cause; just below,
-    it still builds."""
+    it still builds, unless 2mc2 E_kin underflows and k with it."""
     with pytest.raises(ValueError) as info:
         nonrelativistic_limit(e_kin, mc2, conv)
     a_limit = math.sqrt(e_kin / (2.0 * mc2))
     assert str(info.value) == (f"sqrt(E_kin / 2mc2) = {a_limit} >= 1: E_kin >= 2 mc2 is "
                                f"not nonrelativistic (E_kin={e_kin}, mc2={mc2})")
-    assert nonrelativistic_limit(1.99 * mc2, mc2, conv).a < 1.0
+    if 2.0 * mc2 * (1.99 * mc2) < sys.float_info.min:
+        with pytest.raises(ValueError, match=re.escape("2 mc2 E_kin underflows")):
+            nonrelativistic_limit(1.99 * mc2, mc2, conv)
+    else:
+        assert nonrelativistic_limit(1.99 * mc2, mc2, conv).a < 1.0
 
 
 @pytest.mark.parametrize("conv,slope", [
@@ -270,10 +278,42 @@ def test_nonrelativistic_limit_force_is_read_from_the_state(mc2, log_ratio, conv
 
 def test_infinite_potential_limit_values():
     limit = infinite_potential_limit(2.0, 1.0)
-    assert limit.b_limit == -1.0
     assert limit.R == pytest.approx(0.071796769724490826, abs=1e-12)
     assert limit.T == pytest.approx(0.92820323027550917, abs=1e-12)
     assert limit.R + limit.T == pytest.approx(1.0, abs=1e-14)
+    # b -> -1 in the continuity system: the far matched state approaches it.
+    far = coefficients(match(kinematics(PhysicalSetup(1.0, 1e8, 2.0)), Convention.MAIN))
+    assert far.R == pytest.approx(limit.R, abs=1e-7)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(1.0 + 1e-12, 1e15), st.sampled_from([0.0, 1e-100, 1.0, 1e100]),
+       st.sampled_from(list(Convention)))
+def test_infinite_potential_limit_against_its_closed_forms(ratio, mc2, conv):
+    """V0 -> infinity against R = ((a -+ 1)/(a +- 1))^2 and T = 1 - R, formed
+    in exact rational arithmetic on a: the upper signs for main, lower and
+    negative, the lower for traditional, which is singular where a = 1.
+    The continuity solve and the currents round R at up to 9 places and T
+    at 6, so the bound is 4 ulps of the value's scale, 4 * 2^-52 * |exact|,
+    not of its binade: just below a power of two math.ulp is half that."""
+    e = ratio * mc2 if mc2 else ratio
+    _, a = incident_wave(e, mc2)
+    traditional = conv is Convention.TRADITIONAL
+    if traditional and a == 1.0:
+        with pytest.raises(ValueError, match="singular for 'traditional'"):
+            infinite_potential_limit(e, mc2, conv)
+        return
+    obs = infinite_potential_limit(e, mc2, conv)
+    x = Fraction(a)
+    exact_r = ((x + 1) / (x - 1) if traditional else (x - 1) / (x + 1)) ** 2
+    for value, exact in ((obs.R, exact_r), (obs.T, 1 - exact_r)):
+        assert abs(Fraction(value) - exact) <= 4 * Fraction(2.0**-52) * abs(exact)
+
+
+def test_infinite_potential_limit_traditional_is_singular_where_a_rounds_to_1():
+    assert incident_wave(1e17, 1.0)[1] == 1.0
+    with pytest.raises(ValueError, match="singular for 'traditional'"):
+        infinite_potential_limit(1e17, 1.0, Convention.TRADITIONAL)
 
 
 def _approach(energy, delta):

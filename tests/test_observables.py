@@ -11,7 +11,6 @@ from diracstep import (
     Convention,
     PhysicalSetup,
     coefficients,
-    density_current_at_origin,
     kinematics,
     match,
     nonrelativistic_limit,
@@ -45,8 +44,9 @@ def test_massless_total_transmission():
 
 
 def test_negative_energy_density_at_origin():
-    sol = match(kinematics(PhysicalSetup(1.0, 5.0, 2.0)), Convention.NEGATIVE_ENERGY)
-    rho0, j0 = density_current_at_origin(sol)
+    obs = coefficients(match(kinematics(PhysicalSetup(1.0, 5.0, 2.0)),
+                             Convention.NEGATIVE_ENERGY))
+    rho0, j0 = obs.rho0, obs.j0
     assert rho0 == pytest.approx(1.2122461732037256, abs=1e-12)
     assert j0 == pytest.approx(1.1429166527197286, abs=1e-12)
 
@@ -58,7 +58,8 @@ def test_density_current_closed_forms_randomized():
         v0 = float(rng.uniform(e + 1.0, 4.0 * (e + 1.0)))
         kin = kinematics(PhysicalSetup(1.0, v0, e))
         a, b = kin.a, kin.b.real
-        rho0, j0 = density_current_at_origin(match(kin, Convention.MAIN))
+        obs = coefficients(match(kin, Convention.MAIN))
+        rho0, j0 = obs.rho0, obs.j0
         assert rho0 == pytest.approx(
             4.0 * a**2 * (1.0 + b**2) / (a - b) ** 2, rel=1e-12
         )

@@ -156,8 +156,11 @@ def test_refusal_carries_the_first_refused_row_and_the_refused_count(case):
     (1.0, 1e300, 2.0, None, "(E - V0 - mc2)(E - V0 + mc2) overflows"),
     (1.0, 0.9999999999999999, 2.0, None, "rounds to 0 in Transmission"),
     (1.0, 0.2, 1.2, None, "rounds to 0 in Evanescent"),
-    # k̄² = (d − mc²)(d + mc²) underflows one ulp above E + mc².
-    (1e-200, 3.0000000000000005e-200, 2e-200, None, "rounds to 0 in KleinZone"),
+    # One ulp above E + mc², k̄² = (d − mc²)(d + mc²) underflows, and so does
+    # k² = (E − mc²)(E + mc²), which is checked first.
+    (1e-200, 3.0000000000000005e-200, 2e-200, None, "(E - mc2)(E + mc2) underflows"),
+    # Massless, a few ulps below E: k² = 1e-300 is normal, k̄² = d² is not.
+    (0.0, 9.999999999999999e-151, 1e-150, None, "(E - V0 - mc2)(E - V0 + mc2) underflows"),
     (1.0, 2.5, 2.0, Convention.TRADITIONAL, "'traditional' transmitted wave grows"),
     (1.0, 2.5, 2.0, Convention.NEGATIVE_ENERGY, "'negative' transmitted wave grows"),
     # Massless, b = ±1 makes each column parallel to the reflected wave [1, −1].
@@ -166,7 +169,7 @@ def test_refusal_carries_the_first_refused_row_and_the_refused_count(case):
     (0.0, 0.5, 1.0, Convention.NEGATIVE_ENERGY, "singular for 'negative'"),
     (0.0, 1.5, 1.0, Convention.TRADITIONAL, "singular for 'traditional'"),
 ], ids=["k2-overflow", "kbar2-overflow", "kbar-zero-transmission", "kbar-zero-evanescent",
-        "kbar-zero-klein", "growing-traditional", "growing-negative", "singular-main",
+        "k2-underflow-klein", "kbar2-underflow-transmission", "growing-traditional", "growing-negative", "singular-main",
         "singular-lower", "singular-negative", "singular-traditional"])
 def test_each_refusal_cause_is_raised_alike_by_record_and_table(mass, v0, e, conv, cause):
     with pytest.raises(ValueError, match=re.escape(cause)):
