@@ -409,6 +409,8 @@ def test_verify_exit_codes_and_summary(capsys, tmp_path):
     assert summary["trials"] == 50
     assert summary["failures"] == []
     assert summary["max_error"] < 1e-12
+    assert summary["seed"] == 7
+    assert summary["worst"].startswith(("R+T ", "continuity "))
 
 
 @pytest.mark.parametrize("argv,cause", [
@@ -451,6 +453,70 @@ def test_cli_import_does_not_load_scipy():
         check=True, timeout=60,
     ).stdout
     assert out.strip() == "False"
+
+
+# Every command a user runs, in one interpreter; prints each exit code and
+# stdout, the written files, and one oracle solve.
+_NO_NUMPY_RANDOM_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+if sys.argv[1] == "blocked":
+    sys.modules["numpy.random"] = None  # any import of it raises
+from diracstep import Convention, PhysicalSetup
+from diracstep.cli import main
+from diracstep.oracle import SmoothStep, integrate_scattering
+runs = []
+for argv in (
+    ["verify", "--suite", "all", "--trials", "3", "--output-dir", "out"],
+    ["scatter", "--energy", "2", "--step-height", "4"],
+    ["sweep", "--vary", "step-height", "--from", "2.5", "--to", "6", "--points", "9",
+     "--energy", "2", "--out", "sweep.csv"],
+    ["wavefunction", "--energy", "2", "--step-height", "4", "--points", "11",
+     "--out", "wave.csv"],
+):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+res = integrate_scattering(PhysicalSetup(1.0, 4.0, 2.0), SmoothStep(4.0, 0.1),
+                           Convention.MAIN)
+files = {str(p): p.read_text() for p in sorted(Path().rglob("*")) if p.is_file()}
+print(json.dumps([runs, files, repr((res.R_num, res.T_num)),
+                  "numpy.random" in sys.modules and sys.modules["numpy.random"] is not None]))
+"""
+
+
+def test_commands_run_without_numpy_random(tmp_path):
+    """With numpy.random unimportable, verify, scatter, sweep, wavefunction
+    and an oracle solve exit 0 and print and write what they do normally:
+    the suites draw from the standard library's random.Random."""
+    src = str(Path(diracstep.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.random' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    if probe.strip() == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    reports = {}
+    for mode in ("blocked", "normal"):
+        cwd = tmp_path / mode
+        cwd.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", _NO_NUMPY_RANDOM_SCRIPT, mode], cwd=cwd, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        reports[mode] = json.loads(done.stdout)
+    runs, files, _, loaded = reports["blocked"]
+    assert [code for code, _ in runs] == [0, 0, 0, 0]
+    assert [out.split()[0] for out in runs[0][1].splitlines()[2:]] == ["PASS"] * 3
+    assert sorted(files) == ["out/verify_closed-vs-oracle.json",
+                             "out/verify_conservation.json", "out/verify_limits.json",
+                             "sweep.csv", "wave.csv", "wave.meta.json"]
+    assert not loaded
+    assert reports["blocked"] == reports["normal"]
 
 
 def test_scatter_infinite_energy_exit_2(capsys):

@@ -1,5 +1,6 @@
 """The package's public names: each export resolves to its defining module;
-the scalar chain's modules import no numpy."""
+the scalar chain's modules import no numpy; no source or test file imports
+a package that CI does not install."""
 
 import ast
 import importlib
@@ -55,3 +56,21 @@ def test_scalar_chain_modules_do_not_import_numpy(name):
     tree = ast.parse(Path(source).read_text(encoding="utf-8"))
     imported = list(_module_level_imports(tree.body))
     assert not [module for module in imported if module.split(".")[0] == "numpy"], imported
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PYTHON_FILES = sorted((*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")))
+
+
+@pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_file_imports_a_package_ci_does_not_install(path):
+    # scipy, sympy and mpmath may be installed locally, but CI installs only
+    # numpy, pytest and hypothesis. Imports inside functions count too.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module and not node.level]
+    absent = [module for module in imported
+              if module.split(".")[0] in ("scipy", "sympy", "mpmath")]
+    assert absent == []

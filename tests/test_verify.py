@@ -1,5 +1,7 @@
 """The verify suites against exact references, at many seeds."""
 
+import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -89,6 +91,43 @@ def test_conservation_suite_fails_on_a_broken_row(monkeypatch, regime, column, c
     assert not result.passed
     assert len(result.failures) == 1 and result.failures[0].startswith(broken[0])
     assert result.max_error >= 1e-12
+    assert result.failures[0].startswith(f"{result.worst}: error ")
+
+
+def test_a_nan_error_is_the_largest_and_names_the_worst_setup():
+    """A NaN error sets max_error to NaN, however large the errors around it,
+    and ``worst`` names the first NaN; the failure list names every one."""
+    result = verify.SuiteResult(suite="limits", trials=1, seed=5)
+    result.record(1e-3, 1e-2, "small")
+    assert (result.max_error, result.worst) == (1e-3, "small")
+    result.record(math.nan, 1e-2, "first nan")
+    result.record(1e300, 1e-2, "huge")
+    result.record(math.nan, 1e-2, "second nan")
+    assert math.isnan(result.max_error) and result.worst == "first nan"
+    assert [failure.split(":")[0] for failure in result.failures] == [
+        "first nan", "huge", "second nan"]
+    summary = result.to_json()
+    assert math.isnan(summary["max_error"])
+    assert (summary["seed"], summary["worst"]) == (5, "first nan")
+
+
+def test_conservation_suite_reports_a_nan_row(monkeypatch):
+    """A row whose T is NaN fails the suite, and max_error reads NaN, not
+    the largest finite error."""
+    scatter_table = verify.scatter_table
+
+    def corrupt(mass, step_heights, energies, conv):
+        table = scatter_table(mass, step_heights, energies, conv)
+        if conv is Convention.LOWER_COMPONENT and table["regime"][0] == Regime.TRANSMISSION.value:
+            table["T"][2] = math.nan
+        return table
+
+    monkeypatch.setattr(verify, "scatter_table", corrupt)
+    result = verify.run_conservation(trials=3, seed=11)
+    assert not result.passed
+    assert math.isnan(result.max_error)
+    assert result.worst.startswith(f"R+T {Regime.TRANSMISSION.value}/lower PhysicalSetup(")
+    assert result.failures == [f"{result.worst}: error nan >= 1.0e-12"]
 
 
 def test_conservation_suite_draws_each_setup_once_in_blocks(monkeypatch):
@@ -104,7 +143,7 @@ def test_conservation_suite_draws_each_setup_once_in_blocks(monkeypatch):
 
     monkeypatch.setattr(verify, "scatter_table", spy)
     assert verify.run_conservation(trials=4097, seed=3).passed
-    rng, expected = np.random.default_rng(3), []
+    rng, expected = random.Random(3), []
     for regime in (Regime.KLEIN_ZONE, Regime.TRANSMISSION, Regime.EVANESCENT):
         setups = [verify.draw_setup(rng, regime) for _ in range(4097)]
         for block in (setups[:4096], setups[4096:]):
