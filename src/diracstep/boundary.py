@@ -14,24 +14,12 @@ r = +1 at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .matching import PlaneWaveSolution
-from .spinor import current, density
+from .observables import TOLERANCE, BoundaryCondition, _observation
+from .spinor import current
 
 __all__ = ["BoundaryCondition", "BoundaryReport", "TOLERANCE", "classify_boundary"]
-
-# A component counts as zero below TOLERANCE times the solution's amplitude
-# scale; exact limits give zero residuals, matched states small ones.
-TOLERANCE = 1e-10
-
-
-class BoundaryCondition(Enum):
-    DIRICHLET_UPPER = "DirichletUpper"  # upper component vanishes at the wall
-    DIRICHLET_LOWER = "DirichletLower"  # lower component vanishes at the wall
-    DIRICHLET_NR = "DirichletNR"        # nonrelativistic wavefunction vanishes
-    NEUMANN_NR = "NeumannNR"            # nonrelativistic derivative vanishes
-    NONE = "None"
 
 
 @dataclass(frozen=True)
@@ -53,26 +41,21 @@ def classify_boundary(sol: PlaneWaveSolution) -> BoundaryReport:
     limit) is classified on its Schroedinger wavefunction, the upper
     component: DirichletNR if it vanishes at the wall, NeumannNR if its
     left slope does.  Every other state is classified on which spinor
-    component vanishes; both vanishing is given no classification.
+    component vanishes, by ``observables._observe``'s wall rule; both
+    vanishing is given no classification.
     """
-    psi0 = sol.spinor_at(0.0)
+    row = _observation(sol, 0.0)
     amps = (sol.incident.amplitude, sol.reflected.amplitude, sol.transmitted.amplitude)
     scale = max(max(abs(s.upper), abs(s.lower)) for s in amps)
-    upper_zero = abs(psi0.upper) < TOLERANCE * scale
-    lower_zero = abs(psi0.lower) < TOLERANCE * scale
-    if current(sol.incident.amplitude) == 0.0:
-        slope_scale = scale * max(abs(sol.incident.wave_number), 1.0)
-        if upper_zero:
-            classification = BoundaryCondition.DIRICHLET_NR
-        elif abs(sol.nr_derivative_at_origin()) < TOLERANCE * slope_scale:
-            classification = BoundaryCondition.NEUMANN_NR
-        else:
-            classification = BoundaryCondition.NONE
-    elif upper_zero != lower_zero:
-        classification = (BoundaryCondition.DIRICHLET_UPPER if upper_zero
-                          else BoundaryCondition.DIRICHLET_LOWER)
+    if current(sol.incident.amplitude) != 0.0:
+        classification = BoundaryCondition(row["boundary"])
+    elif abs(sol.spinor_at(0.0).upper) < TOLERANCE * scale:
+        classification = BoundaryCondition.DIRICHLET_NR
+    elif abs(sol.nr_derivative_at_origin()) < TOLERANCE * (
+            scale * max(abs(sol.incident.wave_number), 1.0)):
+        classification = BoundaryCondition.NEUMANN_NR
     else:
         classification = BoundaryCondition.NONE
-    rho0 = density(psi0)
+    rho0 = row["rho0"]
     reference = rho0 if rho0 > TOLERANCE * scale**2 else scale**2
-    return BoundaryReport(classification, abs(current(psi0)) < TOLERANCE * reference)
+    return BoundaryReport(classification, abs(row["j0"]) < TOLERANCE * reference)

@@ -124,7 +124,8 @@ def _cmd_sweep(args) -> int:
         )
     if not args.start < args.stop:
         raise ValueError("empty sweep range: --from must be below --to")
-    if args.stop - args.start == _INF:
+    span, steps = args.stop - args.start, args.points - 1
+    if span == _INF:
         raise ValueError(
             f"sweep range [{args.start}, {args.stop}] too wide: "
             "--to - --from overflows"
@@ -133,9 +134,9 @@ def _cmd_sweep(args) -> int:
         raise ValueError("varying the step height needs a fixed --energy")
     if args.vary == "energy" and args.step_height is None:
         raise ValueError("varying the energy needs a fixed --step-height")
-    values = args.start + np.arange(args.points) * (args.stop - args.start) / (
-        args.points - 1
-    )
+    # i·span may overflow where i·span/steps does not; an exact power-of-two scale avoids it.
+    scale = 2.0 ** -steps.bit_length() if steps * span == _INF else 1.0
+    values = args.start + np.arange(args.points) * (span * scale) / steps / scale
     if args.vary == "step-height":
         step_heights, energies = values, args.energy
         fixed_name, fixed_value = "energy", args.energy
@@ -149,20 +150,10 @@ def _cmd_sweep(args) -> int:
         v0, e = np.broadcast_arrays(step_heights, energies)
         raise ValueError(f"row {exc.row} (V0={float(v0[exc.row])}, E={float(e[exc.row])}): "
                          f"{exc}; {exc.refused} of {args.points} rows refused") from None
-    _echo_params(
-        "sweep",
-        {
-            "vary": args.vary,
-            "from": args.start,
-            "to": args.stop,
-            "points": args.points,
-            "mass_energy": args.mass,
-            fixed_name: fixed_value,
-            "convention": args.convention,
-            "out": args.out,
-        },
-        args.precision,
-    )
+    _echo_params("sweep", {"vary": args.vary, "from": args.start, "to": args.stop,
+                           "points": args.points, "mass_energy": args.mass,
+                           fixed_name: fixed_value, "convention": args.convention,
+                           "out": args.out}, args.precision)
     lines = [",".join(_SWEEP_COLUMNS), *_sweep_rows(columns)]
     try:
         Path(args.out).write_text("\n".join(lines) + "\n", newline="\n")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matching import PlaneWaveSolution
-from .observables import coefficients
+from .observables import _observation, _refuse_without_current
 from .spinor import Spinor
 
 __all__ = [
@@ -54,8 +54,9 @@ class ForceReport:
 
 def external_force_mean(sol: PlaneWaveSolution) -> float:
     """Mean external step force −V₀·ρ(0) of a matched or relativistic limit
-    state, with ρ(0) from ``coefficients``."""
-    return -sol.step_height * coefficients(sol).rho0
+    state, at its ``step_height``: the ``force`` of ``observables._observe``."""
+    _refuse_without_current(sol)
+    return _observation(sol, sol.step_height)["force"]
 
 
 def momentum_flux_bracket(psi: Spinor, energy: float, mass_energy: float) -> float:

@@ -1,13 +1,11 @@
 """Spatial sampling of solutions and deterministic CSV export.
 
 ``sample`` evaluates the whole grid on numpy arrays in one pass, through
-the ``left_values`` / ``right_values`` evaluators of
-``matching.PlaneWaveSolution``, the one state type of matched and limit
-solutions.  Each equals its scalar counterpart (``left_value_at`` /
-``right_value_at``) bit for bit, and so do ``rho`` and ``j`` from
-``spinor.densities`` / ``currents``: a sample holds exactly the values a
-per-point loop would give.  ``write_csv`` formats each row with a single
-%-format.
+``matching.PlaneWaveSolution``'s ``left_values`` / ``right_values``, which
+share one body with ``left_value_at`` / ``right_value_at``; ``rho`` and
+``j`` from ``spinor.densities`` / ``currents`` equal ``density`` /
+``current`` too: a sample holds exactly the values a per-point loop would
+give.  ``write_csv`` formats each row with a single %-format.
 
 Output contract: a CSV with header ``x,phi_re,phi_im,chi_re,chi_im,rho,j``
 (17 significant digits, '\\n' line endings, byte-identical for identical

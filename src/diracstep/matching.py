@@ -17,8 +17,8 @@ for (r, t) regardless of the choice, so all conventions share one code
 path and the per-convention closed forms become checks, not sources.
 
 Matched states and the closed-form ``limits`` share one state type,
-:class:`PlaneWaveSolution`, which owns the only evaluators, scalar and
-array.
+:class:`PlaneWaveSolution`, which owns the only evaluators, each written
+once over ``spinor.SCALAR`` and ``spinor.ARRAY``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .core import GROWING, SINGULAR, Kinematics, Regime, refusal
-from .spinor import SCALAR, PlaneWaveState, Side, Spinor
+from .spinor import ARRAY, SCALAR, PlaneWaveState, Side, Spinor
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,7 +75,7 @@ class PlaneWaveSolution:
     """Incident + reflected plane waves for x < 0, one transmitted wave for
     x >= 0, with amplitudes r and t in the parameterization of
     ``convention``: every matched and limit state.  Each array evaluator
-    equals its scalar counterpart bit for bit."""
+    shares its scalar counterpart's body, so the two agree bit for bit."""
 
     incident: PlaneWaveState
     reflected: PlaneWaveState
@@ -97,9 +97,7 @@ class PlaneWaveSolution:
 
     def left_value_at(self, x: float) -> Spinor:
         """Incident + reflected branch, also at x = 0 itself."""
-        inc = self.incident.value_at(x)
-        ref = self.reflected.value_at(x)
-        return Spinor(inc.upper + ref.upper, inc.lower + ref.lower)
+        return Spinor(*self._left(SCALAR, x))
 
     def right_value_at(self, x: float) -> Spinor:
         return self.transmitted.value_at(x)
@@ -121,8 +119,12 @@ class PlaneWaveSolution:
 
     def left_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``left_value_at`` at every position, as complex arrays."""
-        in_upper, in_lower = self.incident.values_at(xs)
-        re_upper, re_lower = self.reflected.values_at(xs)
+        return self._left(ARRAY, xs)
+
+    def _left(self, xp, x):
+        """The incident + reflected branch at x, on a Python number or an array."""
+        (in_upper, in_lower), (re_upper, re_lower) = (
+            wave._values(xp, x) for wave in (self.incident, self.reflected))
         return in_upper + re_upper, in_lower + re_lower
 
     def right_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

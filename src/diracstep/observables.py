@@ -3,24 +3,40 @@
 All quantities are computed from the actual plane waves of a state, matched
 or limit alike (currents of the physical amplitudes), never from
 per-convention closed forms; the closed forms live in the test suite as
-cross-checks.  ``_observe`` forms them on Python numbers or on arrays, for
-``coefficients`` and for the rows of ``table`` alike.
+cross-checks.  ``_observe`` forms them, and the wall rule, on Python
+numbers or on arrays; ``_observation`` runs it on one state's own plane
+waves, for every reader of one state: ``coefficients``, ``table.record``,
+``forces`` and ``boundary``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
-from .boundary import TOLERANCE, BoundaryCondition
 from .matching import PlaneWaveSolution
-from .spinor import SCALAR, current, density
+from .spinor import SCALAR, current
 
 __all__ = [
+    "BoundaryCondition",
     "ObservableSet",
+    "TOLERANCE",
     "coefficients",
     "transmitted_velocity",
 ]
+
+# A component counts as zero below TOLERANCE times the solution's amplitude
+# scale; exact limits give zero residuals, matched states small ones.
+TOLERANCE = 1e-10
+
+
+class BoundaryCondition(Enum):
+    DIRICHLET_UPPER = "DirichletUpper"  # upper component vanishes at the wall
+    DIRICHLET_LOWER = "DirichletLower"  # lower component vanishes at the wall
+    DIRICHLET_NR = "DirichletNR"        # nonrelativistic wavefunction vanishes
+    NEUMANN_NR = "NeumannNR"            # nonrelativistic derivative vanishes
+    NONE = "None"
 
 
 @dataclass(frozen=True)
@@ -47,15 +63,26 @@ class ObservableSet:
 def coefficients(sol: PlaneWaveSolution) -> ObservableSet:
     """Observable set of a state, from plane-wave currents; ValueError for the
     nonrelativistic limits, whose incident wave carries no current."""
-    incident, reflected = sol.incident.amplitude, sol.reflected.amplitude
-    if current(incident) == 0.0:
+    _refuse_without_current(sol)
+    row = _observation(sol, 0.0)
+    return ObservableSet(*(row[name] for name in ("R", "T", "rho0", "j0", "v_t")))
+
+
+def _refuse_without_current(sol: PlaneWaveSolution) -> None:
+    """ValueError for a nonrelativistic limit, whose incident wave carries no current."""
+    if current(sol.incident.amplitude) == 0.0:
         raise ValueError("no coefficients: the incident wave carries no current "
                          "(a nonrelativistic limit state)")
+
+
+def _observation(sol: PlaneWaveSolution, v0: float) -> dict:
+    """``_observe`` of a state's own plane waves under a step of height v0,
+    for any state, current-free ones too."""
+    incident, reflected = sol.incident.amplitude, sol.reflected.amplitude
     q_t, wall = sol.transmitted.wave_number, sol.transmitted.amplitude
     # A decaying (evanescent) wave carries exactly zero transmitted current.
-    row = _observe(SCALAR, incident.lower, reflected.upper, reflected.lower, sol.t,
-                   wall.upper, wall.lower, q_t, 0.0, q_t.imag > 0.0)
-    return ObservableSet(*(row[name] for name in ("R", "T", "rho0", "j0", "v_t")))
+    return _observe(SCALAR, incident.lower, reflected.upper, reflected.lower, sol.t,
+                    wall.upper, wall.lower, q_t, v0, q_t.imag > 0.0)
 
 
 def _observe(xp, a, r, r_lower, t, t_upper, t_lower, q_t, v0, evanescent: bool) -> dict:
@@ -102,5 +129,4 @@ def transmitted_velocity(sol: PlaneWaveSolution) -> float:
     """
     if sol.transmitted.wave_number.imag > 0.0:
         raise ValueError("transmitted velocity undefined for a decaying wave")
-    amp = sol.transmitted.amplitude
-    return current(amp) / density(amp)
+    return _observation(sol, 0.0)["v_t"]

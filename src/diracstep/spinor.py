@@ -46,9 +46,6 @@ class Spinor:
         if not (cmath.isfinite(self.upper) and cmath.isfinite(self.lower)):
             raise ValueError("spinor components must be finite")
 
-    def scaled(self, factor: complex) -> "Spinor":
-        return Spinor(factor * self.upper, factor * self.lower)
-
 
 class Side(Enum):
     """Which half line a plane wave lives on."""
@@ -76,17 +73,17 @@ class PlaneWaveState:
             )
 
     def value_at(self, x: float) -> Spinor:
-        phase = cmath.exp(1j * self.wave_number * x)
-        return self.amplitude.scaled(phase)
+        return Spinor(*self._values(SCALAR, x))
 
     def values_at(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Array counterpart of ``value_at``: the upper and lower components
-        at every position, equal to ``value_at`` bit for bit."""
-        phase = np.exp(complex_product(1j * self.wave_number, xs))
-        return (
-            complex_product(phase, self.amplitude.upper),
-            complex_product(phase, self.amplitude.lower),
-        )
+        at every position."""
+        return self._values(ARRAY, xs)
+
+    def _values(self, xp, x):
+        """Both components at x, on a Python number or an array (``xp``)."""
+        phase = xp.exp(xp.product(1j * self.wave_number, x))
+        return xp.product(phase, self.amplitude.upper), xp.product(phase, self.amplitude.lower)
 
 
 def complex_product(z, w) -> np.ndarray:

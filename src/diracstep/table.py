@@ -23,7 +23,7 @@ from .core import PhysicalSetup, Regime, _kinematics, classify_regime, kinematic
 from .limits import edge_limit
 from .matching import (Convention, PlaneWaveSolution, _continuity, match,
                        physical_convention)
-from .observables import _observe
+from .observables import _observation, _observe
 from .spinor import ARRAY, SCALAR
 
 __all__ = ["record", "scatter_table", "solve"]
@@ -65,12 +65,11 @@ def record(setup: PhysicalSetup, conv: Convention | None = None) -> dict:
     m, v0, e = setup.mass_energy, setup.step_height, setup.energy
     if regime in _EDGES:
         sol = edge_limit(setup, conv)
-        conv, wall = sol.convention, sol.transmitted.amplitude
+        conv = sol.convention
         # b = k̄/(E − V₀ + mc²) → −∞ at the edge point, 0 at the lower edge
         columns = {"a": sol.a, "b_re": -math.inf if regime is Regime.EDGE_POINT else 0.0,
                    "b_im": 0.0, "k": sol.wave_number, "kbar_or_kappa": 0.0,
-                   **_observe(SCALAR, sol.a, sol.r, sol.reflected.amplitude.lower, sol.t,
-                              wall.upper, wall.lower, sol.transmitted.wave_number, v0, False)}
+                   **_observation(sol, v0)}
     else:
         conv = conv or physical_convention(regime)
         columns, cause = _chain(SCALAR, m, v0, e, conv, regime is Regime.EVANESCENT)

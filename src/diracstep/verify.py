@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,8 +58,11 @@ class SuiteResult:
     seed: int
     max_error: float = 0.0
     failures: list[str] = field(default_factory=list)
-    # Context of the largest error recorded, NaN counting as largest.
+    # Context of the largest error recorded, NaN counting as largest, and of
+    # the check nearest its own bound, with its error / bound.
     worst: str | None = None
+    closest: str | None = None
+    closest_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         # A suite over no setups would pass without checking anything.
@@ -71,29 +74,27 @@ class SuiteResult:
         return not self.failures
 
     def record(self, error: float, threshold: float, context: str) -> None:
-        self.note(error, context)
+        self.note(error, threshold, context)
         if not (error < threshold):
             self.failures.append(f"{context}: error {error:.3e} >= {threshold:.1e}")
 
-    def note(self, error: float, context: str) -> None:
-        """Keep ``error`` as ``max_error`` if it is the largest so far: a NaN
-        error is larger than any other, and the first NaN stays."""
+    def note(self, error: float, threshold: float, context: str) -> None:
+        """Keep ``error`` as ``max_error``, and error / threshold as
+        ``closest_fraction``, where each is the largest so far: a NaN is larger
+        than any other, and the first NaN stays."""
         if self.worst is None or not (math.isnan(self.max_error) or error <= self.max_error):
             self.max_error, self.worst = error, context
+        fraction = error / threshold
+        if self.closest is None or not (math.isnan(self.closest_fraction)
+                                        or fraction <= self.closest_fraction):
+            self.closest_fraction, self.closest = fraction, context
 
     def check(self, condition: bool, context: str) -> None:
         if not condition:
             self.failures.append(context)
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_error": self.max_error,
-            "worst": self.worst,
-            "failures": list(self.failures),
-        }
+        return asdict(self)
 
 
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -152,7 +153,7 @@ def run_conservation(trials: int = 1000, seed: int = 12345) -> SuiteResult:
             errors = np.array([error for _, error in checks])
             # argmax takes the first NaN as the largest error.
             check, row = np.unravel_index(np.argmax(errors), errors.shape)
-            result.note(float(errors[check, row]), f"{checks[check][0]} {setups[row]}")
+            result.note(float(errors[check, row]), 1e-12, f"{checks[check][0]} {setups[row]}")
             # Labels only for the setups that fail, in the order of the draws.
             for i in np.flatnonzero(~(errors < 1e-12).all(axis=0)):
                 for (label, _), error in zip(checks, errors[:, i].tolist()):

@@ -411,6 +411,10 @@ def test_verify_exit_codes_and_summary(capsys, tmp_path):
     assert summary["max_error"] < 1e-12
     assert summary["seed"] == 7
     assert summary["worst"].startswith(("R+T ", "continuity "))
+    # Every conservation check has the bound 1e-12, so the one nearest its
+    # bound is the one with the largest error.
+    assert summary["closest"] == summary["worst"]
+    assert summary["closest_fraction"] == summary["max_error"] / 1e-12
 
 
 @pytest.mark.parametrize("argv,cause", [

@@ -16,12 +16,16 @@ Regenerate the golden file, after a deliberate output change only, with
 
 import functools
 import math
+import shlex
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from diracstep import table
+from diracstep.cli import main
 from test_cli_edges import CONVENTIONS, _block, _golden_blocks
 
 GOLDEN = Path(__file__).parent / "golden" / "sweep_transcript.txt"
@@ -113,6 +117,32 @@ def _commands() -> list[str]:
 def test_sweep_transcript(command, tmp_path):
     assert _block(command, tmp_path) == _golden(GOLDEN)[command]
 
+
+@pytest.mark.parametrize("argv,grid,code,err", [
+    # i·(--to − --from) overflows at i = 2 although i·(--to − --from)/2 does not.
+    ("--from 1.5 --to 1e308 --points 3", [1.5, 5e307, 1e308], 2,
+     "error: row 1 (V0=1.0, E=5e+307): (E - mc2)(E + mc2) overflows"),
+    # Products that fit keep the grid bits the golden CSVs were written with.
+    ("--from 1.1 --to 7 --points 13", (1.1 + np.arange(13) * (7 - 1.1) / 12).tolist(), 0, ""),
+])
+def test_sweep_grid_is_formed_without_overflow(argv, grid, code, err, monkeypatch, tmp_path,
+                                                capsys):
+    """The energies a sweep hands to ``scatter_table``: a grid whose products
+    i·(--to − --from) overflow ends at --to with no RuntimeWarning (an error
+    under this suite's filterwarnings), and its rows are refused as any
+    other, with exit 2."""
+    grids, scatter_table = [], table.scatter_table
+
+    def capture(mass, step_heights, energies, conv):
+        grids.append(energies.tolist())
+        return scatter_table(mass, step_heights, energies, conv)
+
+    monkeypatch.setattr(table, "scatter_table", capture)
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(f"sweep --vary energy {argv} --step-height 1 --out s.csv")) == code
+    assert grids == [grid]
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(err) and bool(stderr) == bool(err)
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:

@@ -8,19 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracstep import (
+    BoundaryCondition,
     Convention,
     ForceReport,
     PhysicalSetup,
     Spinor,
+    classify_boundary,
+    coefficients,
     density,
     external_force_mean,
     impenetrable_limit,
     kinematics,
     match,
     momentum_flux_bracket,
+    nonrelativistic_limit,
     nr_boundary_force,
 )
-from diracstep.table import solve
+from diracstep.table import record, solve
 
 GOLDEN = PhysicalSetup(1.0, 4.0, 2.0)
 
@@ -113,20 +117,40 @@ def test_two_sided_density_converges_to_4a2():
 def test_external_force_mean_is_minus_v0_density_at_the_wall_bit_for_bit(e, where):
     """On matched states in every open regime, both edge states and both
     impenetrable limits, under every convention that builds: ρ(0) from
-    ``coefficients`` is the density of the spinor at the wall, bit for bit."""
+    ``coefficients`` is the density of the spinor at the wall, and the wall
+    force, the wall class and the coefficients of the state are the
+    ``force``, ``boundary``, R, T, rho0, j0 and v_t of its setup's
+    ``table.record`` row, bit for bit.  The nonrelativistic limits have no
+    row: they are classified as Dirichlet or Neumann, and ``coefficients`` and
+    ``external_force_mean`` refuse them alike."""
     steps = ((e + 1.0) * (1.0 + 2.0 * where), (e - 1.0) * where, e - 1.0 + 2.0 * where,
              e + 1.0, e - 1.0)
-    states = [impenetrable_limit(e, 1.0, conv)
-              for conv in (Convention.MAIN, Convention.NEGATIVE_ENERGY)]
+    edge = PhysicalSetup(1.0, e + 1.0, e)
+    cases = [(edge, conv, impenetrable_limit(e, 1.0, conv))
+             for conv in (Convention.MAIN, Convention.NEGATIVE_ENERGY)]
     for v0 in steps:
         for conv in Convention:
+            setup = PhysicalSetup(1.0, v0, e)
             try:
-                states.append(solve(PhysicalSetup(1.0, v0, e), conv))
+                cases.append((setup, conv, solve(setup, conv)))
             except ValueError:  # growing, singular or degenerate at this setup
                 pass
-    for sol in states:
+    fields = ("R", "T", "rho0", "j0", "v_t")
+    for setup, conv, sol in cases:
         reference = -sol.step_height * density(sol.spinor_at(0.0))
-        assert external_force_mean(sol).hex() == reference.hex()
+        row = record(setup, conv)
+        assert external_force_mean(sol).hex() == reference.hex() == row["force"].hex()
+        assert classify_boundary(sol).classification.value == row["boundary"]
+        obs = coefficients(sol)
+        assert [getattr(obs, name).hex() for name in fields] == [row[name].hex()
+                                                                 for name in fields]
+    for conv, wall in ((Convention.MAIN, BoundaryCondition.DIRICHLET_NR),
+                       (Convention.NEGATIVE_ENERGY, BoundaryCondition.NEUMANN_NR)):
+        sol = nonrelativistic_limit(where, 1.0, conv)
+        assert classify_boundary(sol).classification is wall
+        for reader in (coefficients, external_force_mean):
+            with pytest.raises(ValueError, match="incident wave carries no current"):
+                reader(sol)
 
 
 def test_force_report_invariant_and_consistency():

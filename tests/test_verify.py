@@ -111,6 +111,25 @@ def test_a_nan_error_is_the_largest_and_names_the_worst_setup():
     assert (summary["seed"], summary["worst"]) == (5, "first nan")
 
 
+def test_closest_names_the_check_nearest_its_own_bound():
+    """``worst`` follows the raw error and ``closest`` the error as a fraction
+    of its own bound, so a loose check with the largest error does not hide a
+    tight one near its bound; a NaN is the closest, and the first NaN stays."""
+    result = verify.SuiteResult(suite="limits", trials=1, seed=5)
+    result.record(5e-9, 1e-7, "loose")
+    result.record(8e-13, 1e-12, "tight")
+    assert (result.worst, result.max_error) == ("loose", 5e-9)
+    assert (result.closest, result.closest_fraction) == ("tight", 8e-13 / 1e-12)
+    result.note(1e-13, 1e-12, "unrecorded")
+    assert result.closest == "tight" and result.failures == []
+    result.record(math.nan, 1.0, "first nan")
+    result.record(1e300, 1.0, "huge")
+    result.record(math.nan, 1.0, "second nan")
+    assert result.closest == "first nan" and math.isnan(result.closest_fraction)
+    summary = result.to_json()
+    assert summary["closest"] == "first nan" and math.isnan(summary["closest_fraction"])
+
+
 def test_conservation_suite_reports_a_nan_row(monkeypatch):
     """A row whose T is NaN fails the suite, and max_error reads NaN, not
     the largest finite error."""
