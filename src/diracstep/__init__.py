@@ -39,11 +39,7 @@ from .matching import (
     match,
     physical_convention,
 )
-from .observables import (
-    ObservableSet,
-    coefficients,
-    transmitted_velocity,
-)
+from .observables import ObservableSet, coefficients
 from .oracle import OracleResult, SmoothStep, integrate_scattering, sauter_log_coefficients
 from .spinor import (
     PlaneWaveState,
@@ -98,6 +94,5 @@ __all__ = [
     "sample",
     "scatter_table",
     "sauter_log_coefficients",
-    "transmitted_velocity",
     "write_csv",
 ]

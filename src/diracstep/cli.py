@@ -130,19 +130,18 @@ def _cmd_sweep(args) -> int:
             f"sweep range [{args.start}, {args.stop}] too wide: "
             "--to - --from overflows"
         )
-    if args.vary == "step-height" and args.energy is None:
-        raise ValueError("varying the step height needs a fixed --energy")
-    if args.vary == "energy" and args.step_height is None:
-        raise ValueError("varying the energy needs a fixed --step-height")
+    if args.vary == "step-height":
+        fixed, fixed_value, varied_value = "energy", args.energy, args.step_height
+    else:
+        fixed, fixed_value, varied_value = "step-height", args.step_height, args.energy
+    if fixed_value is None:
+        raise ValueError(f"varying the {args.vary.replace('-', ' ')} needs a fixed --{fixed}")
+    if varied_value is not None:
+        raise ValueError(f"--{args.vary} is varied from --from to --to and takes no value")
     # i·span may overflow where i·span/steps does not; an exact power-of-two scale avoids it.
     scale = 2.0 ** -steps.bit_length() if steps * span == _INF else 1.0
     values = args.start + np.arange(args.points) * (span * scale) / steps / scale
-    if args.vary == "step-height":
-        step_heights, energies = values, args.energy
-        fixed_name, fixed_value = "energy", args.energy
-    else:
-        step_heights, energies = args.step_height, values
-        fixed_name, fixed_value = "step_height", args.step_height
+    step_heights, energies = (values, fixed_value) if fixed == "energy" else (fixed_value, values)
     try:
         columns = table.scatter_table(args.mass, step_heights, energies,
                                       _convention(args.convention))
@@ -152,7 +151,7 @@ def _cmd_sweep(args) -> int:
                          f"{exc}; {exc.refused} of {args.points} rows refused") from None
     _echo_params("sweep", {"vary": args.vary, "from": args.start, "to": args.stop,
                            "points": args.points, "mass_energy": args.mass,
-                           fixed_name: fixed_value, "convention": args.convention,
+                           fixed.replace("-", "_"): fixed_value, "convention": args.convention,
                            "out": args.out}, args.precision)
     lines = [",".join(_SWEEP_COLUMNS), *_sweep_rows(columns)]
     try:
@@ -209,8 +208,6 @@ def _cmd_wavefunction(args) -> int:
         resolved = {"limit": args.limit, "mass_energy": args.mass,
                     "energy": args.energy}
     else:
-        if args.step_height is None:
-            raise ValueError("provide either --step-height or --limit")
         solution = table.solve(PhysicalSetup(args.mass, args.step_height, args.energy),
                                conv)
         resolved = {"mass_energy": args.mass, "step_height": args.step_height,
@@ -255,6 +252,24 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that is its own test of a negative number: every
+    argument that float() reads, such as -1e-3, is a value and not an option.
+    argparse's own pattern, before Python 3.13, misses exponents."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self
+
+    @staticmethod
+    def match(arg: str) -> bool:
+        try:
+            float(arg)
+        except ValueError:
+            return False
+        return True
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=9,
@@ -268,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     physics.add_argument("--convention", choices=_CONVENTION_CHOICES,
                          default="auto", help="transmitted-wave convention")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diracstep",
         description="1D Dirac step scattering: closed forms, limits, forces, "
                     "and a numerical cross-check oracle.",
@@ -305,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wavefunction", parents=[common, physics],
                        help="sample a solution on a grid and write CSV")
-    p.add_argument("--step-height", type=float, default=None)
-    p.add_argument("--limit", choices=("impenetrable", "nonrel"), default=None)
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--step-height", type=float)
+    target.add_argument("--limit", choices=("impenetrable", "nonrel"))
     p.add_argument("--range", type=float, nargs=2, default=(-5.0, 5.0),
                    metavar=("XMIN", "XMAX"))
     p.add_argument("--points", type=int, default=501)

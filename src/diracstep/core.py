@@ -88,16 +88,18 @@ def classify_regime(setup: PhysicalSetup) -> Regime:
     single point V₀ = E classifies as EDGE_POINT (the impenetrable-barrier
     limit point).
     """
-    m, v0, e = setup.mass_energy, setup.step_height, setup.energy
-    if v0 == e + m:
-        return Regime.EDGE_POINT
-    if v0 == e - m:
-        return Regime.EDGE_LOWER
-    if v0 > e + m:
-        return Regime.KLEIN_ZONE
-    if v0 < e - m:
-        return Regime.TRANSMISSION
-    return Regime.EVANESCENT
+    return _REGIMES[_regime(SCALAR, setup.mass_energy, setup.step_height, setup.energy)]
+
+
+_REGIMES = (Regime.EDGE_POINT, Regime.EDGE_LOWER, Regime.KLEIN_ZONE, Regime.TRANSMISSION,
+            Regime.EVANESCENT)
+
+
+def _regime(xp, m, v0, e):
+    """The index into ``_REGIMES`` of ``classify_regime`` on Python numbers or
+    arrays (``xp`` is ``spinor.SCALAR`` or ``spinor.ARRAY``): of the first
+    comparison that holds, edge point first, else of EVANESCENT (also for NaN)."""
+    return xp.select([v0 == e + m, v0 == e - m, v0 > e + m, v0 < e - m], range(4), 4)
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,7 @@ def refusal(cause: int, mass_energy, step_height, energy, conv=None) -> ValueErr
     if cause != KBAR_ZERO:
         return ValueError(_REFUSALS[cause].format(e=e, v0=v0, m=m, conv=conv and conv.value))
     edge = "E - mc2" if e - v0 > 0.0 else "E + mc2"
-    regime = classify_regime(PhysicalSetup(m, v0, e)).value
+    regime = _REGIMES[_regime(SCALAR, m, v0, e)].value
     return EdgePointError(_REFUSALS[cause].format(regime=regime, v0=v0, edge=edge, e=e, m=m))
 
 

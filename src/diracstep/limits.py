@@ -240,9 +240,7 @@ def infinite_potential_limit(
     k, a = incident_wave(energy, mass_energy)
     # k̄ → ∞ enters neither r, t nor the currents; the placeholder wave number
     # 0 makes ψ(0) = t·column.
-    (_, _, q_t, r, t, t_upper, t_lower), (_, singular) = _continuity(
-        SCALAR, a, -1.0, 1.0, 0.0, conv, False)
+    values, (_, singular) = _continuity(SCALAR, a, -1.0, 1.0, 0.0, conv, False)
     if singular:
         raise refusal(SINGULAR, mass_energy, math.inf, energy, conv)
-    wall = PlaneWaveState(Spinor(t_upper, t_lower), q_t, Side.RIGHT)
-    return coefficients(PlaneWaveSolution.reflecting(k, a, r, wall, conv, t))
+    return coefficients(PlaneWaveSolution._continued(k, a, values, conv))

@@ -91,6 +91,14 @@ class PlaneWaveSolution:
         reflected = PlaneWaveState(Spinor(r, -r * a), -k, Side.LEFT)
         return cls(incident, reflected, transmitted, convention, r, t, **data)
 
+    @classmethod
+    def _continued(cls, k, a, values, convention, /, **data):
+        """The ``reflecting`` state of ``_continuity``'s values: t·column·e^{iq_t·x}
+        beyond the step."""
+        _, _, q_t, r, t, t_upper, t_lower = values
+        transmitted = PlaneWaveState(Spinor(t_upper, t_lower), q_t, Side.RIGHT)
+        return cls.reflecting(k, a, r, transmitted, convention, t, **data)
+
     def spinor_at(self, x: float) -> Spinor:
         """Piecewise value: left branch for x < 0, right branch for x >= 0."""
         return self.left_value_at(x) if x < 0.0 else self.right_value_at(x)
@@ -230,8 +238,5 @@ def match(kin: Kinematics, conv: Convention) -> ScatteringSolution:
 
         det = û·a + l̂,   t·max|u_conv| = 2a / det,   r = (û·a − l̂) / det.
     """
-    _, _, q_t, r, t, t_upper, t_lower = _continuity_of(kin, conv, (GROWING, SINGULAR))
-    transmitted = PlaneWaveState(Spinor(t_upper, t_lower), q_t, Side.RIGHT)
-    return ScatteringSolution.reflecting(
-        kin.k, kin.a, r, transmitted, conv, t, kinematics=kin
-    )
+    values = _continuity_of(kin, conv, (GROWING, SINGULAR))
+    return ScatteringSolution._continued(kin.k, kin.a, values, conv, kinematics=kin)

@@ -23,7 +23,6 @@ __all__ = [
     "ObservableSet",
     "TOLERANCE",
     "coefficients",
-    "transmitted_velocity",
 ]
 
 # A component counts as zero below TOLERANCE times the solution's amplitude
@@ -118,15 +117,3 @@ def _observe(xp, a, r, r_lower, t, t_upper, t_lower, q_t, v0, evanescent: bool) 
             "j0": xp.currents(psi_upper, psi_lower), "v_t": v_t, "force": -v0 * rho0,
             "boundary": boundary, "continuity": xp.quotient(residual, left_scale)}
 
-
-def transmitted_velocity(sol: PlaneWaveSolution) -> float:
-    """Velocity field j_t / ρ_t of the transmitted wave, in units of c.
-
-    Positive for the MAIN / LOWER_COMPONENT choices in the Klein zone,
-    which is what singles them out as the physical transmitted waves.
-    Undefined in the evanescent regime (the decaying wave carries no
-    current), where a ValueError is raised.
-    """
-    if sol.transmitted.wave_number.imag > 0.0:
-        raise ValueError("transmitted velocity undefined for a decaying wave")
-    return _observation(sol, 0.0)["v_t"]

@@ -163,7 +163,7 @@ def _quotient(x, y):
 SCALAR = SimpleNamespace(
     sqrt=math.sqrt, magnitude=abs, product=operator.mul, quotient=_quotient, complex=complex,
     maximum=max, exp=cmath.exp, where=lambda c, x, y: x if c else y,
-    select=lambda hits, values, default: next((v for h, v in zip(hits, values) if h), default),
+    select=lambda hits, values, default: values[hits.index(True)] if True in hits else default,
     nonfinite=lambda x: not cmath.isfinite(x),
     densities=lambda upper, lower: abs(upper) ** 2 + abs(lower) ** 2,
     currents=lambda upper, lower: 2.0 * (upper.conjugate() * lower).real)

@@ -19,7 +19,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from .core import PhysicalSetup, Regime, _kinematics, classify_regime, kinematics, refusal
+from .core import (_REGIMES, PhysicalSetup, Regime, _kinematics, _regime, classify_regime,
+                   kinematics, refusal)
 from .limits import edge_limit
 from .matching import (Convention, PlaneWaveSolution, _continuity, match,
                        physical_convention)
@@ -89,21 +90,16 @@ def scatter_table(mass, step_heights, energies, conv: Convention | None) -> dict
     """
     m, v0, e = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
                                      for x in (mass, step_heights, energies)))
-    edges = [edge.value for edge in _EDGES]
     with np.errstate(all="ignore"):
         valid = ((m >= 0.0) & np.isfinite(m) & (v0 > 0.0) & np.isfinite(v0)
                  & np.isfinite(e) & (e > m))
-        regime = np.select(  # classify_regime
-            [v0 == e + m, v0 == e - m, v0 > e + m, v0 < e - m],
-            [*edges, Regime.KLEIN_ZONE.value, Regime.TRANSMISSION.value],
-            Regime.EVANESCENT.value,
-        ).astype(object)
+        regime = np.array([r.value for r in _REGIMES], dtype=object)[_regime(ARRAY, m, v0, e)]
         # With conv=None each open regime's physical convention; edge rows get theirs below.
         convs = np.full(len(e), None if conv is None else conv.value, dtype=object)
         if conv is None:
             for open_regime in (Regime.TRANSMISSION, Regime.EVANESCENT, Regime.KLEIN_ZONE):
                 convs[regime == open_regime.value] = physical_convention(open_regime).value
-        edge = np.isin(regime, edges)
+        edge = np.isin(regime, [r.value for r in _EDGES])
         evanescent = regime == Regime.EVANESCENT.value
         table = defaultdict(lambda: np.zeros(len(e)), {
             "step_height": v0, "energy": e, "regime": regime,

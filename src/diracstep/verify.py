@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .boundary import BoundaryCondition, classify_boundary
-from .core import PhysicalSetup, Regime, kinematics
+from .core import PhysicalSetup, Regime, classify_regime, kinematics
 from .forces import external_force_mean, momentum_flux_bracket
 from .limits import impenetrable_limit, infinite_potential_limit, nonrelativistic_limit
 from .matching import GROWING_UNDER_EVANESCENT, Convention, match
@@ -108,7 +108,7 @@ def draw_energy(rng: random.Random) -> float:
 
 def draw_setup(rng: random.Random, regime: Regime) -> PhysicalSetup:
     """Random setup at mc² = 1 with the step height uniform inside the given
-    regime."""
+    regime; a draw outside it, on an edge or at V₀ <= 0, is drawn again."""
     e = draw_energy(rng)
     if regime is Regime.KLEIN_ZONE:
         v0 = rng.uniform(e + 1.0, 3.0 * (e + 1.0))
@@ -118,9 +118,9 @@ def draw_setup(rng: random.Random, regime: Regime) -> PhysicalSetup:
         v0 = rng.uniform(0.0, e - 1.0)
     else:
         raise ValueError(f"cannot draw inside closed regime {regime}")
-    if v0 <= 0.0 or v0 in (e - 1.0, e + 1.0):
+    if v0 <= 0.0 or classify_regime(setup := PhysicalSetup(1.0, v0, e)) is not regime:
         return draw_setup(rng, regime)
-    return PhysicalSetup(mass_energy=1.0, step_height=v0, energy=e)
+    return setup
 
 
 def run_conservation(trials: int = 1000, seed: int = 12345) -> SuiteResult:

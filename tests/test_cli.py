@@ -389,12 +389,43 @@ def test_nonrel_past_2mc2_exit_2(capsys, tmp_path, argv):
     assert not out_file.exists()
 
 
+def refused_by_argparse(capsys, *argv):
+    """stderr of a command that argparse itself refuses, with exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_wavefunction_requires_target(capsys, tmp_path):
-    code, _, err = run(
+    err = refused_by_argparse(
         capsys, "wavefunction", "--energy", "2", "--out", str(tmp_path / "x.csv"),
     )
-    assert code == 2
     assert "error:" in err
+
+
+def test_wavefunction_refuses_step_height_beside_limit(capsys, tmp_path):
+    out_file = tmp_path / "x.csv"
+    err = refused_by_argparse(
+        capsys, "wavefunction", "--energy", "0.01", "--limit", "nonrel",
+        "--step-height", "3", "--out", str(out_file),
+    )
+    assert "error: argument --step-height: not allowed with argument --limit" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("x_min", ["-1e-3", "-1E-3", "-.1e-2", "-1_0e-4"])
+def test_wavefunction_range_reads_negative_exponent_forms(capsys, tmp_path, x_min):
+    """Every float literal is a value, not an option: argparse's own
+    negative-number pattern, before Python 3.13, misses exponents."""
+    out_file = tmp_path / "wall.csv"
+    code, out, _ = run(
+        capsys, "wavefunction", "--energy", "2", "--limit", "impenetrable",
+        "--range", x_min, "1e-3", "--points", "3", "--out", str(out_file),
+    )
+    assert code == 0
+    assert "range=[-0.001,0.001]" in out
+    assert read_csv(out_file)["x"][0] == -1e-3
 
 
 def test_verify_exit_codes_and_summary(capsys, tmp_path):
@@ -623,6 +654,19 @@ def test_sweep_refuses_unusable_range_exit_2(capsys, tmp_path, start, stop, caus
     assert code == 2
     assert out == ""
     assert err == f"error: {cause}\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("vary,fixed", [("energy", "--step-height"),
+                                        ("step-height", "--energy")])
+def test_sweep_refuses_a_value_for_the_varied_parameter_exit_2(capsys, tmp_path, vary, fixed):
+    out_file = tmp_path / "s.csv"
+    code, out, err = run(
+        capsys, "sweep", "--vary", vary, "--from", "1.5", "--to", "3", "--points", "3",
+        fixed, "1", f"--{vary}", "9", "--out", str(out_file),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --{vary} is varied from --from to --to and takes no value\n"
     assert not out_file.exists()
 
 

@@ -1,4 +1,4 @@
-"""Coefficients, densities, currents and the transmitted velocity field."""
+"""Coefficients, densities, currents and the transmitted velocity field v_t."""
 
 import math
 
@@ -14,7 +14,6 @@ from diracstep import (
     kinematics,
     match,
     nonrelativistic_limit,
-    transmitted_velocity,
 )
 
 GOLDEN = PhysicalSetup(1.0, 4.0, 2.0)
@@ -92,7 +91,7 @@ def test_transmitted_velocity_closed_form_two_routes():
         v0 = float(rng.uniform(e + 1.0, 4.0 * (e + 1.0)))
         setup = PhysicalSetup(1.0, v0, e)
         sol = match(kinematics(setup), Convention.MAIN)
-        v_spinor = transmitted_velocity(sol)
+        v_spinor = coefficients(sol).v_t
         v_closed = math.sqrt(1.0 - (1.0 / (e - v0)) ** 2)
         assert v_spinor == pytest.approx(v_closed, abs=1e-12)
         assert 0.0 < v_spinor < 1.0
@@ -100,14 +99,14 @@ def test_transmitted_velocity_closed_form_two_routes():
 
 def test_transmitted_velocity_golden():
     sol = match(kinematics(GOLDEN), Convention.MAIN)
-    assert transmitted_velocity(sol) == pytest.approx(0.8660254037844386, abs=1e-13)
+    assert coefficients(sol).v_t == pytest.approx(0.8660254037844386, abs=1e-13)
 
 
 def test_transmitted_velocity_vanishes_at_the_wall():
     values = []
     for delta in (1e-2, 1e-4, 1e-6, 1e-8):
         kin = kinematics(PhysicalSetup(1.0, 3.0 + delta, 2.0))
-        values.append(transmitted_velocity(match(kin, Convention.MAIN)))
+        values.append(coefficients(match(kin, Convention.MAIN)).v_t)
     assert values == sorted(values, reverse=True)
     assert values[-1] < 1e-3
 
@@ -120,8 +119,6 @@ def test_evanescent_regime_definitions():
     assert obs.rho0 == pytest.approx(1.6, abs=1e-13)
     assert abs(obs.j0) < 1e-15
     assert math.isnan(obs.v_t)
-    with pytest.raises(ValueError):
-        transmitted_velocity(sol)
 
 
 def test_special_case_v0_equals_2e():
@@ -138,9 +135,7 @@ def test_special_case_v0_equals_2e():
             ((a**2 - 1.0) / (a**2 + 1.0)) ** 2, rel=1e-10, abs=1e-13
         )
         assert obs.T == pytest.approx(4.0 * a**2 / (a**2 + 1.0) ** 2, rel=1e-10)
-        assert transmitted_velocity(match(kin, Convention.MAIN)) == pytest.approx(
-            kin.k / e, rel=1e-12
-        )
+        assert obs.v_t == pytest.approx(kin.k / e, rel=1e-12)
 
 
 def test_infinite_step_limit_coefficients():
