@@ -23,7 +23,7 @@ from . import __version__, table
 from .boundary import classify_boundary
 from .core import PhysicalSetup, Regime, incident_wave
 from .forces import ForceReport, momentum_flux_bracket
-from .gridio import sample, write_csv
+from .gridio import _write_rows, sample, write_csv
 from .limits import (_nr_wall_force, impenetrable_limit, infinite_potential_limit,
                      nonrelativistic_limit)
 from .matching import Convention
@@ -91,30 +91,6 @@ _SWEEP_COLUMNS = (
 )
 
 
-# "%.17g" gives the same bytes as f"{v:.17g}".
-_SWEEP_FORMATS = tuple(
-    "%s" if name in ("regime", "transition", "convention", "boundary") else "%.17g"
-    for name in _SWEEP_COLUMNS
-)
-
-
-def _sweep_rows(columns: dict) -> list[str]:
-    """The CSV rows of ``columns``, by one %-format per row.  A column that is
-    the same on every row, bit for bit (0.0 and -0.0 differ), is formatted
-    once into the row template; the rows format only the varying columns."""
-    template, varying = [], []
-    for spec, name in zip(_SWEEP_FORMATS, _SWEEP_COLUMNS):
-        column = columns[name]
-        bits = column.view(np.int64) if column.dtype == np.float64 else column
-        if (bits == bits[0]).all():
-            template.append((spec % column[:1].tolist()[0]).replace("%", "%%"))
-        else:
-            template.append(spec)
-            varying.append(column.tolist())
-    row, rows = ",".join(template), zip(*varying) if varying else [()] * len(column)
-    return [row % values for values in rows]
-
-
 def _cmd_sweep(args) -> int:
     if args.points < 2:
         raise ValueError("sweep needs at least 2 points")
@@ -153,9 +129,9 @@ def _cmd_sweep(args) -> int:
                            "points": args.points, "mass_energy": args.mass,
                            fixed.replace("-", "_"): fixed_value, "convention": args.convention,
                            "out": args.out}, args.precision)
-    lines = [",".join(_SWEEP_COLUMNS), *_sweep_rows(columns)]
     try:
-        Path(args.out).write_text("\n".join(lines) + "\n", newline="\n")
+        _write_rows(Path(args.out), ",".join(_SWEEP_COLUMNS),
+                    [columns[name] for name in _SWEEP_COLUMNS])
     except OSError as exc:
         raise OSError(f"cannot write sweep to {args.out}: {exc}") from exc
     print(f"wrote {args.points} rows to {args.out}")
@@ -350,7 +326,10 @@ def _check_counts(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help and --version: 0; a usage error: 2
+        return exc.code
     try:
         _check_counts(args)
         return args.func(args)

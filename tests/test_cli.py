@@ -390,11 +390,54 @@ def test_nonrel_past_2mc2_exit_2(capsys, tmp_path, argv):
 
 
 def refused_by_argparse(capsys, *argv):
-    """stderr of a command that argparse itself refuses, with exit code 2."""
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
+    """stderr of a command that argparse itself refuses: ``main`` returns 2,
+    as for every other refusal, and lets no ``SystemExit`` escape."""
+    assert main(list(argv)) == 2
     return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("wavefunction", "--help"), ("--version",)])
+def test_help_and_version_return_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith(("usage: diracstep", "diracstep ")) and err == ""
+
+
+def test_usage_error_returns_2(capsys):
+    err = refused_by_argparse(capsys, "scatter", "--energy", "2")
+    assert "error: the following arguments are required: --step-height" in err
+
+
+def test_wavefunction_whose_phase_overflows_exit_2(capsys, tmp_path):
+    # x_max - x_min fits a double, but 6 * (x_max - x_min) / 6 does not, and
+    # k * x_max leaves the double range: refused by name, with no warning.
+    out_file = tmp_path / "w.csv"
+    code, out, err = run(
+        capsys, "wavefunction", "--mass", "2", "--energy", "3.0000000000000004",
+        "--step-height", "1e-310", "--points", "7",
+        "--range", "1.0000000000000002", "1.7976931348623157e308", "--out", str(out_file),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: phase k*x overflows: k = ")
+    assert err.endswith(", x = 1.7976931348623157e+308\n")
+    assert not out_file.exists()
+
+
+def test_wavefunction_grid_keeps_both_ends_of_the_range(capsys, tmp_path):
+    out_file = tmp_path / "w.csv"
+    code, _, _ = run(capsys, "wavefunction", "--energy", "2", "--step-height", "4",
+                     "--range", "-1", "100", "--points", "3", "--out", str(out_file))
+    assert code == 0
+    assert read_csv(out_file)["x"] == [-1.0, 0.0, 0.0, 100.0]
+
+
+def test_wavefunction_two_points_across_the_step_exit_2(capsys, tmp_path):
+    out_file = tmp_path / "w.csv"
+    code, out, err = run(capsys, "wavefunction", "--energy", "2", "--step-height", "4",
+                         "--range", "-1", "100", "--points", "2", "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a 2-point grid on [-1.0, 100.0] straddles x = 0")
+    assert not out_file.exists()
 
 
 def test_wavefunction_requires_target(capsys, tmp_path):

@@ -1,6 +1,8 @@
 """Grid sampling and CSV/sidecar serialization."""
 
 import json
+import math
+import re
 
 import pytest
 
@@ -153,3 +155,33 @@ def test_write_failure_reports_path():
     gs = sample(_klein_solution(), -1.0, 1.0, 5)
     with pytest.raises(OSError, match="no/such/dir"):
         write_csv(gs, "/no/such/dir/out.csv")
+
+
+def test_grid_keeps_both_ends_and_moves_an_interior_point_onto_the_step():
+    # -1, 49.5, 100: the point nearest x = 0 is the end -1, which stays; the
+    # interior point 49.5 moves onto the step.
+    gs = sample(_klein_solution(), -1.0, 100.0, 3)
+    assert gs.xs == (-1.0, 0.0, 0.0, 100.0)
+
+
+def test_two_point_grid_across_the_step_is_refused():
+    with pytest.raises(ValueError, match="2-point grid on \\[-1.0, 100.0\\] straddles x = 0"):
+        sample(_klein_solution(), -1.0, 100.0, 2)
+
+
+def test_grid_up_to_the_largest_double_does_not_overflow():
+    # 6 · (x_max - x_min) / 6 rounds past the largest double; the last point
+    # is x_max itself, and the wall state's phase beyond x = 0 is 0.
+    x_min, x_max = 1.0000000000000002, 1.7976931348623157e308
+    gs = sample(impenetrable_limit(2.0, 1.0), x_min, x_max, 7)
+    assert (gs.xs[0], gs.xs[-1]) == (x_min, x_max)
+    assert all(math.isfinite(x) for x in gs.xs)
+
+
+@pytest.mark.parametrize("bounds,x", [((1.0, 1.7976931348623157e308), 1.7976931348623157e308),
+                                      ((-1.5e308, 1.0), -1.5e308)])
+def test_phase_that_overflows_is_refused(bounds, x):
+    # k = sqrt(3) on both sides of the step, so k·x leaves the double range.
+    with pytest.raises(ValueError, match=re.escape("phase k*x overflows: k = ") + ".*"
+                       + re.escape(f", x = {x}")):
+        sample(_klein_solution(), *bounds, 5)

@@ -1,7 +1,7 @@
 """The array sampler and the row writer against their per-point references.
 
 ``sample`` evaluates every branch on numpy arrays and ``write_csv`` formats
-each row with one %-format.  Both must give exactly what a per-point loop
+a block of rows at once.  Both must give exactly what a per-point loop
 over the scalar evaluators (``left_value_at`` / ``right_value_at``, which
 sum ``PlaneWaveState.value_at`` in cmath) and per-cell formatting give,
 down to the sign of zero, for matched and limit states alike.
@@ -39,8 +39,8 @@ def _reference_rows(solution, x_min, x_max, n_points):
     """Per-point loop over the scalar evaluators: (x, phi, chi, rho, j) rows."""
     step = (x_max - x_min) / (n_points - 1)
     xs = [x_min + i * step for i in range(n_points - 1)] + [x_max]
-    if x_min <= 0.0 <= x_max and 0.0 not in xs:
-        xs[min(range(n_points), key=lambda i: abs(xs[i]))] = 0.0
+    if x_min < 0.0 < x_max and 0.0 not in xs:
+        xs[min(range(1, n_points - 1), key=lambda i: abs(xs[i]))] = 0.0
     rows = []
     for x in xs:
         sides = ("left", "right") if x == 0.0 else (("left",) if x < 0.0 else ("right",))
@@ -128,7 +128,9 @@ ranges = st.one_of(
     st.tuples(st.floats(1e-3, 1.0), st.floats(1.1, 60.0)),
     st.sampled_from([(-5.0, 0.0), (0.0, 5.0), (-0.0, 3.0), (-4.0, 4.0)]),
 )
-points = st.sampled_from([2, 3, 7, 101, 1024, 1025])
+# A 2-point grid that straddles the step is refused; two points on one side
+# are checked by test_two_point_grid_equals_scalar_evaluation.
+points = st.sampled_from([3, 7, 101, 1024, 1025])
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,6 +154,16 @@ def test_row_writer_equals_per_cell_formatting(tmp_path_factory, solution, bound
     out = tmp_path_factory.mktemp("csv") / "sample.csv"
     write_csv(sample(solution, *bounds, n), out)
     assert out.read_bytes() == _reference_csv(_reference_rows(solution, *bounds, n)).encode()
+
+
+@pytest.mark.parametrize("bounds", [(-5.0, 0.0), (0.0, 5.0), (-0.0, 3.0), (-60.0, -1e-3),
+                                    (1e-3, 60.0)])
+@pytest.mark.parametrize("index", range(len(LIMIT_CASES)))
+def test_two_point_grid_equals_scalar_evaluation(tmp_path, bounds, index):
+    solution = LIMIT_CASES[index](0.5)
+    out = tmp_path / "sample.csv"
+    write_csv(sample(solution, *bounds, 2), out)
+    assert out.read_bytes() == _reference_csv(_reference_rows(solution, *bounds, 2)).encode()
 
 
 @pytest.mark.parametrize("bounds", [(-5.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),

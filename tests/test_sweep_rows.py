@@ -1,9 +1,9 @@
-"""Sweep CSV rows: a column that is constant across the table is formatted
-once, into the row template, with the bytes of one %-format per row.
+"""Sweep CSV rows through the shared CSV writer, ``gridio._csv_block``, which
+formats every float cell of a block of rows at once.
 
 ``_reference_rows`` is the formatting ``sweep`` did before: every row
-formatted in full with ``_SWEEP_ROW``.  The rows of ``cli._sweep_rows`` must
-equal it byte for byte, whichever columns are constant.
+formatted in full with ``_SWEEP_ROW``.  The rows of the writer must equal it
+byte for byte, whichever columns are constant.
 """
 
 import math
@@ -13,8 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diracstep import Convention
-from diracstep.cli import _SWEEP_COLUMNS, _sweep_rows
+from diracstep import Convention, gridio
+from diracstep.cli import _SWEEP_COLUMNS
+from diracstep.gridio import _csv_block
 from diracstep.table import scatter_table
 
 _SWEEP_ROW = ",".join(
@@ -23,8 +24,23 @@ _SWEEP_ROW = ",".join(
 )
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _fast_path_at_any_size():
+    """These small tables take the fast path, as a 2000-row sweep does."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gridio, "_FAST_CELLS", 0)
+        yield
+
+
 def _reference_rows(table: dict) -> list[str]:
     return [_SWEEP_ROW % row for row in zip(*(table[c].tolist() for c in _SWEEP_COLUMNS))]
+
+
+def _sweep_rows(table: dict) -> list[str]:
+    """The rows the shared writer gives for ``table``, each without its '\\n'."""
+    text = _csv_block([table[c] for c in _SWEEP_COLUMNS]).decode()
+    assert text.endswith("\n")
+    return text[:-1].split("\n")
 
 
 def _accepted(mass, step_heights, energies, conv) -> dict | None:
