@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parameter error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -193,7 +194,7 @@ def _cmd_wavefunction(args) -> int:
     grid = sample(solution, x_min, x_max, args.points)
     _echo_params("wavefunction", resolved, args.precision)
     write_csv(grid, args.out)
-    print(f"wrote {len(grid.xs)} samples to {args.out}")
+    print(f"wrote {len(grid._xs)} samples to {args.out}")
     return 0
 
 
@@ -246,7 +247,10 @@ class _Parser(argparse.ArgumentParser):
         return True
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process and shared by every
+    ``main`` call: parsing leaves it as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=9,
                         help="significant digits for table display")

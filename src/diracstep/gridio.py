@@ -5,9 +5,15 @@
 share one body with ``left_value_at`` / ``right_value_at``; ``rho`` and
 ``j`` from ``spinor.densities`` / ``currents`` equal ``density`` /
 ``current`` too: a sample holds exactly the values a per-point loop would
-give.  ``write_csv`` and ``sweep`` write their rows through one CSV writer,
-``_write_rows``, which formats every float cell of a block of rows at once,
-byte for byte as ``'%.17g' % v``.
+give.  A ``GridSample`` holds those arrays, read-only; its tuple fields
+``xs``, ``phi``, ``chi``, ``rho`` and ``j`` are built on first read, and
+``write_csv`` reads none of them.  ``write_csv`` and ``sweep`` write their
+rows through one CSV writer, ``_write_rows``, which formats every float
+cell of a block of rows at once, byte for byte as ``'%.17g' % v``.
+
+``sample`` refuses a grid on which a plane wave's phase k·x overflows, or
+reaches 2^52 in magnitude, where its ulp is 1 rad or more and e^{ikx} has
+no correct digit.
 
 Output contract: a CSV with header ``x,phi_re,phi_im,chi_re,chi_im,rho,j``
 (17 significant digits, '\\n' line endings, byte-identical for identical
@@ -24,7 +30,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +45,16 @@ __all__ = ["GridSample", "sample", "write_csv"]
 CSV_HEADER = "x,phi_re,phi_im,chi_re,chi_im,rho,j"
 
 
-@dataclass(frozen=True)
+_COLUMNS = (("xs", float), ("phi", complex), ("chi", complex), ("rho", float),
+            ("j", float))
+
+
+def _tuple_of(name: str) -> functools.cached_property:
+    """The field ``name``: a tuple of Python numbers, built from the held array
+    on first read."""
+    return functools.cached_property(lambda gs: tuple(getattr(gs, "_" + name).tolist()))
+
+
 class GridSample:
     """Sampled solution on an ordered grid.
 
@@ -47,14 +62,37 @@ class GridSample:
     one-sided values (identical whenever the solution is continuous).
     rho and j are recomputed from the sampled components, never stored
     independently.
+
+    The columns are held as read-only numpy arrays.  Each of the fields
+    ``xs``, ``phi``, ``chi``, ``rho`` and ``j`` is a tuple of Python numbers
+    built from its array on first read, so writing a CSV builds none.
+    Instances are frozen and compare by value.
     """
 
-    xs: tuple[float, ...]
-    phi: tuple[complex, ...]
-    chi: tuple[complex, ...]
-    rho: tuple[float, ...]
-    j: tuple[float, ...]
-    metadata: dict
+    def __init__(self, xs, phi, chi, rho, j, metadata: dict) -> None:
+        for (name, dtype), values in zip(_COLUMNS, (xs, phi, chi, rho, j)):
+            array = np.array(values, dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, "_" + name, array)
+        object.__setattr__(self, "metadata", metadata)
+
+    xs, phi, chi, rho, j = (_tuple_of(name) for name, _ in _COLUMNS)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.metadata == other.metadata and all(
+            np.array_equal(getattr(self, "_" + name), getattr(other, "_" + name))
+            for name, _ in _COLUMNS)
+
+    def __repr__(self) -> str:
+        return f"GridSample({len(self._xs)} rows, metadata={self.metadata!r})"
 
 
 def _metadata(solution) -> dict:
@@ -89,15 +127,18 @@ def sample(
         raise ValueError(
             f"range [{x_min}, {x_max}] too wide: x_max - x_min overflows"
         )
-    # A wave's e^{ikx} has no value where k·x overflows; the largest |x| on
-    # each side of the step gives the largest phase there.
-    for waves, x in (((solution.incident, solution.reflected), min(x_min, 0.0)),
-                     ((solution.transmitted,), max(x_max, 0.0))):
-        for wave in waves:
-            if math.isinf(wave.wave_number.real * x):
-                raise ValueError(
-                    f"phase k*x overflows: k = {wave.wave_number.real}, x = {x}"
-                )
+    # A wave's e^{ikx} has no value where k·x overflows, and no correct digit
+    # from |k·x| = 2^52 on, where ulp(k·x) >= 1 rad.  The largest |x| on each
+    # side of the step gives the largest phase there.
+    k, x = max(((wave.wave_number.real, x)
+                for waves, x in (((solution.incident, solution.reflected), min(x_min, 0.0)),
+                                 ((solution.transmitted,), max(x_max, 0.0)))
+                for wave in waves), key=lambda kx: abs(kx[0] * kx[1]))
+    if math.isinf(k * x):
+        raise ValueError(f"phase k*x overflows: k = {k}, x = {x}")
+    if abs(k * x) >= 2.0 ** 52:
+        raise ValueError(f"phase k*x has no correct digit: k = {k}, x = {x}, "
+                         f"ulp(k*x) = {math.ulp(k * x)}")
     step = (x_max - x_min) / (n_points - 1)
     # The last point is x_max itself; (n_points - 1)·step may round past it,
     # beyond the double range too, so it is never formed.
@@ -126,14 +167,8 @@ def sample(
     if not (np.isfinite(phi).all() and np.isfinite(chi).all()):
         raise ValueError("spinor components must be finite")
 
-    return GridSample(
-        xs=tuple(xs.tolist()),
-        phi=tuple(phi.tolist()),
-        chi=tuple(chi.tolist()),
-        rho=tuple(densities(phi, chi).tolist()),
-        j=tuple(currents(phi, chi).tolist()),
-        metadata=_metadata(solution),
-    )
+    return GridSample(xs, phi, chi, densities(phi, chi), currents(phi, chi),
+                      _metadata(solution))
 
 
 def write_csv(gs: GridSample, path: str | Path) -> None:
@@ -143,9 +178,8 @@ def write_csv(gs: GridSample, path: str | Path) -> None:
     endings, sorted sidecar keys.
     """
     path = Path(path)
-    phi, chi = np.array(gs.phi, dtype=complex), np.array(gs.chi, dtype=complex)
-    columns = [np.array(gs.xs), phi.real, phi.imag, chi.real, chi.imag,
-               np.array(gs.rho), np.array(gs.j)]
+    phi, chi = gs._phi, gs._chi
+    columns = [gs._xs, phi.real, phi.imag, chi.real, chi.imag, gs._rho, gs._j]
     try:
         _write_rows(path, CSV_HEADER, columns)
         sidecar = path.with_name(path.stem + ".meta.json")

@@ -403,6 +403,17 @@ def test_help_and_version_return_0(capsys, argv):
     assert out.startswith(("usage: diracstep", "diracstep ")) and err == ""
 
 
+def test_parser_is_built_once_and_parses_each_call_afresh(capsys):
+    assert diracstep.cli.build_parser() is diracstep.cli.build_parser()
+    for _ in range(2):
+        for argv in (("--help",), ("--version",)):
+            assert run(capsys, *argv)[0] == 0
+    parse = diracstep.cli.build_parser().parse_args
+    first = parse(["scatter", "--energy", "2", "--step-height", "4", "--precision", "3"])
+    second = parse(["scatter", "--energy", "3", "--step-height", "4"])
+    assert (first.precision, first.energy, second.precision, second.energy) == (3, 2.0, 9, 3.0)
+
+
 def test_usage_error_returns_2(capsys):
     err = refused_by_argparse(capsys, "scatter", "--energy", "2")
     assert "error: the following arguments are required: --step-height" in err
@@ -420,6 +431,17 @@ def test_wavefunction_whose_phase_overflows_exit_2(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: phase k*x overflows: k = ")
     assert err.endswith(", x = 1.7976931348623157e+308\n")
+    assert not out_file.exists()
+
+
+def test_wavefunction_whose_phase_has_no_correct_digit_exit_2(capsys, tmp_path):
+    # k·x = -sqrt(3)·1e17 beyond the step: its ulp is 32 rad.
+    out_file = tmp_path / "w.csv"
+    code, out, err = run(capsys, "wavefunction", "--energy", "2", "--step-height", "4",
+                         "--range", "1", "1e17", "--points", "3", "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == ("error: phase k*x has no correct digit: k = -1.7320508075688772, "
+                   "x = 1e+17, ulp(k*x) = 32.0\n")
     assert not out_file.exists()
 
 

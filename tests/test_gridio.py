@@ -1,5 +1,6 @@
 """Grid sampling and CSV/sidecar serialization."""
 
+import dataclasses
 import json
 import math
 import re
@@ -8,6 +9,7 @@ import pytest
 
 from diracstep import (
     Convention,
+    GridSample,
     PhysicalSetup,
     impenetrable_limit,
     kinematics,
@@ -185,3 +187,55 @@ def test_phase_that_overflows_is_refused(bounds, x):
     with pytest.raises(ValueError, match=re.escape("phase k*x overflows: k = ") + ".*"
                        + re.escape(f", x = {x}")):
         sample(_klein_solution(), *bounds, 5)
+
+
+@pytest.mark.parametrize("bounds,x", [((1.0, 1e17), 1e17), ((-1e17, 1.0), -1e17)])
+def test_phase_with_no_correct_digit_is_refused(bounds, x):
+    # |k·x| = sqrt(3)·1e17 >= 2^52: ulp(k·x) = 32 rad.
+    with pytest.raises(ValueError, match=re.escape("phase k*x has no correct digit: k = ") + ".*"
+                       + re.escape(f", x = {x}, ulp(k*x) = 32.0")):
+        sample(_klein_solution(), *bounds, 3)
+
+
+def test_phase_below_2_to_the_52_is_sampled():
+    # sqrt(3)·2.5e15 < 2^52 <= sqrt(3)·2.7e15.
+    assert sample(_klein_solution(), -2.5e15, 2.5e15, 3).xs == (-2.5e15, 0.0, 0.0, 2.5e15)
+    with pytest.raises(ValueError, match="no correct digit"):
+        sample(_klein_solution(), -2.7e15, 2.5e15, 3)
+
+
+FIELDS = ("xs", "phi", "chi", "rho", "j")
+
+
+def test_writing_a_csv_builds_no_tuple(tmp_path):
+    gs = sample(_klein_solution(), -30.0, 30.0, 20000)
+    write_csv(gs, tmp_path / "wave.csv")
+    assert not set(FIELDS) & set(vars(gs))
+
+
+def test_held_arrays_are_read_only():
+    gs = sample(_klein_solution(), -2.0, 1.0, 7)
+    for name in FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(gs, "_" + name)[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gs.xs = ()
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_field_is_the_tuple_of_its_array_bit_for_bit(name):
+    gs = sample(impenetrable_limit(2.0, 1.0, Convention.NEGATIVE_ENERGY), -3.0, 2.0, 41)
+    field, values = getattr(gs, name), getattr(gs, "_" + name).tolist()
+    assert type(field) is tuple and len(field) == len(values)
+    hexes = (lambda v: (v.real.hex(), v.imag.hex(), type(v)))
+    assert list(map(hexes, field)) == list(map(hexes, values))
+    assert getattr(gs, name) is field  # built once
+
+
+def test_equality_compares_values():
+    gs = sample(_klein_solution(), -2.0, 1.0, 7)
+    assert gs == sample(_klein_solution(), -2.0, 1.0, 7)
+    assert gs == GridSample(gs.xs, gs.phi, gs.chi, gs.rho, gs.j, dict(gs.metadata))
+    assert gs != sample(_klein_solution(), -2.0, 1.0, 8)
+    assert gs != GridSample(gs.xs, gs.phi, gs.chi, gs.rho, gs.j, {})
+    assert gs != GridSample(gs.xs, gs.phi, gs.chi, (0.0,) + gs.rho[1:], gs.j, gs.metadata)
