@@ -17,12 +17,7 @@ from .core import (
     classify_regime,
     kinematics,
 )
-from .forces import (
-    ForceReport,
-    external_force_mean,
-    momentum_flux_bracket,
-    nr_boundary_force,
-)
+from .forces import external_force_mean, momentum_flux_bracket, nr_boundary_force
 from .gridio import GridSample, sample, write_csv
 from .limits import (
     LimitKind,
@@ -58,7 +53,6 @@ __all__ = [
     "BoundaryReport",
     "Convention",
     "EdgePointError",
-    "ForceReport",
     "GridSample",
     "Kinematics",
     "LimitKind",

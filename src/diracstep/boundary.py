@@ -1,4 +1,4 @@
-"""Classify which impenetrability boundary condition a solution satisfies.
+"""Which impenetrability boundary condition a solution satisfies.
 
 At a perfect wall the probability current vanishes, but the Dirac spinor
 itself need not: depending on how the wall limit was taken, either the
@@ -8,7 +8,8 @@ the usual Dirichlet or Neumann conditions on the Schroedinger
 wavefunction.  Vanishing of the *entire* spinor is not classified: that
 condition does not correspond to a self-adjoint half-line Hamiltonian, and
 no relativistic state reaches it, since continuity would need r = −1 and
-r = +1 at once.
+r = +1 at once.  The wall rule is ``observables._observation``'s; this
+module adds the test that no current crosses the wall.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matching import PlaneWaveSolution
-from .observables import TOLERANCE, BoundaryCondition, _observation
-from .spinor import current
+from .observables import TOLERANCE, BoundaryCondition, _amplitudes, _observation, _scale
+from .spinor import SCALAR
 
 __all__ = ["BoundaryCondition", "BoundaryReport", "TOLERANCE", "classify_boundary"]
 
@@ -34,28 +35,12 @@ class BoundaryReport:
 
 
 def classify_boundary(sol: PlaneWaveSolution) -> BoundaryReport:
-    """Classify the boundary condition satisfied at the origin, to
-    ``TOLERANCE`` relative to the solution's amplitude scale.
-
-    A state whose incident wave carries no current (a nonrelativistic
-    limit) is classified on its Schroedinger wavefunction, the upper
-    component: DirichletNR if it vanishes at the wall, NeumannNR if its
-    left slope does.  Every other state is classified on which spinor
-    component vanishes, by ``observables._observe``'s wall rule; both
-    vanishing is given no classification.
-    """
+    """The wall class of ``observables._observation``'s row, and whether the
+    current at the origin vanishes, to ``TOLERANCE`` relative to the local
+    density, or to the squared amplitude scale where that density vanishes."""
     row = _observation(sol, 0.0)
-    amps = (sol.incident.amplitude, sol.reflected.amplitude, sol.transmitted.amplitude)
-    scale = max(max(abs(s.upper), abs(s.lower)) for s in amps)
-    if current(sol.incident.amplitude) != 0.0:
-        classification = BoundaryCondition(row["boundary"])
-    elif abs(sol.spinor_at(0.0).upper) < TOLERANCE * scale:
-        classification = BoundaryCondition.DIRICHLET_NR
-    elif abs(sol.nr_derivative_at_origin()) < TOLERANCE * (
-            scale * max(abs(sol.incident.wave_number), 1.0)):
-        classification = BoundaryCondition.NEUMANN_NR
-    else:
-        classification = BoundaryCondition.NONE
+    scale = _scale(SCALAR, *_amplitudes(sol))
     rho0 = row["rho0"]
     reference = rho0 if rho0 > TOLERANCE * scale**2 else scale**2
-    return BoundaryReport(classification, abs(row["j0"]) < TOLERANCE * reference)
+    return BoundaryReport(BoundaryCondition(row["boundary"]),
+                          abs(row["j0"]) < TOLERANCE * reference)

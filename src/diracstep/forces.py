@@ -15,41 +15,11 @@ and the mean boundary force is g evaluated at the wall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .matching import PlaneWaveSolution
 from .observables import _observation, _refuse_without_current
 from .spinor import Spinor
 
-__all__ = [
-    "ForceReport",
-    "external_force_mean",
-    "momentum_flux_bracket",
-    "nr_boundary_force",
-]
-
-
-@dataclass(frozen=True)
-class ForceReport:
-    """Mean forces at the wall, in energy/length units, and whether they agree.
-
-    external_mean  ⟨f⟩ = −V₀ ρ(0) ≤ 0 (the step pushes the particle left)
-    boundary_mean  boundary quantum force of the stationary state at x=0
-    """
-
-    external_mean: float
-    boundary_mean: float
-
-    def __post_init__(self) -> None:
-        if self.external_mean > 0.0:
-            raise ValueError("the step force always points left (<= 0)")
-
-    @property
-    def consistent(self) -> bool:
-        """Whether the external and boundary routes agree (they do not for
-        the negative-energy transmitted wave)."""
-        scale = max(1.0, abs(self.boundary_mean))
-        return abs(self.external_mean - self.boundary_mean) <= 1e-9 * scale
+__all__ = ["external_force_mean", "momentum_flux_bracket", "nr_boundary_force"]
 
 
 def external_force_mean(sol: PlaneWaveSolution) -> float:

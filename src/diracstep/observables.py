@@ -5,8 +5,9 @@ or limit alike (currents of the physical amplitudes), never from
 per-convention closed forms; the closed forms live in the test suite as
 cross-checks.  ``_observe`` forms them, and the wall rule, on Python
 numbers or on arrays; ``_observation`` runs it on one state's own plane
-waves, for every reader of one state: ``coefficients``, ``table.record``,
-``forces`` and ``boundary``.
+waves, adds the nonrelativistic wall rule of a current-free state, and is
+the one row that every reader of one state reads: ``coefficients``,
+``table.record``, ``forces``, ``boundary``, ``limit`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -76,20 +77,47 @@ def _refuse_without_current(sol: PlaneWaveSolution) -> None:
 
 def _observation(sol: PlaneWaveSolution, v0: float) -> dict:
     """``_observe`` of a state's own plane waves under a step of height v0,
-    for any state, current-free ones too."""
-    incident, reflected = sol.incident.amplitude, sol.reflected.amplitude
-    q_t, wall = sol.transmitted.wave_number, sol.transmitted.amplitude
+    for any state.  ``boundary`` is the state's wall class: a state whose
+    incident wave carries no current (a nonrelativistic limit) is classified
+    on its Schroedinger wavefunction, the upper component: DirichletNR if it
+    vanishes at the wall, NeumannNR if its left slope does, relative to k."""
+    a, r, r_lower, t_upper, t_lower = _amplitudes(sol)
+    q_t = sol.transmitted.wave_number
     # A decaying (evanescent) wave carries exactly zero transmitted current.
-    return _observe(SCALAR, incident.lower, reflected.upper, reflected.lower, sol.t,
-                    wall.upper, wall.lower, q_t, v0, q_t.imag > 0.0)
+    row = _observe(SCALAR, a, r, r_lower, sol.t, t_upper, t_lower, q_t, v0, q_t.imag > 0.0)
+    if current(sol.incident.amplitude) == 0.0:
+        zero = TOLERANCE * _scale(SCALAR, a, r, r_lower, t_upper, t_lower)
+        wall = (BoundaryCondition.DIRICHLET_NR if abs(sol.spinor_at(0.0).upper) < zero
+                else BoundaryCondition.NEUMANN_NR
+                if abs(sol.nr_derivative_at_origin()) < zero * abs(sol.incident.wave_number)
+                else BoundaryCondition.NONE)
+        row["boundary"] = wall.value
+    return row
+
+
+def _amplitudes(sol: PlaneWaveSolution) -> tuple:
+    """a, r, r_lower, t_upper and t_lower of a state, as ``_observe`` and
+    ``_scale`` take them."""
+    incident, reflected = sol.incident.amplitude, sol.reflected.amplitude
+    wall = sol.transmitted.amplitude
+    return incident.lower, reflected.upper, reflected.lower, wall.upper, wall.lower
+
+
+def _scale(xp, a, r, r_lower, t_upper, t_lower):
+    """The state's amplitude scale, its largest amplitude and at least 1: a
+    value at the wall counts as zero below TOLERANCE times it."""
+    mag = xp.magnitude
+    return xp.maximum(xp.maximum(xp.maximum(1.0, a), xp.maximum(mag(r), mag(r_lower))),
+                      xp.maximum(mag(t_upper), mag(t_lower)))
 
 
 def _observe(xp, a, r, r_lower, t, t_upper, t_lower, q_t, v0, evanescent: bool) -> dict:
     """The ``table.record`` columns r_re to continuity of the state
     [1, a]·e^{ikx} + [r, r_lower]·e^{−ikx} for x < 0 and [t_upper, t_lower]·e^{iq_t·x}
     beyond, under a step of height v0, on Python numbers or arrays (``xp`` is
-    ``spinor.SCALAR`` or ``spinor.ARRAY``); ``boundary`` is ``classify_boundary``'s
-    rule for a state whose incident wave carries current."""
+    ``spinor.SCALAR`` or ``spinor.ARRAY``); ``boundary`` is the wall class of a
+    state whose incident wave carries current: which component of ψ(0)
+    vanishes, and None where both or neither do."""
     mag = xp.magnitude
     j_in = xp.currents(1.0, a)
     # psi(0) as the transmitted wave's value_at(0.0) gives it
@@ -105,10 +133,8 @@ def _observe(xp, a, r, r_lower, t, t_upper, t_lower, q_t, v0, evanescent: bool) 
     else:
         j_t = xp.currents(t_upper, t_lower)
         T, v_t = xp.quotient(j_t, j_in), xp.quotient(j_t, xp.densities(t_upper, t_lower))
-    # A component of psi(0) is zero below TOLERANCE times the largest amplitude.
-    scale = xp.maximum(xp.maximum(xp.maximum(1.0, a), xp.maximum(mag(r), mag(r_lower))),
-                       xp.maximum(mag(t_upper), mag(t_lower)))
-    upper_zero, lower_zero = (mag(psi) < TOLERANCE * scale for psi in (psi_upper, psi_lower))
+    zero = TOLERANCE * _scale(xp, a, r, r_lower, t_upper, t_lower)
+    upper_zero, lower_zero = (mag(psi) < zero for psi in (psi_upper, psi_lower))
     boundary = xp.where(upper_zero == lower_zero, BoundaryCondition.NONE.value,
                         xp.where(upper_zero, BoundaryCondition.DIRICHLET_UPPER.value,
                                  BoundaryCondition.DIRICHLET_LOWER.value))

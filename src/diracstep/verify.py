@@ -33,10 +33,10 @@ import numpy as np
 
 from .boundary import BoundaryCondition, classify_boundary
 from .core import PhysicalSetup, Regime, classify_regime, kinematics
-from .forces import external_force_mean, momentum_flux_bracket
+from .forces import momentum_flux_bracket
 from .limits import impenetrable_limit, infinite_potential_limit, nonrelativistic_limit
 from .matching import GROWING_UNDER_EVANESCENT, Convention, match
-from .observables import coefficients
+from .observables import _observation, coefficients
 from .oracle import SmoothStep, integrate_scattering, sauter_log_coefficients
 from .table import scatter_table
 
@@ -224,18 +224,20 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
         e = draw_energy(rng)
         main = impenetrable_limit(e, 1.0, Convention.MAIN)
         negative = impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY)
-        # Per kind: the wall force −V₀·ρ(0) at V₀ = E + mc², read from the wall
-        # spinor, against the paper's −4(E ∓ mc²), and the vanishing component.
-        for limit, paper_force, wall in (
-            (main, -4.0 * (e - 1.0), BoundaryCondition.DIRICHLET_UPPER),
-            (negative, -4.0 * (e + 1.0), BoundaryCondition.DIRICHLET_LOWER),
+        # Per kind, from one row: the wall force −V₀·ρ(0) at V₀ = E + mc², read
+        # from the wall spinor, against the paper's −4(E ∓ mc²), and the
+        # vanishing component.
+        main_row, negative_row = (_observation(limit, limit.step_height)
+                                  for limit in (main, negative))
+        for limit, row, paper_force, wall in (
+            (main, main_row, -4.0 * (e - 1.0), BoundaryCondition.DIRICHLET_UPPER),
+            (negative, negative_row, -4.0 * (e + 1.0), BoundaryCondition.DIRICHLET_LOWER),
         ):
-            obs = coefficients(limit)
-            result.check((obs.R, obs.T, obs.v_t) == (1.0, 0.0, 0.0),
+            result.check((row["R"], row["T"], row["v_t"]) == (1.0, 0.0, 0.0),
                          f"{limit.kind.value} limit R/T/v_t at E={e}")
-            result.record(abs(limit.force - paper_force), 1e-12 * e,
+            result.record(abs(row["force"] - paper_force), 1e-12 * e,
                           f"{limit.kind.value} wall force E={e}")
-            result.check(classify_boundary(limit).classification is wall,
+            result.check(row["boundary"] == wall.value,
                          f"{limit.kind.value} limit classification at E={e}")
         # ψ(0⁻) from the incident and reflected waves: the upper component
         # obeys Dirichlet while the spinor does not vanish.
@@ -249,7 +251,7 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
         result.record(abs(main_bracket + 4.0 * (e - 1.0)), 1e-12 * e, f"boundary force E={e}")
         # Negative-energy convention: external and boundary force disagree.
         negative_bracket = momentum_flux_bracket(negative.spinor_at(0.0), e, 1.0)
-        result.check(abs(negative.force - negative_bracket) > 1.0,
+        result.check(abs(negative_row["force"] - negative_bracket) > 1.0,
                      f"force discrepancy must persist at E={e}")
         # V₀ → ∞ against R = ((a ∓ 1)/(a ± 1))², T = 1 − R: main, then traditional.
         for conv, ratio in ((Convention.MAIN, (main.a - 1.0) / (main.a + 1.0)),
@@ -275,10 +277,11 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
         eps = math.sqrt(abs(setup.step_height - e_probe - 1.0) / 2.0)
         shift = 1.0 - 2.0 * kin.a * eps if sign > 0.0 else 1.0
         label = f"at E={e_probe} V0={setup.step_height!r}"
+        row = _observation(sol, sol.step_height)
         if sign > 0.0:
-            t_ratio = coefficients(sol).T / (4.0 * kin.a * eps)
+            t_ratio = row["T"] / (4.0 * kin.a * eps)
             result.record(abs(t_ratio - shift), 1e-7, f"T/(4a eps) {label}")
-        force = external_force_mean(sol) + 4.0 * (e_probe - 1.0) * shift
+        force = row["force"] + 4.0 * (e_probe - 1.0) * shift
         result.record(abs(force), 1e-7, f"wall force {label}")
     # The relativistic wall force at E = mc² + E_kin against the hard-wall force
     # of the Dirichlet state at that E_kin, each read from its own state.

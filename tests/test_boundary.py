@@ -15,12 +15,15 @@ from diracstep import (
     Side,
     Spinor,
     classify_boundary,
+    classify_regime,
     coefficients,
     impenetrable_limit,
     kinematics,
     match,
     nonrelativistic_limit,
 )
+from diracstep.observables import _observation
+from diracstep.table import solve
 
 
 def test_impenetrable_main_is_dirichlet_upper():
@@ -120,17 +123,35 @@ def test_tolerance_is_relative(scale, expected):
     assert classify_boundary(sol).classification is expected
 
 
+@pytest.mark.parametrize("k", [1.5, 1e-12, 1e12])
 @pytest.mark.parametrize("r,wall,expected", [
     (-1.0, Spinor(0.0, 0.0), BoundaryCondition.DIRICHLET_NR),
     (1.0, Spinor(2.0, 0.0), BoundaryCondition.NEUMANN_NR),
     (0.5, Spinor(1.5, 0.0), BoundaryCondition.NONE),
 ])
 def test_state_without_incident_current_is_classified_nonrelativistically(r, wall,
-                                                                          expected):
+                                                                          expected, k):
     """Incident ratio 0 and no LimitKind: the data alone selects the
-    Schroedinger rule."""
-    sol = _hand_built(0.0, r, wall)
+    Schroedinger rule, whose slope test is relative to k and so holds in any
+    energy unit."""
+    sol = _hand_built(0.0, r, wall, k)
     assert not hasattr(sol, "kind")
     report = classify_boundary(sol)
     assert report.classification is expected
     assert report.impenetrable
+
+
+def _wall_states():
+    for v0 in (4.0, 2.5, 0.5, 3.0, 1.0):  # each open regime, then both edges
+        setup = PhysicalSetup(1.0, v0, 2.0)
+        yield pytest.param(solve(setup), v0, id=classify_regime(setup).value)
+    for conv in (Convention.MAIN, Convention.NEGATIVE_ENERGY):
+        for sol in (impenetrable_limit(2.0, 1.0, conv), nonrelativistic_limit(0.01, 1.0, conv)):
+            yield pytest.param(sol, sol.step_height, id=sol.kind.value)
+
+
+@pytest.mark.parametrize("sol,v0", _wall_states())
+def test_observation_row_holds_the_wall_class(sol, v0):
+    """One wall rule: the row every report reads classifies as
+    ``classify_boundary`` does, the nonrelativistic limits included."""
+    assert _observation(sol, v0)["boundary"] == classify_boundary(sol).classification.value

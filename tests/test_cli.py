@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diracstep
-from diracstep import Convention
+from diracstep import Convention, observables
 from diracstep.cli import main
 from diracstep.gridio import CSV_HEADER
 from diracstep.table import scatter_table
@@ -201,6 +201,45 @@ def test_limit_negative_flags_discrepancy(capsys):
     assert float(lines["external_force"]) == pytest.approx(-12.0)
     assert float(lines["boundary_force"]) == pytest.approx(-4.0)
     assert "DISAGREE" in out
+
+
+@pytest.mark.parametrize("conv", ["main", "lower", "negative"])
+def test_limit_impenetrable_is_unit_free(capsys, conv):
+    """(E, mc2) = (2, 1)·2^s prints the same rows with every energy column
+    scaled by 2^s exactly, and the same DISAGREE verdict: the forces are
+    compared relative to themselves, not to an absolute energy."""
+    energies = ("external_force", "boundary_force", "nr_force")
+
+    def report(s):
+        code, out, _ = run(capsys, "limit", "--which", "impenetrable", "--convention", conv,
+                           "--energy", repr(math.ldexp(2.0, s)),
+                           "--mass", repr(math.ldexp(1.0, s)), "--precision", "17")
+        assert code == 0
+        rows = {name: value for name, value in _table_of(out).items()
+                if not name.startswith("warning")}
+        return rows, "DISAGREE" in out
+
+    base, disagree = report(0)
+    assert disagree is (conv == "negative")
+    for s in (-500, -60, 60, 400):
+        rows, warned = report(s)
+        assert warned is disagree
+        assert {name: value for name, value in rows.items() if name not in energies} == {
+            name: value for name, value in base.items() if name not in energies}
+        assert [float(rows[name]) for name in energies] == [
+            math.ldexp(float(base[name]), s) for name in energies]
+
+
+@pytest.mark.parametrize("conv", ["main", "lower", "negative"])
+def test_limit_impenetrable_observes_its_state_once(capsys, monkeypatch, conv):
+    calls = []
+    observe = observables._observe
+    monkeypatch.setattr(observables, "_observe",
+                        lambda *args: calls.append(args) or observe(*args))
+    code, _, _ = run(capsys, "limit", "--which", "impenetrable", "--energy", "2",
+                     "--convention", conv)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_limit_infinite(capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from diracstep import (
     BoundaryCondition,
     Convention,
-    ForceReport,
     PhysicalSetup,
     Spinor,
     classify_boundary,
@@ -151,15 +150,6 @@ def test_external_force_mean_is_minus_v0_density_at_the_wall_bit_for_bit(e, wher
         for reader in (coefficients, external_force_mean):
             with pytest.raises(ValueError, match="incident wave carries no current"):
                 reader(sol)
-
-
-def test_force_report_invariant_and_consistency():
-    with pytest.raises(ValueError):
-        ForceReport(external_mean=1.0, boundary_mean=-4.0)
-    main = ForceReport(external_mean=-4.0, boundary_mean=-4.0)
-    assert main.consistent
-    negative = ForceReport(external_mean=-12.0, boundary_mean=-4.0)
-    assert not negative.consistent
 
 
 def _dirichlet_force(psi_nr_deriv0, mass_energy):
