@@ -162,10 +162,10 @@ def _cmd_limit(args) -> int:
                 ("v_t_limit", row["v_t"]), ("external_force", external_force),
                 ("boundary_force", boundary_force), ("nr_force", _nr_wall_force(e, m)),
                 ("boundary", row["boundary"])]
-        # The two routes agree to rounding, relative to the forces themselves,
-        # except under the negative-energy wave.
-        if abs(external_force - boundary_force) > 1e-9 * max(abs(external_force),
-                                                             abs(boundary_force)):
+        # The two routes agree to a few roundings, relative to the forces
+        # themselves, except under the negative-energy wave.
+        if abs(external_force - boundary_force) > 8 * 2.0**-52 * max(abs(external_force),
+                                                                     abs(boundary_force)):
             warning = ("warning: external force and boundary quantum force DISAGREE for "
                        "this convention (the negative-energy transmitted wave is not "
                        "compatible with a perfectly reflecting wall)")

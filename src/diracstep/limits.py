@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .core import SINGULAR, PhysicalSetup, Regime, classify_regime, incident_wave, refusal
@@ -108,12 +108,12 @@ def _check_finite(energy: float, mass_energy: float) -> None:
 def impenetrable_limit(
     energy: float, mass_energy: float, conv: Convention = Convention.MAIN
 ) -> LimitSolution:
-    """Exact eigenstate at the impenetrable-barrier point V₀ = E + mc².
+    """Exact eigenstate at the impenetrable-barrier point V₀ = E + mc²: the
+    ``edge_limit`` state of that setup.
 
     For the MAIN / LOWER_COMPONENT conventions the wall enforces a
     Dirichlet condition on the upper component, leaving the density at the
-    wall at 4a² and the mean wall force −V₀·4a² at −4(E − mc²); the state is
-    reported in the main parameterization, r = −1 and t = 0.  For the
+    wall at 4a² and the mean wall force −V₀·4a² at −4(E − mc²).  For the
     NEGATIVE_ENERGY convention the lower component vanishes instead
     (r = +1, t = 0) and the external force limit is −V₀·4 = −4(E + mc²),
     which disagrees with the boundary quantum force of the same state.
@@ -121,15 +121,11 @@ def impenetrable_limit(
     if energy <= mass_energy:
         raise ValueError("impenetrable limit needs E > mc2")
     _check_finite(energy, mass_energy)
-    k, a = incident_wave(energy, mass_energy)
-    if conv in (Convention.MAIN, Convention.LOWER_COMPONENT):
-        kind, conv, r = LimitKind.IMPENETRABLE_MAIN, Convention.MAIN, -1.0
-    elif conv is Convention.NEGATIVE_ENERGY:
-        kind, r = LimitKind.IMPENETRABLE_NEGATIVE, 1.0
-    else:
+    incident_wave(energy, mass_energy)  # refuses k² before E + mc² could overflow
+    if conv not in (Convention.MAIN, Convention.LOWER_COMPONENT, Convention.NEGATIVE_ENERGY):
         raise ValueError("impenetrable limit defined for the main, lower and "
                          "negative-energy conventions only")
-    return _limit(kind, conv, energy, mass_energy, k, a, a, r, 0.0, energy + mass_energy)
+    return edge_limit(PhysicalSetup(mass_energy, energy + mass_energy, energy), conv)
 
 
 def edge_limit(
@@ -137,10 +133,10 @@ def edge_limit(
 ) -> LimitSolution:
     """Exact state of a setup on a regime edge V₀ = E ± mc².
 
-    At the edge point V₀ = E + mc² this is the impenetrable limit, with r
-    and t in the requested parameterization: t = 2a under LOWER_COMPONENT,
-    where the transmitted spinor [b″, 1] → [0, 1] stays finite; the
-    TRADITIONAL wave collapses onto the MAIN one at the wall.  ``conv=None``
+    At the edge point V₀ = E + mc² this is the impenetrable limit: r = −1
+    and t = 0, or t = 2a under LOWER_COMPONENT, where the transmitted spinor
+    [b″, 1] → [0, 1] stays finite; the TRADITIONAL wave collapses onto the
+    MAIN one at the wall, and NEGATIVE_ENERGY gives r = +1.  ``conv=None``
     reports MAIN.
 
     At the lower edge V₀ = E − mc² the transmitted wave freezes into the
@@ -151,24 +147,21 @@ def edge_limit(
     """
     energy, mass_energy = setup.energy, setup.mass_energy
     regime = classify_regime(setup)
-    if regime is Regime.EDGE_POINT:
-        conv = conv or Convention.MAIN
-        limit = impenetrable_limit(
-            energy, mass_energy,
-            Convention.MAIN if conv is Convention.TRADITIONAL else conv,
-        )
-        t = 2.0 * limit.a if conv is Convention.LOWER_COMPONENT else limit.t
-        return replace(limit, convention=conv, t=t)
-    if regime is not Regime.EDGE_LOWER:
+    if regime not in (Regime.EDGE_POINT, Regime.EDGE_LOWER):
         raise ValueError(f"{regime.value} is not a regime edge")
-    conv = conv or Convention.TRADITIONAL
-    if conv in (Convention.LOWER_COMPONENT, Convention.NEGATIVE_ENERGY):
-        raise ValueError(
-            f"{conv.value!r} parameterization is degenerate at the lower edge"
-        )
+    lower = regime is Regime.EDGE_LOWER
+    conv = conv or (Convention.TRADITIONAL if lower else Convention.MAIN)
+    if lower and conv in (Convention.LOWER_COMPONENT, Convention.NEGATIVE_ENERGY):
+        raise ValueError(f"{conv.value!r} parameterization is degenerate at the lower edge")
     k, a = incident_wave(energy, mass_energy)
-    return _limit(LimitKind.EDGE_LOWER, conv, energy, mass_energy, k, a, a, 1.0, 2.0,
-                  setup.step_height)
+    if lower:
+        kind, r, t = LimitKind.EDGE_LOWER, 1.0, 2.0
+    elif conv is Convention.NEGATIVE_ENERGY:
+        kind, r, t = LimitKind.IMPENETRABLE_NEGATIVE, 1.0, 0.0
+    else:
+        kind, r = LimitKind.IMPENETRABLE_MAIN, -1.0
+        t = 2.0 * a if conv is Convention.LOWER_COMPONENT else 0.0
+    return _limit(kind, conv, energy, mass_energy, k, a, a, r, t, setup.step_height)
 
 
 def nonrelativistic_limit(

@@ -112,23 +112,17 @@ def scatter_table(mass, step_heights, energies, conv: Convention | None) -> dict
             columns, cause[rows] = _chain(ARRAY, m[rows], v0[rows], e[rows], Convention(c), ev)
             for name, column in columns.items():
                 table[name][rows] = column
-    # Edge and invalid rows with the same setup, bit for bit, share one
-    # ``record``; its error is kept for the first of them.
-    refused, errors = cause != 0, {}
-    special = np.flatnonzero(edge | ~valid)
-    rows_of = defaultdict(list)
-    bits = np.stack((m, v0, e), axis=1)[special].view(np.int64)
-    for i, key in zip(special.tolist(), map(tuple, bits.tolist())):
-        rows_of[key].append(i)
-    for rows in rows_of.values():
-        i = rows[0]
+    # ``record`` fills each edge row; an invalid row is refused by its
+    # ``PhysicalSetup``, whose error only the first needs.
+    refused, errors = (cause != 0) | ~valid, {}
+    for i in np.concatenate((np.flatnonzero(edge & valid), np.flatnonzero(~valid)[:1])).tolist():
         try:
             row = record(PhysicalSetup(float(m[i]), float(v0[i]), float(e[i])), conv)
         except ValueError as exc:
-            refused[rows], errors[i] = True, exc
+            refused[i], errors[i] = True, exc
             continue
         for name in row.keys() - {"step_height", "energy", "regime"}:
-            table[name][rows] = row[name]
+            table[name][i] = row[name]
     if refused.any():
         i = int(np.argmax(refused))
         error = errors.get(i) or refusal(int(cause[i]), float(m[i]), float(v0[i]),

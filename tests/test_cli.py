@@ -230,6 +230,35 @@ def test_limit_impenetrable_is_unit_free(capsys, conv):
             math.ldexp(float(base[name]), s) for name in energies]
 
 
+def test_limit_negative_disagreement_is_flagged_far_above_mc2(capsys):
+    """Under negative the two routes differ by 8 mc2, 2mc2/E of the forces:
+    at E = 1e12 mc2 that is 2e-12 relative, far above rounding, and flagged."""
+    code, out, _ = run(capsys, "limit", "--which", "impenetrable", "--convention", "negative",
+                       "--energy", "1e12", "--mass", "1", "--precision", "17")
+    assert code == 0
+    rows = _table_of(out)
+    assert (rows["external_force"], rows["boundary_force"]) == (
+        "-4000000000004", "-3999999999996")
+    assert "DISAGREE" in out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["main", "lower"]), st.floats(-250.0, 150.0), st.floats(-12.0, 17.0))
+def test_limit_main_and_lower_forces_never_disagree(conv, log_mc2, log_excess):
+    """Under main and lower the external and the boundary force agree to a
+    few roundings, so the DISAGREE bound of 8 * 2^-52 never warns."""
+    mc2 = 10.0 ** log_mc2
+    e = mc2 * (1.0 + 10.0 ** log_excess)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["limit", "--which", "impenetrable", "--convention", conv,
+                     "--energy", repr(e), "--mass", repr(mc2)])
+    if code != 0:
+        assert code == 2 and err.getvalue().startswith("error: ")
+        return
+    assert "DISAGREE" not in out.getvalue()
+
+
 @pytest.mark.parametrize("conv", ["main", "lower", "negative"])
 def test_limit_impenetrable_observes_its_state_once(capsys, monkeypatch, conv):
     calls = []
@@ -376,7 +405,7 @@ def test_wavefunction_nonrel_zero_lower(capsys, tmp_path):
 
 @pytest.mark.parametrize("step_height,conv,kind,limit_argv", [
     ("3", "auto", "impenetrable-main", ("--limit", "impenetrable")),
-    ("3", "lower", "impenetrable-main", ("--limit", "impenetrable")),
+    ("3", "lower", "impenetrable-main", ("--limit", "impenetrable", "--convention", "lower")),
     ("3", "negative", "impenetrable-negative",
      ("--limit", "impenetrable", "--convention", "negative")),
     ("1", "auto", "edge-lower", None),
@@ -387,8 +416,8 @@ def test_wavefunction_at_an_edge_samples_the_edge_state(capsys, tmp_path, step_h
                                                         conv, kind, limit_argv):
     """On a regime edge --step-height samples limits.edge_limit, the state of
     scatter's edge row, with the sidecar gridio writes for it: at the edge
-    point the samples of --limit impenetrable, at the lower edge the wall
-    spinor [2, 0]."""
+    point the samples and the sidecar of --limit impenetrable under the same
+    convention, at the lower edge the wall spinor [2, 0]."""
     code, out, err = run(
         capsys, "wavefunction", "--energy", "2", "--step-height", step_height,
         "--convention", conv, "--points", "11", "--out", str(tmp_path / "edge.csv"),
@@ -407,7 +436,9 @@ def test_wavefunction_at_an_edge_samples_the_edge_state(capsys, tmp_path, step_h
         return
     assert run(capsys, "wavefunction", "--energy", "2", *limit_argv, "--points", "11",
                "--out", str(tmp_path / "limit.csv"))[0] == 0
-    assert (tmp_path / "edge.csv").read_bytes() == (tmp_path / "limit.csv").read_bytes()
+    for suffix in (".csv", ".meta.json"):
+        assert ((tmp_path / f"edge{suffix}").read_bytes()
+                == (tmp_path / f"limit{suffix}").read_bytes()), suffix
 
 
 @pytest.mark.parametrize("argv", [

@@ -193,7 +193,9 @@ def test_sample_rejects_overflowing_range():
 # gave −0 where sin(kx) < 0).  Only zero cells changed, and only in sign.
 # The four impenetrable hashes moved again when the sidecar began to record
 # the edge V₀ = E + mc² the state sits on in place of null; the CSV bytes
-# did not change.
+# did not change.  The impenetrable-lower hash moved once more when that
+# state kept its own parameterization, t = 2a: its sidecar reads
+# "convention": "lower" in place of "main", and its CSV bytes did not change.
 
 SCATTERING = [
     (1.0, 4.0, 2.0, "main", -5.0, 5.0, 1025,
@@ -234,7 +236,7 @@ LIMITS = [
     ("impenetrable", 2.0, 1.0, "main", -5.0, 2.0, 1025,
      "1fe0d95702716d6e3d2ac8b3a7bf35209497c0f23823d7ec55e7ea0f58236b27"),
     ("impenetrable", 1.5, 1.0, "lower", -3.0, 3.0, 1024,
-     "4fa9d9d4d1855727e99ca980456d588140e3ecdc023177125cb2c933f7894b0f"),
+     "d04f04b767944e57e7f9d43fe755abc9735c7a77e3d49f6d677a63ca034020f8"),
     ("impenetrable", 3.0, 1.0, "negative", -4.0, 1.0, 1023,
      "3794ea9bf7c0262cb7f2863483e4de5119d72c41aa679cdcaae6a65b157f78fe"),
     ("impenetrable", 2.0, 0.0, "main", -5.0, 5.0, 501,

@@ -58,9 +58,35 @@ def test_impenetrable_lower_equals_main():
     main = impenetrable_limit(2.0, 1.0, Convention.MAIN)
     lower = impenetrable_limit(2.0, 1.0, Convention.LOWER_COMPONENT)
     assert lower.kind is LimitKind.IMPENETRABLE_MAIN
+    assert (lower.convention, lower.t) == (Convention.LOWER_COMPONENT, 2.0 * lower.a)
     for x in (-3.0, -0.5, 0.0, 1.0):
         pm, pl = main.spinor_at(x), lower.spinor_at(x)
         assert pm.upper == pl.upper and pm.lower == pl.lower
+
+
+def _outcome(build, *args):
+    """The state ``build`` returns, or the type and message of its ValueError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("conv", [Convention.MAIN, Convention.LOWER_COMPONENT,
+                                  Convention.NEGATIVE_ENERGY], ids=lambda c: c.value)
+@settings(max_examples=300, deadline=None)
+@given(massless=st.booleans(), log_mc2=st.floats(-150.0, 150.0),
+       log_excess=st.floats(-12.0, 12.0))
+def test_impenetrable_limit_is_the_edge_point_state(conv, massless, log_mc2, log_excess):
+    """impenetrable_limit is edge_limit at V0 = E + mc2, field for field and
+    in the parameterization asked for, or refuses alike."""
+    if massless:
+        mc2, e = 0.0, 10.0 ** log_mc2
+    else:
+        mc2 = 10.0 ** log_mc2
+        e = mc2 * (1.0 + 10.0 ** log_excess)
+    assert _outcome(impenetrable_limit, e, mc2, conv) == _outcome(
+        edge_limit, PhysicalSetup(mc2, e + mc2, e), conv)
 
 
 def test_impenetrable_rejects_traditional():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracstep import Convention, EdgePointError, PhysicalSetup, kinematics
+from diracstep import Convention, EdgePointError, PhysicalSetup, kinematics, table
 from diracstep.core import incident_wave
 from diracstep.table import record as scalar_record
 from diracstep.table import scatter_table
@@ -190,11 +190,26 @@ def test_scatter_table_broadcasts_and_marks_transitions():
                          ids=lambda c: getattr(c, "value", "auto"))
 def test_scatter_table_matches_scalar_chain_on_10000_edge_rows(conv):
     # Six setups on the two edges, repeated in a scrambled order: the table
-    # evaluates each once and copies it to its other rows.  Under
-    # ``negative`` the lower edge is refused, and the first such row raises.
+    # gives each row the ``record`` of its setup.  Under ``negative`` the
+    # lower edge is refused, and the first such row raises.
     setups = [(e + side, e) for e in (2.0, 2.5, 1.0 + 2.0 ** -20) for side in (1.0, -1.0)]
     rows = [setups[(7 * i + i // 5) % len(setups)] for i in range(10_000)]
     _assert_table_matches(1.0, rows, conv)
+
+
+def test_invalid_rows_are_refused_without_a_record_each(monkeypatch):
+    # 1000 distinct invalid rows (E < mc2) after two edge rows: the table
+    # builds a scalar setup for each edge row and for the first invalid row,
+    # whose error it raises, and counts every invalid row as refused.
+    built, recorded = [], []
+    setup, scalar = table.PhysicalSetup, table.record
+    monkeypatch.setattr(table, "PhysicalSetup", lambda *args: built.append(args) or setup(*args))
+    monkeypatch.setattr(table, "record", lambda *args: recorded.append(args) or scalar(*args))
+    energies = [2.0, 2.0] + [0.5 + i / 4000 for i in range(1000)]
+    with pytest.raises(ValueError, match="energy must exceed mass_energy") as info:
+        scatter_table(1.0, [3.0, 1.0] + [1.0] * 1000, energies, None)
+    assert (info.value.row, info.value.refused) == (2, 1000)
+    assert (len(built), len(recorded)) == (3, 2)
 
 
 def test_repeated_refused_rows_raise_at_the_first():
