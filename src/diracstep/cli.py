@@ -8,13 +8,16 @@ Subcommands: ``scatter`` (one setup, full observable table), ``sweep``
 Energies are in units of mc² when --mass is left at its default of 1;
 --mass 0 switches to an arbitrary energy unit with the massless formulas.
 Exit codes: 0 success, 1 verification failure, 2 usage/parameter error.
+
+``gridio``, ``verify`` and ``json`` are imported inside the commands that
+use them, so a one-shot ``scatter`` or ``limit`` process loads neither the
+CSV writer nor the verification suites and the oracle they run.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -24,17 +27,18 @@ from . import __version__, table
 from .boundary import classify_boundary
 from .core import PhysicalSetup, Regime, incident_wave
 from .forces import momentum_flux_bracket
-from .gridio import _write_rows, sample, write_csv
 from .limits import (_nr_wall_force, impenetrable_limit, infinite_potential_limit,
                      nonrelativistic_limit)
 from .matching import Convention
 from .observables import _observation
-from .verify import SUITES, run_suite
 
 _CONVENTION_CHOICES = sorted(["auto", *(conv.value for conv in Convention)])
 _INF = float("inf")
 _KLEIN_PARADOX = ("warning: traditional transmitted wave: R exceeds 1 "
                   "(historical Klein-paradox bookkeeping)")
+# verify.SUITES in its order, written here so that the parser needs no verify;
+# a test keeps the two equal.
+_SUITES = ("conservation", "closed-vs-oracle", "limits")
 
 
 def _convention(name: str) -> Convention | None:
@@ -93,6 +97,8 @@ _SWEEP_COLUMNS = (
 
 
 def _cmd_sweep(args) -> int:
+    from .gridio import _write_rows
+
     if args.points < 2:
         raise ValueError("sweep needs at least 2 points")
     if not (abs(args.start) < _INF and abs(args.stop) < _INF):
@@ -179,6 +185,8 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
+    from .gridio import sample, write_csv
+
     x_min, x_max = args.range
     conv = _convention(args.convention)
     if args.limit is not None:
@@ -202,9 +210,16 @@ def _cmd_wavefunction(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    import json
+
+    from .verify import run_suite
+
+    names = _SUITES if args.suite == "all" else (args.suite,)
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
     _echo_params(
         "verify",
         {"suite": args.suite, "seed": args.seed,
@@ -216,10 +231,13 @@ def _cmd_verify(args) -> int:
     for name in names:
         result = run_suite(name, trials=args.trials, seed=args.seed)
         summary_path = out_dir / f"verify_{name}.json"
-        summary_path.write_text(
-            json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n",
-            newline="\n",
-        )
+        try:
+            summary_path.write_text(
+                json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n",
+                newline="\n",
+            )
+        except OSError as exc:
+            raise OSError(f"cannot write verify summary to {summary_path}: {exc}") from exc
         status = "PASS" if result.passed else "FAIL"
         print(
             f"{status} {name}: trials={result.trials} "
@@ -314,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run randomized verification suites")
-    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
+    p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--output-dir", default=".",

@@ -583,6 +583,25 @@ def test_verify_exit_codes_and_summary(capsys, tmp_path):
     assert summary["closest_fraction"] == summary["max_error"] / 1e-12
 
 
+def test_verify_names_the_path_it_cannot_write_exit_2(capsys, tmp_path):
+    # An output directory under a regular file cannot be created.
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "x"
+    code, out, err = run(capsys, "verify", "--suite", "limits", "--trials", "1",
+                         "--output-dir", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot create output directory {out_dir}: ")
+    # A summary whose path is a directory cannot be written.
+    summary = tmp_path / "out" / "verify_limits.json"
+    summary.mkdir(parents=True)
+    code, out, err = run(capsys, "verify", "--suite", "limits", "--trials", "1",
+                         "--output-dir", str(summary.parent))
+    assert code == 2
+    assert out.startswith("# diracstep 0.1.0 verify\n")
+    assert err.startswith(f"error: cannot write verify summary to {summary}: ")
+
+
 @pytest.mark.parametrize("argv,cause", [
     (("verify", "--suite", "conservation", "--trials", "0"),
      "--trials must be >= 1, got 0"),
