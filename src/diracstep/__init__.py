@@ -16,17 +16,16 @@ __version__ = "0.1.0"
 
 # Each submodule with the public names it defines.
 _EXPORTS = {
-    "boundary": ("BoundaryCondition", "BoundaryReport", "classify_boundary"),
     "cli": (),
     "core": ("EdgePointError", "Kinematics", "PhysicalSetup", "Regime", "classify_regime",
              "kinematics"),
-    "forces": ("external_force_mean", "momentum_flux_bracket", "nr_boundary_force"),
+    "forces": ("momentum_flux_bracket", "nr_boundary_force"),
     "gridio": ("GridSample", "sample", "write_csv"),
     "limits": ("LimitKind", "LimitSolution", "edge_limit", "impenetrable_limit",
                "infinite_potential_limit", "nonrelativistic_limit"),
     "matching": ("Convention", "PlaneWaveSolution", "ScatteringSolution", "match",
                  "physical_convention"),
-    "observables": ("ObservableSet", "coefficients"),
+    "observables": ("BoundaryCondition", "Observation", "observe"),
     "oracle": ("OracleResult", "SmoothStep", "integrate_scattering", "sauter_log_coefficients"),
     "spinor": ("PlaneWaveState", "Side", "Spinor", "apply_hamiltonian", "charge_conjugate",
                "current", "density"),

@@ -24,13 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, table
-from .boundary import classify_boundary
 from .core import PhysicalSetup, Regime, incident_wave
 from .forces import momentum_flux_bracket
 from .limits import (_nr_wall_force, impenetrable_limit, infinite_potential_limit,
                      nonrelativistic_limit)
 from .matching import Convention
-from .observables import _observation
+from .observables import observe
 
 _CONVENTION_CHOICES = sorted(["auto", *(conv.value for conv in Convention)])
 _INF = float("inf")
@@ -155,19 +154,20 @@ def _cmd_limit(args) -> int:
             warning = _KLEIN_PARADOX
     elif args.which == "nonrel":
         limit = nonrelativistic_limit(e, m, conv)
+        obs = observe(limit)
         rows = [("kind", limit.kind.value), ("wave_number", limit.wave_number),
                 ("a_limit", limit.a), ("psi0", limit.spinor_at(0.0).upper),
-                ("psi_deriv0", limit.nr_derivative_at_origin()), ("force", limit.force),
-                ("boundary", classify_boundary(limit).classification.value)]
+                ("psi_deriv0", limit.nr_derivative_at_origin()), ("force", obs.force),
+                ("boundary", obs.boundary.value)]
     else:
         limit = impenetrable_limit(e, m, conv)
-        psi0, row = limit.spinor_at(0.0), _observation(limit, limit.step_height)
-        external_force, boundary_force = row["force"], momentum_flux_bracket(psi0, e, m)
+        psi0, obs = limit.spinor_at(0.0), observe(limit)
+        external_force, boundary_force = obs.force, momentum_flux_bracket(psi0, e, m)
         rows = [("kind", limit.kind.value), ("spinor0_upper", psi0.upper),
-                ("spinor0_lower", psi0.lower), ("R_limit", row["R"]), ("T_limit", row["T"]),
-                ("v_t_limit", row["v_t"]), ("external_force", external_force),
+                ("spinor0_lower", psi0.lower), ("R_limit", obs.R), ("T_limit", obs.T),
+                ("v_t_limit", obs.v_t), ("external_force", external_force),
                 ("boundary_force", boundary_force), ("nr_force", _nr_wall_force(e, m)),
-                ("boundary", row["boundary"])]
+                ("boundary", obs.boundary.value)]
         # The two routes agree to a few roundings, relative to the forces
         # themselves, except under the negative-energy wave.
         if abs(external_force - boundary_force) > 8 * 2.0**-52 * max(abs(external_force),

@@ -2,7 +2,8 @@
 
 The step exerts the singular classical force  f = −dV/dx = −V₀ δ(x); its
 mean in a scattering state reduces by delta sifting to −V₀·ρ(0), with no
-discretization of the delta anywhere.
+discretization of the delta anywhere: the ``force`` of
+``observables.observe``.
 
 For a particle confined to the half line x ≤ 0 the same quantity arises as
 a boundary quantum force: the boundary term of d⟨p⟩/dt.  For a stationary
@@ -15,18 +16,9 @@ and the mean boundary force is g evaluated at the wall.
 
 from __future__ import annotations
 
-from .matching import PlaneWaveSolution
-from .observables import _observation, _refuse_without_current
 from .spinor import Spinor
 
-__all__ = ["external_force_mean", "momentum_flux_bracket", "nr_boundary_force"]
-
-
-def external_force_mean(sol: PlaneWaveSolution) -> float:
-    """Mean external step force −V₀·ρ(0) of a matched or relativistic limit
-    state, at its ``step_height``: the ``force`` of ``observables._observe``."""
-    _refuse_without_current(sol)
-    return _observation(sol, sol.step_height)["force"]
+__all__ = ["momentum_flux_bracket", "nr_boundary_force"]
 
 
 def momentum_flux_bracket(psi: Spinor, energy: float, mass_energy: float) -> float:

@@ -7,14 +7,14 @@ Covered limits:
 * its nonrelativistic reduction E → mc² (Dirichlet or Neumann wall,
   depending on the transmitted-wave convention the limit came from);
 * infinite step, V₀ → ∞, where transmission survives (Klein tunneling):
-  b → −1 in ``matching._continuity``, read through ``coefficients``.
+  b → −1 in ``matching._continuity``, observed at V₀ = ∞.
 
 Limits are provided as exact closed forms, not numerically approached
 values, so boundary conditions can be evaluated without integration error.
 Each limit eigenstate is plane-wave data, a ``matching.PlaneWaveSolution``:
 the reflection r = ±1 of the incident [1, a]·e^{ikx} and, beyond the wall,
 the constant spinor that continuity gives it.  It is sampled, classified and
-tabulated through the same evaluators and observables as a matched state;
+tabulated through the same evaluators and ``observe`` as a matched state;
 ``kind`` only labels it, and its wall force is read from it, not stored.
 """
 
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import SINGULAR, PhysicalSetup, Regime, classify_regime, incident_wave, refusal
-from .forces import external_force_mean, nr_boundary_force
 from .matching import Convention, PlaneWaveSolution, _continuity
-from .observables import ObservableSet, coefficients
+from .observables import Observation, _hard_wall_force, _observed, observe
 from .spinor import SCALAR, PlaneWaveState, Side, Spinor
 
 __all__ = [
@@ -61,7 +60,8 @@ class LimitSolution(PlaneWaveSolution):
     ``convention``, and ``step_height`` is the edge V₀ the state sits on:
     E + mc², E − mc² for EDGE_LOWER, ∞ (a hard wall) for the NONREL kinds.
     Every kind reflects totally; for the relativistic kinds
-    ``observables.coefficients`` gives R = 1, T = 0, v_t = 0 exactly.
+    ``observables.observe`` gives R = 1, T = 0, v_t = 0 exactly, and for
+    the current-free NONREL kinds NaN.
     """
 
     kind: LimitKind
@@ -76,14 +76,9 @@ class LimitSolution(PlaneWaveSolution):
 
     @property
     def force(self) -> float:
-        """Mean wall force: −V₀·ρ(0), or at the hard wall V₀ = ∞ the boundary
-        force of the Schroedinger wavefunction, the upper component, from
-        ψ′/k = i(1 − r) and ψ″/k² = −(1 + r) scaled by k·(k/m) last."""
-        if self.step_height < math.inf:
-            return external_force_mean(self)
-        k, r = self.wave_number, self.r
-        return k * (k / self.mass_energy) * nr_boundary_force(
-            self.left_value_at(0.0).upper, 1j * (1 - r), -(1 + r), 1.0)
+        """Mean wall force, ``observe(self).force``: −V₀·ρ(0), or at the hard
+        wall V₀ = ∞ the boundary force of the Schroedinger wavefunction."""
+        return observe(self).force
 
 
 def _limit(kind, conv, energy, mass_energy, k, ratio, a, r, t, step_height) -> LimitSolution:
@@ -215,18 +210,18 @@ def _nr_wall_force(energy: float, mass_energy: float) -> float:
     energy_nr = energy - mass_energy
     if 2.0 * mass_energy * energy_nr < sys.float_info.min:
         return math.nan
-    return _hard_wall(LimitKind.NONREL_MAIN, Convention.MAIN, -1.0, energy_nr,
-                      mass_energy).force
+    return _hard_wall_force(_hard_wall(LimitKind.NONREL_MAIN, Convention.MAIN, -1.0,
+                                       energy_nr, mass_energy))
 
 
 def infinite_potential_limit(
     energy: float, mass_energy: float, conv: Convention = Convention.MAIN
-) -> ObservableSet:
-    """Observables of the step V₀ → ∞: b → −1 and b″ → 1 in the continuity
+) -> Observation:
+    """Observation of the step V₀ → ∞: b → −1 and b″ → 1 in the continuity
     system.  MAIN, LOWER_COMPONENT and NEGATIVE_ENERGY share the column [1, 1]
     (r = (a − 1)/(a + 1), Klein tunneling); TRADITIONAL's [1, −1] gives
     r = (a + 1)/(a − 1), R > 1, and is singular where a = 1 (mc² = 0, or
-    E ≳ 1e16·mc²)."""
+    E ≳ 1e16·mc²).  Its force −V₀·ρ(0) reads −∞."""
     if energy <= mass_energy:
         raise ValueError("infinite-step limit needs E > mc2")
     _check_finite(energy, mass_energy)
@@ -236,4 +231,4 @@ def infinite_potential_limit(
     values, (_, singular) = _continuity(SCALAR, a, -1.0, 1.0, 0.0, conv, False)
     if singular:
         raise refusal(SINGULAR, mass_energy, math.inf, energy, conv)
-    return coefficients(PlaneWaveSolution._continued(k, a, values, conv))
+    return _observed(PlaneWaveSolution._continued(k, a, values, conv), math.inf)

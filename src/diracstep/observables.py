@@ -1,13 +1,11 @@
-"""Reflection/transmission coefficients, densities, currents, velocity field.
+"""The observation of a state: coefficients, wall values, force and wall class.
 
 All quantities are computed from the actual plane waves of a state, matched
-or limit alike (currents of the physical amplitudes), never from
-per-convention closed forms; the closed forms live in the test suite as
-cross-checks.  ``_observe`` forms them, and the wall rule, on Python
-numbers or on arrays; ``_observation`` runs it on one state's own plane
-waves, adds the nonrelativistic wall rule of a current-free state, and is
-the one row that every reader of one state reads: ``coefficients``,
-``table.record``, ``forces``, ``boundary``, ``limit`` and ``verify``.
+or limit alike, never from per-convention closed forms (those live in the
+tests as cross-checks).  ``_observe`` forms them, and the wall rule, on
+Python numbers or on arrays; ``_observation`` runs it on one state's own
+plane waves and adds the rule of a current-free state: the one row that
+``table.record`` reads, and ``observe``, the public record of a state.
 """
 
 from __future__ import annotations
@@ -16,15 +14,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .forces import nr_boundary_force
 from .matching import PlaneWaveSolution
 from .spinor import SCALAR, current
 
-__all__ = [
-    "BoundaryCondition",
-    "ObservableSet",
-    "TOLERANCE",
-    "coefficients",
-]
+__all__ = ["BoundaryCondition", "Observation", "TOLERANCE", "observe"]
 
 # A component counts as zero below TOLERANCE times the solution's amplitude
 # scale; exact limits give zero residuals, matched states small ones.
@@ -32,6 +26,10 @@ TOLERANCE = 1e-10
 
 
 class BoundaryCondition(Enum):
+    """The component of ψ(0) that vanishes at the wall.  A vanishing *entire*
+    spinor is not a class: it gives no self-adjoint half-line Hamiltonian,
+    and continuity would need r = −1 and r = +1 at once."""
+
     DIRICHLET_UPPER = "DirichletUpper"  # upper component vanishes at the wall
     DIRICHLET_LOWER = "DirichletLower"  # lower component vanishes at the wall
     DIRICHLET_NR = "DirichletNR"        # nonrelativistic wavefunction vanishes
@@ -40,47 +38,62 @@ class BoundaryCondition(Enum):
 
 
 @dataclass(frozen=True)
-class ObservableSet:
-    """Exportable physics of one matched solution.
+class Observation:
+    """The physics of one state at its step height V₀.
 
-    R      reflection coefficient |j_refl| / |j_in| ≥ 0
-    T      signed transmission coefficient j_trans / j_in, so that
-           R + T = 1 holds for every convention (for the TRADITIONAL
-           choice in the Klein zone this reads R > 1 with T < 0)
-    rho0   probability density at the step edge
-    j0     probability current at the step edge
-    v_t    transmitted velocity field j_t / ρ_t in units of c
-           (NaN in the evanescent regime, where no current flows)
+    r, t          reflection and transmission amplitudes
+    R, T          |j_refl| / |j_in| and the signed j_trans / j_in, so that
+                  R + T = 1 for every convention (TRADITIONAL in the Klein
+                  zone reads R > 1, T < 0); NaN for a current-free state
+    rho0, j0      density and current at the step edge
+    v_t           transmitted velocity j_t / ρ_t in units of c; NaN under
+                  an evanescent step and for a current-free state
+    force         mean wall force −V₀·ρ(0), or the hard-wall force of a
+                  current-free state (a nonrelativistic limit)
+    continuity    mismatch of ψ(0⁻) and ψ(0), relative to max(1, |ψ(0⁻)|)
+    boundary      the wall class
+    impenetrable  whether the current at the wall vanishes, to TOLERANCE of
+                  the density there, or of the squared amplitude scale
+                  where that density vanishes
     """
 
+    r: complex
+    t: complex
     R: float
     T: float
     rho0: float
     j0: float
     v_t: float
+    force: float
+    continuity: float
+    boundary: BoundaryCondition
+    impenetrable: bool
 
 
-def coefficients(sol: PlaneWaveSolution) -> ObservableSet:
-    """Observable set of a state, from plane-wave currents; ValueError for the
-    nonrelativistic limits, whose incident wave carries no current."""
-    _refuse_without_current(sol)
-    row = _observation(sol, 0.0)
-    return ObservableSet(*(row[name] for name in ("R", "T", "rho0", "j0", "v_t")))
+def observe(state: PlaneWaveSolution) -> Observation:
+    """The observation of a matched or limit state at its ``step_height``."""
+    return _observed(state, state.step_height)
 
 
-def _refuse_without_current(sol: PlaneWaveSolution) -> None:
-    """ValueError for a nonrelativistic limit, whose incident wave carries no current."""
-    if current(sol.incident.amplitude) == 0.0:
-        raise ValueError("no coefficients: the incident wave carries no current "
-                         "(a nonrelativistic limit state)")
+def _observed(sol: PlaneWaveSolution, v0: float) -> Observation:
+    """``_observation``'s row under a step of height v0, as an ``Observation``."""
+    row = _observation(sol, v0)
+    scale = _scale(SCALAR, *_amplitudes(sol))
+    rho0 = row["rho0"]
+    reference = rho0 if rho0 > TOLERANCE * scale * scale else scale * scale
+    return Observation(complex(row["r_re"], row["r_im"]), complex(row["t_re"], row["t_im"]),
+                       row["R"], row["T"], rho0, row["j0"], row["v_t"], row["force"],
+                       row["continuity"], BoundaryCondition(row["boundary"]),
+                       abs(row["j0"]) < TOLERANCE * reference)
 
 
 def _observation(sol: PlaneWaveSolution, v0: float) -> dict:
     """``_observe`` of a state's own plane waves under a step of height v0,
-    for any state.  ``boundary`` is the state's wall class: a state whose
-    incident wave carries no current (a nonrelativistic limit) is classified
-    on its Schroedinger wavefunction, the upper component: DirichletNR if it
-    vanishes at the wall, NeumannNR if its left slope does, relative to k."""
+    for any state.  A state whose incident wave carries no current (a
+    nonrelativistic limit) has R, T and v_t NaN, the force of its hard wall,
+    and is classified on its Schroedinger wavefunction, the upper component:
+    DirichletNR if it vanishes at the wall, NeumannNR if its left slope does,
+    relative to k."""
     a, r, r_lower, t_upper, t_lower = _amplitudes(sol)
     q_t = sol.transmitted.wave_number
     # A decaying (evanescent) wave carries exactly zero transmitted current.
@@ -91,8 +104,18 @@ def _observation(sol: PlaneWaveSolution, v0: float) -> dict:
                 else BoundaryCondition.NEUMANN_NR
                 if abs(sol.nr_derivative_at_origin()) < zero * abs(sol.incident.wave_number)
                 else BoundaryCondition.NONE)
-        row["boundary"] = wall.value
+        row.update(R=math.nan, T=math.nan, v_t=math.nan, force=_hard_wall_force(sol),
+                   boundary=wall.value)
     return row
+
+
+def _hard_wall_force(sol) -> float:
+    """Boundary force of a current-free limit state at its hard wall, V₀ = ∞:
+    ``nr_boundary_force`` of its Schroedinger wavefunction, the upper
+    component, from ψ′/k = i(1 − r) and ψ″/k² = −(1 + r), scaled by k·(k/m) last."""
+    k, r = sol.incident.wave_number, sol.r
+    return k * (k / sol.mass_energy) * nr_boundary_force(
+        sol.left_value_at(0.0).upper, 1j * (1 - r), -(1 + r), 1.0)
 
 
 def _amplitudes(sol: PlaneWaveSolution) -> tuple:

@@ -31,12 +31,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .boundary import BoundaryCondition, classify_boundary
 from .core import PhysicalSetup, Regime, classify_regime, kinematics
 from .forces import momentum_flux_bracket
 from .limits import impenetrable_limit, infinite_potential_limit, nonrelativistic_limit
 from .matching import GROWING_UNDER_EVANESCENT, Convention, match
-from .observables import _observation, coefficients
+from .observables import BoundaryCondition, observe
 from .oracle import SmoothStep, integrate_scattering, sauter_log_coefficients
 from .table import scatter_table
 
@@ -210,7 +209,7 @@ def run_closed_vs_oracle(trials: int = 20, seed: int = 12345) -> SuiteResult:
         paradox = conv is Convention.TRADITIONAL and kin.regime is Regime.KLEIN_ZONE
         message = f"R > 1 exactly under traditional in the Klein zone {label}"
         result.check((res.T_num < 0.0) == paradox, message)
-        sharp = coefficients(match(kin, conv)).R
+        sharp = observe(match(kin, conv)).R
         exact = math.exp(sauter_log_coefficients(setup, 0.0, conv)[0])
         result.record(abs(sharp - exact) / max(1.0, exact), 1e-12, f"sharp R {label}")
     return result
@@ -224,20 +223,19 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
         e = draw_energy(rng)
         main = impenetrable_limit(e, 1.0, Convention.MAIN)
         negative = impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY)
-        # Per kind, from one row: the wall force −V₀·ρ(0) at V₀ = E + mc², read
-        # from the wall spinor, against the paper's −4(E ∓ mc²), and the
-        # vanishing component.
-        main_row, negative_row = (_observation(limit, limit.step_height)
-                                  for limit in (main, negative))
-        for limit, row, paper_force, wall in (
-            (main, main_row, -4.0 * (e - 1.0), BoundaryCondition.DIRICHLET_UPPER),
-            (negative, negative_row, -4.0 * (e + 1.0), BoundaryCondition.DIRICHLET_LOWER),
+        # Per kind, from one observation: the wall force −V₀·ρ(0) at
+        # V₀ = E + mc², read from the wall spinor, against the paper's
+        # −4(E ∓ mc²), and the vanishing component.
+        main_obs, negative_obs = observe(main), observe(negative)
+        for limit, obs, paper_force, wall in (
+            (main, main_obs, -4.0 * (e - 1.0), BoundaryCondition.DIRICHLET_UPPER),
+            (negative, negative_obs, -4.0 * (e + 1.0), BoundaryCondition.DIRICHLET_LOWER),
         ):
-            result.check((row["R"], row["T"], row["v_t"]) == (1.0, 0.0, 0.0),
+            result.check((obs.R, obs.T, obs.v_t) == (1.0, 0.0, 0.0),
                          f"{limit.kind.value} limit R/T/v_t at E={e}")
-            result.record(abs(row["force"] - paper_force), 1e-12 * e,
+            result.record(abs(obs.force - paper_force), 1e-12 * e,
                           f"{limit.kind.value} wall force E={e}")
-            result.check(row["boundary"] == wall.value,
+            result.check(obs.boundary is wall,
                          f"{limit.kind.value} limit classification at E={e}")
         # ψ(0⁻) from the incident and reflected waves: the upper component
         # obeys Dirichlet while the spinor does not vanish.
@@ -251,7 +249,7 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
         result.record(abs(main_bracket + 4.0 * (e - 1.0)), 1e-12 * e, f"boundary force E={e}")
         # Negative-energy convention: external and boundary force disagree.
         negative_bracket = momentum_flux_bracket(negative.spinor_at(0.0), e, 1.0)
-        result.check(abs(negative_row["force"] - negative_bracket) > 1.0,
+        result.check(abs(negative_obs.force - negative_bracket) > 1.0,
                      f"force discrepancy must persist at E={e}")
         # V₀ → ∞ against R = ((a ∓ 1)/(a ± 1))², T = 1 − R: main, then traditional.
         for conv, ratio in ((Convention.MAIN, (main.a - 1.0) / (main.a + 1.0)),
@@ -260,9 +258,9 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
             result.record(max(abs(obs.R - exact), abs(obs.T - (1.0 - exact))) / max(1.0, exact),
                           1e-12, f"infinite step {conv.value} R/T at E={e}")
         inside = draw_setup(rng, Regime.KLEIN_ZONE)
-        report = classify_boundary(match(kinematics(inside), Convention.MAIN))
+        obs = observe(match(kinematics(inside), Convention.MAIN))
         result.check(
-            report.classification is BoundaryCondition.NONE and not report.impenetrable,
+            obs.boundary is BoundaryCondition.NONE and not obs.impenetrable,
             f"open Klein-zone solution must classify None ({inside})",
         )
     # Two-sided approach of V₀ = E + mc² ± δ against the exact expansions in
@@ -277,11 +275,11 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
         eps = math.sqrt(abs(setup.step_height - e_probe - 1.0) / 2.0)
         shift = 1.0 - 2.0 * kin.a * eps if sign > 0.0 else 1.0
         label = f"at E={e_probe} V0={setup.step_height!r}"
-        row = _observation(sol, sol.step_height)
+        obs = observe(sol)
         if sign > 0.0:
-            t_ratio = row["T"] / (4.0 * kin.a * eps)
+            t_ratio = obs.T / (4.0 * kin.a * eps)
             result.record(abs(t_ratio - shift), 1e-7, f"T/(4a eps) {label}")
-        force = row["force"] + 4.0 * (e_probe - 1.0) * shift
+        force = obs.force + 4.0 * (e_probe - 1.0) * shift
         result.record(abs(force), 1e-7, f"wall force {label}")
     # The relativistic wall force at E = mc² + E_kin against the hard-wall force
     # of the Dirichlet state at that E_kin, each read from its own state.
@@ -291,12 +289,12 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
     rel = impenetrable_limit(e, 1.0, Convention.MAIN)
     result.record(abs(rel.force / main_nr.force - 1.0), 1e-12, "NR force ratio")
     result.check(
-        classify_boundary(main_nr).classification is BoundaryCondition.DIRICHLET_NR,
+        observe(main_nr).boundary is BoundaryCondition.DIRICHLET_NR,
         "NR main limit must classify DirichletNR",
     )
     neg_nr = nonrelativistic_limit(e_nr, 1.0, Convention.NEGATIVE_ENERGY)
     result.check(
-        classify_boundary(neg_nr).classification is BoundaryCondition.NEUMANN_NR,
+        observe(neg_nr).boundary is BoundaryCondition.NEUMANN_NR,
         "NR negative limit must classify NeumannNR",
     )
     return result

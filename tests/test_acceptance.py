@@ -17,10 +17,7 @@ from diracstep import (
     PlaneWaveState,
     SmoothStep,
     apply_hamiltonian,
-    classify_boundary,
-    coefficients,
     density,
-    external_force_mean,
     impenetrable_limit,
     infinite_potential_limit,
     integrate_scattering,
@@ -28,6 +25,7 @@ from diracstep import (
     match,
     momentum_flux_bracket,
     nonrelativistic_limit,
+    observe,
     sauter_log_coefficients,
 )
 from diracstep.verify import (
@@ -47,7 +45,7 @@ def _report(number: int, description: str) -> None:
 def test_criterion_1_closed_form_golden_values():
     kin = kinematics(GOLDEN)
     sol = match(kin, Convention.MAIN)
-    obs = coefficients(sol)
+    obs = observe(sol)
     expected = {
         "a": (kin.a, 0.5773503),
         "b": (kin.b, -1.7320508),
@@ -58,7 +56,7 @@ def test_criterion_1_closed_form_golden_values():
         "rho0": (obs.rho0, 1.0),
         "j0": (obs.j0, 0.8660254),
         "v_t": (obs.v_t, 0.8660254),
-        "force": (external_force_mean(sol), -4.0),
+        "force": (obs.force, -4.0),
     }
     for name, (actual, target) in expected.items():
         assert abs(actual - target) < 1e-6, f"{name}: {actual} vs {target}"
@@ -86,7 +84,7 @@ def test_criterion_3_impenetrable_limit_values():
     energies += [2.0]
     for e in energies:
         main = impenetrable_limit(e, 1.0, Convention.MAIN)
-        obs = coefficients(main)
+        obs = observe(main)
         assert (obs.R, obs.T, obs.v_t) == (1.0, 0.0, 0.0)
         psi0 = main.spinor_at(0.0)
         assert psi0.upper == 0.0
@@ -123,10 +121,11 @@ def test_criterion_4_two_sided_approach_against_exact_expansion():
         # delta as the setup holds it: V0 - E, and then - mc2, are exact.
         eps = math.sqrt(abs(setup.step_height - e - 1.0) / 2.0)
         shift = 1.0 - 2.0 * kin.a * eps if sign > 0.0 else 1.0
-        deviations[side] = abs(external_force_mean(sol) + 4.0 * (e - 1.0) * shift)
+        obs = observe(sol)
+        deviations[side] = abs(obs.force + 4.0 * (e - 1.0) * shift)
         assert deviations[side] < 1e-7, (side, deviations[side])
         if sign > 0.0:
-            t_deviation = abs(coefficients(sol).T / (4.0 * kin.a * eps) - shift)
+            t_deviation = abs(obs.T / (4.0 * kin.a * eps) - shift)
             assert t_deviation < 1e-7, t_deviation
     _report(
         4,
@@ -139,7 +138,7 @@ def test_criterion_4_two_sided_approach_against_exact_expansion():
 def test_criterion_5_special_cases():
     # massless: a = 1, b = -1, R = 0, T = 1, v_t = c
     kin0 = kinematics(PhysicalSetup(0.0, 2.0, 1.0))
-    obs0 = coefficients(match(kin0, Convention.MAIN))
+    obs0 = observe(match(kin0, Convention.MAIN))
     assert kin0.a == 1.0
     assert abs(kin0.b - (-1.0)) < 1e-10
     assert abs(obs0.R) < 1e-10 and abs(obs0.T - 1.0) < 1e-10
@@ -152,7 +151,7 @@ def test_criterion_5_special_cases():
         kin = kinematics(PhysicalSetup(1.0, 2.0 * e, e))
         a = kin.a
         assert abs(kin.kbar_or_kappa - kin.k) < 1e-10 * kin.k
-        obs = coefficients(match(kin, Convention.MAIN))
+        obs = observe(match(kin, Convention.MAIN))
         assert abs(obs.R - ((a**2 - 1.0) / (a**2 + 1.0)) ** 2) < 1e-10
         assert abs(obs.T - 4.0 * a**2 / (a**2 + 1.0) ** 2) < 1e-10
 
@@ -161,9 +160,7 @@ def test_criterion_5_special_cases():
     a = kinematics(PhysicalSetup(1.0, 4.0, 2.0)).a
     assert abs(limit.R - ((a - 1.0) / (a + 1.0)) ** 2) < 1e-10
     assert abs(limit.T - 4.0 * a / (a + 1.0) ** 2) < 1e-10
-    obs_far = coefficients(
-        match(kinematics(PhysicalSetup(1.0, 1e8, 2.0)), Convention.MAIN)
-    )
+    obs_far = observe(match(kinematics(PhysicalSetup(1.0, 1e8, 2.0)), Convention.MAIN))
     assert abs(obs_far.R - limit.R) < 1e-7 and abs(obs_far.T - limit.T) < 1e-7
     _report(5, "massless, V0=2E and V0->infinity cases match to 1e-10")
 
@@ -176,7 +173,7 @@ def test_criterion_6_nonrelativistic_limit():
     wall = momentum_flux_bracket(rel.spinor_at(0.0), e, 1.0)
     assert abs(wall / (-4.0 * e_nr) - 1.0) < 1e-5
     neumann = nonrelativistic_limit(e_nr, 1.0, Convention.NEGATIVE_ENERGY)
-    assert classify_boundary(neumann).classification is BoundaryCondition.NEUMANN_NR
+    assert observe(neumann).boundary is BoundaryCondition.NEUMANN_NR
     assert neumann.force == pytest.approx(-4.0 * e_nr, rel=1e-12)
     _report(6, "impenetrable force equals -4E_nr to 1e-5; Neumann NR classified")
 
@@ -228,19 +225,13 @@ def test_criterion_9_boundary_classification():
     checked = 0
     for _ in range(50):
         e = float(np.exp(rng.uniform(np.log(1.001), np.log(1e3))))
-        assert (
-            classify_boundary(impenetrable_limit(e, 1.0, Convention.MAIN)).classification
-            is BoundaryCondition.DIRICHLET_UPPER
-        )
-        assert (
-            classify_boundary(
-                impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY)
-            ).classification
-            is BoundaryCondition.DIRICHLET_LOWER
-        )
+        assert (observe(impenetrable_limit(e, 1.0, Convention.MAIN)).boundary
+                is BoundaryCondition.DIRICHLET_UPPER)
+        assert (observe(impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY)).boundary
+                is BoundaryCondition.DIRICHLET_LOWER)
         v0 = float(rng.uniform((e + 1.0) * 1.0001, 4.0 * (e + 1.0)))
         inside = match(kinematics(PhysicalSetup(1.0, v0, e)), Convention.MAIN)
-        assert classify_boundary(inside).classification is BoundaryCondition.NONE
+        assert observe(inside).boundary is BoundaryCondition.NONE
         checked += 3
     _report(9, f"boundary classification agreed on {checked}/{checked} cases")
 

@@ -1,46 +1,44 @@
-"""Boundary-condition classification at the wall."""
+"""Boundary-condition classification at the wall, from ``observe``."""
 
-from dataclasses import fields
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
 from diracstep import (
     BoundaryCondition,
-    BoundaryReport,
     Convention,
+    Observation,
     PhysicalSetup,
     PlaneWaveSolution,
     PlaneWaveState,
     Side,
     Spinor,
-    classify_boundary,
     classify_regime,
-    coefficients,
     impenetrable_limit,
     kinematics,
     match,
     nonrelativistic_limit,
+    observe,
 )
 from diracstep.observables import _observation
 from diracstep.table import solve
 
 
 def test_impenetrable_main_is_dirichlet_upper():
-    report = classify_boundary(impenetrable_limit(2.0, 1.0, Convention.MAIN))
-    assert report.classification is BoundaryCondition.DIRICHLET_UPPER
-    assert report.impenetrable
+    obs = observe(impenetrable_limit(2.0, 1.0, Convention.MAIN))
+    assert obs.boundary is BoundaryCondition.DIRICHLET_UPPER
+    assert obs.impenetrable
     psi0 = impenetrable_limit(2.0, 1.0, Convention.MAIN).spinor_at(0.0)
     assert psi0.upper == 0.0
     assert psi0.lower == pytest.approx(1.1547005383792515, abs=1e-13)
 
 
 def test_impenetrable_negative_is_dirichlet_lower():
-    report = classify_boundary(
-        impenetrable_limit(2.0, 1.0, Convention.NEGATIVE_ENERGY)
-    )
-    assert report.classification is BoundaryCondition.DIRICHLET_LOWER
-    assert report.impenetrable
+    obs = observe(impenetrable_limit(2.0, 1.0, Convention.NEGATIVE_ENERGY))
+    assert obs.boundary is BoundaryCondition.DIRICHLET_LOWER
+    assert obs.impenetrable
     psi0 = impenetrable_limit(2.0, 1.0, Convention.NEGATIVE_ENERGY).spinor_at(0.0)
     assert psi0.upper == pytest.approx(2.0, abs=1e-14)
     assert psi0.lower == 0.0
@@ -48,54 +46,59 @@ def test_impenetrable_negative_is_dirichlet_lower():
 
 def test_generic_klein_zone_solution_classifies_none():
     sol = match(kinematics(PhysicalSetup(1.0, 4.0, 2.0)), Convention.MAIN)
-    report = classify_boundary(sol)
-    assert report.classification is BoundaryCondition.NONE
-    assert not report.impenetrable
-    assert coefficients(sol).j0 == pytest.approx(0.8660254037844386, abs=1e-13)
+    obs = observe(sol)
+    assert obs.boundary is BoundaryCondition.NONE
+    assert not obs.impenetrable
+    assert obs.j0 == pytest.approx(0.8660254037844386, abs=1e-13)
 
 
 def test_randomized_classification_agreement():
     rng = np.random.default_rng(14)
     for _ in range(100):
         e = float(np.exp(rng.uniform(np.log(1.001), np.log(1e3))))
-        main = classify_boundary(impenetrable_limit(e, 1.0, Convention.MAIN))
-        assert main.classification is BoundaryCondition.DIRICHLET_UPPER
-        negative = classify_boundary(
-            impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY)
-        )
-        assert negative.classification is BoundaryCondition.DIRICHLET_LOWER
+        main = observe(impenetrable_limit(e, 1.0, Convention.MAIN))
+        assert main.boundary is BoundaryCondition.DIRICHLET_UPPER
+        negative = observe(impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY))
+        assert negative.boundary is BoundaryCondition.DIRICHLET_LOWER
         v0 = float(rng.uniform((e + 1.0) * 1.001, 4.0 * (e + 1.0)))
-        inside = classify_boundary(
-            match(kinematics(PhysicalSetup(1.0, v0, e)), Convention.MAIN)
-        )
-        assert inside.classification is BoundaryCondition.NONE
+        inside = observe(match(kinematics(PhysicalSetup(1.0, v0, e)), Convention.MAIN))
+        assert inside.boundary is BoundaryCondition.NONE
         assert not inside.impenetrable
 
 
 def test_evanescent_solution_impenetrable_but_unclassified():
     sol = match(kinematics(PhysicalSetup(1.0, 2.5, 2.0)), Convention.MAIN)
-    report = classify_boundary(sol)
-    assert report.impenetrable  # zero current through the wall
-    assert report.classification is BoundaryCondition.NONE
+    obs = observe(sol)
+    assert obs.impenetrable  # zero current through the wall
+    assert obs.boundary is BoundaryCondition.NONE
 
 
 def test_nonrelativistic_classifications():
     main = nonrelativistic_limit(0.01, 1.0, Convention.MAIN)
-    assert classify_boundary(main).classification is BoundaryCondition.DIRICHLET_NR
+    assert observe(main).boundary is BoundaryCondition.DIRICHLET_NR
     negative = nonrelativistic_limit(0.01, 1.0, Convention.NEGATIVE_ENERGY)
-    assert (
-        classify_boundary(negative).classification is BoundaryCondition.NEUMANN_NR
-    )
+    assert observe(negative).boundary is BoundaryCondition.NEUMANN_NR
 
 
-def test_report_is_classification_and_impenetrability_only():
-    assert [f.name for f in fields(BoundaryReport)] == ["classification", "impenetrable"]
+def test_observation_fields_are_the_row_and_impenetrability():
+    assert [f.name for f in fields(Observation)] == [
+        "r", "t", "R", "T", "rho0", "j0", "v_t", "force", "continuity", "boundary",
+        "impenetrable"]
+
+
+@dataclass(frozen=True)
+class _HandBuilt(PlaneWaveSolution):
+    """A plane-wave state with the step height and mass ``observe`` reads, and
+    no LimitKind: a hard wall at unit mass."""
+
+    step_height: float = math.inf
+    mass_energy: float = 1.0
 
 
 def _hand_built(a: float, r: float, wall: Spinor, k: float = 1.5) -> PlaneWaveSolution:
     """Incident [1, a]·e^{ikx}, reflected r·[1, −a]·e^{−ikx}, and a constant
     ``wall`` spinor for x >= 0; no LimitKind."""
-    return PlaneWaveSolution.reflecting(
+    return _HandBuilt.reflecting(
         k, a, r, PlaneWaveState(wall, 0.0, Side.RIGHT), Convention.MAIN, 0.0)
 
 
@@ -105,9 +108,9 @@ def test_whole_spinor_zero_is_not_classified():
     built by hand."""
     sol = _hand_built(0.5, -1.0, Spinor(0.0, 0.0))
     assert sol.spinor_at(0.0) == Spinor(0.0, 0.0)
-    report = classify_boundary(sol)
-    assert report.classification is BoundaryCondition.NONE
-    assert report.impenetrable
+    obs = observe(sol)
+    assert obs.boundary is BoundaryCondition.NONE
+    assert obs.impenetrable
 
 
 @pytest.mark.parametrize("scale,expected", [
@@ -120,7 +123,7 @@ def test_tolerance_is_relative(scale, expected):
     unit scale: TOLERANCE is relative to the amplitude scale."""
     a = impenetrable_limit(2.0, 1.0, Convention.MAIN).a
     sol = _hand_built(a, -1.0, Spinor(1e-8, 2.0 * a * scale))
-    assert classify_boundary(sol).classification is expected
+    assert observe(sol).boundary is expected
 
 
 @pytest.mark.parametrize("k", [1.5, 1e-12, 1e12])
@@ -136,9 +139,9 @@ def test_state_without_incident_current_is_classified_nonrelativistically(r, wal
     energy unit."""
     sol = _hand_built(0.0, r, wall, k)
     assert not hasattr(sol, "kind")
-    report = classify_boundary(sol)
-    assert report.classification is expected
-    assert report.impenetrable
+    obs = observe(sol)
+    assert obs.boundary is expected
+    assert obs.impenetrable
 
 
 def _wall_states():
@@ -152,6 +155,6 @@ def _wall_states():
 
 @pytest.mark.parametrize("sol,v0", _wall_states())
 def test_observation_row_holds_the_wall_class(sol, v0):
-    """One wall rule: the row every report reads classifies as
-    ``classify_boundary`` does, the nonrelativistic limits included."""
-    assert _observation(sol, v0)["boundary"] == classify_boundary(sol).classification.value
+    """One wall rule: the row ``table.record`` reads classifies as ``observe``
+    does, the nonrelativistic limits included."""
+    assert _observation(sol, v0)["boundary"] == observe(sol).boundary.value

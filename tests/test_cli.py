@@ -346,6 +346,17 @@ def test_limit_nonrel_neumann(capsys):
     assert "NeumannNR" in out
 
 
+@pytest.mark.parametrize("conv,wall", [("main", "DirichletNR"), ("negative", "NeumannNR")])
+def test_limit_nonrel_prints_the_hard_wall_force_and_wall_class(capsys, conv, wall):
+    """Both lines come from ``observe`` of a state with no incident current:
+    the hard-wall force −4·E_kin and the Schroedinger wall class."""
+    code, out, err = run(capsys, "limit", "--which", "nonrel", "--energy", "0.01",
+                         "--convention", conv)
+    assert (code, err) == (0, "")
+    table = _table_of(out)
+    assert (table["force"], table["boundary"]) == ("-0.04", wall)
+
+
 def test_limit_nonrel_force_where_its_square_overflows(capsys):
     """|psi_x(0)|^2 = 4e308 overflows a double; the force -2e154 does not."""
     code, out, err = run(capsys, "limit", "--which", "nonrel", "--energy", "5e153",

@@ -30,14 +30,13 @@ def test_package_export_is_listed_by_its_defining_module(name):
 
 
 PUBLIC_NAMES = {
-    "__version__", "BoundaryCondition", "BoundaryReport", "Convention", "EdgePointError",
-    "GridSample", "Kinematics", "LimitKind", "LimitSolution", "ObservableSet", "OracleResult",
-    "PhysicalSetup", "PlaneWaveSolution", "PlaneWaveState", "Regime", "ScatteringSolution",
-    "Side", "SmoothStep", "Spinor", "apply_hamiltonian", "charge_conjugate",
-    "classify_boundary", "classify_regime", "coefficients", "current", "density", "edge_limit",
-    "external_force_mean", "impenetrable_limit", "infinite_potential_limit",
+    "__version__", "BoundaryCondition", "Convention", "EdgePointError", "GridSample",
+    "Kinematics", "LimitKind", "LimitSolution", "Observation", "OracleResult", "PhysicalSetup",
+    "PlaneWaveSolution", "PlaneWaveState", "Regime", "ScatteringSolution", "Side",
+    "SmoothStep", "Spinor", "apply_hamiltonian", "charge_conjugate", "classify_regime",
+    "current", "density", "edge_limit", "impenetrable_limit", "infinite_potential_limit",
     "integrate_scattering", "kinematics", "match", "momentum_flux_bracket",
-    "nonrelativistic_limit", "nr_boundary_force", "physical_convention", "sample",
+    "nonrelativistic_limit", "nr_boundary_force", "observe", "physical_convention", "sample",
     "scatter_table", "sauter_log_coefficients", "write_csv",
 }
 
@@ -110,8 +109,7 @@ def _module_level_imports(statements):
             child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt))
 
 
-@pytest.mark.parametrize("name", ["core", "matching", "observables", "boundary", "forces",
-                                  "limits"])
+@pytest.mark.parametrize("name", ["core", "matching", "observables", "forces", "limits"])
 def test_scalar_chain_modules_do_not_import_numpy(name):
     # The scalar chain runs on Python numbers (spinor.SCALAR); numpy stays
     # with the array evaluators.

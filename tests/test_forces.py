@@ -1,27 +1,28 @@
 """Wall forces: external step force and boundary quantum force."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracstep import forces
 from diracstep import (
     BoundaryCondition,
     Convention,
     PhysicalSetup,
     Spinor,
-    classify_boundary,
-    coefficients,
     density,
-    external_force_mean,
     impenetrable_limit,
     kinematics,
     match,
     momentum_flux_bracket,
     nonrelativistic_limit,
     nr_boundary_force,
+    observe,
 )
 from diracstep.table import record, solve
 
@@ -30,7 +31,7 @@ GOLDEN = PhysicalSetup(1.0, 4.0, 2.0)
 
 def test_external_force_golden():
     sol = match(kinematics(GOLDEN), Convention.MAIN)
-    assert external_force_mean(sol) == pytest.approx(-4.0, abs=1e-12)
+    assert observe(sol).force == pytest.approx(-4.0, abs=1e-12)
 
 
 def test_external_force_is_negative():
@@ -39,7 +40,7 @@ def test_external_force_is_negative():
         e = float(np.exp(rng.uniform(np.log(1.01), np.log(1e2))))
         v0 = float(rng.uniform(e + 1.0, 4.0 * (e + 1.0)))
         sol = match(kinematics(PhysicalSetup(1.0, v0, e)), Convention.MAIN)
-        assert external_force_mean(sol) < 0.0
+        assert observe(sol).force < 0.0
 
 
 def test_impenetrable_limit_forces_by_convention():
@@ -82,7 +83,7 @@ def test_two_sided_force_limit():
     target = -4.0 * (e - 1.0)
     for sign in (+1.0, -1.0):
         setup = PhysicalSetup(1.0, (e + 1.0) + sign * delta, e)
-        force = external_force_mean(match(kinematics(setup), Convention.MAIN))
+        force = observe(match(kinematics(setup), Convention.MAIN)).force
         assert abs(force - target) < 1e-5
 
 
@@ -92,7 +93,7 @@ def test_two_sided_force_limit_tight_near_threshold():
     target = -4.0 * (e - 1.0)
     for sign in (+1.0, -1.0):
         setup = PhysicalSetup(1.0, (e + 1.0) + sign * delta, e)
-        force = external_force_mean(match(kinematics(setup), Convention.MAIN))
+        force = observe(match(kinematics(setup), Convention.MAIN)).force
         assert abs(force - target) < 1e-6
 
 
@@ -104,7 +105,7 @@ def test_two_sided_density_converges_to_4a2():
         for delta in (1e-2, 1e-4, 1e-6, 1e-8):
             setup = PhysicalSetup(1.0, (e + 1.0) + sign * delta, e)
             sol = match(kinematics(setup), Convention.MAIN)
-            gap = abs(external_force_mean(sol) / -setup.step_height - 4.0 * a2)
+            gap = abs(observe(sol).force / -setup.step_height - 4.0 * a2)
             if previous is not None:
                 assert gap < previous
             previous = gap
@@ -115,13 +116,12 @@ def test_two_sided_density_converges_to_4a2():
 @given(st.floats(1.0 + 1e-9, 1e6), st.floats(1e-6, 1.0 - 1e-6))
 def test_external_force_mean_is_minus_v0_density_at_the_wall_bit_for_bit(e, where):
     """On matched states in every open regime, both edge states and both
-    impenetrable limits, under every convention that builds: ρ(0) from
-    ``coefficients`` is the density of the spinor at the wall, and the wall
-    force, the wall class and the coefficients of the state are the
-    ``force``, ``boundary``, R, T, rho0, j0 and v_t of its setup's
+    impenetrable limits, under every convention that builds: the wall force
+    of ``observe`` is −V₀ times the density of the spinor at the wall, and
+    its R, T, rho0, j0, v_t, force and wall class are those of its setup's
     ``table.record`` row, bit for bit.  The nonrelativistic limits have no
-    row: they are classified as Dirichlet or Neumann, and ``coefficients`` and
-    ``external_force_mean`` refuse them alike."""
+    row: they are classified as Dirichlet or Neumann, carry no current (R, T
+    and v_t NaN), are impenetrable, and their force is the hard-wall force."""
     steps = ((e + 1.0) * (1.0 + 2.0 * where), (e - 1.0) * where, e - 1.0 + 2.0 * where,
              e + 1.0, e - 1.0)
     edge = PhysicalSetup(1.0, e + 1.0, e)
@@ -138,18 +138,32 @@ def test_external_force_mean_is_minus_v0_density_at_the_wall_bit_for_bit(e, wher
     for setup, conv, sol in cases:
         reference = -sol.step_height * density(sol.spinor_at(0.0))
         row = record(setup, conv)
-        assert external_force_mean(sol).hex() == reference.hex() == row["force"].hex()
-        assert classify_boundary(sol).classification.value == row["boundary"]
-        obs = coefficients(sol)
+        obs = observe(sol)
+        assert obs.force.hex() == reference.hex() == row["force"].hex()
+        assert obs.boundary.value == row["boundary"]
         assert [getattr(obs, name).hex() for name in fields] == [row[name].hex()
                                                                  for name in fields]
     for conv, wall in ((Convention.MAIN, BoundaryCondition.DIRICHLET_NR),
                        (Convention.NEGATIVE_ENERGY, BoundaryCondition.NEUMANN_NR)):
         sol = nonrelativistic_limit(where, 1.0, conv)
-        assert classify_boundary(sol).classification is wall
-        for reader in (coefficients, external_force_mean):
-            with pytest.raises(ValueError, match="incident wave carries no current"):
-                reader(sol)
+        obs = observe(sol)
+        assert obs.boundary is wall
+        assert all(math.isnan(value) for value in (obs.R, obs.T, obs.v_t))
+        assert obs.force.hex() == sol.force.hex()
+        assert obs.force == pytest.approx(-4.0 * where, rel=1e-14)
+        assert obs.impenetrable
+
+
+def test_forces_does_not_import_observables():
+    """The force formulas stand below the observation: ``observables`` forms
+    the wall force from ``nr_boundary_force``, never the other way round."""
+    tree = ast.parse(Path(forces.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    # ``from . import observables`` names the module among the aliases.
+    imported += [name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for name in (node.module or "", *(alias.name for alias in node.names))]
+    assert not [name for name in imported if name.split(".")[-1] == "observables"], imported
 
 
 def _dirichlet_force(psi_nr_deriv0, mass_energy):

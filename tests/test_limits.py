@@ -19,18 +19,16 @@ from diracstep import (
     Side,
     Spinor,
     apply_hamiltonian,
-    classify_boundary,
-    coefficients,
     current,
     density,
     edge_limit,
-    external_force_mean,
     impenetrable_limit,
     infinite_potential_limit,
     kinematics,
     match,
     nonrelativistic_limit,
     nr_boundary_force,
+    observe,
     sample,
 )
 from diracstep.core import incident_wave
@@ -41,7 +39,7 @@ def test_impenetrable_main_golden():
     psi0 = limit.spinor_at(0.0)
     assert psi0.upper == 0.0
     assert psi0.lower == pytest.approx(1.1547005383792515, abs=1e-13)
-    obs = coefficients(limit)
+    obs = observe(limit)
     assert (obs.R, obs.T, obs.v_t) == (1.0, 0.0, 0.0)
     assert limit.force == pytest.approx(-4.0, abs=1e-13)
 
@@ -272,7 +270,7 @@ def test_relativistic_limit_force_is_read_from_the_state(mc2, log_excess):
         kinds.add(limit.kind)
         assert limit.step_height == (e - mc2 if limit.kind is LimitKind.EDGE_LOWER
                                      else e + mc2)
-        assert limit.force == external_force_mean(limit)
+        assert limit.force == observe(limit).force
         assert limit.force == -limit.step_height * density(limit.spinor_at(0.0))
         paper = PAPER_FORCE[limit.kind](e, mc2)
         assert abs(limit.force - paper) <= 4.0 * math.ulp(paper), limit.kind
@@ -308,8 +306,22 @@ def test_infinite_potential_limit_values():
     assert limit.T == pytest.approx(0.92820323027550917, abs=1e-12)
     assert limit.R + limit.T == pytest.approx(1.0, abs=1e-14)
     # b -> -1 in the continuity system: the far matched state approaches it.
-    far = coefficients(match(kinematics(PhysicalSetup(1.0, 1e8, 2.0)), Convention.MAIN))
+    far = observe(match(kinematics(PhysicalSetup(1.0, 1e8, 2.0)), Convention.MAIN))
     assert far.R == pytest.approx(limit.R, abs=1e-7)
+
+
+@pytest.mark.parametrize("conv", list(Convention))
+def test_infinite_potential_limit_is_observed_under_an_infinite_step(conv):
+    """The one observation at V₀ = ∞ of a state that stores no step height:
+    its force −V₀·ρ(0) reads −∞, and the transmitted wave t·[1, ±1] carries
+    current at the speed of light, so the wall is neither classified nor
+    impenetrable."""
+    limit = infinite_potential_limit(2.0, 1.0, conv)
+    assert limit.force == -math.inf
+    assert limit.rho0 == pytest.approx(2.0 * abs(limit.t) ** 2, rel=1e-15)
+    assert limit.v_t == (-1.0 if conv is Convention.TRADITIONAL else 1.0)
+    assert limit.boundary is BoundaryCondition.NONE
+    assert not limit.impenetrable
 
 
 @settings(max_examples=400, deadline=None)
@@ -343,14 +355,13 @@ def test_infinite_potential_limit_traditional_is_singular_where_a_rounds_to_1():
 
 
 def _approach(energy, delta):
-    """The MAIN solution at V0 = E + mc2 + delta (delta < 0 from the
-    evanescent side), its observables, a, and eps = sqrt(|delta| / 2mc2) with
+    """The observation of the MAIN solution at V0 = E + mc2 + delta (delta < 0
+    from the evanescent side), a, and eps = sqrt(|delta| / 2mc2) with
     delta as the setup holds it: V0 - E, and then - mc2, are exact."""
     setup = PhysicalSetup(1.0, energy + 1.0 + delta, energy)
     kin = kinematics(setup)
-    sol = match(kin, Convention.MAIN)
     eps = math.sqrt(abs(setup.step_height - energy - 1.0) / 2.0)
-    return sol, coefficients(sol), kin.a, eps
+    return observe(match(kin, Convention.MAIN)), kin.a, eps
 
 
 DELTAS = [10.0**p for p in range(-12, -3)]
@@ -364,10 +375,10 @@ def test_klein_side_approach_follows_the_exact_expansion(energy):
     1.95 and -65 at E = 10."""
     rows = []
     for delta in DELTAS:
-        sol, obs, a, eps = _approach(energy, delta)
+        obs, a, eps = _approach(energy, delta)
         assert abs(obs.T / (4.0 * a * eps) - (1.0 - 2.0 * a * eps)) <= 3.0 * eps**2, delta
         wall = -4.0 * (energy - 1.0) * (1.0 - 2.0 * a * eps)
-        assert abs(external_force_mean(sol) - wall) <= 4.0 * energy**2 * eps**2, delta
+        assert abs(obs.force - wall) <= 4.0 * energy**2 * eps**2, delta
         rows.append((obs.T, obs.R, obs.v_t))
     # T and v_t grow and R falls away from the wall.
     t_values, r_values, v_values = zip(*rows)
@@ -377,7 +388,7 @@ def test_klein_side_approach_follows_the_exact_expansion(energy):
 
 
 def test_near_edge_transmission_value():
-    _, obs, a, eps = _approach(2.0, 1e-6)
+    obs, a, eps = _approach(2.0, 1e-6)
     assert obs.T == pytest.approx(0.0016316602369923989, rel=1e-9)
     assert obs.T == pytest.approx(4.0 * a * eps * (1.0 - 2.0 * a * eps), rel=eps**2)
 
@@ -385,11 +396,11 @@ def test_near_edge_transmission_value():
 @pytest.mark.parametrize("energy", [1.05, 2.0, 10.0])
 def test_evanescent_side_force_has_no_sqrt_delta_term(energy):
     for delta in DELTAS:
-        sol, obs, _, _ = _approach(energy, -delta)
+        obs, _, _ = _approach(energy, -delta)
         assert obs.R == pytest.approx(1.0, abs=1e-12)
         assert obs.T == 0.0
         assert math.isnan(obs.v_t)
-        assert external_force_mean(sol) == pytest.approx(-4.0 * (energy - 1.0), rel=1e-12)
+        assert obs.force == pytest.approx(-4.0 * (energy - 1.0), rel=1e-12)
 
 
 EDGE_POINT = PhysicalSetup(1.0, 3.0, 2.0)
@@ -424,16 +435,15 @@ def test_lower_edge_state(conv):
     assert limit.kind is LimitKind.EDGE_LOWER
     assert limit.convention is (conv or Convention.TRADITIONAL)
     assert (limit.r, limit.t) == (1.0, 2.0)
-    obs = coefficients(limit)
+    obs = observe(limit)
     assert (obs.R, obs.T, obs.v_t) == (1.0, 0.0, 0.0)
     assert limit.force == -4.0 * (2.0 - 1.0)
     assert limit.force == -EDGE_LOWER.step_height * density(limit.spinor_at(0.0))
     negative = impenetrable_limit(2.0, 1.0, Convention.NEGATIVE_ENERGY)
     for x in (-3.0, -0.4, 0.0, 2.0):
         assert limit.spinor_at(x) == negative.spinor_at(x)
-    report = classify_boundary(limit)
-    assert report.classification is BoundaryCondition.DIRICHLET_LOWER
-    assert report.impenetrable
+    assert obs.boundary is BoundaryCondition.DIRICHLET_LOWER
+    assert obs.impenetrable
     grid = sample(limit, -2.0, 1.0, 7)
     assert grid.metadata["regime"] == "edge-lower"
     assert grid.metadata["convention"] == limit.convention.value
@@ -449,7 +459,7 @@ def test_lower_edge_state(conv):
 ], ids=["main", "negative", "edge-point-lower", "edge-lower", "massless-edge-point"])
 def test_limit_coefficients_are_the_closed_form_limits(limit):
     """The plane-wave currents of a limit give R = 1, T = 0, v_t = 0."""
-    obs = coefficients(limit)
+    obs = observe(limit)
     assert (obs.R, obs.T, obs.v_t) == (1.0, 0.0, 0.0)
     psi0 = limit.spinor_at(0.0)
     assert (obs.rho0, obs.j0) == (density(psi0), current(psi0))

@@ -12,9 +12,9 @@ from diracstep import (
     PhysicalSetup,
     Regime,
     Spinor,
-    coefficients,
     kinematics,
     match,
+    observe,
     physical_convention,
     scatter_table,
 )
@@ -163,7 +163,7 @@ def test_main_and_lower_produce_identical_piecewise_solutions():
             pm, pl = main.spinor_at(x), lower.spinor_at(x)
             assert pm.upper == pytest.approx(pl.upper, rel=1e-11, abs=1e-13)
             assert pm.lower == pytest.approx(pl.lower, rel=1e-11, abs=1e-13)
-        om, ol = coefficients(main), coefficients(lower)
+        om, ol = observe(main), observe(lower)
         assert om.R == pytest.approx(ol.R, rel=1e-12)
         assert om.T == pytest.approx(ol.T, rel=1e-12)
 
@@ -208,7 +208,7 @@ def test_transmission_regime_standard_result():
     setup = PhysicalSetup(1.0, 0.8, 3.0)
     kin = kinematics(setup)
     sol = match(kin, Convention.TRADITIONAL)
-    obs = coefficients(sol)
+    obs = observe(sol)
     a, b = kin.a, kin.b.real
     assert obs.R == pytest.approx(((a - b) / (a + b)) ** 2, rel=1e-13)
     assert obs.T == pytest.approx(4.0 * a * b / (a + b) ** 2, rel=1e-13)

@@ -13,10 +13,10 @@ from diracstep import (
     PhysicalSetup,
     Regime,
     SmoothStep,
-    coefficients,
     integrate_scattering,
     kinematics,
     match,
+    observe,
     sauter_log_coefficients,
 )
 from diracstep import matching, oracle
@@ -61,7 +61,7 @@ def test_evanescent_total_reflection_any_width():
 
 def test_transmission_regime_agreement():
     setup = PhysicalSetup(1.0, 0.8, 3.0)
-    closed = coefficients(match(kinematics(setup), Convention.TRADITIONAL))
+    closed = observe(match(kinematics(setup), Convention.TRADITIONAL))
     res = integrate_scattering(setup, SmoothStep(0.8, 1e-3), Convention.TRADITIONAL)
     assert res.R_num == pytest.approx(closed.R, abs=1e-6)
     assert res.T_num == pytest.approx(closed.T, abs=1e-6)
@@ -81,7 +81,7 @@ def test_randomized_agreement_in_low_bias_window():
         e = math.exp(rng.uniform(math.log(1.02), math.log(1.7)))
         delta = math.exp(rng.uniform(math.log(1e-3), math.log(0.2)))
         setup = PhysicalSetup(1.0, e + 1.0 + delta, e)
-        closed = coefficients(match(kinematics(setup), Convention.MAIN)).R
+        closed = observe(match(kinematics(setup), Convention.MAIN)).R
         res = integrate_scattering(
             setup, SmoothStep(setup.step_height, 1e-3), Convention.MAIN
         )
@@ -122,7 +122,7 @@ def test_sauter_reflection_and_transmission_add_to_one(width):
 
 def test_sauter_at_zero_width_is_the_sharp_step():
     for setup, conv in SAUTER_SETUPS:
-        closed = coefficients(match(kinematics(setup), conv))
+        closed = observe(match(kinematics(setup), conv))
         r, t = _sauter(setup, 0.0, conv)
         assert r == pytest.approx(closed.R, rel=1e-12, abs=1e-14), (setup, conv.value)
         assert t == pytest.approx(closed.T, rel=1e-12, abs=1e-14), (setup, conv.value)
