@@ -9,7 +9,10 @@ give.  A ``GridSample`` holds those arrays, read-only; its tuple fields
 ``xs``, ``phi``, ``chi``, ``rho`` and ``j`` are built on first read, and
 ``write_csv`` reads none of them.  ``write_csv`` and ``sweep`` write their
 rows through one CSV writer, ``_write_rows``, which formats every float
-cell of a block of rows at once, byte for byte as ``'%.17g' % v``.
+cell of a block of rows at once, byte for byte as ``'%.17g' % v``, and
+every other cell as ``astype("S")`` writes it: an ASCII str column (the
+sweep's labels) from its code units and an integer column in 0 … 9 (its
+``transition``) as one digit, with no Python object per cell.
 
 ``sample`` refuses a grid on which a plane wave's phase k·x overflows, or
 reaches 2^52 in magnitude, where its ulp is 1 rad or more and e^{ikx} has
@@ -301,7 +304,9 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
         slow = np.arange(m)
     else:
         powers, eps, templates, groups = tables
-        a = np.where(regular, a, 1.0)
+        # Zeros, infinities and NaN are few where any: indexed by position.
+        special = np.flatnonzero(~regular)
+        a[special] = 1.0
         # X from log10, corrected where the scaled value has not 17 digits.
         x = np.floor(np.log10(a)).astype(np.intp)
         t, frac = _scale(a, x, powers)
@@ -318,10 +323,13 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
         slow[todo] = True
         slow = np.flatnonzero(slow)
 
+        # Each remainder as a multiply and subtract: numpy's int64 '%' divides again.
         lead = d // 10 ** 16
         rest = d - lead * 10 ** 16
-        hi, lo = rest // 10 ** 8, rest % 10 ** 8
-        g = [hi // 10 ** 4, hi % 10 ** 4, lo // 10 ** 4, lo % 10 ** 4]
+        hi = rest // 10 ** 8
+        lo = rest - hi * 10 ** 8
+        g0, g2 = hi // 10 ** 4, lo // 10 ** 4
+        g = [g0, hi - g0 * 10 ** 4, g2, lo - g2 * 10 ** 4]
         cells = np.take(templates, x - _X_LO, axis=0).view(np.uint8)
         tail = cells.view(np.uint32)[:, _TAIL]
         for k in range(3):
@@ -342,9 +350,9 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
             rows = np.flatnonzero(x == e)
             cells[rows, 7:7 + e] = np.maximum(cells[rows, 8:8 + e], ord("0"))
             cells[rows, 7 + e] = (cells[rows, 8 + e] != 0) * np.uint8(ord(".")) if e < 16 else 0
-        special = ~regular
-        v = values[special]
-        cells[special] = _SPECIAL[np.where(np.isnan(v), 4, 2 * np.isinf(v) + np.signbit(v))]
+        if len(special):
+            v = values[special]
+            cells[special] = _SPECIAL[np.where(np.isnan(v), 4, 2 * np.isinf(v) + np.signbit(v))]
     if len(slow):
         text = np.array([b"%.17g" % v for v in values[slow].tolist()], dtype=f"S{_CELL - 1}")
         cells[slow, :-1] = text.view(np.uint8).reshape(len(slow), _CELL - 1)
@@ -352,10 +360,23 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _text_cells(column: np.ndarray) -> np.ndarray:
-    """str(v) of each value, as one NUL-padded field per value that ends in ','."""
-    text = np.asarray(column).astype("S")
-    cells = np.zeros((len(text), text.itemsize + 1), np.uint8)
-    cells[:, :-1] = text.view(np.uint8).reshape(len(text), -1)
+    """str(v) of each value, as one NUL-padded field per value that ends in ','.
+    An ASCII str column is read from its code units, and an integer column in
+    0 … 9 as one digit per value; any other column through ``astype("S")``."""
+    column = np.ascontiguousarray(column)
+    n, text = len(column), None
+    if column.dtype.kind == "U":
+        units = column.view(np.uint32).reshape(n, column.itemsize // 4)
+        # A byte-swapped column reads each nonzero code unit as 2^24 or more.
+        if units.max(initial=0) < 128:
+            text = units
+    elif column.dtype.kind in "iu" and n and 0 <= column.min() and column.max() <= 9:
+        text = (column + ord("0")).reshape(n, 1)
+    if text is None:
+        text = column.astype("S")
+        text = text.view(np.uint8).reshape(n, text.itemsize)
+    cells = np.empty((n, text.shape[1] + 1), np.uint8)
+    cells[:, :-1] = text
     cells[:, -1] = ord(",")
     return cells
 

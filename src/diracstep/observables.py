@@ -71,7 +71,12 @@ class Observation:
 
 
 def observe(state: PlaneWaveSolution) -> Observation:
-    """The observation of a matched or limit state at its ``step_height``."""
+    """The observation of a matched or limit state at its ``step_height``.
+    A state that carries no step height, such as a bare
+    ``PlaneWaveSolution``, is refused with a TypeError."""
+    if not hasattr(state, "step_height"):
+        raise TypeError(f"observe needs a state that carries its step height V0, as a "
+                        f"matched or limit state does; a {type(state).__name__} has none")
     return _observed(state, state.step_height)
 
 

@@ -7,7 +7,8 @@ prints it, and ``scatter_table`` gives the same rows for N setups.  An
 open-regime row is ``_chain``'s, written once over a namespace of arithmetic
 (``core._kinematics`` → ``matching._continuity`` → ``observables._observe``):
 Python numbers for ``record``, numpy arrays rounded as CPython rounds for
-``scatter_table``.  Edge rows are ``record``'s, of ``limits.edge_limit``.
+``scatter_table``, whose label columns are fixed-width str arrays indexed
+by integer codes.  Edge rows are ``record``'s, of ``limits.edge_limit``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .core import (_REGIMES, PhysicalSetup, Regime, _kinematics, _regime, classi
 from .limits import edge_limit
 from .matching import (Convention, PlaneWaveSolution, _continuity, match,
                        physical_convention)
-from .observables import _observation, _observe
+from .observables import BoundaryCondition, _observation, _observe
 from .spinor import ARRAY, SCALAR
 
 __all__ = ["record", "scatter_table", "solve"]
@@ -80,6 +81,25 @@ def record(setup: PhysicalSetup, conv: Convention | None = None) -> dict:
             "convention": conv.value, **columns}
 
 
+def _names(members) -> np.ndarray:
+    """The values of enum members as a str array, as wide as the longest."""
+    return np.array([member.value for member in members])
+
+
+# Name tables of the label columns, indexed by integer codes: a regime by
+# ``core._regime``'s index into ``_REGIMES``, a convention by its place in
+# ``Convention``.  Every value of an enum fits its column.
+_REGIME_NAMES = _names(_REGIMES)
+_CONVENTIONS = tuple(Convention)
+_CONVENTION_NAMES = _names(Convention)
+_BOUNDARY_DTYPE = _names(BoundaryCondition).dtype
+_IS_EDGE = np.array([regime in _EDGES for regime in _REGIMES])
+_EVANESCENT = _REGIMES.index(Regime.EVANESCENT)
+# Each regime's physical convention; an edge row takes its state's (any here).
+_PHYSICAL = np.array([_CONVENTIONS.index(physical_convention(regime))
+                      if regime not in _EDGES else 0 for regime in _REGIMES])
+
+
 def scatter_table(mass, step_heights, energies, conv: Convention | None) -> dict:
     """Every ``sweep`` column, as a numpy array, for the broadcast setups
     (mass, step height, energy); ``transition`` marks a change of regime
@@ -87,29 +107,35 @@ def scatter_table(mass, step_heights, energies, conv: Convention | None) -> dict
     convention.  A table with refused rows raises the error ``record`` gives
     its first, with the row's index as ``row`` and the number of refused rows
     as ``refused``.
+
+    Rows are classified, grouped and compared on integer codes.  The label
+    columns ``regime``, ``convention`` and ``boundary`` are fixed-width str
+    arrays taken from name tables, and ``transition`` an integer column, so
+    no column holds a Python object per row.
     """
     m, v0, e = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
                                      for x in (mass, step_heights, energies)))
     with np.errstate(all="ignore"):
         valid = ((m >= 0.0) & np.isfinite(m) & (v0 > 0.0) & np.isfinite(v0)
                  & np.isfinite(e) & (e > m))
-        regime = np.array([r.value for r in _REGIMES], dtype=object)[_regime(ARRAY, m, v0, e)]
+        regime = _regime(ARRAY, m, v0, e)
         # With conv=None each open regime's physical convention; edge rows get theirs below.
-        convs = np.full(len(e), None if conv is None else conv.value, dtype=object)
-        if conv is None:
-            for open_regime in (Regime.TRANSMISSION, Regime.EVANESCENT, Regime.KLEIN_ZONE):
-                convs[regime == open_regime.value] = physical_convention(open_regime).value
-        edge = np.isin(regime, [r.value for r in _EDGES])
-        evanescent = regime == Regime.EVANESCENT.value
+        convs = _PHYSICAL[regime] if conv is None else np.full(len(e), _CONVENTIONS.index(conv))
+        edge = _IS_EDGE[regime]
+        evanescent = regime == _EVANESCENT
         table = defaultdict(lambda: np.zeros(len(e)), {
-            "step_height": v0, "energy": e, "regime": regime,
+            "step_height": v0, "energy": e, "regime": _REGIME_NAMES[regime],
             "transition": np.concatenate(([0], regime[1:] != regime[:-1])).astype(int),
-            "convention": convs, "boundary": np.empty(len(e), dtype=object)})
+            "convention": _CONVENTION_NAMES[convs],
+            "boundary": np.zeros(len(e), _BOUNDARY_DTYPE)})
         cause = np.zeros(len(e), dtype=int)
         open_rows = valid & ~edge
-        for c, ev in set(zip(convs[open_rows], evanescent[open_rows].tolist())):
-            rows = open_rows & (convs == c) & (evanescent == ev)
-            columns, cause[rows] = _chain(ARRAY, m[rows], v0[rows], e[rows], Convention(c), ev)
+        # One group per (convention, evanescent) pair among the open rows.
+        group = 2 * convs + evanescent
+        for g in np.flatnonzero(np.bincount(group[open_rows])).tolist():
+            rows = open_rows & (group == g)
+            columns, cause[rows] = _chain(ARRAY, m[rows], v0[rows], e[rows],
+                                          _CONVENTIONS[g // 2], bool(g % 2))
             for name, column in columns.items():
                 table[name][rows] = column
     # ``record`` fills each edge row; an invalid row is refused by its
@@ -126,7 +152,7 @@ def scatter_table(mass, step_heights, energies, conv: Convention | None) -> dict
     if refused.any():
         i = int(np.argmax(refused))
         error = errors.get(i) or refusal(int(cause[i]), float(m[i]), float(v0[i]),
-                                         float(e[i]), Convention(convs[i]))
+                                         float(e[i]), _CONVENTIONS[convs[i]])
         error.row, error.refused = i, int(refused.sum())
         raise error
     return dict(table)

@@ -158,3 +158,11 @@ def test_observation_row_holds_the_wall_class(sol, v0):
     """One wall rule: the row ``table.record`` reads classifies as ``observe``
     does, the nonrelativistic limits included."""
     assert _observation(sol, v0)["boundary"] == observe(sol).boundary.value
+
+
+def test_a_state_without_a_step_height_is_refused_by_name():
+    # The public constructor builds a state that sits under no step.
+    sol = PlaneWaveSolution.reflecting(
+        1.5, 0.5, -1.0, PlaneWaveState(Spinor(0.0, 1.0), 0.0, Side.RIGHT), Convention.MAIN, 0.0)
+    with pytest.raises(TypeError, match="step height V0.*a PlaneWaveSolution has none"):
+        observe(sol)

@@ -97,6 +97,37 @@ def test_text_and_integer_cells_read_as_str():
     assert _csv_block(columns) == b"1.5,KleinZone,0,nan\n-0,Edge,Point,12,2\n"
 
 
+# ASCII str columns and integer columns in 0 … 9 take their own paths; every
+# other column, and each of these, must read as astype("S") does.
+_TEXT_COLUMNS = {
+    "object": np.array(["KleinZone", "", "Edge,Point", "100%"], dtype=object),
+    "str": np.array(["DirichletUpper", "", "Edge,Point", "100%"]),
+    "str-empty": np.array(["", "", "", ""]),
+    "str-strided": np.array(["main", "x", "", "y", "%s", "z", "lower", "w"])[::2],
+    "str-non-native": np.array(["Edge", "", ",", "%%"], dtype=">U4"),
+    "digits": np.array([0, 9, 1, 0]),
+    "digits-uint8": np.array([3, 5, 0, 9], dtype=np.uint8),
+    "integers": np.array([0, 10, -1, 9]),
+    "large-integers": np.array([2**63 - 1, -2**63, 12, 0]),
+    "bool": np.array([True, False, False, True]),
+}
+
+
+@pytest.mark.parametrize("name", _TEXT_COLUMNS)
+def test_text_cells_read_as_astype_s(name):
+    column = _TEXT_COLUMNS[name]
+    text = [bytes(v) for v in column.astype("S")]
+    assert gridio._text_cells(column).tobytes().translate(None, b"\0") == b",".join(text) + b","
+    floats = np.array([1.5, -0.0, math.nan, 2.0])
+    expected = b"".join(b"%.17g,%s,%s\n" % (f, v, v) for f, v in zip(floats.tolist(), text))
+    assert _csv_block([floats, column, column]) == expected
+
+
+def test_non_ascii_text_is_refused_as_astype_s_refuses_it():
+    with pytest.raises(UnicodeEncodeError):
+        _csv_block([np.array(["Klein", "Zone\u00e9"])])
+
+
 def _per_row(gs) -> bytes:
     """The CSV of a sample, one %-format per row."""
     row = ",".join(["%.17g"] * 7)

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracstep import Convention, EdgePointError, PhysicalSetup, kinematics, table
+from diracstep import (BoundaryCondition, Convention, EdgePointError, PhysicalSetup, Regime,
+                       kinematics, table)
 from diracstep.core import incident_wave
 from diracstep.table import record as scalar_record
 from diracstep.table import scatter_table
@@ -184,6 +185,27 @@ def test_scatter_table_broadcasts_and_marks_transitions():
     assert table["transition"].tolist() == [0, 0, 1, 1, 1]
     assert table["convention"].tolist() == [
         "traditional", "traditional", "main", "main", "main"]
+
+
+@pytest.mark.parametrize("conv", [None, *Convention], ids=lambda c: getattr(c, "value", "auto"))
+def test_label_columns_are_fixed_width_text_and_transition_an_integer(conv):
+    # Step heights across every regime and both edges at E = 2.5, mc² = 1.
+    rows = [(i * 2.0 ** -4, 2.5) for i in range(1, 81)]
+    rows = [row for row in rows if not isinstance(_reference(1.0, [row], conv), Exception)]
+    records = _reference(1.0, rows, conv)
+    table = scatter_table(1.0, [v0 for v0, _ in rows], [e for _, e in rows], conv)
+    assert not [name for name, column in table.items() if column.dtype == object]
+    assert table["transition"].dtype.kind == "i"
+    assert table["transition"].tolist() == [record["transition"] for record in records]
+    assert "EdgePoint" in [record["regime"] for record in records]  # an edge row is record's
+    for name, members in (("regime", Regime), ("convention", Convention),
+                          ("boundary", BoundaryCondition)):
+        assert table[name].dtype.kind == "U"
+        assert table[name].tolist() == [record[name] for record in records]
+        column = table[name].copy()
+        for member in members:
+            column[0] = member.value
+            assert column[0] == member.value
 
 
 @pytest.mark.parametrize("conv", [None, Convention.MAIN, Convention.NEGATIVE_ENERGY],
