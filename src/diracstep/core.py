@@ -11,7 +11,6 @@ Natural units: ħ = c = 1, so wave numbers carry units of energy.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -129,20 +128,16 @@ class Kinematics:
 
 # The refusal causes of an open-regime setup, in the order they are checked
 # (0 is none), and their messages.
-(K2_OVERFLOW, KBAR2_OVERFLOW, K2_UNDERFLOW, KBAR2_UNDERFLOW, KBAR_ZERO, GROWING, SINGULAR,
- NOT_FINITE) = range(1, 9)
+KBAR_ZERO, GROWING, SINGULAR, NOT_FINITE = range(1, 5)
 _REFUSALS = {
-    K2_OVERFLOW: "(E - mc2)(E + mc2) overflows (E={e}, mc2={m})",
-    KBAR2_OVERFLOW: "(E - V0 - mc2)(E - V0 + mc2) overflows (E={e}, V0={v0}, mc2={m})",
-    K2_UNDERFLOW: "(E - mc2)(E + mc2) underflows (E={e}, mc2={m})",
-    KBAR2_UNDERFLOW: "(E - V0 - mc2)(E - V0 + mc2) underflows (E={e}, V0={v0}, mc2={m})",
     KBAR_ZERO: ("transmitted wave number rounds to 0 in {regime}: V0={v0} is within rounding "
                 "of the regime edge {edge} (E={e}, mc2={m})"),
     GROWING: "{conv!r} transmitted wave grows under the step in the evanescent regime",
     # Possible only at degenerate corners (e.g. the TRADITIONAL wave for a
     # massless particle, where it is parallel to the reflected wave).
     SINGULAR: "continuity system singular for {conv!r} at this setup",
-    NOT_FINITE: "spinor components must be finite",
+    # With k and k̄ formed from scaled pairs, only the force leaves the double range.
+    NOT_FINITE: "wall force -V0 rho(0) overflows (E={e}, V0={v0}, mc2={m})",
 }
 
 
@@ -157,38 +152,37 @@ def refusal(cause: int, mass_energy, step_height, energy, conv=None) -> ValueErr
     return EdgePointError(_REFUSALS[cause].format(regime=regime, v0=v0, edge=edge, e=e, m=m))
 
 
+def _scaled(xp, x, y):
+    """x / 2^s, y / 2^s and s, s the binary exponent of the larger magnitude, on
+    numbers or arrays: a square formed from the scaled pair is 0 or normal."""
+    s = xp.frexp(xp.maximum(xp.magnitude(x), xp.magnitude(y)))[1]
+    return xp.ldexp(x, -s), xp.ldexp(y, -s), s
+
+
 def _incident(xp, e, m):
-    """k², k and a on Python numbers or arrays (``xp`` is ``spinor.SCALAR`` or
-    ``spinor.ARRAY``)."""
+    """k and a from (E, mc²)/2^s, on Python numbers or arrays (``xp``)."""
+    e, m, s = _scaled(xp, e, m)
     # (E−m)(E+m) instead of E²−m²: keeps full precision for E close to mc².
-    k2 = (e - m) * (e + m)
-    return k2, xp.sqrt(k2), xp.sqrt(xp.quotient(e - m, e + m))
+    return xp.ldexp(xp.sqrt((e - m) * (e + m)), s), xp.sqrt(xp.quotient(e - m, e + m))
 
 
 def _kinematics(xp, m, v0, e, evanescent: bool):
     """The open-regime kinematics on Python numbers or arrays: (k, k̄ or κ, a,
-    b, b″), and whether k² or k̄² overflows, k² or k̄² underflows (is below the
-    normal range, with nonzero factors; E ± mc² are nonzero) and k̄ rounds to 0."""
-    k2, k, a = _incident(xp, e, m)
-    d = e - v0
-    kbar2 = (d - m) * (d + m)  # k̄² in the open regimes, −κ² in the evanescent band
-    tiny = sys.float_info.min
-    kbar2_underflows = (xp.magnitude(kbar2) < tiny) & (d != m) & (d != -m)
+    b, b″), and whether k̄ rounds to 0.  k̄² and b are formed from
+    (E − V₀, mc²)/2^s, so neither depends on the energy unit."""
+    k, a = _incident(xp, e, m)
+    d, m, s = _scaled(xp, e - v0, m)
+    kbar2 = (d - m) * (d + m)  # (k̄/2^s)² in the open regimes, −(κ/2^s)² if evanescent
     transmitted = xp.sqrt(xp.magnitude(kbar2))
     b = xp.quotient(xp.product(-1j, transmitted) if evanescent else transmitted, d + m)
     b_dprime = -xp.quotient(1.0, b)  # -1.0 / b would flip a signed zero in the evanescent band
-    return (k, transmitted, a, b, b_dprime), (k2 == math.inf, kbar2 == math.inf, k2 < tiny,
-                                              kbar2_underflows, kbar2 == 0.0)
+    return (k, xp.ldexp(transmitted, s), a, b, b_dprime), kbar2 == 0.0
 
 
 def incident_wave(energy: float, mass_energy: float) -> tuple[float, float]:
     """Incident wave number k = √(E² − (mc²)²) and spinor ratio
-    a = √((E − mc²)/(E + mc²)), 1 for mc² = 0, for E > mc².  Raises
-    ValueError when k² overflows or underflows."""
-    k2, k, a = _incident(SCALAR, energy, mass_energy)
-    if k2 == math.inf or k2 < sys.float_info.min:
-        raise refusal(K2_OVERFLOW if k2 == math.inf else K2_UNDERFLOW, mass_energy, None, energy)
-    return k, a
+    a = √((E − mc²)/(E + mc²)), 1 for mc² = 0, for E > mc², at any scale."""
+    return _incident(SCALAR, energy, mass_energy)
 
 
 def kinematics(setup: PhysicalSetup) -> Kinematics:
@@ -197,8 +191,8 @@ def kinematics(setup: PhysicalSetup) -> Kinematics:
     Raises EdgePointError exactly on the regime boundaries (k̄ = 0), where
     the scattering amplitudes degenerate and the closed-form limits of the
     ``limits`` module apply instead, and also where k̄ or κ rounds to 0 just
-    inside an open regime.  Raises ValueError when k² or k̄² leaves the
-    normal range.
+    inside an open regime.  k and k̄ are formed at a power-of-two scale, so
+    no square leaves the double range.
 
     In the EVANESCENT regime the transmitted wave number continues to
     k̄ → −iκ, the unique choice that decays for x → +∞; ``b`` then becomes
@@ -211,8 +205,7 @@ def kinematics(setup: PhysicalSetup) -> Kinematics:
             "use the limits module"
         )
     m, v0, e = setup.mass_energy, setup.step_height, setup.energy
-    values, hits = _kinematics(SCALAR, m, v0, e, regime is Regime.EVANESCENT)
-    for cause, hit in enumerate(hits, K2_OVERFLOW):
-        if hit:
-            raise refusal(cause, m, v0, e)
+    values, kbar_zero = _kinematics(SCALAR, m, v0, e, regime is Regime.EVANESCENT)
+    if kbar_zero:
+        raise refusal(KBAR_ZERO, m, v0, e)
     return Kinematics(setup, regime, *values)

@@ -25,10 +25,11 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import SINGULAR, PhysicalSetup, Regime, classify_regime, incident_wave, refusal
+from .core import (NOT_FINITE, SINGULAR, PhysicalSetup, Regime, classify_regime, incident_wave,
+                   refusal)
 from .matching import Convention, PlaneWaveSolution, _continuity
 from .observables import Observation, _hard_wall_force, _observed, observe
-from .spinor import SCALAR, PlaneWaveState, Side, Spinor
+from .spinor import SCALAR, PlaneWaveState, Side, Spinor, density
 
 __all__ = [
     "LimitKind",
@@ -116,7 +117,8 @@ def impenetrable_limit(
     if energy <= mass_energy:
         raise ValueError("impenetrable limit needs E > mc2")
     _check_finite(energy, mass_energy)
-    incident_wave(energy, mass_energy)  # refuses k² before E + mc² could overflow
+    if energy + mass_energy == math.inf:
+        raise ValueError(f"E + mc2 overflows (E={energy}, mc2={mass_energy})")
     if conv not in (Convention.MAIN, Convention.LOWER_COMPONENT, Convention.NEGATIVE_ENERGY):
         raise ValueError("impenetrable limit defined for the main, lower and "
                          "negative-energy conventions only")
@@ -126,7 +128,8 @@ def impenetrable_limit(
 def edge_limit(
     setup: PhysicalSetup, conv: Convention | None = None
 ) -> LimitSolution:
-    """Exact state of a setup on a regime edge V₀ = E ± mc².
+    """Exact state of a setup on a regime edge V₀ = E ± mc², refused where its
+    wall force −V₀·ρ(0) overflows, as an open setup is.
 
     At the edge point V₀ = E + mc² this is the impenetrable limit: r = −1
     and t = 0, or t = 2a under LOWER_COMPONENT, where the transmitted spinor
@@ -140,7 +143,7 @@ def edge_limit(
     the MAIN and TRADITIONAL parameterizations stay finite there;
     ``conv=None`` reports TRADITIONAL.
     """
-    energy, mass_energy = setup.energy, setup.mass_energy
+    energy, mass_energy, v0 = setup.energy, setup.mass_energy, setup.step_height
     regime = classify_regime(setup)
     if regime not in (Regime.EDGE_POINT, Regime.EDGE_LOWER):
         raise ValueError(f"{regime.value} is not a regime edge")
@@ -156,7 +159,10 @@ def edge_limit(
     else:
         kind, r = LimitKind.IMPENETRABLE_MAIN, -1.0
         t = 2.0 * a if conv is Convention.LOWER_COMPONENT else 0.0
-    return _limit(kind, conv, energy, mass_energy, k, a, a, r, t, setup.step_height)
+    state = _limit(kind, conv, energy, mass_energy, k, a, a, r, t, v0)
+    if -v0 * density(state.transmitted.amplitude) == -math.inf:
+        raise refusal(NOT_FINITE, mass_energy, v0, energy)
+    return state
 
 
 def nonrelativistic_limit(
@@ -206,9 +212,9 @@ def _hard_wall(kind, conv, r, energy_nr, mass_energy) -> LimitSolution:
 
 def _nr_wall_force(energy: float, mass_energy: float) -> float:
     """Wall force of the Dirichlet NONREL state at E_kin = E − mc², whatever
-    E_kin/mc²; NaN at mc² = 0 and where 2mc²·E_kin underflows."""
+    E_kin/mc²; NaN at mc² = 0 and where 2mc²·E_kin leaves the normal range."""
     energy_nr = energy - mass_energy
-    if 2.0 * mass_energy * energy_nr < sys.float_info.min:
+    if not sys.float_info.min <= 2.0 * mass_energy * energy_nr < math.inf:
         return math.nan
     return _hard_wall_force(_hard_wall(LimitKind.NONREL_MAIN, Convention.MAIN, -1.0,
                                        energy_nr, mass_energy))

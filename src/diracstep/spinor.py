@@ -161,16 +161,16 @@ def _quotient(x, y):
 # The open-regime chain's operations on Python numbers, and on numpy arrays
 # rounded as CPython rounds.
 SCALAR = SimpleNamespace(
-    sqrt=math.sqrt, magnitude=abs, product=operator.mul, quotient=_quotient, complex=complex,
-    maximum=max, exp=cmath.exp, where=lambda c, x, y: x if c else y,
+    sqrt=math.sqrt, frexp=math.frexp, ldexp=math.ldexp, magnitude=abs, product=operator.mul,
+    quotient=_quotient, complex=complex, maximum=max, exp=cmath.exp,
+    where=lambda c, x, y: x if c else y, nonfinite=lambda x: not cmath.isfinite(x),
     select=lambda hits, values, default: values[hits.index(True)] if True in hits else default,
-    nonfinite=lambda x: not cmath.isfinite(x),
     densities=lambda upper, lower: abs(upper) ** 2 + abs(lower) ** 2,
     currents=lambda upper, lower: 2.0 * (upper.conjugate() * lower).real)
 ARRAY = SimpleNamespace(
-    sqrt=np.sqrt, magnitude=magnitude, product=product, quotient=quotient,
-    complex=lambda x: np.asarray(x, dtype=complex), maximum=np.maximum, exp=np.exp,
-    where=np.where, select=np.select, nonfinite=lambda x: ~np.isfinite(x),
+    sqrt=np.sqrt, frexp=np.frexp, ldexp=np.ldexp, magnitude=magnitude, product=product,
+    quotient=quotient, complex=lambda x: np.asarray(x, dtype=complex), maximum=np.maximum,
+    exp=np.exp, where=np.where, select=np.select, nonfinite=lambda x: ~np.isfinite(x),
     densities=densities, currents=currents)
 
 

@@ -37,7 +37,7 @@ def _chain(xp, m, v0, e, conv: Convention, evanescent: bool):
     operand type, on Python numbers or arrays, and each row's refusal cause:
     0, or the first ``core.refusal`` cause that holds, the last where a value
     of the state or of the row is not finite."""
-    (k, kappa, a, b, b_dprime), kinematic_hits = _kinematics(xp, m, v0, e, evanescent)
+    (k, kappa, a, b, b_dprime), kbar_zero = _kinematics(xp, m, v0, e, evanescent)
     (upper, lower, q_t, r, t, t_upper, t_lower), matching_hits = _continuity(
         xp, a, b, b_dprime, kappa, conv, evanescent)
     columns = {"a": a, "b_re": b.real, "b_im": b.imag, "k": k, "kbar_or_kappa": kappa,
@@ -46,7 +46,7 @@ def _chain(xp, m, v0, e, conv: Convention, evanescent: bool):
     skip = ("boundary", "v_t") if evanescent else ("boundary",)
     values = [b_dprime, upper, lower, *(v for name, v in columns.items() if name not in skip)]
     nonfinite = functools.reduce(operator.or_, map(xp.nonfinite, values))
-    hits = (*kinematic_hits, *matching_hits, nonfinite)
+    hits = (kbar_zero, *matching_hits, nonfinite)
     return columns, xp.select(hits, list(range(1, len(hits) + 1)), 0)
 
 

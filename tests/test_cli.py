@@ -320,7 +320,8 @@ def test_limit_impenetrable_massless_nr_force_is_nan(capsys):
 def test_limit_nr_force_is_minus_four_kinetic_energies(mc2, ratio):
     """nr_force is the force of the Dirichlet NR state at E_kin = E - mc2:
     -4 E_kin to 4 ulps wherever the command exits 0, and nan where that
-    state does not exist, at mc2 = 0 or where 2 mc2 E_kin underflows."""
+    state does not exist, at mc2 = 0 or where 2 mc2 E_kin underflows or
+    overflows."""
     e = ratio * mc2 if mc2 else ratio
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -331,7 +332,7 @@ def test_limit_nr_force_is_minus_four_kinetic_energies(mc2, ratio):
         return
     nr_force = float(_table_of(out.getvalue())["nr_force"])
     e_kin = e - mc2
-    if 2.0 * mc2 * e_kin < sys.float_info.min:
+    if not sys.float_info.min <= 2.0 * mc2 * e_kin < math.inf:
         assert math.isnan(nr_force)
     else:
         assert abs(nr_force + 4.0 * e_kin) <= 4.0 * math.ulp(4.0 * e_kin)
@@ -855,84 +856,167 @@ def test_sweep_to_one_ulp_inside_transmission_exit_2(capsys, tmp_path):
     assert not out_file.exists()
 
 
+# Flags that take an energy, and table rows and CSV columns in units of
+# energy; lengths (--range, x) go as its inverse.
+_ENERGY_FLAGS = ("--energy", "--step-height", "--mass", "--from", "--to")
+_ENERGIES = {"step_height", "energy", "k", "kbar_or_kappa", "force", "external_force",
+             "boundary_force", "nr_force"}
+
+
+def _scaled_argv(argv, s, out):
+    """argv with every energy divided by 2^s and every length multiplied by
+    it, writing to ``out``."""
+    scaled = list(argv)
+    for i, flag in enumerate(argv):
+        if flag in _ENERGY_FLAGS:
+            scaled[i + 1] = repr(math.ldexp(float(argv[i + 1]), -s))
+        elif flag == "--range":
+            scaled[i + 1:i + 3] = (repr(math.ldexp(float(x), s)) for x in argv[i + 1:i + 3])
+        elif flag == "--out":
+            scaled[i + 1] = str(out)
+    return scaled if "--mass" in argv else [*scaled, "--mass", repr(math.ldexp(1.0, -s))]
+
+
+def _values(stdout, out):
+    """(name, value) of every printed row but comments, and of every cell of
+    the CSV at ``out``, if written."""
+    values = [tuple(line.split(None, 1)) for line in stdout.splitlines()
+              if line and not line.startswith(("#", "wrote"))]
+    if out.exists():
+        header, *rows = (line.split(",") for line in out.read_text().splitlines())
+        values += [value for row in rows for value in zip(header, row, strict=True)]
+    return values
+
+
+def _assert_scales(capsys, tmp_path, argv):
+    """``argv`` exits 0 and prints, and writes, what it does with every energy
+    divided by 2^s (s the binary exponent of the largest) and every length
+    multiplied by it: the values in units of energy times 2^s, those in units
+    of length times 2^-s, and every other value identical."""
+    energies = [float(argv[i + 1]) for i, flag in enumerate(argv) if flag in _ENERGY_FLAGS]
+    s = math.frexp(max(energies))[1]
+    runs = []
+    for args, out in ((argv, tmp_path / "out.csv"),
+                      (_scaled_argv(argv, s, tmp_path / "base.csv"), tmp_path / "base.csv")):
+        if args[0] in ("scatter", "limit"):
+            args = [*args, "--precision", "17"]
+        code, stdout, err = run(capsys, *args)
+        assert (code, err) == (0, "")
+        runs.append(_values(stdout, out))
+    assert [name for name, _ in runs[0]] == [name for name, _ in runs[1]]
+    for (name, value), (_, base) in zip(*runs):
+        power = 1 if name in _ENERGIES else -1 if name == "x" else 0
+        if power:
+            assert float(value).hex() == math.ldexp(float(base), power * s).hex(), name
+        else:
+            assert value == base, name
+
+
 @pytest.mark.parametrize("argv,cause", [
-    (("scatter", "--mass", "1e-200", "--energy", "2e-200", "--step-height", "1e-199"),
-     "(E - mc2)(E + mc2) underflows (E=2e-200, mc2=1e-200)"),
-    (("scatter", "--mass", "0", "--energy", "1e-170", "--step-height", "5e-171"),
-     "(E - mc2)(E + mc2) underflows (E=1e-170, mc2=0.0)"),
+    (("scatter", "--mass", "1e-200", "--energy", "2e-200", "--step-height", "1e-199"), None),
+    (("scatter", "--mass", "0", "--energy", "1e-170", "--step-height", "5e-171"), None),
     (("scatter", "--mass", "1e-200", "--energy", "1.0000001e-200", "--step-height", "1e-100"),
-     "(E - mc2)(E + mc2) underflows (E=1.0000001e-200, mc2=1e-200)"),
+     None),
     # k^2 = 1e-300 is normal; k-bar^2 = (E - V0)^2, a few ulps of E squared, is not.
     (("scatter", "--mass", "0", "--energy", "1e-150", "--step-height", "9.999999999999999e-151"),
-     "(E - V0 - mc2)(E - V0 + mc2) underflows (E=1e-150, V0=9.999999999999999e-151, mc2=0.0)"),
+     None),
     # The Klein edge, where k comes from core.incident_wave.
-    (("scatter", "--mass", "1e-200", "--energy", "2e-200", "--step-height", "3e-200"),
-     "(E - mc2)(E + mc2) underflows (E=2e-200, mc2=1e-200)"),
+    (("scatter", "--mass", "1e-200", "--energy", "2e-200", "--step-height", "3e-200"), None),
     (("limit", "--which", "nonrel", "--energy", "1e-170", "--mass", "1e-170"),
      "2 mc2 E_kin underflows (E_kin=1e-170, mc2=1e-170)"),
 ], ids=["kbar2-klein", "kbar2-massless", "k2", "kbar2-only", "k2-edge", "nonrel"])
-def test_products_that_underflow_are_refused_with_their_cause_exit_2(capsys, argv, cause):
-    """A product of nonzero factors below the normal range has lost its
-    digits, or is 0, and is refused with its cause rather than printed."""
+def test_products_that_underflow_are_refused_with_their_cause_exit_2(capsys, tmp_path, argv,
+                                                                      cause):
+    """k² or k̄² of these setups underflows the double range in their own
+    unit.  Formed from power-of-two-scaled pairs, they are normal, and each
+    setup prints what it prints scaled into the normal range (cause None).
+    The nonrelativistic limit refuses its own 2mc²·E_kin that underflows."""
+    if cause is None:
+        _assert_scales(capsys, tmp_path, argv)
+        return
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {cause}\n"
 
 
-@pytest.mark.parametrize("argv,cause", [
-    (("--energy", "2", "--step-height", "1e300"),
-     "(E - V0 - mc2)(E - V0 + mc2) overflows (E=2.0, V0=1e+300, mc2=1.0)"),
-    (("--energy", "1e200", "--step-height", "1"),
-     "(E - mc2)(E + mc2) overflows (E=1e+200, mc2=1.0)"),
-    (("--energy", "2", "--step-height", "1e300", "--mass", "0"),
-     "(E - V0 - mc2)(E - V0 + mc2) overflows (E=2.0, V0=1e+300, mc2=0.0)"),
+@pytest.mark.parametrize("argv", [
+    ("--energy", "2", "--step-height", "1e300"),
+    ("--energy", "1e200", "--step-height", "1"),
+    ("--energy", "2", "--step-height", "1e300", "--mass", "0"),
 ], ids=["step-height-1e300", "energy-1e200", "massless-step-height-1e300"])
-def test_scatter_refuses_overflowing_magnitudes_exit_2(capsys, argv, cause):
-    code, out, err = run(capsys, "scatter", *argv)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {cause}\n"
+def test_scatter_refuses_overflowing_magnitudes_exit_2(capsys, tmp_path, argv):
+    """k² or k̄² of these setups overflows the double range in their own unit;
+    formed from scaled pairs it does not, and each setup prints what it
+    prints scaled into the normal range."""
+    _assert_scales(capsys, tmp_path, ("scatter", *argv))
 
 
-_K_OVERFLOW = "(E - mc2)(E + mc2) overflows"
+_FORCE_OVERFLOW = "wall force -V0 rho(0) overflows"
 _NR_OVERFLOW = "sqrt(2 mc2 E_kin) overflows (E_kin=1e+308, mc2=1.0)"
 
 
 @pytest.mark.parametrize("argv,cause", [
-    (("scatter", "--energy", "1e300", "--step-height", "1e300"),
-     f"{_K_OVERFLOW} (E=1e+300, mc2=1.0)"),
+    (("scatter", "--energy", "1e300", "--step-height", "1e300"), None),
     # Both rows lie on a regime edge: E - mc2 and E + mc2.
     (("sweep", "--vary", "step-height", "--from", "9.999999999e+199",
       "--to", "1.0000000000999999e+200", "--points", "2", "--energy", "1e200",
-      "--mass", "1e190"),
-     f"row 0 (V0=9.999999999e+199, E=1e+200): {_K_OVERFLOW} (E=1e+200, mc2=1e+190); "
-     "2 of 2 rows refused"),
-    (("limit", "--which", "impenetrable", "--energy", "1e300"),
-     f"{_K_OVERFLOW} (E=1e+300, mc2=1.0)"),
-    (("limit", "--which", "infinite", "--energy", "1e300"),
-     f"{_K_OVERFLOW} (E=1e+300, mc2=1.0)"),
-    (("wavefunction", "--limit", "impenetrable", "--energy", "1e300"),
-     f"{_K_OVERFLOW} (E=1e+300, mc2=1.0)"),
+      "--mass", "1e190"), None),
+    (("limit", "--which", "impenetrable", "--energy", "1e300"), None),
+    (("limit", "--which", "infinite", "--energy", "1e300"), None),
+    # Lengths go as 1/E: the default range, -5 to 5, would hold 1e300
+    # wavelengths, a phase with no correct digit.
+    (("wavefunction", "--limit", "impenetrable", "--energy", "1e300",
+      "--range", "-5e-300", "5e-300"), None),
     (("limit", "--which", "nonrel", "--energy", "1e308"), _NR_OVERFLOW),
     (("wavefunction", "--limit", "nonrel", "--energy", "1e308"), _NR_OVERFLOW),
     # V0 = E + mc2 rounds to E: the edge point.
-    (("wavefunction", "--energy", "1e300", "--step-height", "1e300"),
-     f"{_K_OVERFLOW} (E=1e+300, mc2=1.0)"),
+    (("wavefunction", "--energy", "1e300", "--step-height", "1e300",
+      "--range", "-5e-300", "5e-300"), None),
+    # The wall force -V0 rho(0) = -4(E - mc2) of the edge state overflows.
+    (("scatter", "--energy", "1e308", "--step-height", "1e308"),
+     f"{_FORCE_OVERFLOW} (E=1e+308, V0=1e+308, mc2=1.0)"),
+    (("sweep", "--vary", "step-height", "--from", "1e308", "--to", "1.5e308", "--points", "2",
+      "--energy", "1e308"),
+     f"row 0 (V0=1e+308, E=1e+308): {_FORCE_OVERFLOW} (E=1e+308, V0=1e+308, mc2=1.0); "
+     "2 of 2 rows refused"),
+    (("limit", "--which", "impenetrable", "--energy", "1e308"),
+     f"{_FORCE_OVERFLOW} (E=1e+308, V0=1e+308, mc2=1.0)"),
+    (("wavefunction", "--limit", "impenetrable", "--energy", "1e308"),
+     f"{_FORCE_OVERFLOW} (E=1e+308, V0=1e+308, mc2=1.0)"),
+    (("limit", "--which", "impenetrable", "--energy", "1.5e308", "--mass", "1e308"),
+     "E + mc2 overflows (E=1.5e+308, mc2=1e+308)"),
 ], ids=["scatter", "sweep", "limit", "limit-infinite", "wavefunction", "limit-nonrel",
-        "wavefunction-nonrel", "wavefunction-edge"])
+        "wavefunction-nonrel", "wavefunction-edge", "scatter-force", "sweep-force",
+        "limit-force", "wavefunction-force", "limit-e-plus-mc2"])
 def test_edge_point_with_overflowing_wave_number_exit_2(capsys, tmp_path, argv, cause):
-    """At an edge, and in every relativistic limit, the incident wave number
-    k comes from core.incident_wave, which refuses k² = (E - mc2)(E + mc2)
-    that overflows, as kinematics does; the nonrelativistic limit refuses
-    its own k, a and force that overflow."""
+    """At an edge, and in every relativistic limit, k² = (E - mc2)(E + mc2)
+    of these setups overflows in their own unit; k is formed from a scaled
+    pair, and each prints and writes what it does scaled into the normal
+    range (cause None).  An edge state whose wall force overflows is refused
+    by name, as an open setup is, and so is an impenetrable limit whose
+    V0 = E + mc2 overflows; the nonrelativistic limit refuses its own k, a
+    and force that overflow."""
     out_file = tmp_path / "out.csv"
     if argv[0] in ("sweep", "wavefunction"):
         argv += ("--out", str(out_file))
+    if cause is None:
+        _assert_scales(capsys, tmp_path, argv)
+        return
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {cause}\n"
     assert not out_file.exists()
+
+
+def test_limit_impenetrable_nr_force_is_nan_where_k_overflows(capsys):
+    # 2 mc2 E_kin = 8e614 overflows, and k = sqrt(2 mc2 E_kin) with it; the
+    # edge state itself, with the force -4(E - mc2) = -8e307, is printed.
+    code, out, _ = run(capsys, "limit", "--which", "impenetrable", "--energy", "4e307",
+                       "--mass", "2e307")
+    assert code == 0
+    assert _table_of(out)["nr_force"] == "nan"
+    assert float(_table_of(out)["external_force"]) == pytest.approx(-8e307, rel=1e-15)
 
 
 _POINTS_ARGV = {

@@ -118,19 +118,17 @@ def test_sweep_transcript(command, tmp_path):
     assert _block(command, tmp_path) == _golden(GOLDEN)[command]
 
 
-@pytest.mark.parametrize("argv,grid,code,err", [
+@pytest.mark.parametrize("argv,grid", [
     # i·(--to − --from) overflows at i = 2 although i·(--to − --from)/2 does not.
-    ("--from 1.5 --to 1e308 --points 3", [1.5, 5e307, 1e308], 2,
-     "error: row 1 (V0=1.0, E=5e+307): (E - mc2)(E + mc2) overflows"),
+    ("--from 1.5 --to 1e308 --points 3", [1.5, 5e307, 1e308]),
     # Products that fit keep the grid bits the golden CSVs were written with.
-    ("--from 1.1 --to 7 --points 13", (1.1 + np.arange(13) * (7 - 1.1) / 12).tolist(), 0, ""),
+    ("--from 1.1 --to 7 --points 13", (1.1 + np.arange(13) * (7 - 1.1) / 12).tolist()),
 ])
-def test_sweep_grid_is_formed_without_overflow(argv, grid, code, err, monkeypatch, tmp_path,
-                                                capsys):
+def test_sweep_grid_is_formed_without_overflow(argv, grid, monkeypatch, tmp_path, capsys):
     """The energies a sweep hands to ``scatter_table``: a grid whose products
     i·(--to − --from) overflow ends at --to with no RuntimeWarning (an error
-    under this suite's filterwarnings), and its rows are refused as any
-    other, with exit 2."""
+    under this suite's filterwarnings), and its rows are written as any
+    other's."""
     grids, scatter_table = [], table.scatter_table
 
     def capture(mass, step_heights, energies, conv):
@@ -139,10 +137,10 @@ def test_sweep_grid_is_formed_without_overflow(argv, grid, code, err, monkeypatc
 
     monkeypatch.setattr(table, "scatter_table", capture)
     monkeypatch.chdir(tmp_path)
-    assert main(shlex.split(f"sweep --vary energy {argv} --step-height 1 --out s.csv")) == code
+    assert main(shlex.split(f"sweep --vary energy {argv} --step-height 1 --out s.csv")) == 0
     assert grids == [grid]
-    stderr = capsys.readouterr().err
-    assert stderr.startswith(err) and bool(stderr) == bool(err)
+    assert capsys.readouterr().err == ""
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == len(grid) + 1
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:

@@ -30,6 +30,7 @@ the regime admits.
 """
 
 import math
+import random
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
@@ -173,3 +174,33 @@ def test_record_matches_the_reference_next_to_either_edge(case):
     v0, e, conv = case
     ratio, name = _worst(1.0, v0, e, conv, record(PhysicalSetup(1.0, v0, e), conv))
     assert ratio <= C, (conv.value, v0, e, name, ratio)
+
+
+@st.composite
+def verify_setups(draw):
+    """mc² = 1 and a setup of an open regime as ``verify`` draws it, under a
+    convention the regime admits."""
+    regime = draw(st.sampled_from(OPEN))
+    setup = draw_setup(random.Random(draw(st.integers(0, 2 ** 32 - 1))), regime)
+    return setup.step_height, setup.energy, draw(st.sampled_from(_conventions(regime)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(verify_setups(), edge_setups()),
+       st.integers(-1000, 1000) | st.sampled_from((-1000, 1000)))
+def test_record_matches_the_reference_at_every_power_of_two_scale(case, s):
+    """The same draws with every energy scaled by 2^s, |s| <= 1000, under the
+    same bound: the reference reads the scaled binary inputs exactly, so it
+    stays independent of the chain's own scaling.  A setup is refused only
+    where its exact force leaves the double range."""
+    v0, e, conv = case
+    m, v0, e = (math.ldexp(x, s) for x in (1.0, v0, e))
+    assume(v0 >= 2.0 ** -1000)  # the scaled step height, and so the force, stays normal
+    try:
+        row = record(PhysicalSetup(m, v0, e), conv)
+    except ValueError as exc:
+        assert str(exc).startswith("wall force -V0 rho(0) overflows")
+        assert abs(reference(m, v0, e, conv)[0]["force"]) > 2 ** 1023
+        return
+    ratio, name = _worst(m, v0, e, conv, row)
+    assert ratio <= C, (conv.value, s, v0, e, name, ratio)

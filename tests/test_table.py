@@ -13,11 +13,12 @@ decimal reference in ``test_reference.py``.
 """
 
 import math
+import random
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diracstep import (BoundaryCondition, Convention, EdgePointError, PhysicalSetup, Regime,
@@ -25,6 +26,7 @@ from diracstep import (BoundaryCondition, Convention, EdgePointError, PhysicalSe
 from diracstep.core import incident_wave
 from diracstep.table import record as scalar_record
 from diracstep.table import scatter_table
+from diracstep.verify import draw_energy, draw_setup
 
 COLUMNS = (
     "step_height", "energy", "regime", "transition", "convention", "a",
@@ -152,16 +154,58 @@ def test_refusal_carries_the_first_refused_row_and_the_refused_count(case):
     assert (info.value.row, info.value.refused) == (refused[0], len(refused))
 
 
+# The record columns in units of energy: times 2^s when every energy is.
+SCALED = ("step_height", "energy", "k", "kbar_or_kappa", "force")
+FORCE_OVERFLOWS = "wall force -V0 rho(0) overflows"
+
+
+def _without_numbers(error):
+    """An error's message with the values it names left out."""
+    return re.sub(r"=[^,) ]+", "=", str(error))
+
+
+def _assert_scaled_record(mass, v0, e, conv, s):
+    """``record`` at (mc², V₀, E)·2^s is ``record`` at (mc², V₀, E) with the
+    SCALED columns times 2^s and every other column identical, bit for bit;
+    where that force overflows it is refused by name, and where the setup is
+    refused, it is refused alike."""
+    setup = PhysicalSetup(*(math.ldexp(x, s) for x in (mass, v0, e)))
+    try:
+        base = scalar_record(PhysicalSetup(mass, v0, e), conv)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as info:
+            scalar_record(setup, conv)
+        assert _without_numbers(info.value) == _without_numbers(exc)
+        return
+    try:
+        expected = {**base, **{name: math.ldexp(base[name], s) for name in SCALED}}
+    except OverflowError:
+        with pytest.raises(ValueError, match=re.escape(FORCE_OVERFLOWS)):
+            scalar_record(setup, conv)
+        return
+    got = scalar_record(setup, conv)
+    assert {name: _bits(got[name]) for name in got} == {
+        name: _bits(expected[name]) for name in expected}
+
+
+def _assert_scales(mass, v0, e, conv):
+    """The setup's record, and its table, are those of the setup divided by
+    2^s, s the binary exponent of its largest energy, scaled back."""
+    s = math.frexp(max(mass, v0, e))[1]
+    _assert_scaled_record(*(math.ldexp(x, -s) for x in (mass, v0, e)), conv, s)
+    _assert_table_matches(mass, [(v0, e)], conv)
+
+
 @pytest.mark.parametrize("mass, v0, e, conv, cause", [
-    (1.0, 1.0, 1e200, None, "(E - mc2)(E + mc2) overflows"),
-    (1.0, 1e300, 2.0, None, "(E - V0 - mc2)(E - V0 + mc2) overflows"),
+    # k² and k̄² overflow or underflow the double range in the setup's own
+    # unit; formed from power-of-two-scaled pairs they are normal, and the
+    # setup is accepted (cause None).
+    (1.0, 1.0, 1e200, None, None),
+    (1.0, 1e300, 2.0, None, None),
     (1.0, 0.9999999999999999, 2.0, None, "rounds to 0 in Transmission"),
     (1.0, 0.2, 1.2, None, "rounds to 0 in Evanescent"),
-    # One ulp above E + mc², k̄² = (d − mc²)(d + mc²) underflows, and so does
-    # k² = (E − mc²)(E + mc²), which is checked first.
-    (1e-200, 3.0000000000000005e-200, 2e-200, None, "(E - mc2)(E + mc2) underflows"),
-    # Massless, a few ulps below E: k² = 1e-300 is normal, k̄² = d² is not.
-    (0.0, 9.999999999999999e-151, 1e-150, None, "(E - V0 - mc2)(E - V0 + mc2) underflows"),
+    (1e-200, 3.0000000000000005e-200, 2e-200, None, None),
+    (0.0, 9.999999999999999e-151, 1e-150, None, None),
     (1.0, 2.5, 2.0, Convention.TRADITIONAL, "'traditional' transmitted wave grows"),
     (1.0, 2.5, 2.0, Convention.NEGATIVE_ENERGY, "'negative' transmitted wave grows"),
     # Massless, b = ±1 makes each column parallel to the reflected wave [1, −1].
@@ -169,13 +213,68 @@ def test_refusal_carries_the_first_refused_row_and_the_refused_count(case):
     (0.0, 0.5, 1.0, Convention.LOWER_COMPONENT, "singular for 'lower'"),
     (0.0, 0.5, 1.0, Convention.NEGATIVE_ENERGY, "singular for 'negative'"),
     (0.0, 1.5, 1.0, Convention.TRADITIONAL, "singular for 'traditional'"),
+    # The force −V₀·ρ(0) overflows: from V₀ ≈ 4.5e307 where ρ(0) = 4, and
+    # far below it where ρ(0) is large (3.3e10 under an explicit `main` in
+    # the transmission regime at 2^1000·(1, 0.109, 83.9)); in the Klein
+    # zone, in the transmission regime, at the edge point and at the lower
+    # edge alike.
+    (1.0, 1.7e308, 2.0, None, f"{FORCE_OVERFLOWS} (E=2.0, V0=1.7e+308, mc2=1.0)"),
+    (2.0 ** 1000, 0.109 * 2.0 ** 1000, 83.9 * 2.0 ** 1000, Convention.MAIN, FORCE_OVERFLOWS),
+    (1.0, 1e308, 1e308, None, f"{FORCE_OVERFLOWS} (E=1e+308, V0=1e+308, mc2=1.0)"),
+    (1e307, 9e307, 1e308, Convention.MAIN,
+     f"{FORCE_OVERFLOWS} (E=1e+308, V0=9e+307, mc2=1e+307)"),
 ], ids=["k2-overflow", "kbar2-overflow", "kbar-zero-transmission", "kbar-zero-evanescent",
-        "k2-underflow-klein", "kbar2-underflow-transmission", "growing-traditional", "growing-negative", "singular-main",
-        "singular-lower", "singular-negative", "singular-traditional"])
+        "k2-underflow-klein", "kbar2-underflow-transmission", "growing-traditional",
+        "growing-negative", "singular-main", "singular-lower", "singular-negative",
+        "singular-traditional", "force-overflow-klein", "force-overflow-transmission-main",
+        "force-overflow-edge-point", "force-overflow-edge-lower"])
 def test_each_refusal_cause_is_raised_alike_by_record_and_table(mass, v0, e, conv, cause):
+    if cause is None:
+        _assert_scales(mass, v0, e, conv)
+        return
     with pytest.raises(ValueError, match=re.escape(cause)):
         scalar_record(PhysicalSetup(mass, v0, e), conv)
     _assert_table_matches(mass, [(v0, e)], conv)
+
+
+@st.composite
+def scaled_tables(draw):
+    """A scale 2^s, |s| ≤ 1000, a convention, and rows (V₀, E) at mc² = 1:
+    drawn as ``verify`` draws them, or at δ from either edge on either side,
+    δ/(E + mc²) from 1e-6 to 1e-1, or on the edge."""
+    s = draw(st.integers(-1000, 1000) | st.sampled_from((-1000, 1000)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        where = draw(st.sampled_from(("verify", "near", "on")))
+        if where == "verify":
+            setup = draw_setup(rng, draw(st.sampled_from(
+                (Regime.KLEIN_ZONE, Regime.TRANSMISSION, Regime.EVANESCENT))))
+            v0, e = setup.step_height, setup.energy
+        else:
+            e = draw_energy(rng)
+            v0 = e + draw(st.sampled_from((-1.0, 1.0)))
+            if where == "near":
+                v0 += draw(st.sampled_from((-1.0, 1.0))) * (e + 1.0) * 10.0 ** draw(
+                    st.floats(-6.0, -1.0))
+        # Every scaled energy, and so the force, stays normal.
+        assume(v0 > 0.0 and math.ldexp(v0, s) >= 2.0 ** -1000)
+        rows.append((v0, e))
+    return s, rows, draw(st.sampled_from((None, *Convention)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_tables())
+def test_records_at_every_power_of_two_scale_are_the_scaled_records(case):
+    """The chain and the edge states are free of the energy unit: at any
+    scale 2^s that keeps the inputs normal, a record is the unscaled one with
+    k, k̄, the force, V₀ and E times 2^s, or is refused by name where that
+    force overflows; the table equals ``record`` on the scaled rows."""
+    s, rows, conv = case
+    for v0, e in rows:
+        _assert_scaled_record(1.0, v0, e, conv, s)
+    _assert_table_matches(math.ldexp(1.0, s),
+                          [(math.ldexp(v0, s), math.ldexp(e, s)) for v0, e in rows], conv)
 
 
 def test_scatter_table_broadcasts_and_marks_transitions():
