@@ -99,12 +99,10 @@ class GridSample:
 
 
 def _metadata(solution) -> dict:
-    limit = isinstance(solution, LimitSolution)
-    source = solution if limit else solution.setup  # holds mass_energy and energy
-    regime = solution.kind if limit else solution.kinematics.regime
+    regime = solution.kind if isinstance(solution, LimitSolution) else solution.kinematics.regime
     step_height = solution.step_height if solution.step_height < math.inf else None
-    return {"mass_energy": source.mass_energy, "step_height": step_height,
-            "energy": source.energy, "convention": solution.convention.value,
+    return {"mass_energy": solution.mass_energy, "step_height": step_height,
+            "energy": solution.energy, "convention": solution.convention.value,
             "regime": regime.value, "generator_version": __version__}
 
 

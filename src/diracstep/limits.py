@@ -25,10 +25,10 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (NOT_FINITE, SINGULAR, PhysicalSetup, Regime, classify_regime, incident_wave,
-                   refusal)
+from .core import (NOT_FINITE, SINGULAR, PhysicalSetup, Regime, _scaled, classify_regime,
+                   incident_wave, refusal)
 from .matching import Convention, PlaneWaveSolution, _continuity
-from .observables import Observation, _hard_wall_force, _observed, observe
+from .observables import Observation, _hard_wall_force, observe
 from .spinor import SCALAR, PlaneWaveState, Side, Spinor, density
 
 __all__ = [
@@ -53,33 +53,22 @@ class LimitKind(Enum):
 class LimitSolution(PlaneWaveSolution):
     """Closed-form eigenstate at a limit point, stored as plane-wave data.
 
-    ``energy`` is the total relativistic energy E for the relativistic
-    kinds and the nonrelativistic kinetic energy for the NONREL kinds;
-    ``wave_number`` is k (resp. the nonrelativistic wave number) and ``a``
-    the spinor-ratio (resp. its small-a limit value).  ``r`` and ``t`` are
-    the reflection and transmission amplitudes in the parameterization of
-    ``convention``, and ``step_height`` is the edge V₀ the state sits on:
-    E + mc², E − mc² for EDGE_LOWER, ∞ (a hard wall) for the NONREL kinds.
-    Every kind reflects totally; for the relativistic kinds
-    ``observables.observe`` gives R = 1, T = 0, v_t = 0 exactly, and for
-    the current-free NONREL kinds NaN.
+    ``kind`` labels it, and ``a`` is its spinor ratio, or for the NONREL kinds
+    a_limit, the small-a value √(E_kin / 2mc²) of the ratio their incident
+    wave [1, 0] drops.  The energies are the state's own: ``energy`` is E, or
+    the kinetic energy for the NONREL kinds, and ``step_height`` the edge V₀
+    the state sits on, E + mc², E − mc² for EDGE_LOWER, ∞ (a hard wall) for
+    the NONREL kinds.  Every kind reflects totally; ``observables.observe``
+    gives R = 1, T = 0, v_t = 0 exactly for the relativistic kinds, NaN for
+    the current-free NONREL kinds, and the wall force of each.
     """
 
     kind: LimitKind
-    energy: float
-    mass_energy: float
     a: float
-    step_height: float
 
     @property
     def wave_number(self) -> float:
         return self.incident.wave_number
-
-    @property
-    def force(self) -> float:
-        """Mean wall force, ``observe(self).force``: −V₀·ρ(0), or at the hard
-        wall V₀ = ∞ the boundary force of the Schroedinger wavefunction."""
-        return observe(self).force
 
 
 def _limit(kind, conv, energy, mass_energy, k, ratio, a, r, t, step_height) -> LimitSolution:
@@ -90,7 +79,7 @@ def _limit(kind, conv, energy, mass_energy, k, ratio, a, r, t, step_height) -> L
     wall = PlaneWaveState(Spinor(1.0 + r, ratio * (1.0 - r)), 0.0, Side.RIGHT)
     return LimitSolution.reflecting(
         k, ratio, r, wall, conv, t,
-        kind=kind, energy=energy, mass_energy=mass_energy, a=a, step_height=step_height,
+        mass_energy=mass_energy, step_height=step_height, energy=energy, kind=kind, a=a,
     )
 
 
@@ -175,8 +164,9 @@ def nonrelativistic_limit(
     comes from: MAIN gives NONREL_MAIN, the hard-wall Dirichlet state
     2i·sin(k x) with vanishing lower component; NEGATIVE_ENERGY gives
     NONREL_NEGATIVE, the Neumann state 2·cos(k x), constant beyond the wall.
-    Both sit at a hard wall, V₀ = ∞, with the force −4·E_kin.  It is refused
-    where 2mc²·E_kin underflows, and k = √(2mc²·E_kin) with it.
+    Both sit at a hard wall, V₀ = ∞, with the force −4·E_kin, at any scale.
+    It is refused where E_kin/mc² is too small to resolve, and where the
+    force overflows.
     """
     if conv is Convention.MAIN:
         kind, r = LimitKind.NONREL_MAIN, -1.0
@@ -189,35 +179,38 @@ def nonrelativistic_limit(
     if energy_nr <= 0.0:
         raise ValueError("nonrelativistic kinetic energy must be > 0")
     _check_finite(energy_nr, mass_energy)
+    given = f"(E_kin={energy_nr}, mc2={mass_energy})"
+    if energy_nr >= 2.0 * mass_energy:  # a >= 1; a < 1 for every relativistic state
+        raise ValueError(f"sqrt(E_kin / 2mc2) = {math.sqrt(energy_nr / (2.0 * mass_energy))} "
+                         f">= 1: E_kin >= 2 mc2 is not nonrelativistic {given}")
+    # Below 2mc², k = √(2mc²·E_kin) overflows only with the force.
+    if -4.0 * energy_nr == -math.inf:
+        raise ValueError(f"-4 E_kin overflows {given}")
     limit = _hard_wall(kind, conv, r, energy_nr, mass_energy)
-    for cause, value in (("sqrt(2 mc2 E_kin)", limit.wave_number),
-                         ("sqrt(E_kin / 2mc2)", limit.a), ("-4 E_kin", -4.0 * energy_nr)):
-        if not math.isfinite(value):
-            raise ValueError(f"{cause} overflows (E_kin={energy_nr}, mc2={mass_energy})")
-    if limit.a >= 1.0:  # a < 1 for every relativistic state
-        raise ValueError(f"sqrt(E_kin / 2mc2) = {limit.a} >= 1: E_kin >= 2 mc2 is not "
-                         f"nonrelativistic (E_kin={energy_nr}, mc2={mass_energy})")
-    if 2.0 * mass_energy * energy_nr < sys.float_info.min:
-        raise ValueError(f"2 mc2 E_kin underflows (E_kin={energy_nr}, mc2={mass_energy})")
+    if limit is None:
+        raise ValueError(f"E_kin / mc2 is too small to resolve {given}")
     return limit
 
 
-def _hard_wall(kind, conv, r, energy_nr, mass_energy) -> LimitSolution:
+def _hard_wall(kind, conv, r, energy_nr, mass_energy) -> LimitSolution | None:
     """The NONREL state of kinetic energy E_kin, unchecked: the reflection r
-    of [1, 0]·e^{ikx} at the hard wall, k = √(2mc²·E_kin), with a = √(E_kin / 2mc²)."""
-    k_nr = math.sqrt(2.0 * mass_energy * energy_nr)
-    a_limit = math.sqrt(energy_nr / (2.0 * mass_energy))
+    of [1, 0]·e^{ikx} at the hard wall, k = √(2mc²·E_kin), with
+    a = √(E_kin / 2mc²), both from (E_kin, mc²)/2^s, so at any scale; None
+    where E_kin/mc² is too small or too large to resolve (mc² = 0 included),
+    where the scaled 2mc²·E_kin underflows."""
+    e, m, s = _scaled(SCALAR, energy_nr, mass_energy)
+    if 2.0 * m * e < sys.float_info.min:
+        return None
+    k_nr, a_limit = math.ldexp(math.sqrt(2.0 * m * e), s), math.sqrt(e / (2.0 * m))
     return _limit(kind, conv, energy_nr, mass_energy, k_nr, 0.0, a_limit, r, 0.0, math.inf)
 
 
 def _nr_wall_force(energy: float, mass_energy: float) -> float:
     """Wall force of the Dirichlet NONREL state at E_kin = E − mc², whatever
-    E_kin/mc²; NaN at mc² = 0 and where 2mc²·E_kin leaves the normal range."""
-    energy_nr = energy - mass_energy
-    if not sys.float_info.min <= 2.0 * mass_energy * energy_nr < math.inf:
-        return math.nan
-    return _hard_wall_force(_hard_wall(LimitKind.NONREL_MAIN, Convention.MAIN, -1.0,
-                                       energy_nr, mass_energy))
+    E_kin/mc²; NaN at mc² = 0 and where E_kin/mc² is too small to resolve."""
+    limit = _hard_wall(LimitKind.NONREL_MAIN, Convention.MAIN, -1.0, energy - mass_energy,
+                       mass_energy)
+    return _hard_wall_force(limit) if limit else math.nan
 
 
 def infinite_potential_limit(
@@ -237,4 +230,5 @@ def infinite_potential_limit(
     values, (_, singular) = _continuity(SCALAR, a, -1.0, 1.0, 0.0, conv, False)
     if singular:
         raise refusal(SINGULAR, mass_energy, math.inf, energy, conv)
-    return _observed(PlaneWaveSolution._continued(k, a, values, conv), math.inf)
+    return observe(PlaneWaveSolution._continued(k, a, values, conv, mass_energy=mass_energy,
+                                                step_height=math.inf, energy=energy))

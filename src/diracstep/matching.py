@@ -18,12 +18,11 @@ path and the per-convention closed forms become checks, not sources.
 
 Matched states and the closed-form ``limits`` share one state type,
 :class:`PlaneWaveSolution`, which owns the only evaluators, each written
-once over ``spinor.SCALAR`` and ``spinor.ARRAY``.
+once over ``spinor.SCALAR`` and ``spinor.ARRAY``, and the energies it solves.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -75,7 +74,11 @@ class PlaneWaveSolution:
     """Incident + reflected plane waves for x < 0, one transmitted wave for
     x >= 0, with amplitudes r and t in the parameterization of
     ``convention``: every matched and limit state.  Each array evaluator
-    shares its scalar counterpart's body, so the two agree bit for bit."""
+    shares its scalar counterpart's body, so the two agree bit for bit.
+
+    ``mass_energy``, ``step_height`` and ``energy`` are the mc², V₀ and E the
+    state solves; a nonrelativistic limit sits at V₀ = ∞ with E its kinetic
+    energy."""
 
     incident: PlaneWaveState
     reflected: PlaneWaveState
@@ -83,6 +86,9 @@ class PlaneWaveSolution:
     convention: Convention
     r: complex
     t: complex
+    mass_energy: float
+    step_height: float
+    energy: float
 
     @classmethod
     def reflecting(cls, k, a, r, transmitted, convention, t, /, **data):
@@ -116,15 +122,6 @@ class PlaneWaveSolution:
         limit state, whose upper component that wavefunction is."""
         return 1j * self.incident.wave_number * (1 - self.r)
 
-    def nr_second_derivative_at_origin(self) -> complex:
-        """Its second derivative at the wall, −k²·(1 + r); ValueError where
-        that overflows."""
-        k = self.incident.wave_number
-        value = -(1 + self.r) * k * k
-        if cmath.isinf(value):
-            raise ValueError(f"-k^2 (1 + r) overflows (k={k}, r={self.r})")
-        return value
-
     def left_values(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``left_value_at`` at every position, as complex arrays."""
         return self._left(ARRAY, xs)
@@ -144,14 +141,6 @@ class ScatteringSolution(PlaneWaveSolution):
     """Matched solution of a setup, continuous at x = 0."""
 
     kinematics: Kinematics
-
-    @property
-    def setup(self):
-        return self.kinematics.setup
-
-    @property
-    def step_height(self) -> float:
-        return self.kinematics.setup.step_height
 
 
 # The e^{+ik̄x} waves, which grow for x → +∞ once k̄ → −iκ under an
@@ -239,4 +228,6 @@ def match(kin: Kinematics, conv: Convention) -> ScatteringSolution:
         det = û·a + l̂,   t·max|u_conv| = 2a / det,   r = (û·a − l̂) / det.
     """
     values = _continuity_of(kin, conv, (GROWING, SINGULAR))
-    return ScatteringSolution._continued(kin.k, kin.a, values, conv, kinematics=kin)
+    # The setup's fields are the state's mass_energy, step_height and energy.
+    return ScatteringSolution._continued(kin.k, kin.a, values, conv, kinematics=kin,
+                                         **vars(kin.setup))

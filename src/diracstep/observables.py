@@ -2,10 +2,10 @@
 
 All quantities are computed from the actual plane waves of a state, matched
 or limit alike, never from per-convention closed forms (those live in the
-tests as cross-checks).  ``_observe`` forms them, and the wall rule, on
-Python numbers or on arrays; ``_observation`` runs it on one state's own
-plane waves and adds the rule of a current-free state: the one row that
-``table.record`` reads, and ``observe``, the public record of a state.
+tests as cross-checks), under the state's own step height.  ``_observe`` forms
+them, and the wall rule, on numbers or arrays; ``_observation`` runs it on one
+state's plane waves and adds the rule of a current-free state: the one row
+that ``table.record`` reads, and ``observe``, a state's one public reader.
 """
 
 from __future__ import annotations
@@ -71,19 +71,10 @@ class Observation:
 
 
 def observe(state: PlaneWaveSolution) -> Observation:
-    """The observation of a matched or limit state at its ``step_height``.
-    A state that carries no step height, such as a bare
-    ``PlaneWaveSolution``, is refused with a TypeError."""
-    if not hasattr(state, "step_height"):
-        raise TypeError(f"observe needs a state that carries its step height V0, as a "
-                        f"matched or limit state does; a {type(state).__name__} has none")
-    return _observed(state, state.step_height)
-
-
-def _observed(sol: PlaneWaveSolution, v0: float) -> Observation:
-    """``_observation``'s row under a step of height v0, as an ``Observation``."""
-    row = _observation(sol, v0)
-    scale = _scale(SCALAR, *_amplitudes(sol))
+    """The observation of a state at its own ``step_height``: ``_observation``'s
+    row, as an ``Observation``."""
+    row = _observation(state)
+    scale = _scale(SCALAR, *_amplitudes(state))
     rho0 = row["rho0"]
     reference = rho0 if rho0 > TOLERANCE * scale * scale else scale * scale
     return Observation(complex(row["r_re"], row["r_im"]), complex(row["t_re"], row["t_im"]),
@@ -92,17 +83,17 @@ def _observed(sol: PlaneWaveSolution, v0: float) -> Observation:
                        abs(row["j0"]) < TOLERANCE * reference)
 
 
-def _observation(sol: PlaneWaveSolution, v0: float) -> dict:
-    """``_observe`` of a state's own plane waves under a step of height v0,
-    for any state.  A state whose incident wave carries no current (a
-    nonrelativistic limit) has R, T and v_t NaN, the force of its hard wall,
-    and is classified on its Schroedinger wavefunction, the upper component:
-    DirichletNR if it vanishes at the wall, NeumannNR if its left slope does,
-    relative to k."""
+def _observation(sol: PlaneWaveSolution) -> dict:
+    """``_observe`` of a state's own plane waves under its own step height.  A
+    state whose incident wave carries no current (a nonrelativistic limit) has
+    R, T and v_t NaN, the force of its hard wall, and is classified on its
+    Schroedinger wavefunction, the upper component: DirichletNR if it vanishes
+    at the wall, NeumannNR if its left slope does, relative to k."""
     a, r, r_lower, t_upper, t_lower = _amplitudes(sol)
     q_t = sol.transmitted.wave_number
     # A decaying (evanescent) wave carries exactly zero transmitted current.
-    row = _observe(SCALAR, a, r, r_lower, sol.t, t_upper, t_lower, q_t, v0, q_t.imag > 0.0)
+    row = _observe(SCALAR, a, r, r_lower, sol.t, t_upper, t_lower, q_t, sol.step_height,
+                   q_t.imag > 0.0)
     if current(sol.incident.amplitude) == 0.0:
         zero = TOLERANCE * _scale(SCALAR, a, r, r_lower, t_upper, t_lower)
         wall = (BoundaryCondition.DIRICHLET_NR if abs(sol.spinor_at(0.0).upper) < zero

@@ -71,7 +71,7 @@ def record(setup: PhysicalSetup, conv: Convention | None = None) -> dict:
         # b = k̄/(E − V₀ + mc²) → −∞ at the edge point, 0 at the lower edge
         columns = {"a": sol.a, "b_re": -math.inf if regime is Regime.EDGE_POINT else 0.0,
                    "b_im": 0.0, "k": sol.wave_number, "kbar_or_kappa": 0.0,
-                   **_observation(sol, v0)}
+                   **_observation(sol)}
     else:
         conv = conv or physical_convention(regime)
         columns, cause = _chain(SCALAR, m, v0, e, conv, regime is Regime.EVANESCENT)

@@ -287,7 +287,7 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
     e_nr = e - 1.0
     main_nr = nonrelativistic_limit(e_nr, 1.0, Convention.MAIN)
     rel = impenetrable_limit(e, 1.0, Convention.MAIN)
-    result.record(abs(rel.force / main_nr.force - 1.0), 1e-12, "NR force ratio")
+    result.record(abs(observe(rel).force / observe(main_nr).force - 1.0), 1e-12, "NR force ratio")
     result.check(
         observe(main_nr).boundary is BoundaryCondition.DIRICHLET_NR,
         "NR main limit must classify DirichletNR",

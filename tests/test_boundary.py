@@ -1,7 +1,7 @@
 """Boundary-condition classification at the wall, from ``observe``."""
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -86,20 +86,12 @@ def test_observation_fields_are_the_row_and_impenetrability():
         "impenetrable"]
 
 
-@dataclass(frozen=True)
-class _HandBuilt(PlaneWaveSolution):
-    """A plane-wave state with the step height and mass ``observe`` reads, and
-    no LimitKind: a hard wall at unit mass."""
-
-    step_height: float = math.inf
-    mass_energy: float = 1.0
-
-
 def _hand_built(a: float, r: float, wall: Spinor, k: float = 1.5) -> PlaneWaveSolution:
     """Incident [1, a]·e^{ikx}, reflected r·[1, −a]·e^{−ikx}, and a constant
-    ``wall`` spinor for x >= 0; no LimitKind."""
-    return _HandBuilt.reflecting(
-        k, a, r, PlaneWaveState(wall, 0.0, Side.RIGHT), Convention.MAIN, 0.0)
+    ``wall`` spinor for x >= 0; no LimitKind: a hard wall at unit mass."""
+    return PlaneWaveSolution.reflecting(
+        k, a, r, PlaneWaveState(wall, 0.0, Side.RIGHT), Convention.MAIN, 0.0,
+        mass_energy=1.0, step_height=math.inf, energy=1.0)
 
 
 def test_whole_spinor_zero_is_not_classified():
@@ -156,13 +148,14 @@ def _wall_states():
 @pytest.mark.parametrize("sol,v0", _wall_states())
 def test_observation_row_holds_the_wall_class(sol, v0):
     """One wall rule: the row ``table.record`` reads classifies as ``observe``
-    does, the nonrelativistic limits included."""
-    assert _observation(sol, v0)["boundary"] == observe(sol).boundary.value
+    does, the nonrelativistic limits included, under the step height each
+    state carries."""
+    assert sol.step_height == v0
+    assert _observation(sol)["boundary"] == observe(sol).boundary.value
 
 
 def test_a_state_without_a_step_height_is_refused_by_name():
-    # The public constructor builds a state that sits under no step.
-    sol = PlaneWaveSolution.reflecting(
-        1.5, 0.5, -1.0, PlaneWaveState(Spinor(0.0, 1.0), 0.0, Side.RIGHT), Convention.MAIN, 0.0)
-    with pytest.raises(TypeError, match="step height V0.*a PlaneWaveSolution has none"):
-        observe(sol)
+    # The public constructor builds no state that sits under no step.
+    wall = PlaneWaveState(Spinor(0.0, 1.0), 0.0, Side.RIGHT)
+    with pytest.raises(TypeError, match="mass_energy', 'step_height', and 'energy'"):
+        PlaneWaveSolution.reflecting(1.5, 0.5, -1.0, wall, Convention.MAIN, 0.0)

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 import diracstep
 from diracstep import Convention, observables
 from diracstep.cli import main
+from diracstep.core import _scaled
 from diracstep.gridio import CSV_HEADER
+from diracstep.spinor import SCALAR
 from diracstep.table import scatter_table
 
 
@@ -320,8 +322,10 @@ def test_limit_impenetrable_massless_nr_force_is_nan(capsys):
 def test_limit_nr_force_is_minus_four_kinetic_energies(mc2, ratio):
     """nr_force is the force of the Dirichlet NR state at E_kin = E - mc2:
     -4 E_kin to 4 ulps wherever the command exits 0, and nan where that
-    state does not exist, at mc2 = 0 or where 2 mc2 E_kin underflows or
-    overflows."""
+    state does not exist, at mc2 = 0 or where E_kin/mc2 is too small or too
+    large to resolve (2 mc2 E_kin of the power-of-two-scaled pair underflows).
+    Where k = sqrt(2 mc2 E_kin) is subnormal the state holds it only to
+    2^-1075, and the force k (k / mc2) carries twice that relative error."""
     e = ratio * mc2 if mc2 else ratio
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -332,10 +336,13 @@ def test_limit_nr_force_is_minus_four_kinetic_energies(mc2, ratio):
         return
     nr_force = float(_table_of(out.getvalue())["nr_force"])
     e_kin = e - mc2
-    if not sys.float_info.min <= 2.0 * mc2 * e_kin < math.inf:
+    e_scaled, mc2_scaled, _ = _scaled(SCALAR, e_kin, mc2)
+    if 2.0 * mc2_scaled * e_scaled < sys.float_info.min:
         assert math.isnan(nr_force)
     else:
-        assert abs(nr_force + 4.0 * e_kin) <= 4.0 * math.ulp(4.0 * e_kin)
+        k = math.sqrt(2.0 * mc2) * math.sqrt(e_kin)
+        subnormal = 4.0 * e_kin * (math.ulp(k) / k) if k < sys.float_info.min else 0.0
+        assert abs(nr_force + 4.0 * e_kin) <= 4.0 * math.ulp(4.0 * e_kin) + subnormal
 
 
 def test_limit_nonrel_neumann(capsys):
@@ -912,31 +919,20 @@ def _assert_scales(capsys, tmp_path, argv):
             assert value == base, name
 
 
-@pytest.mark.parametrize("argv,cause", [
-    (("scatter", "--mass", "1e-200", "--energy", "2e-200", "--step-height", "1e-199"), None),
-    (("scatter", "--mass", "0", "--energy", "1e-170", "--step-height", "5e-171"), None),
-    (("scatter", "--mass", "1e-200", "--energy", "1.0000001e-200", "--step-height", "1e-100"),
-     None),
+@pytest.mark.parametrize("argv", [
+    ("scatter", "--mass", "1e-200", "--energy", "2e-200", "--step-height", "1e-199"),
+    ("scatter", "--mass", "0", "--energy", "1e-170", "--step-height", "5e-171"),
+    ("scatter", "--mass", "1e-200", "--energy", "1.0000001e-200", "--step-height", "1e-100"),
     # k^2 = 1e-300 is normal; k-bar^2 = (E - V0)^2, a few ulps of E squared, is not.
-    (("scatter", "--mass", "0", "--energy", "1e-150", "--step-height", "9.999999999999999e-151"),
-     None),
+    ("scatter", "--mass", "0", "--energy", "1e-150", "--step-height", "9.999999999999999e-151"),
     # The Klein edge, where k comes from core.incident_wave.
-    (("scatter", "--mass", "1e-200", "--energy", "2e-200", "--step-height", "3e-200"), None),
-    (("limit", "--which", "nonrel", "--energy", "1e-170", "--mass", "1e-170"),
-     "2 mc2 E_kin underflows (E_kin=1e-170, mc2=1e-170)"),
-], ids=["kbar2-klein", "kbar2-massless", "k2", "kbar2-only", "k2-edge", "nonrel"])
-def test_products_that_underflow_are_refused_with_their_cause_exit_2(capsys, tmp_path, argv,
-                                                                      cause):
+    ("scatter", "--mass", "1e-200", "--energy", "2e-200", "--step-height", "3e-200"),
+], ids=["kbar2-klein", "kbar2-massless", "k2", "kbar2-only", "k2-edge"])
+def test_products_that_underflow_are_refused_with_their_cause_exit_2(capsys, tmp_path, argv):
     """k² or k̄² of these setups underflows the double range in their own
     unit.  Formed from power-of-two-scaled pairs, they are normal, and each
-    setup prints what it prints scaled into the normal range (cause None).
-    The nonrelativistic limit refuses its own 2mc²·E_kin that underflows."""
-    if cause is None:
-        _assert_scales(capsys, tmp_path, argv)
-        return
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"error: {cause}\n"
+    setup prints what it prints scaled into the normal range."""
+    _assert_scales(capsys, tmp_path, argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -952,7 +948,8 @@ def test_scatter_refuses_overflowing_magnitudes_exit_2(capsys, tmp_path, argv):
 
 
 _FORCE_OVERFLOW = "wall force -V0 rho(0) overflows"
-_NR_OVERFLOW = "sqrt(2 mc2 E_kin) overflows (E_kin=1e+308, mc2=1.0)"
+_NR_PAST_2MC2 = (f"sqrt(E_kin / 2mc2) = {math.sqrt(1e308 / 2.0)} >= 1: E_kin >= 2 mc2 is not "
+                 "nonrelativistic (E_kin=1e+308, mc2=1.0)")
 
 
 @pytest.mark.parametrize("argv,cause", [
@@ -967,8 +964,8 @@ _NR_OVERFLOW = "sqrt(2 mc2 E_kin) overflows (E_kin=1e+308, mc2=1.0)"
     # wavelengths, a phase with no correct digit.
     (("wavefunction", "--limit", "impenetrable", "--energy", "1e300",
       "--range", "-5e-300", "5e-300"), None),
-    (("limit", "--which", "nonrel", "--energy", "1e308"), _NR_OVERFLOW),
-    (("wavefunction", "--limit", "nonrel", "--energy", "1e308"), _NR_OVERFLOW),
+    (("limit", "--which", "nonrel", "--energy", "1e308"), _NR_PAST_2MC2),
+    (("wavefunction", "--limit", "nonrel", "--energy", "1e308"), _NR_PAST_2MC2),
     # V0 = E + mc2 rounds to E: the edge point.
     (("wavefunction", "--energy", "1e300", "--step-height", "1e300",
       "--range", "-5e-300", "5e-300"), None),
@@ -994,8 +991,8 @@ def test_edge_point_with_overflowing_wave_number_exit_2(capsys, tmp_path, argv, 
     pair, and each prints and writes what it does scaled into the normal
     range (cause None).  An edge state whose wall force overflows is refused
     by name, as an open setup is, and so is an impenetrable limit whose
-    V0 = E + mc2 overflows; the nonrelativistic limit refuses its own k, a
-    and force that overflow."""
+    V0 = E + mc2 overflows; the nonrelativistic limit refuses E_kin >= 2 mc2
+    before any value can overflow."""
     out_file = tmp_path / "out.csv"
     if argv[0] in ("sweep", "wavefunction"):
         argv += ("--out", str(out_file))
@@ -1009,14 +1006,24 @@ def test_edge_point_with_overflowing_wave_number_exit_2(capsys, tmp_path, argv, 
     assert not out_file.exists()
 
 
-def test_limit_impenetrable_nr_force_is_nan_where_k_overflows(capsys):
-    # 2 mc2 E_kin = 8e614 overflows, and k = sqrt(2 mc2 E_kin) with it; the
-    # edge state itself, with the force -4(E - mc2) = -8e307, is printed.
+def test_limit_impenetrable_nr_force_where_2mc2_e_kin_overflows(capsys):
+    # 2 mc2 E_kin = 8e614 would overflow in this unit; k is formed from the
+    # power-of-two-scaled pair, so the Dirichlet force -4 E_kin = -8e307 is
+    # printed beside the edge state's -4(E - mc2), the same value.
     code, out, _ = run(capsys, "limit", "--which", "impenetrable", "--energy", "4e307",
                        "--mass", "2e307")
     assert code == 0
-    assert _table_of(out)["nr_force"] == "nan"
+    assert float(_table_of(out)["nr_force"]) == pytest.approx(-8e307, rel=1e-15)
     assert float(_table_of(out)["external_force"]) == pytest.approx(-8e307, rel=1e-15)
+
+
+def test_limit_nonrel_where_2mc2_e_kin_underflows(capsys):
+    """2 mc2 E_kin = 2e-340 would underflow in this unit; formed from the
+    power-of-two-scaled pair, the state exists and its force is -4 E_kin."""
+    code, out, err = run(capsys, "limit", "--which", "nonrel", "--energy", "1e-170",
+                         "--mass", "1e-170")
+    assert (code, err) == (0, "")
+    assert _table_of(out)["force"] == "-4e-170"
 
 
 _POINTS_ARGV = {
