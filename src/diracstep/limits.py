@@ -25,8 +25,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (NOT_FINITE, SINGULAR, PhysicalSetup, Regime, _scaled, classify_regime,
-                   incident_wave, refusal)
+from .core import (NOT_FINITE, SINGULAR, PhysicalSetup, Regime, classify_regime, incident_wave,
+                   refusal)
 from .matching import Convention, PlaneWaveSolution, _continuity
 from .observables import Observation, _hard_wall_force, observe
 from .spinor import SCALAR, PlaneWaveState, Side, Spinor, density
@@ -165,8 +165,8 @@ def nonrelativistic_limit(
     2i·sin(k x) with vanishing lower component; NEGATIVE_ENERGY gives
     NONREL_NEGATIVE, the Neumann state 2·cos(k x), constant beyond the wall.
     Both sit at a hard wall, V₀ = ∞, with the force −4·E_kin, at any scale.
-    It is refused where E_kin/mc² is too small to resolve, and where the
-    force overflows.
+    It is refused where the force overflows (k = √(2mc²·E_kin) below 2mc²
+    only with it), and where k or a underflows.
     """
     if conv is Convention.MAIN:
         kind, r = LimitKind.NONREL_MAIN, -1.0
@@ -183,31 +183,32 @@ def nonrelativistic_limit(
     if energy_nr >= 2.0 * mass_energy:  # a >= 1; a < 1 for every relativistic state
         raise ValueError(f"sqrt(E_kin / 2mc2) = {math.sqrt(energy_nr / (2.0 * mass_energy))} "
                          f">= 1: E_kin >= 2 mc2 is not nonrelativistic {given}")
-    # Below 2mc², k = √(2mc²·E_kin) overflows only with the force.
     if -4.0 * energy_nr == -math.inf:
         raise ValueError(f"-4 E_kin overflows {given}")
     limit = _hard_wall(kind, conv, r, energy_nr, mass_energy)
     if limit is None:
-        raise ValueError(f"E_kin / mc2 is too small to resolve {given}")
+        raise ValueError(f"sqrt(2 mc2 E_kin) or sqrt(E_kin / 2mc2) underflows {given}")
     return limit
 
 
 def _hard_wall(kind, conv, r, energy_nr, mass_energy) -> LimitSolution | None:
-    """The NONREL state of kinetic energy E_kin, unchecked: the reflection r
-    of [1, 0]·e^{ikx} at the hard wall, k = √(2mc²·E_kin), with
-    a = √(E_kin / 2mc²), both from (E_kin, mc²)/2^s, so at any scale; None
-    where E_kin/mc² is too small or too large to resolve (mc² = 0 included),
-    where the scaled 2mc²·E_kin underflows."""
-    e, m, s = _scaled(SCALAR, energy_nr, mass_energy)
-    if 2.0 * m * e < sys.float_info.min:
+    """The NONREL state of kinetic energy E_kin, unchecked: the reflection r of
+    [1, 0]·e^{ikx} at the hard wall, k = √(2mc²·E_kin), a = √(E_kin / 2mc²), each
+    from the mantissas of E_kin and mc², its exponent halved apart; None where
+    either is not a normal double (mc² = 0 too): the force k·(k/mc²) = k·2a needs both."""
+    (e, p), (m, q) = math.frexp(energy_nr), math.frexp(mass_energy)
+    try:  # √(x·2^n) = √(x·2^(n mod 2))·2^(n // 2)
+        k_nr = math.ldexp(math.sqrt(2.0 * m * e * 2 ** ((p + q) % 2)), (p + q) // 2)
+        a_limit = math.ldexp(math.sqrt(e / (2.0 * m) * 2 ** ((p - q) % 2)), (p - q) // 2)
+    except (ZeroDivisionError, OverflowError):  # mc² = 0, or a past the double range
         return None
-    k_nr, a_limit = math.ldexp(math.sqrt(2.0 * m * e), s), math.sqrt(e / (2.0 * m))
-    return _limit(kind, conv, energy_nr, mass_energy, k_nr, 0.0, a_limit, r, 0.0, math.inf)
+    return None if min(k_nr, a_limit) < sys.float_info.min else _limit(
+        kind, conv, energy_nr, mass_energy, k_nr, 0.0, a_limit, r, 0.0, math.inf)
 
 
 def _nr_wall_force(energy: float, mass_energy: float) -> float:
-    """Wall force of the Dirichlet NONREL state at E_kin = E − mc², whatever
-    E_kin/mc²; NaN at mc² = 0 and where E_kin/mc² is too small to resolve."""
+    """Wall force of the Dirichlet NONREL state at E_kin = E − mc²; NaN where k or a
+    is not a normal double: mc² = 0, 2mc²·E_kin < 2^-2044, E_kin/mc² ∉ [2^-2043, 2^2049)."""
     limit = _hard_wall(LimitKind.NONREL_MAIN, Convention.MAIN, -1.0, energy - mass_energy,
                        mass_energy)
     return _hard_wall_force(limit) if limit else math.nan

@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 import diracstep
 from diracstep import Convention, observables
 from diracstep.cli import main
-from diracstep.core import _scaled
 from diracstep.gridio import CSV_HEADER
-from diracstep.spinor import SCALAR
 from diracstep.table import scatter_table
 
 
@@ -322,10 +320,8 @@ def test_limit_impenetrable_massless_nr_force_is_nan(capsys):
 def test_limit_nr_force_is_minus_four_kinetic_energies(mc2, ratio):
     """nr_force is the force of the Dirichlet NR state at E_kin = E - mc2:
     -4 E_kin to 4 ulps wherever the command exits 0, and nan where that
-    state does not exist, at mc2 = 0 or where E_kin/mc2 is too small or too
-    large to resolve (2 mc2 E_kin of the power-of-two-scaled pair underflows).
-    Where k = sqrt(2 mc2 E_kin) is subnormal the state holds it only to
-    2^-1075, and the force k (k / mc2) carries twice that relative error."""
+    state does not exist, at mc2 = 0 or where k = sqrt(2 mc2 E_kin) is
+    below the normal range (a = k / 2mc2 is normal at every ratio drawn)."""
     e = ratio * mc2 if mc2 else ratio
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -336,13 +332,10 @@ def test_limit_nr_force_is_minus_four_kinetic_energies(mc2, ratio):
         return
     nr_force = float(_table_of(out.getvalue())["nr_force"])
     e_kin = e - mc2
-    e_scaled, mc2_scaled, _ = _scaled(SCALAR, e_kin, mc2)
-    if 2.0 * mc2_scaled * e_scaled < sys.float_info.min:
+    if math.sqrt(2.0 * mc2) * math.sqrt(e_kin) < sys.float_info.min:
         assert math.isnan(nr_force)
     else:
-        k = math.sqrt(2.0 * mc2) * math.sqrt(e_kin)
-        subnormal = 4.0 * e_kin * (math.ulp(k) / k) if k < sys.float_info.min else 0.0
-        assert abs(nr_force + 4.0 * e_kin) <= 4.0 * math.ulp(4.0 * e_kin) + subnormal
+        assert abs(nr_force + 4.0 * e_kin) <= 4.0 * math.ulp(4.0 * e_kin)
 
 
 def test_limit_nonrel_neumann(capsys):
@@ -1008,8 +1001,9 @@ def test_edge_point_with_overflowing_wave_number_exit_2(capsys, tmp_path, argv, 
 
 def test_limit_impenetrable_nr_force_where_2mc2_e_kin_overflows(capsys):
     # 2 mc2 E_kin = 8e614 would overflow in this unit; k is formed from the
-    # power-of-two-scaled pair, so the Dirichlet force -4 E_kin = -8e307 is
-    # printed beside the edge state's -4(E - mc2), the same value.
+    # mantissas and exponents of E_kin and mc2, so the Dirichlet force
+    # -4 E_kin = -8e307 is printed beside the edge state's -4(E - mc2), the
+    # same value.
     code, out, _ = run(capsys, "limit", "--which", "impenetrable", "--energy", "4e307",
                        "--mass", "2e307")
     assert code == 0
@@ -1017,9 +1011,22 @@ def test_limit_impenetrable_nr_force_where_2mc2_e_kin_overflows(capsys):
     assert float(_table_of(out)["external_force"]) == pytest.approx(-8e307, rel=1e-15)
 
 
+@pytest.mark.parametrize("energy,mass", [("1e300", "1e-10"), ("1e-10", "1e-300")])
+def test_limit_impenetrable_nr_force_at_a_large_ratio(capsys, energy, mass):
+    """E_kin/mc2 = 1e310 or 1e290 leaves or nears the double range; k and a
+    are each formed from the mantissas and exponents of E_kin and mc2, so
+    the Dirichlet force -4 E_kin is printed."""
+    code, out, _ = run(capsys, "limit", "--which", "impenetrable", "--energy", energy,
+                       "--mass", mass)
+    assert code == 0
+    e_kin = float(energy) - float(mass)
+    assert float(_table_of(out)["nr_force"]) == pytest.approx(-4.0 * e_kin, rel=1e-15)
+
+
 def test_limit_nonrel_where_2mc2_e_kin_underflows(capsys):
-    """2 mc2 E_kin = 2e-340 would underflow in this unit; formed from the
-    power-of-two-scaled pair, the state exists and its force is -4 E_kin."""
+    """2 mc2 E_kin = 2e-340 would underflow in this unit; k = 1.4e-170 is
+    formed from the mantissas and exponents of E_kin and mc2, so the state
+    exists and its force is -4 E_kin."""
     code, out, err = run(capsys, "limit", "--which", "nonrel", "--energy", "1e-170",
                          "--mass", "1e-170")
     assert (code, err) == (0, "")

@@ -191,15 +191,29 @@ def test_nonrelativistic_limit_refuses_kinetic_energy_from_2mc2(e_kin, mc2, conv
     assert nonrelativistic_limit(1.99 * mc2, mc2, conv).a < 1.0
 
 
-@pytest.mark.parametrize("e_kin,mc2", [(1e-10, 1e300), (5e-324, 1.0), (1e-300, 1e10)])
-def test_nonrelativistic_limit_refuses_a_kinetic_energy_too_small_to_resolve(e_kin, mc2):
-    """E_kin/mc2 below about 2^-1022: 2 mc2 E_kin of the power-of-two-scaled
-    pair underflows, in any unit; just above, the state exists."""
+@pytest.mark.parametrize("e_kin,mc2", [(2.0**-1024, 2.0**-1022), (5e-324, 1e-300),
+                                       (2.0**-1044, 2.0**1000), (5e-324, 1e300)])
+def test_nonrelativistic_limit_refuses_k_or_a_below_the_normal_range(e_kin, mc2):
+    """k = sqrt(2 mc2 E_kin) below 2^-1022 (the first two) or a = sqrt(E_kin /
+    2mc2) there (the other two) would lose bits, so the state is refused."""
     with pytest.raises(ValueError) as info:
         nonrelativistic_limit(e_kin, mc2, Convention.MAIN)
-    assert str(info.value) == f"E_kin / mc2 is too small to resolve (E_kin={e_kin}, mc2={mc2})"
-    resolved = nonrelativistic_limit(math.ldexp(mc2, -1020), mc2, Convention.MAIN)
-    assert 0.0 < resolved.a < 1.0 and observe(resolved).force < 0.0
+    assert str(info.value) == ("sqrt(2 mc2 E_kin) or sqrt(E_kin / 2mc2) underflows "
+                               f"(E_kin={e_kin}, mc2={mc2})")
+
+
+@pytest.mark.parametrize("e_kin,mc2,k,a", [
+    (2.0**-1023, 2.0**-1022, 2.0**-1022, 0.5), (2.0**-1043, 2.0**1000, 2.0**-21, 2.0**-1022),
+    (1e-10, 1e300, 1.4142135623730951e145, 7.071067811865475e-156),
+    (5e-324, 1.0, 3.1434555694052576e-162, 1.5717277847026288e-162),
+])
+def test_nonrelativistic_limit_builds_k_and_a_at_any_ratio(e_kin, mc2, k, a):
+    """k and a are each formed from the mantissas and exponents of E_kin and
+    mc2, so each is built wherever it is a normal double, 2^-1022 included,
+    whether or not 2 mc2 E_kin or E_kin / 2mc2 is, and the force is -4 E_kin."""
+    limit = nonrelativistic_limit(e_kin, mc2, Convention.MAIN)
+    assert (limit.wave_number, limit.a) == (k, a)
+    assert abs(observe(limit).force + 4.0 * e_kin) <= 4.0 * math.ulp(4.0 * e_kin)
 
 
 @settings(max_examples=300, deadline=None)
