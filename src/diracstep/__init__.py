@@ -17,19 +17,17 @@ __version__ = "0.1.0"
 # Each submodule with the public names it defines.
 _EXPORTS = {
     "cli": (),
-    "core": ("EdgePointError", "Kinematics", "PhysicalSetup", "Regime", "classify_regime",
-             "kinematics"),
+    "core": ("EdgePointError", "PhysicalSetup", "Regime", "classify_regime"),
     "forces": ("momentum_flux_bracket", "nr_boundary_force"),
     "gridio": ("GridSample", "sample", "write_csv"),
     "limits": ("LimitKind", "LimitSolution", "edge_limit", "impenetrable_limit",
                "infinite_potential_limit", "nonrelativistic_limit"),
-    "matching": ("Convention", "PlaneWaveSolution", "ScatteringSolution", "match",
-                 "physical_convention"),
+    "matching": ("Convention", "PlaneWaveSolution", "physical_convention"),
     "observables": ("BoundaryCondition", "Observation", "observe"),
     "oracle": ("OracleResult", "SmoothStep", "integrate_scattering", "sauter_log_coefficients"),
     "spinor": ("PlaneWaveState", "Side", "Spinor", "apply_hamiltonian", "charge_conjugate",
                "current", "density"),
-    "table": ("scatter_table",),
+    "table": ("scatter_table", "solve"),
     "verify": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -19,19 +19,17 @@ from .spinor import SCALAR
 __all__ = [
     "PhysicalSetup",
     "Regime",
-    "Kinematics",
     "EdgePointError",
     "classify_regime",
     "incident_wave",
-    "kinematics",
 ]
 
 
 class EdgePointError(ValueError):
-    """Raised when kinematics is requested exactly on a regime boundary.
-
-    On the boundaries the transmitted wave number vanishes and the
-    scattering amplitudes degenerate; use the ``limits`` module instead.
+    """Raised where the transmitted wave number k̄ is 0: by the oracle on a
+    regime edge, where the scattering amplitudes degenerate and the
+    ``limits`` module's edge states apply instead, and on every path where
+    k̄ rounds to 0 just inside an open regime.
     """
 
 
@@ -79,7 +77,7 @@ class PhysicalSetup:
 
 
 def classify_regime(setup: PhysicalSetup) -> Regime:
-    """Classify the setup into exactly one energy regime.
+    """Classify a setup, or a state by its energies, into exactly one regime.
 
     Boundaries are resolved by exact floating-point comparison; an exact
     hit returns EDGE_LOWER / EDGE_POINT rather than silently coercing to a
@@ -99,31 +97,6 @@ def _regime(xp, m, v0, e):
     arrays (``xp`` is ``spinor.SCALAR`` or ``spinor.ARRAY``): of the first
     comparison that holds, edge point first, else of EVANESCENT (also for NaN)."""
     return xp.select([v0 == e + m, v0 == e - m, v0 > e + m, v0 < e - m], range(4), 4)
-
-
-@dataclass(frozen=True)
-class Kinematics:
-    """Wave numbers and spinor amplitude ratios derived from a setup.
-
-    k               incident wave number, k = √(E² − (mc²)²) > 0
-    kbar_or_kappa   transmitted wave number k̄ (KLEIN_ZONE / TRANSMISSION)
-                    or evanescent decay constant κ (EVANESCENT), ≥ 0
-    a               incident lower/upper spinor ratio,
-                    a = √((E − mc²)/(E + mc²)) ∈ (0, 1]; a = 1 for mc² = 0
-    b               transmitted spinor ratio k̄ / (E − V₀ + mc²):
-                    real < 0 in KLEIN_ZONE, real > 0 in TRANSMISSION,
-                    pure imaginary (from k̄ → −iκ) in EVANESCENT
-    b_dprime        −1 / b; real > 0 in KLEIN_ZONE and stays finite as the
-                    impenetrable-barrier point is approached
-    """
-
-    setup: PhysicalSetup
-    regime: Regime
-    k: float
-    kbar_or_kappa: float
-    a: float
-    b: complex
-    b_dprime: complex
 
 
 # The refusal causes of an open-regime setup, in the order they are checked
@@ -184,28 +157,3 @@ def incident_wave(energy: float, mass_energy: float) -> tuple[float, float]:
     a = √((E − mc²)/(E + mc²)), 1 for mc² = 0, for E > mc², at any scale."""
     return _incident(SCALAR, energy, mass_energy)
 
-
-def kinematics(setup: PhysicalSetup) -> Kinematics:
-    """Compute wave numbers and spinor ratios for an open-regime setup.
-
-    Raises EdgePointError exactly on the regime boundaries (k̄ = 0), where
-    the scattering amplitudes degenerate and the closed-form limits of the
-    ``limits`` module apply instead, and also where k̄ or κ rounds to 0 just
-    inside an open regime.  k and k̄ are formed at a power-of-two scale, so
-    no square leaves the double range.
-
-    In the EVANESCENT regime the transmitted wave number continues to
-    k̄ → −iκ, the unique choice that decays for x → +∞; ``b`` then becomes
-    pure imaginary and ``kbar_or_kappa`` holds κ.
-    """
-    regime = classify_regime(setup)
-    if regime in (Regime.EDGE_POINT, Regime.EDGE_LOWER):
-        raise EdgePointError(
-            f"kinematics degenerate at {regime.value} (V0={setup.step_height}); "
-            "use the limits module"
-        )
-    m, v0, e = setup.mass_energy, setup.step_height, setup.energy
-    values, kbar_zero = _kinematics(SCALAR, m, v0, e, regime is Regime.EVANESCENT)
-    if kbar_zero:
-        raise refusal(KBAR_ZERO, m, v0, e)
-    return Kinematics(setup, regime, *values)

@@ -22,9 +22,10 @@ Output contract: a CSV with header ``x,phi_re,phi_im,chi_re,chi_im,rho,j``
 (17 significant digits, '\\n' line endings, byte-identical for identical
 inputs) plus a JSON metadata sidecar named ``<basename>.meta.json`` with
 keys {mass_energy, step_height, energy, convention, regime,
-generator_version}; a limit state's regime is its kind, its step height the
-edge V₀ it sits on (null at the hard wall, ∞).  Complex components are stored
-as separate real and imaginary columns so any plotting tool can consume them.
+generator_version}; the regime is ``core.classify_regime`` of the state's
+energies, or a limit state's kind, whose step height is the edge V₀ it sits
+on (null at the hard wall, ∞).  Complex components are stored as separate
+real and imaginary columns so any plotting tool can consume them.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .core import classify_regime
 from .limits import LimitSolution
 from .matching import PlaneWaveSolution
 from .spinor import currents, densities
@@ -99,7 +101,7 @@ class GridSample:
 
 
 def _metadata(solution) -> dict:
-    regime = solution.kind if isinstance(solution, LimitSolution) else solution.kinematics.regime
+    regime = solution.kind if isinstance(solution, LimitSolution) else classify_regime(solution)
     step_height = solution.step_height if solution.step_height < math.inf else None
     return {"mass_energy": solution.mass_energy, "step_height": step_height,
             "energy": solution.energy, "convention": solution.convention.value,

@@ -19,6 +19,8 @@ path and the per-convention closed forms become checks, not sources.
 Matched states and the closed-form ``limits`` share one state type,
 :class:`PlaneWaveSolution`, which owns the only evaluators, each written
 once over ``spinor.SCALAR`` and ``spinor.ARRAY``, and the energies it solves.
+``_continuity`` is the matcher, the second stage of ``table._chain``, and
+``table.solve`` builds its state with ``PlaneWaveSolution._continued``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .core import GROWING, SINGULAR, Kinematics, Regime, refusal
+from .core import Regime
 from .spinor import ARRAY, SCALAR, PlaneWaveState, Side, Spinor
 
 if TYPE_CHECKING:
@@ -36,9 +38,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Convention",
     "PlaneWaveSolution",
-    "ScatteringSolution",
     "GROWING_UNDER_EVANESCENT",
-    "match",
     "physical_convention",
     "transmitted_column",
 ]
@@ -136,13 +136,6 @@ class PlaneWaveSolution:
         return self.transmitted.values_at(xs)
 
 
-@dataclass(frozen=True)
-class ScatteringSolution(PlaneWaveSolution):
-    """Matched solution of a setup, continuous at x = 0."""
-
-    kinematics: Kinematics
-
-
 # The e^{+ik̄x} waves, which grow for x → +∞ once k̄ → −iκ under an
 # evanescent step.
 GROWING_UNDER_EVANESCENT = (Convention.TRADITIONAL, Convention.NEGATIVE_ENERGY)
@@ -162,10 +155,21 @@ def transmitted_column(conv: Convention, b, b_dprime, k_t):
 
 
 def _continuity(xp, a, b, b_dprime, kappa, conv: Convention, evanescent: bool):
-    """``match`` on Python numbers or arrays (``xp`` is ``spinor.SCALAR`` or
-    ``spinor.ARRAY``), from the kinematics: the transmitted column (upper,
-    lower, q_t), r, t and t·(upper, lower), and whether the wave grows under
-    the step and whether the system is singular.
+    """Solve the continuity system at x = 0 for ``conv`` on Python numbers or
+    arrays (``xp`` is ``spinor.SCALAR`` or ``spinor.ARRAY``), from the
+    kinematics: the transmitted column (upper, lower, q_t), r, t and
+    t·(upper, lower), and whether the wave grows under the step and whether
+    the system is singular.
+
+    The 2×2 system
+
+        [1, a] + r·[1, −a] = t·u_conv
+
+    is solved in closed form with the transmitted column scaled to unit
+    max-norm, (û, l̂) = u_conv / max|u_conv|, so the amplitudes stay finite
+    even when |b| diverges near the impenetrable-barrier point:
+
+        det = û·a + l̂,   t·max|u_conv| = 2a / det,   r = (û·a − l̂) / det.
 
     In the evanescent regime the oscillatory wave number continues to
     k̄ → −iκ; only the two e^{−ik̄x} conventions then decay for x → +∞.
@@ -182,24 +186,6 @@ def _continuity(xp, a, b, b_dprime, kappa, conv: Convention, evanescent: bool):
     return values, (growing, det == 0)
 
 
-def _continuity_of(kin: Kinematics, conv: Convention, causes):
-    """``_continuity`` of a Kinematics; the error of the first of ``causes``
-    (GROWING, SINGULAR) that holds."""
-    values, hits = _continuity(SCALAR, kin.a, kin.b, kin.b_dprime, kin.kbar_or_kappa, conv,
-                               kin.regime is Regime.EVANESCENT)
-    s = kin.setup
-    for cause, hit in zip((GROWING, SINGULAR), hits):
-        if hit and cause in causes:
-            raise refusal(cause, s.mass_energy, s.step_height, s.energy, conv)
-    return values
-
-
-def _transmitted_basis(kin: Kinematics, conv: Convention) -> tuple[Spinor, complex]:
-    """Unit-coefficient transmitted amplitude and its wave number."""
-    upper, lower, q_t, *_ = _continuity_of(kin, conv, (GROWING,))
-    return Spinor(upper, lower), q_t
-
-
 def physical_convention(regime: Regime) -> Convention:
     """Transmitted-wave choice with outgoing (or decaying) current.
 
@@ -213,21 +199,3 @@ def physical_convention(regime: Regime) -> Convention:
         return Convention.MAIN
     raise ValueError(f"no open-regime convention at {regime.value}")
 
-
-def match(kin: Kinematics, conv: Convention) -> ScatteringSolution:
-    """Solve the continuity system at x = 0 for the chosen convention.
-
-    The 2×2 system
-
-        [1, a] + r·[1, −a] = t·u_conv
-
-    is solved in closed form with the transmitted column scaled to unit
-    max-norm, (û, l̂) = u_conv / max|u_conv|, so the amplitudes stay finite
-    even when |b| diverges near the impenetrable-barrier point:
-
-        det = û·a + l̂,   t·max|u_conv| = 2a / det,   r = (û·a − l̂) / det.
-    """
-    values = _continuity_of(kin, conv, (GROWING, SINGULAR))
-    # The setup's fields are the state's mass_energy, step_height and energy.
-    return ScatteringSolution._continued(kin.k, kin.a, values, conv, kinematics=kin,
-                                         **vars(kin.setup))

@@ -63,8 +63,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalSetup, Regime, kinematics
-from .matching import Convention, _transmitted_basis
+from .core import (GROWING, KBAR_ZERO, EdgePointError, PhysicalSetup, Regime, _kinematics,
+                   classify_regime, refusal)
+from .matching import Convention, _continuity
+from .spinor import SCALAR
 
 __all__ = ["SmoothStep", "OracleResult", "integrate_scattering", "sauter_log_coefficients"]
 
@@ -219,14 +221,33 @@ def _prefix_chain(levels: list[np.ndarray], head: int, n: int) -> np.ndarray:
     return prefix
 
 
-def _overflow(kin, step: SmoothStep, n: int) -> RuntimeError:
+def _overflow(step: SmoothStep, n: int, regime: Regime, kappa: float) -> RuntimeError:
     """The refusal of a solution that leaves the double range; on an evanescent
     step it names the density's growth across the flat tail [0, 10w], exp(κ·20w)."""
     message = f"the solution overflows the double range at width {step.width:g} with {n} cells"
-    if kin.regime is Regime.EVANESCENT:
-        exponent = 2.0 * _FLAT_BEYOND * step.width * kin.kbar_or_kappa
+    if regime is Regime.EVANESCENT:
+        exponent = 2.0 * _FLAT_BEYOND * step.width * kappa
         message += f": the evanescent density grows by about exp(κ·20w) = exp({exponent:.4g})"
     return RuntimeError(message)
+
+
+def _transmitted_wave(setup: PhysicalSetup, conv: Convention):
+    """The regime of an open setup, k, k̄ (κ if evanescent), a and the unit-coefficient
+    transmitted column (upper, lower, q_t) of ``conv``; refused on a regime edge
+    and where k̄ rounds to 0 (EdgePointError), and where the wave grows."""
+    regime = classify_regime(setup)
+    m, v0, e = setup.mass_energy, setup.step_height, setup.energy
+    if regime in (Regime.EDGE_POINT, Regime.EDGE_LOWER):
+        raise EdgePointError(
+            f"kinematics degenerate at {regime.value} (V0={v0}); use the limits module")
+    evanescent = regime is Regime.EVANESCENT
+    (k, kappa, a, b, b_dprime), kbar_zero = _kinematics(SCALAR, m, v0, e, evanescent)
+    if kbar_zero:
+        raise refusal(KBAR_ZERO, m, v0, e)
+    values, (growing, _) = _continuity(SCALAR, a, b, b_dprime, kappa, conv, evanescent)
+    if growing:
+        raise refusal(GROWING, m, v0, e, conv)
+    return regime, k, kappa, a, values[:3]
 
 
 def integrate_scattering(
@@ -258,13 +279,10 @@ def integrate_scattering(
         raise ValueError(f"tol must lie in [1e-13, 1e-6], got {tol}")
     if abs(step.height - setup.step_height) > 1e-12 * setup.step_height:
         raise ValueError("smooth step height differs from the setup's step height")
-    kin = kinematics(setup)
-
-    u_t, q_t = _transmitted_basis(kin, conv)
-    amp_up, amp_low = complex(u_t.upper), complex(u_t.lower)
+    regime, k, kappa, a, (upper, lower, q_t) = _transmitted_wave(setup, conv)
+    amp_up, amp_low = complex(upper), complex(lower)
     # S⁻¹ψ of the start, with its real and imaginary parts as the columns.
     start = np.array([[amp_up.real, amp_up.imag], [amp_low.imag, -amp_low.real]])
-    a = kin.a
     # The incident and reflected amplitudes of the free waves at x = −10w are
     # [[a, 1], [a, −1]] / 2a times the arrival; Python's complex arithmetic
     # forms the same doubles as numpy's matrix product.
@@ -321,7 +339,7 @@ def integrate_scattering(
                 break
             # A non-finite estimate never meets tol: refuse it at once.
             if not math.isfinite(richardson):
-                raise _overflow(kin, step, n)
+                raise _overflow(step, n, regime, kappa)
             # Truncation error falls with every doubling; an estimate that
             # rises has met the rounding of the reflected amplitude, |r| = √R
             # times that of the incident one, and more cells cannot help.
@@ -355,14 +373,14 @@ def integrate_scattering(
                 (np.abs(j_path - j_ref) / np.maximum(abs(j_ref), rho_path)).max()
             )
             # log-form avoids overflow of exp(kappa*x) for strongly evanescent runs
-            t_num = cmath.exp(-1j * (q_t + kin.k) * half_width - cmath.log(coeff_in))
+            t_num = cmath.exp(-1j * (q_t + k) * half_width - cmath.log(coeff_in))
             j_in = 2.0 * a * abs(coeff_in) ** 2
     except (FloatingPointError, OverflowError):
-        raise _overflow(kin, step, n) from None
-    r_num = (coeff_refl / coeff_in) * cmath.exp(-2j * kin.k * half_width)
+        raise _overflow(step, n, regime, kappa) from None
+    r_num = (coeff_refl / coeff_in) * cmath.exp(-2j * k * half_width)
     R_num = abs(coeff_refl / coeff_in) ** 2
     T_num = closure = 0.0
-    if kin.regime is not Regime.EVANESCENT:
+    if regime is not Regime.EVANESCENT:
         T_num = float(j_ref / j_in)
         closure = abs(R_num + T_num - 1.0)
     return OracleResult(
@@ -391,12 +409,12 @@ def sauter_log_coefficients(
     the sharp step, and sinh z = z(1 + z²/6 + …) raises ln R by
     (π²/12)·k·k̄·w² + O(w⁴), since (k + k̄)² − (k − k̄)² = 4kk̄.
     """
-    kin = kinematics(setup)
-    if conv not in _ORACLE_CONVENTIONS or kin.regime is Regime.EVANESCENT:
+    # MAIN's wave never grows: only the edges and a k̄ that rounds to 0 are refused here.
+    regime, k, kb, _, _ = _transmitted_wave(setup, Convention.MAIN)
+    if conv not in _ORACLE_CONVENTIONS or regime is Regime.EVANESCENT:
         raise ValueError("Sauter's R and T are those of the main and traditional "
                          "conventions in the Klein zone and the transmission regime")
     m, e, v0 = setup.mass_energy, setup.energy, setup.step_height
-    k, kb = kin.k, kin.kbar_or_kappa
     c = math.pi * width / 4.0
 
     def f(z: float) -> float:
@@ -408,7 +426,7 @@ def sauter_log_coefficients(
         return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0 * c)
 
     small = m * m / (e + k) + m * m / (abs(e - v0) + kb)
-    if kin.regime is Regime.KLEIN_ZONE:
+    if regime is Regime.KLEIN_ZONE:
         minus_sum, minus_diff = small, v0 - k + kb
     else:
         minus_sum, minus_diff = v0 - k - kb, -v0 * small / (k + kb)

@@ -1,14 +1,14 @@
 """One setup's state and record, and the array core of ``sweep``.
 
-``solve`` is the one home of the per-setup rule: a setup on a regime edge
-takes its limit eigenstate, any other the matched state, by default under
-its regime's physical convention.  ``record`` is its row, as ``scatter``
-prints it, and ``scatter_table`` gives the same rows for N setups.  An
-open-regime row is ``_chain``'s, written once over a namespace of arithmetic
-(``core._kinematics`` → ``matching._continuity`` → ``observables._observe``):
-Python numbers for ``record``, numpy arrays rounded as CPython rounds for
-``scatter_table``, whose label columns are fixed-width str arrays indexed
-by integer codes.  Edge rows are ``record``'s, of ``limits.edge_limit``.
+``_resolved`` is the one per-setup rule, for ``solve``'s state and
+``record``'s row alike: on a regime edge the limit eigenstate, elsewhere
+``_chain``'s values, by default under the regime's physical convention.
+``_chain`` is the one open-regime route, written once over a namespace of
+arithmetic (``core._kinematics`` → ``matching._continuity`` →
+``observables._observe``): Python numbers for one setup, numpy arrays
+rounded as CPython rounds for ``scatter_table``, which gives ``record``'s
+rows for N setups, with fixed-width str label columns indexed by integer
+codes.  Edge rows are ``record``'s, of ``limits.edge_limit``.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from collections import defaultdict
 
 import numpy as np
 
-from .core import (_REGIMES, PhysicalSetup, Regime, _kinematics, _regime, classify_regime,
-                   kinematics, refusal)
+from .core import _REGIMES, PhysicalSetup, Regime, _kinematics, _regime, classify_regime, refusal
 from .limits import edge_limit
-from .matching import (Convention, PlaneWaveSolution, _continuity, match,
-                       physical_convention)
+from .matching import Convention, PlaneWaveSolution, _continuity, physical_convention
 from .observables import BoundaryCondition, _observation, _observe
 from .spinor import ARRAY, SCALAR
 
@@ -34,28 +32,45 @@ _EDGES = (Regime.EDGE_POINT, Regime.EDGE_LOWER)
 
 def _chain(xp, m, v0, e, conv: Convention, evanescent: bool):
     """The record columns of open-regime setups of one convention and one
-    operand type, on Python numbers or arrays, and each row's refusal cause:
-    0, or the first ``core.refusal`` cause that holds, the last where a value
-    of the state or of the row is not finite."""
+    operand type, on Python numbers or arrays; k, a and ``_continuity``'s
+    values, the state's; and each row's refusal cause: 0, or the first that
+    holds, the last where a value of the state or of the row is not finite."""
     (k, kappa, a, b, b_dprime), kbar_zero = _kinematics(xp, m, v0, e, evanescent)
-    (upper, lower, q_t, r, t, t_upper, t_lower), matching_hits = _continuity(
-        xp, a, b, b_dprime, kappa, conv, evanescent)
+    values, matching_hits = _continuity(xp, a, b, b_dprime, kappa, conv, evanescent)
+    upper, lower, q_t, r, t, t_upper, t_lower = values
     columns = {"a": a, "b_re": b.real, "b_im": b.imag, "k": k, "kbar_or_kappa": kappa,
                **_observe(xp, a, r, xp.product(-r, a), t, t_upper, t_lower, q_t, v0, evanescent)}
     # Under an evanescent step v_t is NaN by definition.
     skip = ("boundary", "v_t") if evanescent else ("boundary",)
-    values = [b_dprime, upper, lower, *(v for name, v in columns.items() if name not in skip)]
-    nonfinite = functools.reduce(operator.or_, map(xp.nonfinite, values))
+    checked = [b_dprime, upper, lower, *(v for name, v in columns.items() if name not in skip)]
+    nonfinite = functools.reduce(operator.or_, map(xp.nonfinite, checked))
     hits = (kbar_zero, *matching_hits, nonfinite)
-    return columns, xp.select(hits, list(range(1, len(hits) + 1)), 0)
+    return columns, (k, a, values), xp.select(hits, list(range(1, len(hits) + 1)), 0)
+
+
+def _resolved(setup: PhysicalSetup, conv: Convention | None):
+    """A setup's regime, its convention (by default its regime's) and on an
+    edge its ``edge_limit`` state, else ``_chain``'s columns and state values
+    on Python numbers, or the ``core.refusal`` of its first cause."""
+    regime = classify_regime(setup)
+    if regime in _EDGES:
+        state = edge_limit(setup, conv)
+        return regime, state.convention, state
+    conv = conv or physical_convention(regime)
+    m, v0, e = setup.mass_energy, setup.step_height, setup.energy
+    columns, state, cause = _chain(SCALAR, m, v0, e, conv, regime is Regime.EVANESCENT)
+    if cause:
+        raise refusal(cause, m, v0, e, conv)
+    return regime, conv, (columns, state)
 
 
 def solve(setup: PhysicalSetup, conv: Convention | None = None) -> PlaneWaveSolution:
-    """The edge state (``limits.edge_limit``) or the matched state of a setup."""
-    regime = classify_regime(setup)
+    """The edge state (``limits.edge_limit``) or the matched state of a setup,
+    refused where ``record`` refuses it."""
+    regime, conv, found = _resolved(setup, conv)
     if regime in _EDGES:
-        return edge_limit(setup, conv)
-    return match(kinematics(setup), conv or physical_convention(regime))
+        return found
+    return PlaneWaveSolution._continued(*found[1], conv, **vars(setup))
 
 
 def record(setup: PhysicalSetup, conv: Convention | None = None) -> dict:
@@ -63,21 +78,15 @@ def record(setup: PhysicalSetup, conv: Convention | None = None) -> dict:
     refusal: ``_chain``'s on an open regime, the ``edge_limit`` state's on an
     edge; ``continuity`` is the mismatch of the one-sided values at x = 0,
     relative to max(1, |ψ(0⁻)|)."""
-    regime = classify_regime(setup)
-    m, v0, e = setup.mass_energy, setup.step_height, setup.energy
+    regime, conv, found = _resolved(setup, conv)
     if regime in _EDGES:
-        sol = edge_limit(setup, conv)
-        conv = sol.convention
         # b = k̄/(E − V₀ + mc²) → −∞ at the edge point, 0 at the lower edge
-        columns = {"a": sol.a, "b_re": -math.inf if regime is Regime.EDGE_POINT else 0.0,
-                   "b_im": 0.0, "k": sol.wave_number, "kbar_or_kappa": 0.0,
-                   **_observation(sol)}
+        columns = {"a": found.a, "b_re": -math.inf if regime is Regime.EDGE_POINT else 0.0,
+                   "b_im": 0.0, "k": found.wave_number, "kbar_or_kappa": 0.0,
+                   **_observation(found)}
     else:
-        conv = conv or physical_convention(regime)
-        columns, cause = _chain(SCALAR, m, v0, e, conv, regime is Regime.EVANESCENT)
-        if cause:
-            raise refusal(cause, m, v0, e, conv)
-    return {"step_height": v0, "energy": e, "regime": regime.value,
+        columns = found[0]
+    return {"step_height": setup.step_height, "energy": setup.energy, "regime": regime.value,
             "convention": conv.value, **columns}
 
 
@@ -134,8 +143,8 @@ def scatter_table(mass, step_heights, energies, conv: Convention | None) -> dict
         group = 2 * convs + evanescent
         for g in np.flatnonzero(np.bincount(group[open_rows])).tolist():
             rows = open_rows & (group == g)
-            columns, cause[rows] = _chain(ARRAY, m[rows], v0[rows], e[rows],
-                                          _CONVENTIONS[g // 2], bool(g % 2))
+            columns, _, cause[rows] = _chain(ARRAY, m[rows], v0[rows], e[rows],
+                                             _CONVENTIONS[g // 2], bool(g % 2))
             for name, column in columns.items():
                 table[name][rows] = column
     # ``record`` fills each edge row; an invalid row is refused by its

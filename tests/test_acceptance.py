@@ -21,13 +21,13 @@ from diracstep import (
     impenetrable_limit,
     infinite_potential_limit,
     integrate_scattering,
-    kinematics,
-    match,
     momentum_flux_bracket,
     nonrelativistic_limit,
     observe,
     sauter_log_coefficients,
+    solve,
 )
+from diracstep.table import record
 from diracstep.verify import (
     run_closed_vs_oracle,
     run_conservation,
@@ -43,12 +43,12 @@ def _report(number: int, description: str) -> None:
 
 
 def test_criterion_1_closed_form_golden_values():
-    kin = kinematics(GOLDEN)
-    sol = match(kin, Convention.MAIN)
+    sol = solve(GOLDEN, Convention.MAIN)
     obs = observe(sol)
+    row = record(GOLDEN, Convention.MAIN)
     expected = {
-        "a": (kin.a, 0.5773503),
-        "b": (kin.b, -1.7320508),
+        "a": (row["a"], 0.5773503),
+        "b": (complex(row["b_re"], row["b_im"]), -1.7320508),
         "r": (sol.r.real, -0.5),
         "t": (sol.t.real, 0.5),
         "R": (obs.R, 0.25),
@@ -116,16 +116,16 @@ def test_criterion_4_two_sided_approach_against_exact_expansion():
     deviations = {}
     for sign, side in ((+1.0, "klein"), (-1.0, "evanescent")):
         setup = PhysicalSetup(1.0, (e + 1.0) + sign * delta, e)
-        kin = kinematics(setup)
-        sol = match(kin, Convention.MAIN)
+        sol = solve(setup, Convention.MAIN)
+        a = sol.incident.amplitude.lower
         # delta as the setup holds it: V0 - E, and then - mc2, are exact.
         eps = math.sqrt(abs(setup.step_height - e - 1.0) / 2.0)
-        shift = 1.0 - 2.0 * kin.a * eps if sign > 0.0 else 1.0
+        shift = 1.0 - 2.0 * a * eps if sign > 0.0 else 1.0
         obs = observe(sol)
         deviations[side] = abs(obs.force + 4.0 * (e - 1.0) * shift)
         assert deviations[side] < 1e-7, (side, deviations[side])
         if sign > 0.0:
-            t_deviation = abs(obs.T / (4.0 * kin.a * eps) - shift)
+            t_deviation = abs(obs.T / (4.0 * a * eps) - shift)
             assert t_deviation < 1e-7, t_deviation
     _report(
         4,
@@ -137,10 +137,10 @@ def test_criterion_4_two_sided_approach_against_exact_expansion():
 
 def test_criterion_5_special_cases():
     # massless: a = 1, b = -1, R = 0, T = 1, v_t = c
-    kin0 = kinematics(PhysicalSetup(0.0, 2.0, 1.0))
-    obs0 = observe(match(kin0, Convention.MAIN))
-    assert kin0.a == 1.0
-    assert abs(kin0.b - (-1.0)) < 1e-10
+    massless = PhysicalSetup(0.0, 2.0, 1.0)
+    row0, obs0 = record(massless, Convention.MAIN), observe(solve(massless, Convention.MAIN))
+    assert row0["a"] == 1.0
+    assert abs(complex(row0["b_re"], row0["b_im"]) - (-1.0)) < 1e-10
     assert abs(obs0.R) < 1e-10 and abs(obs0.T - 1.0) < 1e-10
     assert abs(obs0.v_t - 1.0) < 1e-10
 
@@ -148,19 +148,20 @@ def test_criterion_5_special_cases():
     rng = np.random.default_rng(13)
     for _ in range(25):
         e = float(np.exp(rng.uniform(np.log(1.01), np.log(1e2))))
-        kin = kinematics(PhysicalSetup(1.0, 2.0 * e, e))
-        a = kin.a
-        assert abs(kin.kbar_or_kappa - kin.k) < 1e-10 * kin.k
-        obs = observe(match(kin, Convention.MAIN))
+        setup = PhysicalSetup(1.0, 2.0 * e, e)
+        row = record(setup, Convention.MAIN)
+        a = row["a"]
+        assert abs(row["kbar_or_kappa"] - row["k"]) < 1e-10 * row["k"]
+        obs = observe(solve(setup, Convention.MAIN))
         assert abs(obs.R - ((a**2 - 1.0) / (a**2 + 1.0)) ** 2) < 1e-10
         assert abs(obs.T - 4.0 * a**2 / (a**2 + 1.0) ** 2) < 1e-10
 
     # V0 -> infinity: R -> ((a-1)/(a+1))^2, T -> 4a/(a+1)^2
     limit = infinite_potential_limit(2.0, 1.0)
-    a = kinematics(PhysicalSetup(1.0, 4.0, 2.0)).a
+    a = record(PhysicalSetup(1.0, 4.0, 2.0))["a"]
     assert abs(limit.R - ((a - 1.0) / (a + 1.0)) ** 2) < 1e-10
     assert abs(limit.T - 4.0 * a / (a + 1.0) ** 2) < 1e-10
-    obs_far = observe(match(kinematics(PhysicalSetup(1.0, 1e8, 2.0)), Convention.MAIN))
+    obs_far = observe(solve(PhysicalSetup(1.0, 1e8, 2.0), Convention.MAIN))
     assert abs(obs_far.R - limit.R) < 1e-7 and abs(obs_far.T - limit.T) < 1e-7
     _report(5, "massless, V0=2E and V0->infinity cases match to 1e-10")
 
@@ -201,7 +202,6 @@ def test_criterion_7_oracle_agreement():
 
 def test_criterion_8_eigenvalue_checks():
     setup = GOLDEN
-    kin = kinematics(setup)
     e, m, v0 = setup.energy, setup.mass_energy, setup.step_height
 
     def residual(pw: PlaneWaveState, potential: float, eigenvalue: float) -> float:
@@ -212,9 +212,9 @@ def test_criterion_8_eigenvalue_checks():
         )
 
     for conv in (Convention.MAIN, Convention.LOWER_COMPONENT, Convention.TRADITIONAL):
-        pw = match(kin, conv).transmitted
+        pw = solve(setup, conv).transmitted
         assert residual(pw, v0, e) < 1e-12
-    negative = match(kin, Convention.NEGATIVE_ENERGY).transmitted
+    negative = solve(setup, Convention.NEGATIVE_ENERGY).transmitted
     assert residual(negative, v0, 2.0 * v0 - e) < 1e-12
     assert residual(negative, -v0, -e) < 1e-12
     _report(8, "transmitted waves certified as eigenstates to 1e-12")
@@ -230,7 +230,7 @@ def test_criterion_9_boundary_classification():
         assert (observe(impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY)).boundary
                 is BoundaryCondition.DIRICHLET_LOWER)
         v0 = float(rng.uniform((e + 1.0) * 1.0001, 4.0 * (e + 1.0)))
-        inside = match(kinematics(PhysicalSetup(1.0, v0, e)), Convention.MAIN)
+        inside = solve(PhysicalSetup(1.0, v0, e), Convention.MAIN)
         assert observe(inside).boundary is BoundaryCondition.NONE
         checked += 3
     _report(9, f"boundary classification agreed on {checked}/{checked} cases")

@@ -17,8 +17,6 @@ from diracstep import (
     Spinor,
     classify_regime,
     impenetrable_limit,
-    kinematics,
-    match,
     nonrelativistic_limit,
     observe,
 )
@@ -45,7 +43,7 @@ def test_impenetrable_negative_is_dirichlet_lower():
 
 
 def test_generic_klein_zone_solution_classifies_none():
-    sol = match(kinematics(PhysicalSetup(1.0, 4.0, 2.0)), Convention.MAIN)
+    sol = solve(PhysicalSetup(1.0, 4.0, 2.0), Convention.MAIN)
     obs = observe(sol)
     assert obs.boundary is BoundaryCondition.NONE
     assert not obs.impenetrable
@@ -61,13 +59,13 @@ def test_randomized_classification_agreement():
         negative = observe(impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY))
         assert negative.boundary is BoundaryCondition.DIRICHLET_LOWER
         v0 = float(rng.uniform((e + 1.0) * 1.001, 4.0 * (e + 1.0)))
-        inside = observe(match(kinematics(PhysicalSetup(1.0, v0, e)), Convention.MAIN))
+        inside = observe(solve(PhysicalSetup(1.0, v0, e), Convention.MAIN))
         assert inside.boundary is BoundaryCondition.NONE
         assert not inside.impenetrable
 
 
 def test_evanescent_solution_impenetrable_but_unclassified():
-    sol = match(kinematics(PhysicalSetup(1.0, 2.5, 2.0)), Convention.MAIN)
+    sol = solve(PhysicalSetup(1.0, 2.5, 2.0), Convention.MAIN)
     obs = observe(sol)
     assert obs.impenetrable  # zero current through the wall
     assert obs.boundary is BoundaryCondition.NONE

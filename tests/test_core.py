@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracstep import (
-    EdgePointError,
-    PhysicalSetup,
-    Regime,
-    classify_regime,
-    kinematics,
-)
+from diracstep import EdgePointError, PhysicalSetup, Regime, classify_regime, solve
+from diracstep.core import _kinematics
+from diracstep.spinor import SCALAR
+
+
+def _open(m, v0, e):
+    """``core._kinematics`` of an open setup, (k, k̄ or κ, a, b, b″), with
+    the evanescent continuation where the setup classifies so."""
+    evanescent = classify_regime(PhysicalSetup(m, v0, e)) is Regime.EVANESCENT
+    values, kbar_zero = _kinematics(SCALAR, m, v0, e, evanescent)
+    assert not kbar_zero
+    return values
 
 
 def test_setup_rejects_subthreshold_energy():
@@ -71,67 +76,67 @@ def test_classification_total_and_exclusive(e, v0):
 
 
 def test_kinematics_golden_values():
-    kin = kinematics(PhysicalSetup(1.0, 4.0, 2.0))
-    assert kin.a == pytest.approx(0.57735026918962576, abs=1e-15)
-    assert kin.k == pytest.approx(1.7320508075688773, abs=1e-15)
-    assert kin.kbar_or_kappa == pytest.approx(1.7320508075688773, abs=1e-15)
-    assert kin.b == pytest.approx(-1.7320508075688773, abs=1e-15)
-    assert kin.b_dprime == pytest.approx(0.57735026918962576, abs=1e-15)
+    k, kbar, a, b, b_dprime = _open(1.0, 4.0, 2.0)
+    assert a == pytest.approx(0.57735026918962576, abs=1e-15)
+    assert k == pytest.approx(1.7320508075688773, abs=1e-15)
+    assert kbar == pytest.approx(1.7320508075688773, abs=1e-15)
+    assert b == pytest.approx(-1.7320508075688773, abs=1e-15)
+    assert b_dprime == pytest.approx(0.57735026918962576, abs=1e-15)
 
 
 def test_kinematics_massless():
-    kin = kinematics(PhysicalSetup(0.0, 2.0, 1.0))
-    assert kin.a == 1.0
-    assert kin.b == pytest.approx(-1.0, abs=1e-15)
-    assert kin.k == pytest.approx(1.0, abs=1e-15)
+    k, _, a, b, _ = _open(0.0, 2.0, 1.0)
+    assert a == 1.0
+    assert b == pytest.approx(-1.0, abs=1e-15)
+    assert k == pytest.approx(1.0, abs=1e-15)
 
 
 def test_kinematics_rejects_edges():
-    with pytest.raises(EdgePointError):
-        kinematics(PhysicalSetup(1.0, 3.0, 2.0))
-    with pytest.raises(EdgePointError):
-        kinematics(PhysicalSetup(1.0, 1.0, 2.0))
+    """On both edges k̄ is exactly 0, which ``_kinematics`` flags for its
+    callers to refuse."""
+    for v0 in (3.0, 1.0):
+        assert _kinematics(SCALAR, 1.0, v0, 2.0, False)[1]
 
 
 def test_kinematics_evanescent_pure_imaginary_b():
-    kin = kinematics(PhysicalSetup(1.0, 2.5, 2.0))
-    assert kin.regime is Regime.EVANESCENT
-    assert kin.kbar_or_kappa == pytest.approx(0.86602540378443865, abs=1e-15)
-    assert kin.b.real == 0.0
-    assert kin.b.imag < 0.0  # decaying continuation
+    assert classify_regime(PhysicalSetup(1.0, 2.5, 2.0)) is Regime.EVANESCENT
+    _, kappa, _, b, _ = _open(1.0, 2.5, 2.0)
+    assert kappa == pytest.approx(0.86602540378443865, abs=1e-15)
+    assert b.real == 0.0
+    assert b.imag < 0.0  # decaying continuation
     # |b| = kappa / (E - V0 + mc2) = 0.8660254 / 0.5
-    assert abs(kin.b) == pytest.approx(1.7320508075688772, abs=1e-15)
+    assert abs(b) == pytest.approx(1.7320508075688772, abs=1e-15)
 
 
 def test_transmission_regime_positive_b():
-    kin = kinematics(PhysicalSetup(1.0, 0.8, 3.0))
-    assert kin.regime is Regime.TRANSMISSION
-    assert kin.b.real > 0.0 and kin.b.imag == 0.0
+    assert classify_regime(PhysicalSetup(1.0, 0.8, 3.0)) is Regime.TRANSMISSION
+    b = _open(1.0, 0.8, 3.0)[3]
+    assert b.real > 0.0 and b.imag == 0.0
 
 
 @pytest.mark.parametrize("e,v0", [(2.0, 4.0), (1.3, 5.0), (7.0, 11.0)])
 def test_b_family_identities(e, v0):
-    kin = kinematics(PhysicalSetup(1.0, v0, e))
-    assert kin.b < 0.0
-    assert kin.a * kin.b < 0.0
-    assert kin.b * kin.b_dprime == pytest.approx(-1.0, abs=1e-15)
-    assert kin.b_dprime == -(1.0 / kin.b)  # defined identity, exact
-    assert kin.b_dprime > 0.0
+    _, _, a, b, b_dprime = _open(1.0, v0, e)
+    assert b < 0.0
+    assert a * b < 0.0
+    assert b * b_dprime == pytest.approx(-1.0, abs=1e-15)
+    assert b_dprime == -(1.0 / b)  # defined identity, exact
+    assert b_dprime > 0.0
 
 
 @pytest.mark.parametrize("v0", [0.5, 2.5, 4.0], ids=["transmission", "evanescent", "klein"])
 def test_b_dprime_is_minus_the_reciprocal_of_b_bit_for_bit(v0):
     # -(1/b), signed zeros included: -1.0 / b would flip the sign of the zero
     # real part in the evanescent band.
-    kin = kinematics(PhysicalSetup(1.0, v0, 2.0))
-    expected = complex(-(1.0 / kin.b))
-    got = complex(kin.b_dprime)
+    *_, b, b_dprime = _open(1.0, v0, 2.0)
+    expected = complex(-(1.0 / b))
+    got = complex(b_dprime)
     assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
 def test_a_monotone_to_one():
     values = [
-        kinematics(PhysicalSetup(1.0, 3.0 * e, e)).a
+        _open(1.0, 3.0 * e, e)[2]
         for e in (1.5, 2.0, 5.0, 20.0, 200.0)
     ]
     assert all(0.0 < a < 1.0 for a in values)
@@ -148,12 +153,12 @@ def test_a_monotone_to_one():
 def test_energy_scale_invariance(scale, e, u):
     """A common energy rescaling leaves a, b invariant and rescales k, kbar."""
     v0 = (e + 1.0) * (1.0 + u)
-    base = kinematics(PhysicalSetup(1.0, v0, e))
-    scaled = kinematics(PhysicalSetup(scale, v0 * scale, e * scale))
-    assert scaled.a == pytest.approx(base.a, rel=1e-12)
-    assert scaled.b.real == pytest.approx(base.b.real, rel=1e-12)
-    assert scaled.k == pytest.approx(base.k * scale, rel=1e-12)
-    assert scaled.kbar_or_kappa == pytest.approx(base.kbar_or_kappa * scale, rel=1e-12)
+    k, kbar, a, b, _ = _open(1.0, v0, e)
+    k_s, kbar_s, a_s, b_s, _ = _open(scale, v0 * scale, e * scale)
+    assert a_s == pytest.approx(a, rel=1e-12)
+    assert b_s.real == pytest.approx(b.real, rel=1e-12)
+    assert k_s == pytest.approx(k * scale, rel=1e-12)
+    assert kbar_s == pytest.approx(kbar * scale, rel=1e-12)
 
 
 @pytest.mark.parametrize("field,kwargs", [
@@ -175,21 +180,22 @@ def test_kinematics_refuses_wave_number_rounded_to_zero(e, v0, regime, edge):
     setup = PhysicalSetup(1.0, v0, e)
     assert classify_regime(setup) is regime
     with pytest.raises(EdgePointError, match=f"within rounding of the regime edge {edge}"):
-        kinematics(setup)
+        solve(setup)
 
 
 def _assert_scales(m, v0, e):
-    """kinematics of (mc², V₀, E) is that of the setup divided by 2^s, s the
-    binary exponent of its largest energy, with k and k̄ times 2^s and the
+    """The kinematics of (mc², V₀, E) is that of the setup divided by 2^s, s
+    the binary exponent of its largest energy, with k and k̄ times 2^s and the
     regime, a, b and b″ identical, bit for bit."""
     s = math.frexp(max(m, v0, e))[1]
-    kin = kinematics(PhysicalSetup(m, v0, e))
-    base = kinematics(PhysicalSetup(*(math.ldexp(x, -s) for x in (m, v0, e))))
-    assert kin.regime is base.regime
-    assert [kin.k.hex(), kin.kbar_or_kappa.hex()] == [
-        math.ldexp(base.k, s).hex(), math.ldexp(base.kbar_or_kappa, s).hex()]
-    assert [(z.real.hex(), z.imag.hex()) for z in (kin.a, kin.b, kin.b_dprime)] == [
-        (z.real.hex(), z.imag.hex()) for z in (base.a, base.b, base.b_dprime)]
+    scaled = [math.ldexp(x, -s) for x in (m, v0, e)]
+    assert classify_regime(PhysicalSetup(m, v0, e)) is classify_regime(PhysicalSetup(*scaled))
+    k, kbar, *ratios = _open(m, v0, e)
+    k_base, kbar_base, *base = _open(*scaled)
+    assert [k.hex(), kbar.hex()] == [
+        math.ldexp(k_base, s).hex(), math.ldexp(kbar_base, s).hex()]
+    assert [(complex(z).real.hex(), complex(z).imag.hex()) for z in ratios] == [
+        (complex(z).real.hex(), complex(z).imag.hex()) for z in base]
 
 
 @pytest.mark.parametrize("e,v0", [(2.0, 1e300), (1e200, 1.0), (1e200, 3e200)])

@@ -17,8 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracstep import (Convention, PhysicalSetup, gridio, impenetrable_limit, kinematics,
-                       match, sample)
+from diracstep import Convention, PhysicalSetup, gridio, impenetrable_limit, sample, solve
 from diracstep.gridio import CSV_HEADER, _csv_block, _power_of_ten, write_csv
 
 
@@ -137,7 +136,7 @@ def _per_row(gs) -> bytes:
 
 
 def test_wavefunction_of_20000_points_equals_per_row_formatting(tmp_path):
-    solution = match(kinematics(PhysicalSetup(1.0, 4.0, 2.0)), Convention.MAIN)
+    solution = solve(PhysicalSetup(1.0, 4.0, 2.0), Convention.MAIN)
     gs = sample(solution, -37.25, 41.5, 20000)
     assert len(gs.xs) == 20001  # both sides of the step at x = 0
     write_csv(gs, tmp_path / "wave.csv")

@@ -1,14 +1,17 @@
 """The package's public names: each export resolves to its defining module,
 on first access (``import diracstep`` loads no submodule); the scalar
 chain's modules import no numpy; no source or test file imports a package
-that CI does not install."""
+that CI does not install; README's Python example gives the values its
+comments state."""
 
 import ast
 import importlib
 import importlib.util
 import json
+import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,13 +34,13 @@ def test_package_export_is_listed_by_its_defining_module(name):
 
 PUBLIC_NAMES = {
     "__version__", "BoundaryCondition", "Convention", "EdgePointError", "GridSample",
-    "Kinematics", "LimitKind", "LimitSolution", "Observation", "OracleResult", "PhysicalSetup",
-    "PlaneWaveSolution", "PlaneWaveState", "Regime", "ScatteringSolution", "Side",
-    "SmoothStep", "Spinor", "apply_hamiltonian", "charge_conjugate", "classify_regime",
-    "current", "density", "edge_limit", "impenetrable_limit", "infinite_potential_limit",
-    "integrate_scattering", "kinematics", "match", "momentum_flux_bracket",
-    "nonrelativistic_limit", "nr_boundary_force", "observe", "physical_convention", "sample",
-    "scatter_table", "sauter_log_coefficients", "write_csv",
+    "LimitKind", "LimitSolution", "Observation", "OracleResult", "PhysicalSetup",
+    "PlaneWaveSolution", "PlaneWaveState", "Regime", "Side", "SmoothStep", "Spinor",
+    "apply_hamiltonian", "charge_conjugate", "classify_regime", "current", "density",
+    "edge_limit", "impenetrable_limit", "infinite_potential_limit", "integrate_scattering",
+    "momentum_flux_bracket", "nonrelativistic_limit", "nr_boundary_force", "observe",
+    "physical_convention", "sample", "scatter_table", "sauter_log_coefficients", "solve",
+    "write_csv",
 }
 
 _LAZY_NAMESPACE = """
@@ -135,3 +138,32 @@ def test_no_file_imports_a_package_ci_does_not_install(path):
     absent = [module for module in imported
               if module.split(".")[0] in ("scipy", "sympy", "mpmath")]
     assert absent == []
+
+
+def _same(actual, stated) -> bool:
+    """Whether a value is the one a comment states: floats to 1e-12 relative,
+    NaN for NaN, everything else by ==, tuples element by element."""
+    if isinstance(stated, tuple):
+        return (isinstance(actual, tuple) and len(actual) == len(stated)
+                and all(map(_same, actual, stated)))
+    if isinstance(stated, float) and isinstance(actual, float):
+        return (math.isnan(actual) and math.isnan(stated)) or math.isclose(
+            actual, stated, rel_tol=1e-12)
+    return actual == stated
+
+
+def test_readme_python_example_gives_the_values_in_its_comments():
+    # Each line of README's ``python`` block that is an expression states its
+    # value in the comment, up to an optional ": explanation".
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)[1]
+    namespace, checked = {}, 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        if not code.strip() or code.startswith("import ") or re.match(r"\w+ = ", code):
+            exec(code, namespace)
+            continue
+        stated = eval(comment.partition(": ")[0],
+                      {"nan": math.nan, "BoundaryCondition": diracstep.BoundaryCondition})
+        assert _same(eval(code, namespace), stated), line
+        checked += 1
+    assert checked == 4

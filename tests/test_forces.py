@@ -17,8 +17,6 @@ from diracstep import (
     Spinor,
     density,
     impenetrable_limit,
-    kinematics,
-    match,
     momentum_flux_bracket,
     nonrelativistic_limit,
     nr_boundary_force,
@@ -30,7 +28,7 @@ GOLDEN = PhysicalSetup(1.0, 4.0, 2.0)
 
 
 def test_external_force_golden():
-    sol = match(kinematics(GOLDEN), Convention.MAIN)
+    sol = solve(GOLDEN, Convention.MAIN)
     assert observe(sol).force == pytest.approx(-4.0, abs=1e-12)
 
 
@@ -39,7 +37,7 @@ def test_external_force_is_negative():
     for _ in range(200):
         e = float(np.exp(rng.uniform(np.log(1.01), np.log(1e2))))
         v0 = float(rng.uniform(e + 1.0, 4.0 * (e + 1.0)))
-        sol = match(kinematics(PhysicalSetup(1.0, v0, e)), Convention.MAIN)
+        sol = solve(PhysicalSetup(1.0, v0, e), Convention.MAIN)
         assert observe(sol).force < 0.0
 
 
@@ -83,7 +81,7 @@ def test_two_sided_force_limit():
     target = -4.0 * (e - 1.0)
     for sign in (+1.0, -1.0):
         setup = PhysicalSetup(1.0, (e + 1.0) + sign * delta, e)
-        force = observe(match(kinematics(setup), Convention.MAIN)).force
+        force = observe(solve(setup, Convention.MAIN)).force
         assert abs(force - target) < 1e-5
 
 
@@ -93,7 +91,7 @@ def test_two_sided_force_limit_tight_near_threshold():
     target = -4.0 * (e - 1.0)
     for sign in (+1.0, -1.0):
         setup = PhysicalSetup(1.0, (e + 1.0) + sign * delta, e)
-        force = observe(match(kinematics(setup), Convention.MAIN)).force
+        force = observe(solve(setup, Convention.MAIN)).force
         assert abs(force - target) < 1e-6
 
 
@@ -104,7 +102,7 @@ def test_two_sided_density_converges_to_4a2():
         previous = None
         for delta in (1e-2, 1e-4, 1e-6, 1e-8):
             setup = PhysicalSetup(1.0, (e + 1.0) + sign * delta, e)
-            sol = match(kinematics(setup), Convention.MAIN)
+            sol = solve(setup, Convention.MAIN)
             gap = abs(observe(sol).force / -setup.step_height - 4.0 * a2)
             if previous is not None:
                 assert gap < previous

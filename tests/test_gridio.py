@@ -11,11 +11,14 @@ from diracstep import (
     Convention,
     GridSample,
     PhysicalSetup,
+    PlaneWaveSolution,
+    PlaneWaveState,
+    Side,
+    Spinor,
     impenetrable_limit,
-    kinematics,
-    match,
     nonrelativistic_limit,
     sample,
+    solve,
     write_csv,
 )
 from diracstep.gridio import CSV_HEADER
@@ -23,7 +26,7 @@ from test_cli import read_csv
 
 
 def _klein_solution():
-    return match(kinematics(PhysicalSetup(1.0, 4.0, 2.0)), Convention.MAIN)
+    return solve(PhysicalSetup(1.0, 4.0, 2.0), Convention.MAIN)
 
 
 def test_grid_contains_origin_with_both_sides():
@@ -151,6 +154,18 @@ def test_metadata_for_a_hard_wall_has_no_step_height(tmp_path):
               tmp_path / "wall.csv")
     meta = json.loads((tmp_path / "wall.meta.json").read_text())
     assert (meta["step_height"], meta["regime"]) == (None, "nonrel-main")
+
+
+def test_metadata_of_a_bare_state_reads_the_regime_of_its_energies(tmp_path):
+    # A state built directly, as the signature of ``sample`` names it: the
+    # mirror at the edge point V0 = E + mc2 of (mc2, E) = (1, 2).
+    a = 3.0 ** -0.5
+    wall = PlaneWaveState(Spinor(0.0, 2.0 * a), 0.0, Side.RIGHT)
+    state = PlaneWaveSolution.reflecting(3.0 ** 0.5, a, -1.0, wall, Convention.MAIN, 0.0,
+                                         mass_energy=1.0, step_height=3.0, energy=2.0)
+    write_csv(sample(state, -1.0, 1.0, 5), tmp_path / "bare.csv")
+    meta = json.loads((tmp_path / "bare.meta.json").read_text())
+    assert (meta["step_height"], meta["convention"], meta["regime"]) == (3.0, "main", "EdgePoint")
 
 
 def test_write_failure_reports_path():

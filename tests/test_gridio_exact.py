@@ -7,7 +7,6 @@ sum ``PlaneWaveState.value_at`` in cmath) and per-cell formatting give,
 down to the sign of zero, for matched and limit states alike.
 """
 
-import dataclasses
 import hashlib
 import math
 
@@ -18,21 +17,22 @@ from hypothesis import strategies as st
 from diracstep import (
     Convention,
     PhysicalSetup,
-    PlaneWaveState,
-    Side,
+    PlaneWaveSolution,
+    Regime,
     Spinor,
+    classify_regime,
     current,
     density,
     edge_limit,
     impenetrable_limit,
-    kinematics,
-    match,
     nonrelativistic_limit,
     sample,
+    solve,
     write_csv,
 )
 from diracstep.gridio import CSV_HEADER
-from diracstep.matching import _transmitted_basis
+from diracstep.spinor import SCALAR
+from diracstep.table import _chain
 
 
 def _reference_rows(solution, x_min, x_max, n_points):
@@ -88,7 +88,7 @@ def _evanescent(u, v):
 def _open_solution(case, u, v):
     draw, conv = case
     e, v0 = draw(u, v)
-    return match(kinematics(PhysicalSetup(1.0, v0, e)), conv)
+    return solve(PhysicalSetup(1.0, v0, e), conv)
 
 
 OPEN_CASES = [
@@ -183,7 +183,7 @@ def test_sample_rejects_overflowing_range():
 # sha256 of the CSV bytes followed by the sidecar bytes, as written by the
 # per-point sampler and per-cell writer this module replaced.  The scattering
 # states use the r and t that sampler was given (float.hex of the real and
-# imaginary parts): the closed-form 2x2 solve in ``match`` rounds them
+# imaginary parts): the closed-form 2x2 solve in ``solve`` rounds them
 # differently in the last bit, and pinning them keeps this test about
 # ``sample`` and ``write_csv`` alone.
 #
@@ -249,16 +249,13 @@ LIMITS = [
 
 
 def _with_amplitudes(sol, r, t):
-    """The matched state rebuilt around the given r and t, as ``match`` builds it."""
-    kin = sol.kinematics
-    u_t, q_t = _transmitted_basis(kin, sol.convention)
-    return dataclasses.replace(
-        sol,
-        r=r,
-        t=t,
-        reflected=PlaneWaveState(Spinor(r, -r * kin.a), -kin.k, Side.LEFT),
-        transmitted=PlaneWaveState(Spinor(t * u_t.upper, t * u_t.lower), q_t, Side.RIGHT),
-    )
+    """The matched state rebuilt around the given r and t, as ``solve`` builds it."""
+    m, v0, e, conv = sol.mass_energy, sol.step_height, sol.energy, sol.convention
+    evanescent = classify_regime(sol) is Regime.EVANESCENT
+    _, (k, a, (upper, lower, q_t, *_)), _ = _chain(SCALAR, m, v0, e, conv, evanescent)
+    values = (upper, lower, q_t, r, t, t * upper, t * lower)
+    return PlaneWaveSolution._continued(k, a, values, conv, mass_energy=m, step_height=v0,
+                                        energy=e)
 
 
 def _digest(gs, tmp_path):
@@ -272,7 +269,7 @@ def _digest(gs, tmp_path):
 @pytest.mark.parametrize("case", SCATTERING, ids=lambda c: f"{c[3]}-V{c[1]}-E{c[2]}-m{c[0]}")
 def test_golden_scattering_bytes(case, tmp_path):
     m, v0, e, conv, x_min, x_max, n, r, t, expected = case
-    sol = match(kinematics(PhysicalSetup(m, v0, e)), Convention(conv))
+    sol = solve(PhysicalSetup(m, v0, e), Convention(conv))
     r, t = (complex(float.fromhex(re), float.fromhex(im)) for re, im in (r, t))
     assert _digest(sample(_with_amplitudes(sol, r, t), x_min, x_max, n), tmp_path) == expected
 

@@ -22,12 +22,11 @@ from diracstep import (
     edge_limit,
     impenetrable_limit,
     infinite_potential_limit,
-    kinematics,
-    match,
     nonrelativistic_limit,
     nr_boundary_force,
     observe,
     sample,
+    solve,
 )
 from diracstep.core import incident_wave
 
@@ -139,7 +138,7 @@ def test_nonrelativistic_main():
     limit = nonrelativistic_limit(e_nr, m, Convention.MAIN)
     assert limit.a == pytest.approx(0.05, abs=1e-15)
     # exact-formula cross-check at E = mc2 + E_nr
-    a_exact = kinematics(PhysicalSetup(m, 4.0, m + e_nr)).a
+    a_exact = incident_wave(m + e_nr, m)[1]
     assert a_exact == pytest.approx(0.049937616943892234, abs=1e-14)
     assert abs(limit.a - a_exact) < 1e-4
     psi0 = limit.spinor_at(0.0)
@@ -332,7 +331,7 @@ def test_infinite_potential_limit_values():
     assert limit.T == pytest.approx(0.92820323027550917, abs=1e-12)
     assert limit.R + limit.T == pytest.approx(1.0, abs=1e-14)
     # b -> -1 in the continuity system: the far matched state approaches it.
-    far = observe(match(kinematics(PhysicalSetup(1.0, 1e8, 2.0)), Convention.MAIN))
+    far = observe(solve(PhysicalSetup(1.0, 1e8, 2.0), Convention.MAIN))
     assert far.R == pytest.approx(limit.R, abs=1e-7)
 
 
@@ -385,9 +384,9 @@ def _approach(energy, delta):
     from the evanescent side), a, and eps = sqrt(|delta| / 2mc2) with
     delta as the setup holds it: V0 - E, and then - mc2, are exact."""
     setup = PhysicalSetup(1.0, energy + 1.0 + delta, energy)
-    kin = kinematics(setup)
+    sol = solve(setup, Convention.MAIN)
     eps = math.sqrt(abs(setup.step_height - energy - 1.0) / 2.0)
-    return observe(match(kin, Convention.MAIN)), kin.a, eps
+    return observe(sol), sol.incident.amplitude.lower, eps
 
 
 DELTAS = [10.0**p for p in range(-12, -3)]

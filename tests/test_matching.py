@@ -12,25 +12,29 @@ from diracstep import (
     PhysicalSetup,
     Regime,
     Spinor,
-    kinematics,
-    match,
+    classify_regime,
     observe,
     physical_convention,
     scatter_table,
+    solve,
 )
 from diracstep import verify
+from diracstep.core import _kinematics
 from diracstep.matching import GROWING_UNDER_EVANESCENT
+from diracstep.spinor import SCALAR
+from diracstep.table import record
 
 GOLDEN = PhysicalSetup(1.0, 4.0, 2.0)
 
 
-def closed_form_rt(kin, conv):
-    """Independent closed-form amplitudes for each convention."""
-    a, b = kin.a, kin.b
+def closed_form_rt(setup, conv):
+    """Independent closed-form amplitudes for each convention in the Klein
+    zone, from a, b and b″ of ``core._kinematics``."""
+    (_, _, a, b, bpp), _ = _kinematics(SCALAR, setup.mass_energy, setup.step_height,
+                                       setup.energy, False)
     if conv is Convention.MAIN:
         return (a + b) / (a - b), 2.0 * a / (a - b)
     if conv is Convention.LOWER_COMPONENT:
-        bpp = kin.b_dprime
         return (a * bpp - 1.0) / (a * bpp + 1.0), 2.0 * a / (1.0 + a * bpp)
     if conv is Convention.TRADITIONAL:
         return (a - b) / (a + b), 2.0 * a / (a + b)
@@ -38,25 +42,25 @@ def closed_form_rt(kin, conv):
 
 
 def test_main_closed_form_golden():
-    sol = match(kinematics(GOLDEN), Convention.MAIN)
+    sol = solve(GOLDEN, Convention.MAIN)
     assert sol.r == pytest.approx(-0.5, abs=1e-14)
     assert sol.t == pytest.approx(0.5, abs=1e-14)
 
 
 def test_traditional_closed_form_golden():
-    sol = match(kinematics(GOLDEN), Convention.TRADITIONAL)
+    sol = solve(GOLDEN, Convention.TRADITIONAL)
     assert sol.r == pytest.approx(-2.0, abs=1e-13)
     assert sol.t == pytest.approx(-1.0, abs=1e-13)
 
 
 def test_lower_component_closed_form_golden():
-    sol = match(kinematics(GOLDEN), Convention.LOWER_COMPONENT)
+    sol = solve(GOLDEN, Convention.LOWER_COMPONENT)
     assert sol.r == pytest.approx(-0.5, abs=1e-14)
     assert sol.t == pytest.approx(0.86602540378443865, abs=1e-14)
 
 
 def test_negative_energy_closed_form():
-    sol = match(kinematics(PhysicalSetup(1.0, 5.0, 2.0)), Convention.NEGATIVE_ENERGY)
+    sol = solve(PhysicalSetup(1.0, 5.0, 2.0), Convention.NEGATIVE_ENERGY)
     assert sol.r == pytest.approx(-0.1010205144336438, abs=1e-13)
     assert sol.t == pytest.approx(0.63567449039156449, abs=1e-13)
 
@@ -67,15 +71,15 @@ def test_matcher_agrees_with_closed_forms_randomized(conv):
     for _ in range(300):
         e = float(np.exp(rng.uniform(np.log(1.001), np.log(1e3))))
         v0 = float(rng.uniform(e + 1.0, 3.0 * (e + 1.0)))
-        kin = kinematics(PhysicalSetup(1.0, v0, e))
-        sol = match(kin, conv)
-        r_ref, t_ref = closed_form_rt(kin, conv)
+        setup = PhysicalSetup(1.0, v0, e)
+        sol = solve(setup, conv)
+        r_ref, t_ref = closed_form_rt(setup, conv)
         assert sol.r == pytest.approx(r_ref, rel=1e-12, abs=1e-12)
         assert sol.t == pytest.approx(t_ref, rel=1e-12, abs=1e-12)
 
 
 def test_evaluate_golden_at_origin():
-    sol = match(kinematics(GOLDEN), Convention.MAIN)
+    sol = solve(GOLDEN, Convention.MAIN)
     psi0 = sol.spinor_at(0.0)
     assert psi0.upper == pytest.approx(0.5, abs=1e-14)
     assert psi0.lower == pytest.approx(0.8660254037844386, abs=1e-14)
@@ -97,8 +101,7 @@ def _residual_at_zero(sol) -> float:
     conv=st.sampled_from(list(Convention)),
 )
 def test_continuity_property_klein_zone(e, u, conv):
-    kin = kinematics(PhysicalSetup(1.0, (e + 1.0) * (1.0 + u), e))
-    assert _residual_at_zero(match(kin, conv)) < 1e-12
+    assert _residual_at_zero(solve(PhysicalSetup(1.0, (e + 1.0) * (1.0 + u), e), conv)) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -108,19 +111,19 @@ def test_continuity_property_klein_zone(e, u, conv):
 )
 def test_continuity_property_evanescent(e, frac):
     v0 = (e - 1.0) + 2.0 * frac
-    kin = kinematics(PhysicalSetup(1.0, v0, e))
-    if kin.regime is not Regime.EVANESCENT:
+    setup = PhysicalSetup(1.0, v0, e)
+    if classify_regime(setup) is not Regime.EVANESCENT:
         return
-    assert _residual_at_zero(match(kin, Convention.MAIN)) < 1e-12
-    assert _residual_at_zero(match(kin, Convention.LOWER_COMPONENT)) < 1e-12
+    assert _residual_at_zero(solve(setup, Convention.MAIN)) < 1e-12
+    assert _residual_at_zero(solve(setup, Convention.LOWER_COMPONENT)) < 1e-12
 
 
 def test_growing_conventions_rejected_in_evanescent_regime():
-    kin = kinematics(PhysicalSetup(1.0, 2.5, 2.0))
+    setup = PhysicalSetup(1.0, 2.5, 2.0)
     with pytest.raises(ValueError):
-        match(kin, Convention.TRADITIONAL)
+        solve(setup, Convention.TRADITIONAL)
     with pytest.raises(ValueError):
-        match(kin, Convention.NEGATIVE_ENERGY)
+        solve(setup, Convention.NEGATIVE_ENERGY)
 
 
 @pytest.mark.parametrize("conv", list(Convention), ids=lambda conv: conv.value)
@@ -128,15 +131,15 @@ def test_evanescent_growth_rule_is_one_fact(conv, monkeypatch):
     """The scalar matcher, the array core and the conservation suite agree
     on which conventions exist under an evanescent step."""
     growing = conv in GROWING_UNDER_EVANESCENT
-    kin = kinematics(PhysicalSetup(1.0, 2.5, 2.0))
     message = re.escape(f"{conv.value!r} transmitted wave grows under the step "
                         "in the evanescent regime")
-    for solve in (lambda: match(kin, conv), lambda: scatter_table(1.0, 2.5, 2.0, conv)):
+    for build in (lambda: solve(PhysicalSetup(1.0, 2.5, 2.0), conv),
+                  lambda: scatter_table(1.0, 2.5, 2.0, conv)):
         if growing:
             with pytest.raises(ValueError, match=message):
-                solve()
+                build()
         else:
-            solve()
+            build()
     drawn = set()
 
     def spy(mass, step_heights, energies, conv):
@@ -155,9 +158,9 @@ def test_main_and_lower_produce_identical_piecewise_solutions():
     for _ in range(100):
         e = float(np.exp(rng.uniform(np.log(1.01), np.log(100.0))))
         v0 = float(rng.uniform(e + 1.0, 4.0 * (e + 1.0)))
-        kin = kinematics(PhysicalSetup(1.0, v0, e))
-        main = match(kin, Convention.MAIN)
-        lower = match(kin, Convention.LOWER_COMPONENT)
+        setup = PhysicalSetup(1.0, v0, e)
+        main = solve(setup, Convention.MAIN)
+        lower = solve(setup, Convention.LOWER_COMPONENT)
         assert main.r == pytest.approx(lower.r, rel=1e-12)
         for x in (-2.3, -0.4, 0.0, 0.9, 3.1):
             pm, pl = main.spinor_at(x), lower.spinor_at(x)
@@ -173,12 +176,12 @@ def test_reflection_magnitudes():
     for _ in range(200):
         e = float(np.exp(rng.uniform(np.log(1.01), np.log(1e2))))
         v0 = float(rng.uniform(e + 1.0, 4.0 * (e + 1.0)))
-        sol = match(kinematics(PhysicalSetup(1.0, v0, e)), Convention.MAIN)
+        sol = solve(PhysicalSetup(1.0, v0, e), Convention.MAIN)
         assert abs(sol.r) <= 1.0 + 1e-14
     for _ in range(200):
         e = float(np.exp(rng.uniform(np.log(1.01), np.log(1e2))))
         v0 = float(rng.uniform(e - 1.0 + 1e-9, e + 1.0 - 1e-9))
-        sol = match(kinematics(PhysicalSetup(1.0, v0, e)), Convention.MAIN)
+        sol = solve(PhysicalSetup(1.0, v0, e), Convention.MAIN)
         assert abs(sol.r) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -186,10 +189,10 @@ def test_near_edge_matcher_stays_finite_and_consistent():
     """|b| ~ 1e8 near the impenetrable point: scaled solve must stay stable."""
     e = 2.0
     for delta in (1e-10, 1e-12, 1e-14):
-        kin = kinematics(PhysicalSetup(1.0, (e + 1.0) + delta, e))
-        assert abs(kin.b) > 1e4
-        sol = match(kin, Convention.MAIN)
-        r_ref, t_ref = closed_form_rt(kin, Convention.MAIN)
+        setup = PhysicalSetup(1.0, (e + 1.0) + delta, e)
+        assert abs(record(setup)["b_re"]) > 1e4
+        sol = solve(setup, Convention.MAIN)
+        r_ref, t_ref = closed_form_rt(setup, Convention.MAIN)
         assert sol.r == pytest.approx(r_ref, rel=1e-10)
         assert sol.t == pytest.approx(t_ref, rel=1e-10)
         assert _residual_at_zero(sol) < 1e-12
@@ -206,10 +209,10 @@ def test_physical_convention_choice():
 def test_transmission_regime_standard_result():
     """Sub-threshold step: the right-moving wave gives the textbook R, T."""
     setup = PhysicalSetup(1.0, 0.8, 3.0)
-    kin = kinematics(setup)
-    sol = match(kin, Convention.TRADITIONAL)
+    sol = solve(setup, Convention.TRADITIONAL)
     obs = observe(sol)
-    a, b = kin.a, kin.b.real
+    row = record(setup, Convention.TRADITIONAL)
+    a, b = row["a"], row["b_re"]
     assert obs.R == pytest.approx(((a - b) / (a + b)) ** 2, rel=1e-13)
     assert obs.T == pytest.approx(4.0 * a * b / (a + b) ** 2, rel=1e-13)
     assert 0.0 < obs.T < 1.0 and obs.j0 > 0.0
@@ -218,6 +221,5 @@ def test_transmission_regime_standard_result():
 def test_singular_continuity_system_raises():
     # Massless Klein zone: the traditional wave [1, b] with b = -1 is parallel
     # to the reflected wave [1, -a], a = 1, so det = û·a + l̂ vanishes.
-    kin = kinematics(PhysicalSetup(0.0, 3.0, 1.0))
     with pytest.raises(ValueError, match="singular for 'traditional'"):
-        match(kin, Convention.TRADITIONAL)
+        solve(PhysicalSetup(0.0, 3.0, 1.0), Convention.TRADITIONAL)

@@ -10,16 +10,18 @@ import pytest
 
 from diracstep import (
     Convention,
+    EdgePointError,
     PhysicalSetup,
     Regime,
     SmoothStep,
+    classify_regime,
     integrate_scattering,
-    kinematics,
-    match,
     observe,
     sauter_log_coefficients,
+    solve,
 )
-from diracstep import matching, oracle
+from diracstep import oracle
+from diracstep.table import record
 
 GOLDEN = PhysicalSetup(1.0, 4.0, 2.0)
 
@@ -61,7 +63,7 @@ def test_evanescent_total_reflection_any_width():
 
 def test_transmission_regime_agreement():
     setup = PhysicalSetup(1.0, 0.8, 3.0)
-    closed = observe(match(kinematics(setup), Convention.TRADITIONAL))
+    closed = observe(solve(setup, Convention.TRADITIONAL))
     res = integrate_scattering(setup, SmoothStep(0.8, 1e-3), Convention.TRADITIONAL)
     assert res.R_num == pytest.approx(closed.R, abs=1e-6)
     assert res.T_num == pytest.approx(closed.T, abs=1e-6)
@@ -81,7 +83,7 @@ def test_randomized_agreement_in_low_bias_window():
         e = math.exp(rng.uniform(math.log(1.02), math.log(1.7)))
         delta = math.exp(rng.uniform(math.log(1e-3), math.log(0.2)))
         setup = PhysicalSetup(1.0, e + 1.0 + delta, e)
-        closed = observe(match(kinematics(setup), Convention.MAIN)).R
+        closed = observe(solve(setup, Convention.MAIN)).R
         res = integrate_scattering(
             setup, SmoothStep(setup.step_height, 1e-3), Convention.MAIN
         )
@@ -122,7 +124,7 @@ def test_sauter_reflection_and_transmission_add_to_one(width):
 
 def test_sauter_at_zero_width_is_the_sharp_step():
     for setup, conv in SAUTER_SETUPS:
-        closed = observe(match(kinematics(setup), conv))
+        closed = observe(solve(setup, conv))
         r, t = _sauter(setup, 0.0, conv)
         assert r == pytest.approx(closed.R, rel=1e-12, abs=1e-14), (setup, conv.value)
         assert t == pytest.approx(closed.T, rel=1e-12, abs=1e-14), (setup, conv.value)
@@ -132,9 +134,9 @@ def test_sauter_matches_the_direct_sinh_products():
     """At moderate energies no factor nearly cancels, and the sinh products
     can be formed as written."""
     for setup, conv in SAUTER_SETUPS[:8]:
-        kin = kinematics(setup)
-        v0, k = setup.step_height, kin.k
-        kb = kin.kbar_or_kappa if conv is Convention.MAIN else -kin.kbar_or_kappa
+        row = record(setup)
+        v0, k = setup.step_height, row["k"]
+        kb = row["kbar_or_kappa"] if conv is Convention.MAIN else -row["kbar_or_kappa"]
         for width in (1e-3, 0.3, 2.0):
             c = math.pi * width / 4.0
             s1, s2, s3, s4 = (math.sinh(c * (v0 + z)) for z in (k + kb, -k - kb, k - kb, kb - k))
@@ -151,9 +153,9 @@ def test_smoothing_bias_is_the_derived_w2_and_w4_law():
     / 2880, from the fourth powers.  So R(w) = R(0) (1 + A w^2 + (B + A^2/2)
     w^4 + ...): the w^2 coefficient of R(w) is (pi^2/12) k kb R."""
     for setup, conv in SAUTER_SETUPS:
-        kin = kinematics(setup)
-        v0, k = setup.step_height, kin.k
-        kb = kin.kbar_or_kappa if conv is Convention.MAIN else -kin.kbar_or_kappa
+        row = record(setup)
+        v0, k = setup.step_height, row["k"]
+        kb = row["kbar_or_kappa"] if conv is Convention.MAIN else -row["kbar_or_kappa"]
         a2 = math.pi**2 / 12.0 * k * kb
         b4 = -(math.pi**4) * k * kb * (3.0 * v0**2 + k**2 + kb**2) / 2880.0
         r0 = _sauter(setup, 0.0, conv)[0]
@@ -197,8 +199,31 @@ def test_oracle_rejects_unsupported_inputs():
     with pytest.raises(ValueError):
         integrate_scattering(GOLDEN, SmoothStep(3.9, 1e-3), Convention.MAIN)
     evan = PhysicalSetup(1.0, 2.5, 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^'traditional' transmitted wave grows under the step"):
         integrate_scattering(evan, SmoothStep(2.5, 1e-3), Convention.TRADITIONAL)
+    # Sauter's formula refuses the evanescent band before any wave can grow.
+    with pytest.raises(ValueError, match="^Sauter's R and T are those of the main"):
+        sauter_log_coefficients(evan, 1e-3, Convention.TRADITIONAL)
+    # A k̄ that rounds to 0 is refused as an edge.
+    rounded = PhysicalSetup(1.0, 0.9999999999999999, 2.0)
+    with pytest.raises(EdgePointError, match="within rounding of the regime edge E - mc2"):
+        integrate_scattering(rounded, SmoothStep(rounded.step_height, 1e-3))
+    with pytest.raises(EdgePointError, match="within rounding of the regime edge E - mc2"):
+        sauter_log_coefficients(rounded, 1e-3)
+
+
+@pytest.mark.parametrize("v0,regime", [(3.0, "EdgePoint"), (1.0, "EdgeLower")],
+                         ids=["point", "lower"])
+def test_oracle_and_sauter_refuse_both_edges(v0, regime):
+    """On a regime edge k̄ = 0 and the amplitudes degenerate: the oracle and
+    Sauter's formula refuse it and name the limits module."""
+    setup = PhysicalSetup(1.0, v0, 2.0)
+    message = "^" + re.escape(f"kinematics degenerate at {regime} (V0={v0}); "
+                              "use the limits module") + "$"
+    with pytest.raises(EdgePointError, match=message):
+        integrate_scattering(setup, SmoothStep(v0, 1e-3))
+    with pytest.raises(EdgePointError, match=message):
+        sauter_log_coefficients(setup, 1e-3)
 
 
 def _edge_setups(energy, delta):
@@ -299,7 +324,7 @@ def test_exact_sauter_reflection_on_wide_steps(width, tol):
             setup, SmoothStep(setup.step_height, width), conv, tol=tol
         )
         label = f"w={width} tol={tol} E={setup.energy} V0={setup.step_height} {conv.value}"
-        if kinematics(setup).regime is Regime.EVANESCENT:
+        if classify_regime(setup) is Regime.EVANESCENT:
             exact = 1.0
             assert res.T_num == 0.0
         else:
@@ -470,11 +495,9 @@ def _reference_prefix_chain(levels):
 def _reference_ladder(setup, step, conv, tol):
     """``integrate_scattering`` with one evaluation of the cells per doubling,
     as it was before the first rung; also returns the number of passes."""
-    kin = kinematics(setup)
-    u_t, q_t = matching._transmitted_basis(kin, conv)
-    amp = np.array([u_t.upper, u_t.lower], dtype=complex)
+    regime, k, _, a, (upper, lower, q_t) = oracle._transmitted_wave(setup, conv)
+    amp = np.array([upper, lower], dtype=complex)
     start = np.array([[amp[0].real, amp[0].imag], [amp[1].imag, -amp[1].real]])
-    a = kin.a
     to_waves = np.array([[a, 1.0], [a, -1.0]]) / (2.0 * a)
 
     def solve(n):
@@ -512,12 +535,12 @@ def _reference_ladder(setup, step, conv, tol):
         np.max(np.abs(j_path - j_ref) / np.maximum(abs(j_ref), rho_path))
     )
     half = 10.0 * step.width
-    r_num = (coeff_refl / coeff_in) * cmath.exp(-2j * kin.k * half)
-    t_num = cmath.exp(-1j * (q_t + kin.k) * half - cmath.log(coeff_in))
+    r_num = (coeff_refl / coeff_in) * cmath.exp(-2j * k * half)
+    t_num = cmath.exp(-1j * (q_t + k) * half - cmath.log(coeff_in))
     R_num = abs(coeff_refl / coeff_in) ** 2
     j_in = 2.0 * a * abs(coeff_in) ** 2
     T_num = closure = 0.0
-    if kin.regime is not Regime.EVANESCENT:
+    if regime is not Regime.EVANESCENT:
         T_num = float(j_ref / j_in)
         closure = abs(R_num + T_num - 1.0)
     result = oracle.OracleResult(

@@ -15,8 +15,7 @@ from diracstep import (
     charge_conjugate,
     current,
     density,
-    kinematics,
-    match,
+    solve,
 )
 from diracstep.spinor import complex_quotient
 
@@ -83,7 +82,7 @@ def test_plane_wave_evaluation():
 
 
 def _transmitted(conv, setup=PhysicalSetup(1.0, 4.0, 2.0)):
-    sol = match(kinematics(setup), conv)
+    sol = solve(setup, conv)
     return sol.transmitted, setup
 
 
@@ -156,9 +155,8 @@ def test_charge_conjugation_preserves_density_flips_current():
 def test_conjugate_of_main_wave_matches_negative_energy_wave():
     """The negative-energy transmitted wave is the conjugate of the main one."""
     setup = PhysicalSetup(1.0, 4.0, 2.0)
-    kin = kinematics(setup)
-    main = match(kin, Convention.MAIN).transmitted
-    negative = match(kin, Convention.NEGATIVE_ENERGY).transmitted
+    main = solve(setup, Convention.MAIN).transmitted
+    negative = solve(setup, Convention.NEGATIVE_ENERGY).transmitted
     conj = charge_conjugate(main)
     assert conj.wave_number == pytest.approx(negative.wave_number, abs=1e-14)
     # proportional amplitudes: cross-ratio of components must vanish

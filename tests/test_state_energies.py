@@ -19,13 +19,14 @@ import pytest
 from diracstep import (
     Convention,
     PhysicalSetup,
+    Regime,
+    classify_regime,
     edge_limit,
     impenetrable_limit,
     infinite_potential_limit,
-    kinematics,
-    match,
     nonrelativistic_limit,
     observe,
+    solve,
 )
 from diracstep import limits
 
@@ -46,10 +47,13 @@ def _setups(seed: int, n: int):
 
 def _observations(seed: int = 3401, n: int = 12):
     """(label, observation) of every constructor's state at each setup; a
-    refused state is left out."""
+    refused state is left out, and so are the matched states of a setup that
+    falls on an edge, where ``solve`` gives the edge state."""
     for i, (m, e, v0, e_kin) in enumerate(_setups(seed, n)):
-        builders = [(f"match {conv.value}", lambda c=conv: match(
-            kinematics(PhysicalSetup(m, v0, e)), c)) for conv in Convention]
+        setup = PhysicalSetup(m, v0, e)
+        edge = classify_regime(setup) in (Regime.EDGE_POINT, Regime.EDGE_LOWER)
+        builders = [(f"match {conv.value}", lambda c=conv: solve(setup, c))
+                    for conv in Convention if not edge]
         builders += [(f"edge {sign} {conv and conv.value}", lambda c=conv, v=v: edge_limit(
             PhysicalSetup(m, v, e), c)) for sign, v in (("+", e + m), ("-", e - m))
             for conv in (None, *Convention)]
@@ -79,7 +83,7 @@ def test_observe_reads_every_state_as_before():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_every_constructor_carries_the_energies_it_solves(seed, monkeypatch):
-    """match and edge_limit carry their setup's mc2, V0 and E, the
+    """solve and edge_limit carry their setup's mc2, V0 and E, the
     impenetrable limit V0 = E + mc2, a nonrelativistic limit its E_kin at a
     hard wall (V0 = inf), and the infinite-step state V0 = inf."""
     infinite = []
@@ -87,10 +91,10 @@ def test_every_constructor_carries_the_energies_it_solves(seed, monkeypatch):
     for m, e, v0, e_kin in _setups(seed, 20):
         for conv in Convention:
             edges = [PhysicalSetup(m, e + m, e)] + ([PhysicalSetup(m, e - m, e)] if m else [])
-            for setup, solve in ((PhysicalSetup(m, v0, e), lambda s: match(kinematics(s), conv)),
-                                 *((edge, lambda s: edge_limit(s, conv)) for edge in edges)):
+            for setup, construct in ((PhysicalSetup(m, v0, e), lambda s: solve(s, conv)),
+                                     *((edge, lambda s: edge_limit(s, conv)) for edge in edges)):
                 try:
-                    state = solve(setup)
+                    state = construct(setup)
                 except ValueError:
                     continue
                 assert (state.mass_energy, state.step_height, state.energy) == (

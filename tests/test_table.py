@@ -21,8 +21,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diracstep import (BoundaryCondition, Convention, EdgePointError, PhysicalSetup, Regime,
-                       kinematics, table)
+from diracstep import (BoundaryCondition, Convention, EdgePointError, PhysicalSetup,
+                       PlaneWaveSolution, Regime, solve, table)
 from diracstep.core import incident_wave
 from diracstep.table import record as scalar_record
 from diracstep.table import scatter_table
@@ -103,6 +103,57 @@ def tables(draw):
 @given(tables())
 def test_scatter_table_matches_scalar_chain(case):
     _assert_table_matches(*case)
+
+
+def _setups_at_every_scale(seed: int, n: int):
+    """(mc², V₀, E) at units from 1e-300 to 1e300, a tenth massless, a third
+    each open, within 3 ulps of the lower edge and of the edge point."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        unit = 10.0 ** rng.uniform(-300.0, 300.0)
+        mass = 0.0 if rng.random() < 0.1 else unit * rng.uniform(0.01, 3.0)
+        e = mass + unit * 10.0 ** rng.uniform(-6.0, 3.0)
+        target = rng.choice(("lower", "upper", "open"))
+        if target == "open":
+            v0 = unit * 10.0 ** rng.uniform(-6.0, 4.0)
+        else:
+            v0 = _nudge(e - mass if target == "lower" else e + mass, rng.randint(-3, 3))
+        yield mass, v0, e
+
+
+def _outcome(build):
+    """The value of ``build()``, or the type and message of its ValueError."""
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("conv", [None, *Convention], ids=lambda c: getattr(c, "value", "auto"))
+def test_solve_refuses_exactly_what_record_refuses(conv):
+    """``solve`` and ``record`` take one route: a setup's state is refused
+    if and only if its row is, with the same error, at every scale and a few
+    ulps off either edge.  At E = 1.5e308, mc2 = 1e307 the wall force
+    overflows on both sides of the edge point and on it."""
+    cases = [(1e307, v0, 1.5e308) for v0 in (1.59e308, 1.6e308, 1.61e308)]
+    cases += _setups_at_every_scale(35, 600)
+    refused = 0
+    for m, v0, e in cases:
+        try:
+            setup = PhysicalSetup(m, v0, e)
+        except ValueError:
+            continue
+        state = _outcome(lambda: solve(setup, conv))
+        row = _outcome(lambda: scalar_record(setup, conv))
+        if isinstance(row, tuple):
+            assert state == row, setup
+            refused += 1
+            continue
+        assert isinstance(state, PlaneWaveSolution), (setup, state)
+        r = complex(state.r)
+        assert (state.convention.value, r.real.hex(), r.imag.hex()) == (
+            row["convention"], row["r_re"].hex(), row["r_im"].hex()), setup
+    assert refused >= 3
 
 
 @pytest.mark.parametrize("conv", [None, *Convention], ids=lambda c: getattr(c, "value", "auto"))
@@ -351,6 +402,6 @@ def test_massless_a_is_exactly_one(mass, e):
     # a = sqrt((E - mc2)/(E + mc2)) is E/E = 1 exactly at mc2 = +-0, on the
     # scalar chain and in the table, on open and edge rows alike.
     assert incident_wave(e, mass)[1] == 1.0
-    assert kinematics(PhysicalSetup(mass, 0.5 * e, e)).a == 1.0
+    assert scalar_record(PhysicalSetup(mass, 0.5 * e, e))["a"] == 1.0
     assert scalar_record(PhysicalSetup(mass, e, e))["a"] == 1.0
     assert scatter_table(mass, [0.5 * e, e, 3.0 * e], e, None)["a"].tolist() == [1.0] * 3
