@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cli": (),
     "core": ("EdgePointError", "PhysicalSetup", "Regime", "classify_regime"),
-    "forces": ("momentum_flux_bracket", "nr_boundary_force"),
     "gridio": ("GridSample", "sample", "write_csv"),
     "limits": ("LimitKind", "LimitSolution", "edge_limit", "impenetrable_limit",
                "infinite_potential_limit", "nonrelativistic_limit"),

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__, table
 from .core import PhysicalSetup, Regime, incident_wave
-from .forces import momentum_flux_bracket
 from .limits import (_nr_wall_force, impenetrable_limit, infinite_potential_limit,
                      nonrelativistic_limit)
 from .matching import Convention
@@ -162,16 +161,15 @@ def _cmd_limit(args) -> int:
     else:
         limit = impenetrable_limit(e, m, conv)
         psi0, obs = limit.spinor_at(0.0), observe(limit)
-        external_force, boundary_force = obs.force, momentum_flux_bracket(psi0, e, m)
         rows = [("kind", limit.kind.value), ("spinor0_upper", psi0.upper),
                 ("spinor0_lower", psi0.lower), ("R_limit", obs.R), ("T_limit", obs.T),
-                ("v_t_limit", obs.v_t), ("external_force", external_force),
-                ("boundary_force", boundary_force), ("nr_force", _nr_wall_force(e, m)),
+                ("v_t_limit", obs.v_t), ("external_force", obs.force),
+                ("boundary_force", obs.boundary_force), ("nr_force", _nr_wall_force(e, m)),
                 ("boundary", obs.boundary.value)]
         # The two routes agree to a few roundings, relative to the forces
         # themselves, except under the negative-energy wave.
-        if abs(external_force - boundary_force) > 8 * 2.0**-52 * max(abs(external_force),
-                                                                     abs(boundary_force)):
+        if abs(obs.force - obs.boundary_force) > 8 * 2.0**-52 * max(abs(obs.force),
+                                                                    abs(obs.boundary_force)):
             warning = ("warning: external force and boundary quantum force DISAGREE for "
                        "this convention (the negative-energy transmitted wave is not "
                        "compatible with a perfectly reflecting wall)")

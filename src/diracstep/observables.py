@@ -1,4 +1,4 @@
-"""The observation of a state: coefficients, wall values, force and wall class.
+"""The observation of a state: coefficients, wall values, wall forces and wall class.
 
 All quantities are computed from the actual plane waves of a state, matched
 or limit alike, never from per-convention closed forms (those live in the
@@ -6,6 +6,12 @@ tests as cross-checks), under the state's own step height.  ``_observe`` forms
 them, and the wall rule, on numbers or arrays; ``_observation`` runs it on one
 state's plane waves and adds the rule of a current-free state: the one row
 that ``table.record`` reads, and ``observe``, a state's one public reader.
+
+The wall force is read two ways: the step's force −V₀ δ(x) has the mean
+−V₀·ρ(0) (``force``), and on the half line x ≤ 0 the same mean is a boundary
+quantum force, the boundary term of d⟨p⟩/dt: for a stationary state the flux
+bracket −E ρ + mc² (|upper|² − |lower|²) at the wall (``boundary_force``,
+formed by ``observe`` alone), constant in x for the impenetrable eigenstates.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .forces import nr_boundary_force
 from .matching import PlaneWaveSolution
 from .spinor import SCALAR, current
 
@@ -50,6 +55,9 @@ class Observation:
                   an evanescent step and for a current-free state
     force         mean wall force −V₀·ρ(0), or the hard-wall force of a
                   current-free state (a nonrelativistic limit)
+    boundary_force
+                  the flux bracket at ψ(0), or ``force`` if current-free; it may
+                  read ±inf or NaN with ``force`` finite, as E or mc² nears 1e308
     continuity    mismatch of ψ(0⁻) and ψ(0), relative to max(1, |ψ(0⁻)|)
     boundary      the wall class
     impenetrable  whether the current at the wall vanishes, to TOLERANCE of
@@ -65,6 +73,7 @@ class Observation:
     j0: float
     v_t: float
     force: float
+    boundary_force: float
     continuity: float
     boundary: BoundaryCondition
     impenetrable: bool
@@ -72,14 +81,18 @@ class Observation:
 
 def observe(state: PlaneWaveSolution) -> Observation:
     """The observation of a state at its own ``step_height``: ``_observation``'s
-    row, as an ``Observation``."""
+    row and the state's boundary force, as an ``Observation``."""
     row = _observation(state)
     scale = _scale(SCALAR, *_amplitudes(state))
     rho0 = row["rho0"]
     reference = rho0 if rho0 > TOLERANCE * scale * scale else scale * scale
+    psi = state.spinor_at(0.0)
+    up2, lo2 = abs(psi.upper) ** 2, abs(psi.lower) ** 2
+    boundary_force = (row["force"] if current(state.incident.amplitude) == 0.0 else
+                      -state.energy * (up2 + lo2) + state.mass_energy * (up2 - lo2))
     return Observation(complex(row["r_re"], row["r_im"]), complex(row["t_re"], row["t_im"]),
                        row["R"], row["T"], rho0, row["j0"], row["v_t"], row["force"],
-                       row["continuity"], BoundaryCondition(row["boundary"]),
+                       boundary_force, row["continuity"], BoundaryCondition(row["boundary"]),
                        abs(row["j0"]) < TOLERANCE * reference)
 
 
@@ -107,11 +120,11 @@ def _observation(sol: PlaneWaveSolution) -> dict:
 
 def _hard_wall_force(sol) -> float:
     """Boundary force of a current-free limit state at its hard wall, V₀ = ∞:
-    ``nr_boundary_force`` of its Schroedinger wavefunction, the upper
-    component, from ψ′/k = i(1 − r) and ψ″/k² = −(1 + r), scaled by k·(k/m) last."""
-    k, r = sol.incident.wave_number, sol.r
-    return k * (k / sol.mass_energy) * nr_boundary_force(
-        sol.left_value_at(0.0).upper, 1j * (1 - r), -(1 + r), 1.0)
+    (Re ψ̄ψ″ − |ψ′|²)/2m of its Schroedinger wavefunction, the upper component,
+    from ψ′/k = i(1 − r) and ψ″/k² = −(1 + r), scaled by k·(k/m) last."""
+    k, r, psi = sol.incident.wave_number, sol.r, sol.left_value_at(0.0).upper
+    cross, slope = (0.5 * complex(psi).conjugate() * -(1 + r)).real, abs(1j * (1 - r))
+    return k * (k / sol.mass_energy) * (cross - 0.5 * slope * slope)
 
 
 def _amplitudes(sol: PlaneWaveSolution) -> tuple:

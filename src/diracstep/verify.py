@@ -9,12 +9,12 @@ Three suites:
                         step against that formula's w → 0 limit, and the
                         paradox bookkeeping (R > 1 under the traditional
                         boundary condition in the Klein zone);
-* ``limits``            impenetrable-barrier values and wall forces against
-                        the paper's, the two-sided approach of the wall force
-                        and of T against their exact expansions, boundary
-                        condition classification, the relativistic wall force
-                        near E = mc² against the nonrelativistic one, the
-                        infinite step's R and T against their closed forms.
+* ``limits``            both wall forces at the impenetrable barrier against
+                        the paper's and their 8mc² gap under ``negative``, the
+                        force across the evanescent band and the two-sided
+                        approach of it and of T to their exact expansions, wall
+                        classes, the wall force near E = mc² against the
+                        nonrelativistic one, and V₀ → ∞ against closed forms.
 
 Each suite draws from ``random.Random(seed)``, so one seed gives the same
 setups on every run.  Setups are drawn with log-uniform E/mc² in
@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import PhysicalSetup, Regime, classify_regime
-from .forces import momentum_flux_bracket
 from .limits import impenetrable_limit, infinite_potential_limit, nonrelativistic_limit
 from .matching import GROWING_UNDER_EVANESCENT, Convention
 from .observables import BoundaryCondition, observe
@@ -245,12 +244,16 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
             1e-15,
             f"main limit spinor(0-) at E={e}",
         )
-        main_bracket = momentum_flux_bracket(main.spinor_at(0.0), e, 1.0)
-        result.record(abs(main_bracket + 4.0 * (e - 1.0)), 1e-12 * e, f"boundary force E={e}")
-        # Negative-energy convention: external and boundary force disagree.
-        negative_bracket = momentum_flux_bracket(negative.spinor_at(0.0), e, 1.0)
-        result.check(abs(negative_obs.force - negative_bracket) > 1.0,
-                     f"force discrepancy must persist at E={e}")
+        result.record(abs(main_obs.boundary_force + 4.0 * (e - 1.0)), 1e-12 * e,
+                      f"boundary force E={e}")
+        # Negative-energy convention: the boundary force is 8mc² above the external one.
+        result.record(abs(negative_obs.force - negative_obs.boundary_force + 8.0), 1e-12 * e,
+                      f"force discrepancy 8mc2 at E={e}")
+        # T = 0 across the evanescent band, so the force is −4(E − mc²) at every V₀ in it.
+        for v0 in (e - 0.5, e, e + 0.5):
+            force = observe(solve(PhysicalSetup(1.0, v0, e), Convention.MAIN)).force
+            result.record(abs(force / (-4.0 * (e - 1.0)) - 1.0), 16 * 2.0**-52,
+                          f"evanescent wall force at E={e} V0={v0!r}")
         # V₀ → ∞ against R = ((a ∓ 1)/(a ± 1))², T = 1 − R: main, then traditional.
         for conv, ratio in ((Convention.MAIN, (main.a - 1.0) / (main.a + 1.0)),
                             (Convention.TRADITIONAL, (main.a + 1.0) / (main.a - 1.0))):

@@ -21,7 +21,6 @@ from diracstep import (
     impenetrable_limit,
     infinite_potential_limit,
     integrate_scattering,
-    momentum_flux_bracket,
     nonrelativistic_limit,
     observe,
     sauter_log_coefficients,
@@ -93,15 +92,13 @@ def test_criterion_3_impenetrable_limit_values():
         # within 4 ulps of the paper's -4(E - mc2) and -4(E + mc2).
         assert observe(main).force == -(e + 1.0) * density(psi0)
         assert abs(observe(main).force + 4.0 * (e - 1.0)) <= 4.0 * math.ulp(4.0 * (e - 1.0))
-        assert momentum_flux_bracket(psi0, e, 1.0) == pytest.approx(
-            -4.0 * (e - 1.0), rel=1e-13
-        )
+        assert observe(main).boundary_force == pytest.approx(-4.0 * (e - 1.0), rel=1e-13)
         negative = impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY)
         psi0_neg = negative.spinor_at(0.0)
         assert (psi0_neg.upper, psi0_neg.lower) == (2.0, 0.0)
         assert observe(negative).force == -(e + 1.0) * density(psi0_neg)
         assert abs(observe(negative).force + 4.0 * (e + 1.0)) <= 4.0 * math.ulp(4.0 * (e + 1.0))
-        wall = momentum_flux_bracket(psi0_neg, e, 1.0)
+        wall = observe(negative).boundary_force
         assert wall == pytest.approx(-4.0 * (e - 1.0), rel=1e-13)
         assert observe(negative).force != wall  # the documented discrepancy
     _report(3, "impenetrable limits exact at 26 energies, discrepancy asserted")
@@ -171,8 +168,7 @@ def test_criterion_6_nonrelativistic_limit():
     e = 1.0 + e_nr
     rel = impenetrable_limit(e, 1.0, Convention.MAIN)
     assert abs(observe(rel).force / (-4.0 * e_nr) - 1.0) < 1e-5
-    wall = momentum_flux_bracket(rel.spinor_at(0.0), e, 1.0)
-    assert abs(wall / (-4.0 * e_nr) - 1.0) < 1e-5
+    assert abs(observe(rel).boundary_force / (-4.0 * e_nr) - 1.0) < 1e-5
     neumann = nonrelativistic_limit(e_nr, 1.0, Convention.NEGATIVE_ENERGY)
     assert observe(neumann).boundary is BoundaryCondition.NEUMANN_NR
     assert observe(neumann).force == pytest.approx(-4.0 * e_nr, rel=1e-12)

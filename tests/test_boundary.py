@@ -80,8 +80,8 @@ def test_nonrelativistic_classifications():
 
 def test_observation_fields_are_the_row_and_impenetrability():
     assert [f.name for f in fields(Observation)] == [
-        "r", "t", "R", "T", "rho0", "j0", "v_t", "force", "continuity", "boundary",
-        "impenetrable"]
+        "r", "t", "R", "T", "rho0", "j0", "v_t", "force", "boundary_force", "continuity",
+        "boundary", "impenetrable"]
 
 
 def _hand_built(a: float, r: float, wall: Spinor, k: float = 1.5) -> PlaneWaveSolution:

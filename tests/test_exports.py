@@ -38,7 +38,7 @@ PUBLIC_NAMES = {
     "PlaneWaveSolution", "PlaneWaveState", "Regime", "Side", "SmoothStep", "Spinor",
     "apply_hamiltonian", "charge_conjugate", "classify_regime", "current", "density",
     "edge_limit", "impenetrable_limit", "infinite_potential_limit", "integrate_scattering",
-    "momentum_flux_bracket", "nonrelativistic_limit", "nr_boundary_force", "observe",
+    "nonrelativistic_limit", "observe",
     "physical_convention", "sample", "scatter_table", "sauter_log_coefficients", "solve",
     "write_csv",
 }
@@ -112,7 +112,7 @@ def _module_level_imports(statements):
             child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt))
 
 
-@pytest.mark.parametrize("name", ["core", "matching", "observables", "forces", "limits"])
+@pytest.mark.parametrize("name", ["core", "matching", "observables", "limits"])
 def test_scalar_chain_modules_do_not_import_numpy(name):
     # The scalar chain runs on Python numbers (spinor.SCALAR); numpy stays
     # with the array evaluators.

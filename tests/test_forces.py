@@ -1,25 +1,20 @@
-"""Wall forces: external step force and boundary quantum force."""
+"""Wall forces: external step force and boundary quantum force, both read
+from ``observe``."""
 
-import ast
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracstep import forces
 from diracstep import (
     BoundaryCondition,
     Convention,
     PhysicalSetup,
-    Spinor,
     density,
     impenetrable_limit,
-    momentum_flux_bracket,
     nonrelativistic_limit,
-    nr_boundary_force,
     observe,
 )
 from diracstep.table import record, solve
@@ -49,25 +44,42 @@ def test_impenetrable_limit_forces_by_convention():
 
 
 def test_boundary_force_examples():
-    a = math.sqrt(1.0 / 3.0)
-    assert momentum_flux_bracket(Spinor(0.0, 2.0 * a), 2.0, 1.0) == pytest.approx(
-        -4.0, abs=1e-13
-    )
-    assert momentum_flux_bracket(Spinor(2.0, 0.0), 2.0, 1.0) == pytest.approx(
-        -4.0, abs=1e-13
-    )
-    assert momentum_flux_bracket(Spinor(0.0, 0.0), 2.0, 1.0) == 0.0
+    """The wall spinors [0, 2a] and [2, 0] at E = 2 both carry the boundary
+    force -4; so does a nonrelativistic limit, whose boundary force is its
+    hard-wall force."""
+    for conv in (Convention.MAIN, Convention.NEGATIVE_ENERGY):
+        assert observe(impenetrable_limit(2.0, 1.0, conv)).boundary_force == pytest.approx(
+            -4.0, abs=1e-13)
+        obs = observe(nonrelativistic_limit(0.01, 1.0, conv))
+        assert obs.boundary_force == obs.force == pytest.approx(-0.04, rel=1e-14)
 
 
 def test_force_discrepancy_for_negative_energy_convention():
     """External and boundary force disagree at the wall for the conjugate wave."""
     for e in (1.5, 2.0, 7.0):
-        limit = impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY)
-        wall = momentum_flux_bracket(limit.spinor_at(0.0), e, 1.0)
-        assert wall == pytest.approx(-4.0 * (e - 1.0), rel=1e-13)
-        assert observe(limit).force == pytest.approx(-4.0 * (e + 1.0), rel=1e-13)
-        assert observe(limit).force != wall
-        assert abs(observe(limit).force - wall) == pytest.approx(8.0, rel=1e-12)
+        obs = observe(impenetrable_limit(e, 1.0, Convention.NEGATIVE_ENERGY))
+        assert obs.boundary_force == pytest.approx(-4.0 * (e - 1.0), rel=1e-13)
+        assert obs.force == pytest.approx(-4.0 * (e + 1.0), rel=1e-13)
+        assert obs.force != obs.boundary_force
+        assert abs(obs.force - obs.boundary_force) == pytest.approx(8.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("conv", [Convention.MAIN, Convention.LOWER_COMPONENT])
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.0 + 1e-9, 1e6))
+def test_force_is_constant_across_the_evanescent_band(conv, e):
+    """Every evanescent state reflects totally, T = 0, so its wall force is
+    -4(E - mc2) at every V0 in (E - mc2, E + mc2), not only at the edge: at
+    V0 = E - 1/2, E and E + 1/2, the external force within 16 ulps relative,
+    the boundary force within 32 ulps of E."""
+    target = -4.0 * (e - 1.0)
+    for v0 in (e - 0.5, e, e + 0.5):
+        if not e - 1.0 < v0:
+            continue
+        obs = observe(solve(PhysicalSetup(1.0, v0, e), conv))
+        assert obs.T == 0.0
+        assert abs(obs.force - target) <= 16 * 2.0**-52 * abs(target), v0
+        assert abs(obs.boundary_force - target) <= 32 * 2.0**-52 * e, v0
 
 
 def test_two_sided_force_limit():
@@ -75,7 +87,7 @@ def test_two_sided_force_limit():
 
     The Klein branch converges like sqrt(delta), so a 1e-5 agreement at
     delta = 1e-8 requires a modest energy (a^3(E + mc2) small); the
-    evanescent branch converges linearly.
+    evanescent branch is constant, -4(E - mc2) at every V0 in the band.
     """
     e, delta = 1.05, 1e-8
     target = -4.0 * (e - 1.0)
@@ -147,21 +159,9 @@ def test_external_force_mean_is_minus_v0_density_at_the_wall_bit_for_bit(e, wher
         obs = observe(sol)
         assert obs.boundary is wall
         assert all(math.isnan(value) for value in (obs.R, obs.T, obs.v_t))
-        assert obs.force.hex() == observe(sol).force.hex()
+        assert obs.force.hex() == observe(sol).force.hex() == obs.boundary_force.hex()
         assert obs.force == pytest.approx(-4.0 * where, rel=1e-14)
         assert obs.impenetrable
-
-
-def test_forces_does_not_import_observables():
-    """The force formulas stand below the observation: ``observables`` forms
-    the wall force from ``nr_boundary_force``, never the other way round."""
-    tree = ast.parse(Path(forces.__file__).read_text(encoding="utf-8"))
-    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names]
-    # ``from . import observables`` names the module among the aliases.
-    imported += [name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                 for name in (node.module or "", *(alias.name for alias in node.names))]
-    assert not [name for name in imported if name.split(".")[-1] == "observables"], imported
 
 
 def _dirichlet_force(psi_nr_deriv0, mass_energy):
@@ -175,45 +175,21 @@ def _neumann_force(psi_nr0, psi_nr_second_deriv0, mass_energy):
 
 
 @pytest.mark.parametrize("e_nr", [1e-2, 1e-4, 1e-6])
-def test_nr_boundary_force_on_a_dirichlet_wall(e_nr):
+def test_hard_wall_force_on_a_dirichlet_wall(e_nr):
     m = 1.0
     k_nr = math.sqrt(2.0 * m * e_nr)
-    force = nr_boundary_force(0.0, 2j * k_nr, 0.0, m)
-    assert force == _dirichlet_force(2j * k_nr, m)
+    force = observe(nonrelativistic_limit(e_nr, m, Convention.MAIN)).boundary_force
+    assert force == pytest.approx(_dirichlet_force(2j * k_nr, m), rel=1e-15)
     assert force == pytest.approx(-4.0 * e_nr, rel=1e-13)
 
 
 @pytest.mark.parametrize("e_nr", [1e-2, 1e-4, 1e-6])
-def test_nr_boundary_force_on_a_neumann_wall(e_nr):
+def test_hard_wall_force_on_a_neumann_wall(e_nr):
     m = 1.0
     k_nr = math.sqrt(2.0 * m * e_nr)
-    force = nr_boundary_force(2.0, 0.0, -2.0 * k_nr**2, m)
-    assert force == _neumann_force(2.0, -2.0 * k_nr**2, m)
+    force = observe(nonrelativistic_limit(e_nr, m, Convention.NEGATIVE_ENERGY)).boundary_force
+    assert force == pytest.approx(_neumann_force(2.0, -2.0 * k_nr**2, m), rel=1e-15)
     assert force == pytest.approx(-4.0 * e_nr, rel=1e-13)
-
-
-def test_nr_boundary_force_of_a_wavefunction_at_rest():
-    assert nr_boundary_force(0.0, 0.0, 0.0, 1.0) == _dirichlet_force(0.0, 1.0) == 0.0
-    assert nr_boundary_force(0.0, 0.0, 0.0, 1.0) == _neumann_force(0.0, 0.0, 1.0) == 0.0
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(1e-300, 1e300), st.floats(1e-150, 1e150), st.floats(1e-150, 1e150))
-def test_nr_boundary_force_within_two_ulps_of_each_wall_formula(m, slope, curvature):
-    """At any mass the square is divided by m before it is formed, one
-    rounding away from the formulas above."""
-    for force, reference in (
-        (nr_boundary_force(0.0, 1j * slope, 0.0, m), _dirichlet_force(1j * slope, m)),
-        (nr_boundary_force(2.0, 0.0, -curvature, m), _neumann_force(2.0, -curvature, m)),
-    ):
-        if reference != 0.0 and math.isfinite(reference) and abs(reference) > 1e-290:
-            assert abs(force - reference) <= 2.0 * math.ulp(reference)
-
-
-def test_nr_boundary_force_does_not_overflow_where_it_is_finite():
-    """|psi_x|^2 = 4e308 overflows a double; the force -2e154 does not."""
-    k = math.sqrt(2.0 * 1e154 * 5e153)
-    assert nr_boundary_force(0.0, 2j * k, 0.0, 1e154) == pytest.approx(-2e154, rel=1e-15)
 
 
 def test_nr_limit_of_relativistic_force():
@@ -221,29 +197,35 @@ def test_nr_limit_of_relativistic_force():
     ratios = []
     for e_nr in (1e-2, 1e-4, 1e-6):
         e = 1.0 + e_nr
-        limit = impenetrable_limit(e, 1.0, Convention.MAIN)
-        wall = momentum_flux_bracket(limit.spinor_at(0.0), e, 1.0)
+        wall = observe(impenetrable_limit(e, 1.0, Convention.MAIN)).boundary_force
         ratios.append(wall / (-4.0 * (e - 1.0)))
     for ratio in ratios:
         assert ratio == pytest.approx(1.0, rel=1e-9)
 
 
+def _flux_bracket(psi, energy, mass_energy):
+    """The flux bracket -E rho + mc2 (|upper|^2 - |lower|^2), as a formula of
+    its own."""
+    up2, lo2 = abs(psi.upper) ** 2, abs(psi.lower) ** 2
+    return -energy * (up2 + lo2) + mass_energy * (up2 - lo2)
+
+
 def test_flux_bracket_constant_for_wall_state():
     """The d<p>/dt bracket has the same value at x=0 and far away,
-    both pointwise and averaged over one oscillation period."""
+    both pointwise and averaged over one oscillation period; at x = 0 it is
+    the boundary force of ``observe``, bit for bit."""
     e = 2.0
     limit = impenetrable_limit(e, 1.0, Convention.MAIN)
     k = limit.wave_number
-    at_zero = momentum_flux_bracket(limit.spinor_at(0.0), e, 1.0)
+    at_zero = _flux_bracket(limit.spinor_at(0.0), e, 1.0)
+    assert at_zero.hex() == observe(limit).boundary_force.hex()
     assert at_zero == pytest.approx(-4.0 * (e - 1.0), rel=1e-13)
     # pointwise far from the wall
     for x in (-25.0, -7.3, -0.1):
-        assert momentum_flux_bracket(limit.spinor_at(x), e, 1.0) == pytest.approx(
-            at_zero, rel=1e-12
-        )
+        assert _flux_bracket(limit.spinor_at(x), e, 1.0) == pytest.approx(at_zero, rel=1e-12)
     # cell average over one period at x -> -infinity
     period = math.pi / k
     xs = np.linspace(-40.0, -40.0 + period, 20001)
-    values = [momentum_flux_bracket(limit.spinor_at(x), e, 1.0) for x in xs]
+    values = [_flux_bracket(limit.spinor_at(x), e, 1.0) for x in xs]
     average = np.trapezoid(values, xs) / period
     assert average == pytest.approx(at_zero, rel=1e-10)

@@ -23,7 +23,6 @@ from diracstep import (
     impenetrable_limit,
     infinite_potential_limit,
     nonrelativistic_limit,
-    nr_boundary_force,
     observe,
     sample,
     solve,
@@ -288,7 +287,9 @@ def _relativistic_limits(e, m):
 def test_relativistic_limit_force_is_read_from_the_state(mc2, log_excess):
     """E/mc2 - 1 from 1e-12 to 1e6 (E from 1e-12 to 1e6 at mc2 = 0): the
     force of every relativistic kind is -V0 rho(0) of the state at its step
-    height, bit for bit, within 4 ulps of the paper's value."""
+    height, bit for bit, within 4 ulps of the paper's value; its boundary
+    force is within 4 ulps of -4(E - mc2) for every kind, 8mc2 above the
+    force under the negative-energy wave."""
     e = mc2 * (1.0 + 10.0**log_excess) if mc2 > 0.0 else 10.0**log_excess
     kinds = set()
     for limit in _relativistic_limits(e, mc2):
@@ -299,6 +300,8 @@ def test_relativistic_limit_force_is_read_from_the_state(mc2, log_excess):
         assert force == -limit.step_height * density(limit.spinor_at(0.0))
         paper = PAPER_FORCE[limit.kind](e, mc2)
         assert abs(force - paper) <= 4.0 * math.ulp(paper), limit.kind
+        boundary = -4.0 * (e - mc2)
+        assert abs(observe(limit).boundary_force - boundary) <= 4.0 * math.ulp(boundary)
     assert kinds == set(PAPER_FORCE) - ({LimitKind.EDGE_LOWER} if mc2 == 0.0 else set())
 
 
@@ -306,11 +309,11 @@ def test_relativistic_limit_force_is_read_from_the_state(mc2, log_excess):
 @given(st.sampled_from((1e-3, 1.0, 1e3)), st.floats(-12.0, math.log10(1.9)),
        st.sampled_from((Convention.MAIN, Convention.NEGATIVE_ENERGY)))
 def test_nonrelativistic_limit_force_is_read_from_the_state(mc2, log_ratio, conv):
-    """E_kin/mc2 from 1e-12 to 1.9: the force of both NONREL kinds is the
-    hard-wall force of the Schroedinger wavefunction, bit for bit, from its
-    derivatives in units of k scaled by k^2/m, within 4 ulps of the paper's
-    -4 E_kin.  On the Dirichlet wall it is also the force of the derivatives
-    themselves, bit for bit."""
+    """E_kin/mc2 from 1e-12 to 1.9: the force of both NONREL kinds, and its
+    boundary force, is the hard-wall force (Re psi* psi'' - |psi'|^2)/2m of the
+    Schroedinger wavefunction, bit for bit, from its derivatives in units of k
+    scaled by k^2/m, within 4 ulps of the paper's -4 E_kin.  On the Dirichlet
+    wall it is within 4 ulps of -|psi'(0)|^2/2m."""
     e_kin = mc2 * 10.0**log_ratio
     limit = nonrelativistic_limit(e_kin, mc2, conv)
     assert limit.step_height == math.inf
@@ -318,10 +321,12 @@ def test_nonrelativistic_limit_force_is_read_from_the_state(mc2, log_ratio, conv
     slope, curvature = 1j * (1 - r), -(1 + r)
     assert limit.nr_derivative_at_origin() == k * slope
     force = observe(limit).force
-    assert force == k * (k / mc2) * nr_boundary_force(psi0, slope, curvature, 1.0)
+    cross = (0.5 * complex(psi0).conjugate() * curvature).real
+    assert force == k * (k / mc2) * (cross - 0.5 * abs(slope) * abs(slope))
+    assert observe(limit).boundary_force == force
     if conv is Convention.MAIN:
-        assert force == nr_boundary_force(psi0, limit.nr_derivative_at_origin(),
-                                          curvature * k * k, mc2)
+        psi_x = limit.nr_derivative_at_origin()
+        assert abs(force + abs(psi_x) ** 2 / (2.0 * mc2)) <= 4.0 * math.ulp(force)
     assert abs(force + 4.0 * e_kin) <= 4.0 * math.ulp(4.0 * e_kin)
 
 

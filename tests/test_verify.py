@@ -57,10 +57,20 @@ def _wrong_nr_reflection(limit):
     ("impenetrable_limit", _wrong_wall, "wall force"),
     ("impenetrable_limit", _wrong_reflection, "main limit spinor(0-)"),
     ("nonrelativistic_limit", _wrong_nr_reflection, "NR force ratio"),
-], ids=["force", "wall-spinor", "reflection", "nonrel-reflection"])
+    ("impenetrable_limit", lambda limit: replace(limit, energy=limit.energy * (1.0 + 1e-6)),
+     "force discrepancy 8mc2"),
+    ("impenetrable_limit",
+     lambda limit: replace(limit, mass_energy=limit.mass_energy * (1.0 + 1e-6)),
+     "boundary force"),
+    ("solve", lambda state: replace(state, step_height=state.step_height * (1.0 + 1e-6)),
+     "evanescent wall force"),
+], ids=["force", "wall-spinor", "reflection", "nonrel-reflection", "energy", "mass",
+        "evanescent-force"])
 def test_limits_suite_fails_on_a_wrong_limit(monkeypatch, constructor, corrupt, check):
     """Each wall fact is checked against a second route, so a limit whose
-    step height, wall spinor or reflection is off by 1e-6 fails the suite."""
+    step height, wall spinor, reflection or carried energy is off by 1e-6
+    fails the suite, and so does a matched evanescent state whose step
+    height is: its force is no longer -4(E - mc2)."""
     limit = getattr(verify, constructor)
     monkeypatch.setattr(verify, constructor, lambda *args: corrupt(limit(*args)))
     result = run_limits(trials=3)
