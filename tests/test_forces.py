@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diracstep import (
@@ -190,6 +190,40 @@ def test_hard_wall_force_on_a_neumann_wall(e_nr):
     force = observe(nonrelativistic_limit(e_nr, m, Convention.NEGATIVE_ENERGY)).boundary_force
     assert force == pytest.approx(_neumann_force(2.0, -2.0 * k_nr**2, m), rel=1e-15)
     assert force == pytest.approx(-4.0 * e_nr, rel=1e-13)
+
+
+def _wall_formula(limit, conv):
+    """The hard-wall force of a nonrelativistic limit by its wall's formula,
+    from the limit's own k: Dirichlet on the main wave, Neumann on the
+    negative-energy wave."""
+    k, m = limit.wave_number, limit.mass_energy
+    if conv is Convention.MAIN:
+        return _dirichlet_force(2j * k, m)
+    return _neumann_force(2.0, -2.0 * k**2, m)
+
+
+@pytest.mark.parametrize("conv", [Convention.MAIN, Convention.NEGATIVE_ENERGY])
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300))
+def test_hard_wall_force_within_two_ulps_of_each_wall_formula(conv, m, e_nr):
+    """At any mass the square is divided by m before it is formed, one
+    rounding away from the wall formulas above, wherever their squares
+    (8 mc2 E_kin) stay normal and finite."""
+    assume(e_nr < 1.9 * m and 1e-290 < 8.0 * m * e_nr < 1e308)
+    limit = nonrelativistic_limit(e_nr, m, conv)
+    force, reference = observe(limit).boundary_force, _wall_formula(limit, conv)
+    if abs(reference) > 1e-290:
+        assert abs(force - reference) <= 2.0 * math.ulp(reference)
+
+
+@pytest.mark.parametrize("conv", [Convention.MAIN, Convention.NEGATIVE_ENERGY])
+def test_hard_wall_force_does_not_overflow_where_it_is_finite(conv):
+    """|psi_x|^2 = 4k^2 = 4e308 on the Dirichlet wall, and psi* psi_xx = -4k^2
+    on the Neumann wall, overflow a double; the force -2e154 does not."""
+    limit = nonrelativistic_limit(5e153, 1e154, conv)
+    k = limit.wave_number
+    assert 4.0 * (k * k) == math.inf
+    assert observe(limit).boundary_force == pytest.approx(-2e154, rel=1e-15)
 
 
 def test_nr_limit_of_relativistic_force():
