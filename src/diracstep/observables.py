@@ -7,11 +7,10 @@ them, and the wall rule, on numbers or arrays; ``_observation`` runs it on one
 state's plane waves and adds the rule of a current-free state: the one row
 that ``table.record`` reads, and ``observe``, a state's one public reader.
 
-The wall force is read two ways: the step's force −V₀ δ(x) has the mean
-−V₀·ρ(0) (``force``), and on the half line x ≤ 0 the same mean is a boundary
-quantum force, the boundary term of d⟨p⟩/dt: for a stationary state the flux
-bracket −E ρ + mc² (|upper|² − |lower|²) at the wall (``boundary_force``,
-formed by ``observe`` alone), constant in x for the impenetrable eigenstates.
+The wall force is read two ways: the step's force −V₀ δ(x) has the mean −V₀·ρ(0)
+(``force``); on the half line x ≤ 0 that mean is the boundary term of d⟨p⟩/dt, for
+a stationary state the flux bracket −E ρ + mc² (|upper|² − |lower|²) at the wall
+(``boundary_force``, formed by ``observe`` alone), constant in x at an impenetrable wall.
 """
 
 from __future__ import annotations
@@ -47,22 +46,20 @@ class Observation:
     """The physics of one state at its step height V₀.
 
     r, t          reflection and transmission amplitudes
-    R, T          |j_refl| / |j_in| and the signed j_trans / j_in, so that
-                  R + T = 1 for every convention (TRADITIONAL in the Klein
-                  zone reads R > 1, T < 0); NaN for a current-free state
+    R, T          |j_refl| / |j_in| and the signed j_trans / j_in, so that R + T = 1
+                  for every convention (TRADITIONAL in the Klein zone reads R > 1,
+                  T < 0); NaN for a current-free state (a nonrelativistic limit)
     rho0, j0      density and current at the step edge
     v_t           transmitted velocity j_t / ρ_t in units of c; NaN under
                   an evanescent step and for a current-free state
-    force         mean wall force −V₀·ρ(0), or the hard-wall force of a
-                  current-free state (a nonrelativistic limit)
+    force         mean wall force −V₀·ρ(0), or the hard-wall force if current-free
     boundary_force
-                  the flux bracket at ψ(0), or ``force`` if current-free; it may
-                  read ±inf or NaN with ``force`` finite, as E or mc² nears 1e308
+                  the flux bracket at ψ(0), or ``force`` if current-free; ±inf or NaN
+                  with ``force`` finite is possible as E or mc² nears 1e308
     continuity    mismatch of ψ(0⁻) and ψ(0), relative to max(1, |ψ(0⁻)|)
     boundary      the wall class
-    impenetrable  whether the current at the wall vanishes, to TOLERANCE of
-                  the density there, or of the squared amplitude scale
-                  where that density vanishes
+    impenetrable  whether the current at the wall vanishes, to TOLERANCE of the density
+                  there, or of the squared amplitude scale where that density vanishes
     """
 
     r: complex
@@ -82,32 +79,30 @@ class Observation:
 def observe(state: PlaneWaveSolution) -> Observation:
     """The observation of a state at its own ``step_height``: ``_observation``'s
     row and the state's boundary force, as an ``Observation``."""
-    row = _observation(state)
-    scale = _scale(SCALAR, *_amplitudes(state))
-    rho0 = row["rho0"]
-    reference = rho0 if rho0 > TOLERANCE * scale * scale else scale * scale
-    psi = state.spinor_at(0.0)
-    up2, lo2 = abs(psi.upper) ** 2, abs(psi.lower) ** 2
-    boundary_force = (row["force"] if current(state.incident.amplitude) == 0.0 else
-                      -state.energy * (up2 + lo2) + state.mass_energy * (up2 - lo2))
+    row, scale = _observation(state), _scale(SCALAR, *_amplitudes(state))
+    reference = row["rho0"] if row["rho0"] > TOLERANCE * scale * scale else scale * scale
+    boundary_force = row["force"]
+    if not _current_free(state):
+        psi = state.spinor_at(0.0)
+        up2, lo2 = abs(psi.upper) ** 2, abs(psi.lower) ** 2
+        boundary_force = -state.energy * (up2 + lo2) + state.mass_energy * (up2 - lo2)
     return Observation(complex(row["r_re"], row["r_im"]), complex(row["t_re"], row["t_im"]),
-                       row["R"], row["T"], rho0, row["j0"], row["v_t"], row["force"],
+                       row["R"], row["T"], row["rho0"], row["j0"], row["v_t"], row["force"],
                        boundary_force, row["continuity"], BoundaryCondition(row["boundary"]),
                        abs(row["j0"]) < TOLERANCE * reference)
 
 
 def _observation(sol: PlaneWaveSolution) -> dict:
     """``_observe`` of a state's own plane waves under its own step height.  A
-    state whose incident wave carries no current (a nonrelativistic limit) has
-    R, T and v_t NaN, the force of its hard wall, and is classified on its
-    Schroedinger wavefunction, the upper component: DirichletNR if it vanishes
-    at the wall, NeumannNR if its left slope does, relative to k."""
+    current-free state has R, T and v_t NaN, the force of its hard wall, and is
+    classified on its Schroedinger wavefunction (the upper component): DirichletNR
+    if it vanishes at the wall, NeumannNR if its left slope does, relative to k."""
     a, r, r_lower, t_upper, t_lower = _amplitudes(sol)
     q_t = sol.transmitted.wave_number
     # A decaying (evanescent) wave carries exactly zero transmitted current.
     row = _observe(SCALAR, a, r, r_lower, sol.t, t_upper, t_lower, q_t, sol.step_height,
                    q_t.imag > 0.0)
-    if current(sol.incident.amplitude) == 0.0:
+    if _current_free(sol):
         zero = TOLERANCE * _scale(SCALAR, a, r, r_lower, t_upper, t_lower)
         wall = (BoundaryCondition.DIRICHLET_NR if abs(sol.spinor_at(0.0).upper) < zero
                 else BoundaryCondition.NEUMANN_NR
@@ -116,6 +111,11 @@ def _observation(sol: PlaneWaveSolution) -> dict:
         row.update(R=math.nan, T=math.nan, v_t=math.nan, force=_hard_wall_force(sol),
                    boundary=wall.value)
     return row
+
+
+def _current_free(sol: PlaneWaveSolution) -> bool:
+    """Whether the state's incident wave carries no current: a nonrelativistic limit."""
+    return current(sol.incident.amplitude) == 0.0
 
 
 def _hard_wall_force(sol) -> float:

@@ -74,8 +74,6 @@ def test_force_is_constant_across_the_evanescent_band(conv, e):
     the boundary force within 32 ulps of E."""
     target = -4.0 * (e - 1.0)
     for v0 in (e - 0.5, e, e + 0.5):
-        if not e - 1.0 < v0:
-            continue
         obs = observe(solve(PhysicalSetup(1.0, v0, e), conv))
         assert obs.T == 0.0
         assert abs(obs.force - target) <= 16 * 2.0**-52 * abs(target), v0
@@ -177,18 +175,20 @@ def _neumann_force(psi_nr0, psi_nr_second_deriv0, mass_energy):
 @pytest.mark.parametrize("e_nr", [1e-2, 1e-4, 1e-6])
 def test_hard_wall_force_on_a_dirichlet_wall(e_nr):
     m = 1.0
-    k_nr = math.sqrt(2.0 * m * e_nr)
-    force = observe(nonrelativistic_limit(e_nr, m, Convention.MAIN)).boundary_force
-    assert force == pytest.approx(_dirichlet_force(2j * k_nr, m), rel=1e-15)
+    limit = nonrelativistic_limit(e_nr, m, Convention.MAIN)
+    assert limit.wave_number == math.sqrt(2.0 * m * e_nr)
+    force = observe(limit).boundary_force
+    assert force == _dirichlet_force(2j * limit.wave_number, m)
     assert force == pytest.approx(-4.0 * e_nr, rel=1e-13)
 
 
 @pytest.mark.parametrize("e_nr", [1e-2, 1e-4, 1e-6])
 def test_hard_wall_force_on_a_neumann_wall(e_nr):
     m = 1.0
-    k_nr = math.sqrt(2.0 * m * e_nr)
-    force = observe(nonrelativistic_limit(e_nr, m, Convention.NEGATIVE_ENERGY)).boundary_force
-    assert force == pytest.approx(_neumann_force(2.0, -2.0 * k_nr**2, m), rel=1e-15)
+    limit = nonrelativistic_limit(e_nr, m, Convention.NEGATIVE_ENERGY)
+    assert limit.wave_number == math.sqrt(2.0 * m * e_nr)
+    force = observe(limit).boundary_force
+    assert force == _neumann_force(2.0, -2.0 * limit.wave_number**2, m)
     assert force == pytest.approx(-4.0 * e_nr, rel=1e-13)
 
 

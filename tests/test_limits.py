@@ -313,7 +313,7 @@ def test_nonrelativistic_limit_force_is_read_from_the_state(mc2, log_ratio, conv
     boundary force, is the hard-wall force (Re psi* psi'' - |psi'|^2)/2m of the
     Schroedinger wavefunction, bit for bit, from its derivatives in units of k
     scaled by k^2/m, within 4 ulps of the paper's -4 E_kin.  On the Dirichlet
-    wall it is within 4 ulps of -|psi'(0)|^2/2m."""
+    wall it is also -|psi'(0)|^2/2m of the derivative itself, bit for bit."""
     e_kin = mc2 * 10.0**log_ratio
     limit = nonrelativistic_limit(e_kin, mc2, conv)
     assert limit.step_height == math.inf
@@ -326,7 +326,7 @@ def test_nonrelativistic_limit_force_is_read_from_the_state(mc2, log_ratio, conv
     assert observe(limit).boundary_force == force
     if conv is Convention.MAIN:
         psi_x = limit.nr_derivative_at_origin()
-        assert abs(force + abs(psi_x) ** 2 / (2.0 * mc2)) <= 4.0 * math.ulp(force)
+        assert force == -0.5 * abs(psi_x) * (abs(psi_x) / mc2)
     assert abs(force + 4.0 * e_kin) <= 4.0 * math.ulp(4.0 * e_kin)
 
 
