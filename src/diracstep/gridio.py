@@ -12,7 +12,10 @@ rows through one CSV writer, ``_write_rows``, which formats every float
 cell of a block of rows at once, byte for byte as ``'%.17g' % v``, and
 every other cell as ``astype("S")`` writes it: an ASCII str column (the
 sweep's labels) from its code units and an integer column in 0 … 9 (its
-``transition``) as one digit, with no Python object per cell.
+``transition``) as one digit, with no Python object per cell.  A float
+column that is constant over a block (a sweep's fixed energy, a zero
+imaginary part, the one spinor beyond an impenetrable wall) is formatted
+once per block, by ``'%'`` itself.
 
 ``sample`` refuses a grid on which a plane wave's phase k·x overflows, or
 reaches 2^52 in magnitude, where its ulp is 1 rad or more and e^{ikx} has
@@ -205,7 +208,8 @@ def write_csv(gs: GridSample, path: str | Path) -> None:
 #
 # A cell is a _CELL-byte field: sign, "0.000" prefix, d0, point, d1 … d16,
 # exponent, padding, separator, NUL where a part is absent.  A block's CSV
-# bytes are its fields with every NUL deleted.
+# bytes are its fields with every NUL deleted; a column constant over the
+# block is one '%' text, unpadded, repeated on every row.
 
 _CELL = 32
 _TAIL = slice(2, 6)  # d1 … d16 as four uint32 groups of four ASCII digits
@@ -291,13 +295,13 @@ def _scale(a: np.ndarray, x: np.ndarray, powers: np.ndarray):
     return t, (y - t).astype(np.float64)
 
 
-def _float_cells(values: np.ndarray) -> np.ndarray:
+def _float_cells(values: np.ndarray, fast: bool) -> np.ndarray:
     """'%.17g' % v of each value, as one NUL-padded _CELL-byte field per value
-    that ends in ','."""
+    that ends in ','; by '%' itself unless ``fast``."""
     m = len(values)
     a = np.abs(values)
     regular = (a > 0.0) & (a < math.inf)
-    tables = _tables() if m >= _FAST_CELLS else None
+    tables = _tables() if fast else None
     if tables is None:
         cells = np.zeros((m, _CELL), np.uint8)
         cells[:, -1] = ord(",")
@@ -381,21 +385,40 @@ def _text_cells(column: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _constant(column: np.ndarray) -> bool:
+    """Whether every value of a float64 column has the bits of its first:
+    0.0 and -0.0 differ, and a NaN equals itself."""
+    bits = column.view(np.int64)
+    # The ends first: a column that varies all but always differs there.
+    return bool(bits[0] == bits[-1] and (bits == bits[0]).all())
+
+
 def _csv_block(columns: list[np.ndarray]) -> bytes:
     """The CSV rows of a block of equal-length columns, each row ending in
-    '\\n': a float64 cell as '%.17g' % v, any other as str(v)."""
+    '\\n': a float64 cell as '%.17g' % v, any other as str(v).  A _constant
+    float column is formatted once, unpadded; the others go through one
+    _float_cells call, on the fast path where the block has _FAST_CELLS float
+    cells or more, constant ones counted."""
     n = len(columns[0])
-    floats = [column for column in columns if column.dtype == np.float64]
-    cells = _float_cells(np.stack(floats, axis=1).ravel()).reshape(n, -1) if floats else None
+    # 0: text, 1: a float column that varies, 2: a constant one.
+    kinds = [0 if c.dtype != np.float64 else 1 + _constant(c) for c in columns]
+    varying = [c for c, kind in zip(columns, kinds) if kind == 1]
+    fast = n * (len(columns) - kinds.count(0)) >= _FAST_CELLS
+    cells = (_float_cells(np.stack(varying, axis=1).ravel(), fast).reshape(n, -1)
+             if varying else None)
     parts, k = [], 0
-    for is_float, run in itertools.groupby(columns, key=lambda c: c.dtype == np.float64):
-        run = list(run)
-        if is_float:
+    for kind, run in itertools.groupby(zip(kinds, columns), key=lambda kc: kc[0]):
+        run = [c for _, c in run]
+        if kind == 1:
             parts.append(cells[:, k * _CELL:(k + len(run)) * _CELL])
             k += len(run)
+        elif kind == 2:
+            text = np.frombuffer(b"".join(b"%.17g," % c[0] for c in run), np.uint8)
+            parts.append(np.broadcast_to(text, (n, len(text))))
         else:
             parts.extend(map(_text_cells, run))
-    rows = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    # A constant part is a read-only broadcast, so it is never the rows itself.
+    rows = parts[0] if len(parts) == 1 and kinds[0] != 2 else np.concatenate(parts, axis=1)
     rows[:, -1] = ord("\n")
     return rows.tobytes().translate(None, b"\0")
 
