@@ -24,8 +24,8 @@ _EXPORTS = {
     "matching": ("Convention", "PlaneWaveSolution", "physical_convention"),
     "observables": ("BoundaryCondition", "Observation", "observe"),
     "oracle": ("OracleResult", "SmoothStep", "integrate_scattering", "sauter_log_coefficients"),
-    "spinor": ("PlaneWaveState", "Side", "Spinor", "apply_hamiltonian", "charge_conjugate",
-               "current", "density"),
+    "spinor": ("PlaneWaveState", "Spinor", "apply_hamiltonian", "charge_conjugate", "current",
+               "density"),
     "table": ("scatter_table", "solve"),
     "verify": (),
 }

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, table
-from .core import PhysicalSetup, Regime, incident_wave
+from .core import PhysicalSetup, Regime
 from .limits import (_nr_wall_force, impenetrable_limit, infinite_potential_limit,
                      nonrelativistic_limit)
 from .matching import Convention
@@ -147,8 +147,9 @@ def _cmd_limit(args) -> int:
     conv = _convention(args.convention) or Convention.MAIN
     e, m, warning = args.energy, args.mass, None
     if args.which == "infinite":
-        obs = infinite_potential_limit(e, m, conv)
-        rows = [("a", incident_wave(e, m)[1]), ("b_limit", -1.0), ("R", obs.R), ("T", obs.T)]
+        state = infinite_potential_limit(e, m, conv)
+        obs, a = observe(state), state.incident.amplitude.lower
+        rows = [("a", a), ("b_limit", -1.0), ("R", obs.R), ("T", obs.T)]
         if conv is Convention.TRADITIONAL:
             warning = _KLEIN_PARADOX
     elif args.which == "nonrel":

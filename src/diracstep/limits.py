@@ -7,14 +7,14 @@ Covered limits:
 * its nonrelativistic reduction E → mc² (Dirichlet or Neumann wall,
   depending on the transmitted-wave convention the limit came from);
 * infinite step, V₀ → ∞, where transmission survives (Klein tunneling):
-  b → −1 in ``matching._continuity``, observed at V₀ = ∞.
+  b → −1 in ``matching._continuity``, the state at V₀ = ∞.
 
 Limits are provided as exact closed forms, not numerically approached
 values, so boundary conditions can be evaluated without integration error.
 Each limit eigenstate is plane-wave data, a ``matching.PlaneWaveSolution``:
-the reflection r = ±1 of the incident [1, a]·e^{ikx} and, beyond the wall,
-the constant spinor that continuity gives it.  It is sampled, classified and
-tabulated through the same evaluators and ``observe`` as a matched state;
+at a wall, the reflection r = ±1 of the incident [1, a]·e^{ikx} and, beyond
+it, the constant spinor that continuity gives it.  It is sampled, classified
+and tabulated through the same evaluators and ``observe`` as a matched state;
 ``kind`` only labels it, and its wall force is read from it, not stored.
 """
 
@@ -28,8 +28,8 @@ from enum import Enum
 from .core import (NOT_FINITE, SINGULAR, PhysicalSetup, Regime, classify_regime, incident_wave,
                    refusal)
 from .matching import Convention, PlaneWaveSolution, _continuity
-from .observables import Observation, _hard_wall_force, observe
-from .spinor import SCALAR, PlaneWaveState, Side, Spinor, density
+from .observables import _hard_wall_force
+from .spinor import SCALAR, PlaneWaveState, Spinor, density
 
 __all__ = [
     "LimitKind",
@@ -76,7 +76,7 @@ def _limit(kind, conv, energy, mass_energy, k, ratio, a, r, t, step_height) -> L
     and, beyond the wall, the constant spinor [1 + r, ratio·(1 − r)] that
     continuity at x = 0 gives, [0, 2·ratio] or [2, 0].  ``ratio`` is ``a``,
     or 0 for the NONREL kinds, whose incident wave carries no current."""
-    wall = PlaneWaveState(Spinor(1.0 + r, ratio * (1.0 - r)), 0.0, Side.RIGHT)
+    wall = PlaneWaveState(Spinor(1.0 + r, ratio * (1.0 - r)), 0.0)
     return LimitSolution.reflecting(
         k, ratio, r, wall, conv, t,
         mass_energy=mass_energy, step_height=step_height, energy=energy, kind=kind, a=a,
@@ -216,12 +216,12 @@ def _nr_wall_force(energy: float, mass_energy: float) -> float:
 
 def infinite_potential_limit(
     energy: float, mass_energy: float, conv: Convention = Convention.MAIN
-) -> Observation:
-    """Observation of the step V₀ → ∞: b → −1 and b″ → 1 in the continuity
-    system.  MAIN, LOWER_COMPONENT and NEGATIVE_ENERGY share the column [1, 1]
+) -> PlaneWaveSolution:
+    """State of the step V₀ → ∞, at ``step_height`` ∞: b → −1 and b″ → 1 in the
+    continuity system.  MAIN, LOWER_COMPONENT and NEGATIVE_ENERGY share the column [1, 1]
     (r = (a − 1)/(a + 1), Klein tunneling); TRADITIONAL's [1, −1] gives
     r = (a + 1)/(a − 1), R > 1, and is singular where a = 1 (mc² = 0, or
-    E ≳ 1e16·mc²).  Its force −V₀·ρ(0) reads −∞."""
+    E ≳ 1e16·mc²).  Its observed force −V₀·ρ(0) reads −∞."""
     if energy <= mass_energy:
         raise ValueError("infinite-step limit needs E > mc2")
     _check_finite(energy, mass_energy)
@@ -231,5 +231,5 @@ def infinite_potential_limit(
     values, (_, singular) = _continuity(SCALAR, a, -1.0, 1.0, 0.0, conv, False)
     if singular:
         raise refusal(SINGULAR, mass_energy, math.inf, energy, conv)
-    return observe(PlaneWaveSolution._continued(k, a, values, conv, mass_energy=mass_energy,
-                                                step_height=math.inf, energy=energy))
+    return PlaneWaveSolution._continued(k, a, values, conv, mass_energy=mass_energy,
+                                        step_height=math.inf, energy=energy)

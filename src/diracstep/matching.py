@@ -30,7 +30,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .core import Regime
-from .spinor import ARRAY, SCALAR, PlaneWaveState, Side, Spinor
+from .spinor import ARRAY, SCALAR, PlaneWaveState, Spinor
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,7 +78,8 @@ class PlaneWaveSolution:
 
     ``mass_energy``, ``step_height`` and ``energy`` are the mc², V₀ and E the
     state solves; a nonrelativistic limit sits at V₀ = ∞ with E its kinetic
-    energy."""
+    energy.  A transmitted wave with Im q < 0 would grow as x → +∞ and is
+    rejected; the decaying evanescent continuation has Im q > 0."""
 
     incident: PlaneWaveState
     reflected: PlaneWaveState
@@ -90,11 +91,15 @@ class PlaneWaveSolution:
     step_height: float
     energy: float
 
+    def __post_init__(self) -> None:
+        if (q_t := self.transmitted.wave_number).imag < 0.0:
+            raise ValueError(f"growing right-side wave rejected (Im q = {q_t.imag})")
+
     @classmethod
     def reflecting(cls, k, a, r, transmitted, convention, t, /, **data):
         """State with incident [1, a]·e^{ikx} and reflected r·[1, −a]·e^{−ikx}."""
-        incident = PlaneWaveState(Spinor(1.0, a), k, Side.LEFT)
-        reflected = PlaneWaveState(Spinor(r, -r * a), -k, Side.LEFT)
+        incident = PlaneWaveState(Spinor(1.0, a), k)
+        reflected = PlaneWaveState(Spinor(r, -r * a), -k)
         return cls(incident, reflected, transmitted, convention, r, t, **data)
 
     @classmethod
@@ -102,7 +107,7 @@ class PlaneWaveSolution:
         """The ``reflecting`` state of ``_continuity``'s values: t·column·e^{iq_t·x}
         beyond the step."""
         _, _, q_t, r, t, t_upper, t_lower = values
-        transmitted = PlaneWaveState(Spinor(t_upper, t_lower), q_t, Side.RIGHT)
+        transmitted = PlaneWaveState(Spinor(t_upper, t_lower), q_t)
         return cls.reflecting(k, a, r, transmitted, convention, t, **data)
 
     def spinor_at(self, x: float) -> Spinor:

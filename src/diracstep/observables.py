@@ -4,8 +4,9 @@ All quantities are computed from the actual plane waves of a state, matched
 or limit alike, never from per-convention closed forms (those live in the
 tests as cross-checks), under the state's own step height.  ``_observe`` forms
 them, and the wall rule, on numbers or arrays; ``_observation`` runs it on one
-state's plane waves and adds the rule of a current-free state: the one row
-that ``table.record`` reads, and ``observe``, a state's one public reader.
+state's plane waves, the row that ``table.record`` reads for an edge state.
+``observe``, a state's one public reader, reads that row and ψ(0) in one pass
+and adds the rule of a current-free state.
 
 The wall force is read two ways: the step's force −V₀ δ(x) has the mean −V₀·ρ(0)
 (``force``); on the half line x ≤ 0 that mean is the boundary term of d⟨p⟩/dt, for
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .core import _scaled
 from .matching import PlaneWaveSolution
 from .spinor import SCALAR, current
 
@@ -54,8 +56,8 @@ class Observation:
                   an evanescent step and for a current-free state
     force         mean wall force −V₀·ρ(0), or the hard-wall force if current-free
     boundary_force
-                  the flux bracket at ψ(0), or ``force`` if current-free; ±inf or NaN
-                  with ``force`` finite is possible as E or mc² nears 1e308
+                  the flux bracket at ψ(0), or ``force`` if current-free; ±inf only
+                  where the bracket itself overflows
     continuity    mismatch of ψ(0⁻) and ψ(0), relative to max(1, |ψ(0⁻)|)
     boundary      the wall class
     impenetrable  whether the current at the wall vanishes, to TOLERANCE of the density
@@ -77,15 +79,32 @@ class Observation:
 
 
 def observe(state: PlaneWaveSolution) -> Observation:
-    """The observation of a state at its own ``step_height``: ``_observation``'s
-    row and the state's boundary force, as an ``Observation``."""
-    row, scale = _observation(state), _scale(SCALAR, *_amplitudes(state))
-    reference = row["rho0"] if row["rho0"] > TOLERANCE * scale * scale else scale * scale
-    boundary_force = row["force"]
-    if not _current_free(state):
-        psi = state.spinor_at(0.0)
+    """The observation of a state at its own ``step_height``, in one pass: ``_observation``'s
+    row and ψ(0).  A current-free state (a nonrelativistic limit) has R, T and v_t NaN, the
+    force of its hard wall as both forces, and is classified on its Schroedinger
+    wavefunction (the upper component): DirichletNR if it vanishes at the wall, NeumannNR
+    if its left slope does, relative to k.  The flux bracket is formed from (E, mc²)/2^s
+    and scaled by 2^s last, so it reads ±inf only where the bracket itself overflows."""
+    row, psi = _observation(state), state.spinor_at(0.0)
+    scale = _scale(SCALAR, *_amplitudes(state))
+    zero = TOLERANCE * scale
+    reference = row["rho0"] if row["rho0"] > zero * scale else scale * scale
+    if current(state.incident.amplitude) == 0.0:
+        slope, k = abs(state.nr_derivative_at_origin()), abs(state.incident.wave_number)
+        wall = (BoundaryCondition.DIRICHLET_NR if abs(psi.upper) < zero
+                else BoundaryCondition.NEUMANN_NR if slope < zero * k
+                else BoundaryCondition.NONE)
+        row.update(R=math.nan, T=math.nan, v_t=math.nan, force=_hard_wall_force(state),
+                   boundary=wall.value)
+        boundary_force = row["force"]
+    else:
+        e, m, s = _scaled(SCALAR, state.energy, state.mass_energy)
         up2, lo2 = abs(psi.upper) ** 2, abs(psi.lower) ** 2
-        boundary_force = -state.energy * (up2 + lo2) + state.mass_energy * (up2 - lo2)
+        bracket = -e * (up2 + lo2) + m * (up2 - lo2)
+        try:
+            boundary_force = math.ldexp(bracket, s)
+        except OverflowError:
+            boundary_force = math.copysign(math.inf, bracket)
     return Observation(complex(row["r_re"], row["r_im"]), complex(row["t_re"], row["t_im"]),
                        row["R"], row["T"], row["rho0"], row["j0"], row["v_t"], row["force"],
                        boundary_force, row["continuity"], BoundaryCondition(row["boundary"]),
@@ -93,29 +112,13 @@ def observe(state: PlaneWaveSolution) -> Observation:
 
 
 def _observation(sol: PlaneWaveSolution) -> dict:
-    """``_observe`` of a state's own plane waves under its own step height.  A
-    current-free state has R, T and v_t NaN, the force of its hard wall, and is
-    classified on its Schroedinger wavefunction (the upper component): DirichletNR
-    if it vanishes at the wall, NeumannNR if its left slope does, relative to k."""
+    """``_observe`` of a state's own plane waves under its own step height: the
+    row of an edge state for ``table.record``, and of every state for ``observe``."""
     a, r, r_lower, t_upper, t_lower = _amplitudes(sol)
     q_t = sol.transmitted.wave_number
     # A decaying (evanescent) wave carries exactly zero transmitted current.
-    row = _observe(SCALAR, a, r, r_lower, sol.t, t_upper, t_lower, q_t, sol.step_height,
-                   q_t.imag > 0.0)
-    if _current_free(sol):
-        zero = TOLERANCE * _scale(SCALAR, a, r, r_lower, t_upper, t_lower)
-        wall = (BoundaryCondition.DIRICHLET_NR if abs(sol.spinor_at(0.0).upper) < zero
-                else BoundaryCondition.NEUMANN_NR
-                if abs(sol.nr_derivative_at_origin()) < zero * abs(sol.incident.wave_number)
-                else BoundaryCondition.NONE)
-        row.update(R=math.nan, T=math.nan, v_t=math.nan, force=_hard_wall_force(sol),
-                   boundary=wall.value)
-    return row
-
-
-def _current_free(sol: PlaneWaveSolution) -> bool:
-    """Whether the state's incident wave carries no current: a nonrelativistic limit."""
-    return current(sol.incident.amplitude) == 0.0
+    return _observe(SCALAR, a, r, r_lower, sol.t, t_upper, t_lower, q_t, sol.step_height,
+                    q_t.imag > 0.0)
 
 
 def _hard_wall_force(sol) -> float:

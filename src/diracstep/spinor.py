@@ -20,14 +20,12 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from types import SimpleNamespace
 
 import numpy as np
 
 __all__ = [
     "Spinor",
-    "Side",
     "PlaneWaveState",
     "density",
     "current",
@@ -47,30 +45,13 @@ class Spinor:
             raise ValueError("spinor components must be finite")
 
 
-class Side(Enum):
-    """Which half line a plane wave lives on."""
-
-    LEFT = "left"    # x <= 0
-    RIGHT = "right"  # x >= 0
-
-
 @dataclass(frozen=True)
 class PlaneWaveState:
-    """Plane wave  amplitude · e^{iqx}  restricted to one side of the step.
-
-    A right-side wave with Im(q) < 0 would grow as x → +∞ and is rejected
-    at construction; the decaying evanescent continuation has Im(q) > 0.
-    """
+    """Plane wave  amplitude · e^{iqx}; its slot in a ``matching.PlaneWaveSolution``
+    fixes the side of the step it lives on."""
 
     amplitude: Spinor
     wave_number: complex
-    side: Side
-
-    def __post_init__(self) -> None:
-        if self.side is Side.RIGHT and self.wave_number.imag < 0.0:
-            raise ValueError(
-                f"growing right-side wave rejected (Im q = {self.wave_number.imag})"
-            )
 
     def value_at(self, x: float) -> Spinor:
         return Spinor(*self._values(SCALAR, x))
@@ -214,8 +195,4 @@ def charge_conjugate(pw: PlaneWaveState) -> PlaneWaveState:
     """
     amp = pw.amplitude
     conjugated = Spinor(amp.lower.conjugate(), amp.upper.conjugate())
-    return PlaneWaveState(
-        amplitude=conjugated,
-        wave_number=-pw.wave_number.conjugate(),
-        side=pw.side,
-    )
+    return PlaneWaveState(amplitude=conjugated, wave_number=-pw.wave_number.conjugate())

@@ -257,7 +257,7 @@ def run_limits(trials: int = 50, seed: int = 12345) -> SuiteResult:
         # V₀ → ∞ against R = ((a ∓ 1)/(a ± 1))², T = 1 − R: main, then traditional.
         for conv, ratio in ((Convention.MAIN, (main.a - 1.0) / (main.a + 1.0)),
                             (Convention.TRADITIONAL, (main.a + 1.0) / (main.a - 1.0))):
-            obs, exact = infinite_potential_limit(e, 1.0, conv), ratio**2
+            obs, exact = observe(infinite_potential_limit(e, 1.0, conv)), ratio**2
             result.record(max(abs(obs.R - exact), abs(obs.T - (1.0 - exact))) / max(1.0, exact),
                           1e-12, f"infinite step {conv.value} R/T at E={e}")
         inside = draw_setup(rng, Regime.KLEIN_ZONE)

@@ -154,7 +154,7 @@ def test_criterion_5_special_cases():
         assert abs(obs.T - 4.0 * a**2 / (a**2 + 1.0) ** 2) < 1e-10
 
     # V0 -> infinity: R -> ((a-1)/(a+1))^2, T -> 4a/(a+1)^2
-    limit = infinite_potential_limit(2.0, 1.0)
+    limit = observe(infinite_potential_limit(2.0, 1.0))
     a = record(PhysicalSetup(1.0, 4.0, 2.0))["a"]
     assert abs(limit.R - ((a - 1.0) / (a + 1.0)) ** 2) < 1e-10
     assert abs(limit.T - 4.0 * a / (a + 1.0) ** 2) < 1e-10

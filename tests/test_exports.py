@@ -35,7 +35,7 @@ def test_package_export_is_listed_by_its_defining_module(name):
 PUBLIC_NAMES = {
     "__version__", "BoundaryCondition", "Convention", "EdgePointError", "GridSample",
     "LimitKind", "LimitSolution", "Observation", "OracleResult", "PhysicalSetup",
-    "PlaneWaveSolution", "PlaneWaveState", "Regime", "Side", "SmoothStep", "Spinor",
+    "PlaneWaveSolution", "PlaneWaveState", "Regime", "SmoothStep", "Spinor",
     "apply_hamiltonian", "charge_conjugate", "classify_regime", "current", "density",
     "edge_limit", "impenetrable_limit", "infinite_potential_limit", "integrate_scattering",
     "nonrelativistic_limit", "observe",
@@ -166,4 +166,4 @@ def test_readme_python_example_gives_the_values_in_its_comments():
                       {"nan": math.nan, "BoundaryCondition": diracstep.BoundaryCondition})
         assert _same(eval(code, namespace), stated), line
         checked += 1
-    assert checked == 4
+    assert checked == 5

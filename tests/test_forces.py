@@ -2,6 +2,8 @@
 from ``observe``."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from diracstep import (
     PhysicalSetup,
     density,
     impenetrable_limit,
+    infinite_potential_limit,
     nonrelativistic_limit,
     observe,
 )
@@ -263,3 +266,59 @@ def test_flux_bracket_constant_for_wall_state():
     values = [_flux_bracket(limit.spinor_at(x), e, 1.0) for x in xs]
     average = np.trapezoid(values, xs) / period
     assert average == pytest.approx(at_zero, rel=1e-10)
+
+
+def test_boundary_force_is_the_bracket_where_only_e_rho_overflows():
+    """A transmission state near 2.5e307 whose E·ρ(0) leaves the double range,
+    while the bracket −(E − mc²)|upper|² − (E + mc²)|lower|² and the force do
+    not: the boundary force is that bracket, up to its own cancellation
+    (E − mc² ≈ 2e-5·mc² here), not NaN."""
+    setup = PhysicalSetup(2.4731698131049733e307, 3.081786263551452e302, 2.4732205249599486e307)
+    state = solve(setup, Convention.LOWER_COMPONENT)
+    obs = observe(state)
+    assert setup.energy * obs.rho0 == math.inf and math.isfinite(obs.force)
+    assert obs.boundary_force == -2.0227377858244656e+304
+    psi = state.spinor_at(0.0)
+    up2, lo2 = (Fraction(c.real) ** 2 + Fraction(c.imag) ** 2 for c in (psi.upper, psi.lower))
+    e, m = Fraction(setup.energy), Fraction(setup.mass_energy)
+    exact = -(e - m) * up2 - (e + m) * lo2
+    assert abs(Fraction(obs.boundary_force) - exact) <= Fraction(1e-10) * abs(exact)
+
+
+@st.composite
+def scaled_states(draw):
+    """A scale 2^s, |s| ≤ 1020, most often one of the five largest that keep the
+    scaled energies finite, and the builder of a state at mc² = 1, E − mc² from
+    1e-6 to 1e3: on either edge, under V₀ from 1e-6 to 3 times E + mc², or the
+    V₀ = ∞ state, in each convention.  Near E = mc² the bracket is far below E·ρ(0)."""
+    e = 1.0 + 10.0 ** draw(st.floats(-6.0, 3.0))
+    under = (e + 1.0) * draw(st.floats(1e-6, 3.0))
+    v0 = draw(st.sampled_from((e + 1.0, e - 1.0, math.inf, under)))
+    top = sys.float_info.max_exp - math.frexp(v0 if math.isfinite(v0) and v0 > e else e)[1]
+    s = draw(st.integers(top - 4, min(top, 1020)) | st.integers(-1020, min(top, 1020)))
+    # Every scaled energy stays normal, so the scaled setup is exact.
+    assume(math.ldexp(min(v0, e), s) >= sys.float_info.min)
+    conv = draw(st.sampled_from((None, *Convention)))
+    if v0 == math.inf:
+        return s, lambda x: infinite_potential_limit(e * x, x, conv or Convention.MAIN)
+    return s, lambda x: solve(PhysicalSetup(x, v0 * x, e * x), conv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_states())
+def test_boundary_force_at_every_power_of_two_scale_is_the_scaled_force(case):
+    """The state at (mc², V₀, E)·2^s has the amplitudes of the unscaled one, so
+    its boundary force is the unscaled one times 2^s, bit for bit, wherever that
+    product is finite and normal, and ±inf where it overflows."""
+    s, build = case
+    try:
+        base, scaled = (observe(build(x)).boundary_force for x in (1.0, math.ldexp(1.0, s)))
+    except ValueError:  # refused at one scale: no state to compare
+        assume(False)
+    try:
+        expected = math.ldexp(base, s)
+    except OverflowError:
+        assert scaled == math.copysign(math.inf, base)
+        return
+    if abs(expected) >= sys.float_info.min:
+        assert scaled.hex() == expected.hex()

@@ -13,7 +13,6 @@ from diracstep import (
     PhysicalSetup,
     PlaneWaveSolution,
     PlaneWaveState,
-    Side,
     Spinor,
     impenetrable_limit,
     nonrelativistic_limit,
@@ -160,7 +159,7 @@ def test_metadata_of_a_bare_state_reads_the_regime_of_its_energies(tmp_path):
     # A state built directly, as the signature of ``sample`` names it: the
     # mirror at the edge point V0 = E + mc2 of (mc2, E) = (1, 2).
     a = 3.0 ** -0.5
-    wall = PlaneWaveState(Spinor(0.0, 2.0 * a), 0.0, Side.RIGHT)
+    wall = PlaneWaveState(Spinor(0.0, 2.0 * a), 0.0)
     state = PlaneWaveSolution.reflecting(3.0 ** 0.5, a, -1.0, wall, Convention.MAIN, 0.0,
                                          mass_energy=1.0, step_height=3.0, energy=2.0)
     write_csv(sample(state, -1.0, 1.0, 5), tmp_path / "bare.csv")

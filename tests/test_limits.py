@@ -13,8 +13,8 @@ from diracstep import (
     Convention,
     LimitKind,
     PhysicalSetup,
+    PlaneWaveSolution,
     PlaneWaveState,
-    Side,
     Spinor,
     apply_hamiltonian,
     current,
@@ -89,7 +89,7 @@ def test_impenetrable_rejects_traditional():
 
 
 def _assert_eigen(amplitude, q, potential, mass, eigenvalue):
-    pw = PlaneWaveState(amplitude, q, Side.LEFT)
+    pw = PlaneWaveState(amplitude, q)
     result = apply_hamiltonian(pw, potential, mass)
     assert abs(result.upper - eigenvalue * amplitude.upper) < 1e-12
     assert abs(result.lower - eigenvalue * amplitude.lower) < 1e-12
@@ -331,7 +331,7 @@ def test_nonrelativistic_limit_force_is_read_from_the_state(mc2, log_ratio, conv
 
 
 def test_infinite_potential_limit_values():
-    limit = infinite_potential_limit(2.0, 1.0)
+    limit = observe(infinite_potential_limit(2.0, 1.0))
     assert limit.R == pytest.approx(0.071796769724490826, abs=1e-12)
     assert limit.T == pytest.approx(0.92820323027550917, abs=1e-12)
     assert limit.R + limit.T == pytest.approx(1.0, abs=1e-14)
@@ -342,11 +342,13 @@ def test_infinite_potential_limit_values():
 
 @pytest.mark.parametrize("conv", list(Convention))
 def test_infinite_potential_limit_is_observed_under_an_infinite_step(conv):
-    """The one observation at V₀ = ∞ of a state that stores no step height:
-    its force −V₀·ρ(0) reads −∞, and the transmitted wave t·[1, ±1] carries
-    current at the speed of light, so the wall is neither classified nor
-    impenetrable."""
-    limit = infinite_potential_limit(2.0, 1.0, conv)
+    """The limit is a plain state that carries V₀ = ∞, and ``observe`` reads it
+    there: its force −V₀·ρ(0) reads −∞, and the transmitted wave t·[1, ±1]
+    carries current at the speed of light, so the wall is neither classified
+    nor impenetrable."""
+    state = infinite_potential_limit(2.0, 1.0, conv)
+    assert type(state) is PlaneWaveSolution and state.step_height == math.inf
+    limit = observe(state)
     assert limit.force == -math.inf
     assert limit.rho0 == pytest.approx(2.0 * abs(limit.t) ** 2, rel=1e-15)
     assert limit.v_t == (-1.0 if conv is Convention.TRADITIONAL else 1.0)
@@ -371,7 +373,7 @@ def test_infinite_potential_limit_against_its_closed_forms(ratio, mc2, conv):
         with pytest.raises(ValueError, match="singular for 'traditional'"):
             infinite_potential_limit(e, mc2, conv)
         return
-    obs = infinite_potential_limit(e, mc2, conv)
+    obs = observe(infinite_potential_limit(e, mc2, conv))
     x = Fraction(a)
     exact_r = ((x + 1) / (x - 1) if traditional else (x - 1) / (x + 1)) ** 2
     for value, exact in ((obs.R, exact_r), (obs.T, 1 - exact_r)):

@@ -8,8 +8,8 @@ import pytest
 from diracstep import (
     Convention,
     PhysicalSetup,
+    PlaneWaveSolution,
     PlaneWaveState,
-    Side,
     Spinor,
     apply_hamiltonian,
     charge_conjugate,
@@ -67,14 +67,23 @@ def test_velocity_bound(spinor):
     assert abs(current(spinor)) <= density(spinor) + 1e-15
 
 
+def _beyond_the_step(q):
+    """A state whose transmitted wave is [1, 0.5]·e^{iqx}."""
+    return PlaneWaveSolution.reflecting(
+        1.5, 0.5, 0.0, PlaneWaveState(Spinor(1.0, 0.5), q), Convention.MAIN, 1.0,
+        mass_energy=1.0, step_height=4.0, energy=2.0)
+
+
 def test_growing_right_wave_rejected():
-    with pytest.raises(ValueError):
-        PlaneWaveState(Spinor(1.0, 0.5), -1.0j, Side.RIGHT)
-    PlaneWaveState(Spinor(1.0, 0.5), 1.0j, Side.RIGHT)  # decaying: fine
+    with pytest.raises(ValueError, match=r"growing right-side wave rejected \(Im q = -1.0\)"):
+        _beyond_the_step(-1.0j)
+    assert _beyond_the_step(1.0j).transmitted.wave_number == 1.0j  # decaying: fine
+    # The side is the slot's: a left wave may decay either way.
+    assert PlaneWaveState(Spinor(1.0, 0.5), -1.0j).wave_number == -1.0j
 
 
 def test_plane_wave_evaluation():
-    pw = PlaneWaveState(Spinor(1.0, A_GOLDEN), 2.0, Side.LEFT)
+    pw = PlaneWaveState(Spinor(1.0, A_GOLDEN), 2.0)
     value = pw.value_at(-0.7)
     phase = cmath.exp(2.0j * -0.7)
     assert value.upper == pytest.approx(phase, abs=1e-15)
@@ -119,7 +128,7 @@ def test_hamiltonian_linear_in_amplitude():
         q = rng.normal()
         combo = Spinor(c1 * s1.upper + c2 * s2.upper, c1 * s1.lower + c2 * s2.lower)
         h = lambda s: apply_hamiltonian(
-            PlaneWaveState(s, q, Side.LEFT), 0.7, 1.3
+            PlaneWaveState(s, q), 0.7, 1.3
         )
         lhs = h(combo)
         rhs_u = c1 * h(s1).upper + c2 * h(s2).upper
@@ -129,7 +138,7 @@ def test_hamiltonian_linear_in_amplitude():
 
 
 def test_charge_conjugation_by_hand():
-    pw = PlaneWaveState(Spinor(1.0, -B_GOLDEN), -1.7320508075688773, Side.RIGHT)
+    pw = PlaneWaveState(Spinor(1.0, -B_GOLDEN), -1.7320508075688773)
     conj = charge_conjugate(pw)
     assert conj.amplitude.upper == pytest.approx(-B_GOLDEN, abs=1e-15)
     assert conj.amplitude.lower == pytest.approx(1.0, abs=1e-15)
@@ -137,14 +146,14 @@ def test_charge_conjugation_by_hand():
 
 
 def test_charge_conjugation_is_involution():
-    pw = PlaneWaveState(Spinor(0.3 + 0.2j, -1.1 + 0.7j), 0.9 + 0.1j, Side.LEFT)
+    pw = PlaneWaveState(Spinor(0.3 + 0.2j, -1.1 + 0.7j), 0.9 + 0.1j)
     back = charge_conjugate(charge_conjugate(pw))
     assert back.amplitude == pw.amplitude
     assert back.wave_number == pw.wave_number
 
 
 def test_charge_conjugation_preserves_density_flips_current():
-    pw = PlaneWaveState(Spinor(0.8 + 0.1j, 0.2 - 0.5j), 1.2, Side.LEFT)
+    pw = PlaneWaveState(Spinor(0.8 + 0.1j, 0.2 - 0.5j), 1.2)
     conj = charge_conjugate(pw)
     assert density(conj.amplitude) == pytest.approx(density(pw.amplitude), abs=1e-15)
     assert current(conj.amplitude) == pytest.approx(current(pw.amplitude), abs=1e-15)

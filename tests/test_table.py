@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diracstep import (BoundaryCondition, Convention, EdgePointError, PhysicalSetup,
-                       PlaneWaveSolution, Regime, solve, table)
+                       PlaneWaveSolution, Regime, current, edge_limit, solve, table)
 from diracstep.core import incident_wave
 from diracstep.table import record as scalar_record
 from diracstep.table import scatter_table
@@ -367,6 +367,26 @@ def test_scatter_table_matches_scalar_chain_on_10000_edge_rows(conv):
     setups = [(e + side, e) for e in (2.0, 2.5, 1.0 + 2.0 ** -20) for side in (1.0, -1.0)]
     rows = [setups[(7 * i + i // 5) % len(setups)] for i in range(10_000)]
     _assert_table_matches(1.0, rows, conv)
+
+
+@pytest.mark.parametrize("conv", [None, *Convention], ids=lambda c: getattr(c, "value", "auto"))
+def test_every_edge_state_carries_incident_current(conv):
+    """``record`` reads an edge row through ``observables._observation``, which
+    holds no rule for a current-free state: every state that ``edge_limit``
+    accepts, on either edge and at every power-of-two scale, carries incident
+    current, 2a > 0."""
+    accepted = 0
+    for mass, e in ((1.0, 2.0), (1.0, 1.0 + 2.0 ** -52), (1.0, 2.0 ** 40), (0.0, 1.0)):
+        for s in range(-1074, 1024):
+            for v0 in {e + mass, e - mass}:
+                try:
+                    state = edge_limit(PhysicalSetup(*(math.ldexp(x, s) for x in (mass, v0, e))),
+                                       conv)
+                except (ValueError, OverflowError):  # off an edge, refused, or out of range
+                    continue
+                accepted += 1
+                assert current(state.incident.amplitude) > 0.0
+    assert accepted > 2048
 
 
 def test_invalid_rows_are_refused_without_a_record_each(monkeypatch):

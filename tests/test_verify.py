@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diracstep import (Convention, PhysicalSetup, PlaneWaveState, Regime, Side, Spinor,
+from diracstep import (Convention, PhysicalSetup, PlaneWaveState, Regime, Spinor,
                        oracle, verify)
 from diracstep.matching import GROWING_UNDER_EVANESCENT
 from diracstep.verify import run_closed_vs_oracle, run_limits
@@ -35,18 +35,18 @@ def test_limits_passes_at_every_seed(seed):
 def _wrong_wall(limit):
     wall = limit.transmitted.amplitude
     spinor = Spinor(wall.upper, wall.lower * (1.0 + 1e-6) + 1e-6)
-    return replace(limit, transmitted=PlaneWaveState(spinor, 0.0, Side.RIGHT))
+    return replace(limit, transmitted=PlaneWaveState(spinor, 0.0))
 
 
 def _wrong_reflection(limit):
     r = limit.r * (1.0 - 1e-6)
-    reflected = PlaneWaveState(Spinor(r, -r * limit.a), -limit.wave_number, Side.LEFT)
+    reflected = PlaneWaveState(Spinor(r, -r * limit.a), -limit.wave_number)
     return replace(limit, reflected=reflected, r=r)
 
 
 def _wrong_nr_reflection(limit):
     r = limit.r * (1.0 - 1e-6)
-    reflected = PlaneWaveState(Spinor(r, 0.0), -limit.wave_number, Side.LEFT)
+    reflected = PlaneWaveState(Spinor(r, 0.0), -limit.wave_number)
     return replace(limit, reflected=reflected, r=r)
 
 
